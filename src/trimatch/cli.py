@@ -20,6 +20,7 @@ from .errors import (
     EXIT_OK,
     BudgetExceeded,
     Disconnected,
+    NotUniform,
     TrimatchError,
 )
 from .generate import random_regular_bipartite, random_triple_system
@@ -40,21 +41,13 @@ def _read(path):
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
-    text = _read(args.file)
-    if text is None:
-        return EXIT_BAD_INPUT
-    h = formats.parse_hypergraph(text)
+    h = formats.parse_hypergraph(_read(args.file))
     if h.k != args.k:
-        print(
-            f"error: NotUniform: file declares k={h.k} but --k is {args.k}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+        raise NotUniform(f"file declares k={h.k} but --k is {args.k}")
     if args.components:
         certs = solve_components(h, k=args.k)
         if args.json:
@@ -76,21 +69,16 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance_text = _read(args.instance)
-    cert_text = _read(args.certificate)
-    if instance_text is None or cert_text is None:
-        return EXIT_BAD_INPUT
-    triangles, pairs, keeps = formats.parse_certificate(cert_text)
+    triangles, pairs, keeps = formats.parse_certificate(_read(args.certificate))
     if args.lu:
         bg = formats.parse_bipartite(instance_text)
         if triangles or pairs:
-            print("error: partition lines in a kept-edge certificate", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("partition lines in a kept-edge certificate")
         report = verify_lu(bg, keeps)
     else:
         h = formats.parse_hypergraph(instance_text)
         if keeps:
-            print("error: keep lines in a partition certificate", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("keep lines in a partition certificate")
         report = verify_partition(h, (triangles, pairs))
     for violation in report.violations:
         print(violation)
@@ -107,18 +95,14 @@ def cmd_gen(args) -> int:
         sys.stdout.write(formats.format_bipartite(bg))
         return EXIT_OK
     if args.k is not None and args.k != 3:
-        print("error: hypergraph generation supports k=3 only", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("hypergraph generation supports k=3 only")
     h = random_triple_system(args.n, args.seed, require_connected=args.connected)
     sys.stdout.write(formats.format_hypergraph(h))
     return EXIT_OK
 
 
 def cmd_lu(args) -> int:
-    text = _read(args.file)
-    if text is None:
-        return EXIT_BAD_INPUT
-    bg = formats.parse_bipartite(text)
+    bg = formats.parse_bipartite(_read(args.file))
     k = args.k if args.k is not None else require_regular_bipartite(bg)
     lu = lu_subgraph(bg, k)
     sys.stdout.write(formats.format_lu(lu))
@@ -126,10 +110,7 @@ def cmd_lu(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    text = _read(args.file)
-    if text is None:
-        return EXIT_BAD_INPUT
-    h = formats.parse_hypergraph(text)
+    h = formats.parse_hypergraph(_read(args.file))
     budget = OracleBudget(max_vertices=args.budget)
     if h.n > budget.max_vertices:
         raise BudgetExceeded(
@@ -137,10 +118,7 @@ def cmd_oracle(args) -> int:
         )
     if len(components(shadow_graph(h)).blocks) > 1:
         raise Disconnected("oracle comparison needs a connected instance")
-    rep = validate(h, h.k)
-    if not rep.ok:
-        print("error: instance is not uniform/regular", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    validate(h, h.k).require()
     cert = solve(h) if h.k == 3 else solve_k_uniform(h, h.k)
     reference = all_tri_partitions(h, budget)
     key = (cert.triangle, cert.pairs)

@@ -11,10 +11,9 @@ a pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NotRegular, NotUniform
 
 VertexId = int
 
@@ -76,6 +75,21 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.uniform and self.regular
+
+    def require_uniform(self) -> None:
+        """Raise NotUniform naming the first hyperedge of the wrong size."""
+        if not self.uniform:
+            raise NotUniform(
+                f"hyperedge {self.first_nonuniform_hyperedge} has size != {self.k}"
+            )
+
+    def require(self) -> None:
+        """Raise NotUniform or NotRegular naming the first violation."""
+        self.require_uniform()
+        if not self.regular:
+            raise NotRegular(
+                f"vertex {self.first_irregular_vertex} has degree != {self.k}"
+            )
 
 
 def canonical_edge(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
@@ -184,23 +198,33 @@ def components(g: SimpleGraph) -> ComponentPartition:
 
     Blocks are sorted internally and ordered by smallest member.
     """
-    seen = [False] * g.n
+    return ComponentPartition(
+        blocks=tuple(tuple(sorted(b)) for b in _component_blocks(g.adjacency))
+    )
+
+
+def _component_blocks(adj, skip=None) -> list[list[VertexId]]:
+    """Vertex lists of the connected components of the graph with adjacency
+    lists `adj`, leaving out the vertices v with `skip[v]` set.
+
+    Components come in order of smallest member; each list is unsorted.
+    """
+    seen = list(skip) if skip is not None else [False] * len(adj)
     blocks = []
-    for start in range(g.n):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         seen[start] = True
         block = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
                 if not seen[w]:
                     seen[w] = True
                     block.append(w)
-                    queue.append(w)
-        blocks.append(tuple(sorted(block)))
-    return ComponentPartition(blocks=tuple(blocks))
+                    stack.append(w)
+        blocks.append(block)
+    return blocks
 
 
 def hereditary_members(h: Hypergraph, size: int) -> list[tuple[VertexId, ...]]:

@@ -32,86 +32,62 @@ def _ints(tokens, lineno):
         raise ParseError(f"expected integers, got {tokens!r}", line=lineno) from exc
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
+def _parse_problem(text, kind, fields, arity, build):
+    """Shared skeleton of the `p <kind> ...` formats.
+
+    `fields` names the problem-line values, one of them the `e`-line count
+    `m`; `arity` is the number of integers per `e` line (0: any positive
+    number).  `build(rows, *values)` gets the `e` rows and the other values
+    in order, and its ValueError becomes a ParseError.
+    """
     header = None
-    edges = []
+    rows = []
     for lineno, tokens in _tokenized(text):
         if tokens[0] == "p":
             if header is not None:
                 raise ParseError("duplicate problem line", line=lineno)
-            if len(tokens) != 5 or tokens[1] != "hyp":
-                raise ParseError("expected `p hyp <n> <m> <k>`", line=lineno)
+            if len(tokens) != 2 + len(fields) or tokens[1] != kind:
+                usage = " ".join(f"<{f}>" for f in fields)
+                raise ParseError(f"expected `p {kind} {usage}`", line=lineno)
             header = _ints(tokens[2:], lineno)
         elif tokens[0] == "e":
             if header is None:
-                raise ParseError("hyperedge before problem line", line=lineno)
-            verts = _ints(tokens[1:], lineno)
-            if not verts:
-                raise ParseError("empty hyperedge", line=lineno)
-            edges.append((lineno, verts))
+                raise ParseError("e line before problem line", line=lineno)
+            row = _ints(tokens[1:], lineno)
+            if len(row) != arity if arity else not row:
+                raise ParseError(f"e line has {len(row)} vertices", line=lineno)
+            rows.append(row)
         else:
             raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
     if header is None:
-        raise ParseError("missing `p hyp` problem line")
-    n, m, k = header
-    if len(edges) != m:
-        raise ParseError(f"problem line promises {m} hyperedges, found {len(edges)}")
+        raise ParseError(f"missing `p {kind}` problem line")
+    m = header.pop(fields.index("m"))
+    if len(rows) != m:
+        raise ParseError(f"problem line promises {m} e lines, found {len(rows)}")
     try:
-        return make_hypergraph(n, [v for _, v in edges], k=k)
+        return build(rows, *header)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    return _parse_problem(
+        text, "hyp", ("n", "m", "k"), 0,
+        lambda rows, n, k: make_hypergraph(n, rows, k=k),
+    )
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    header = None
-    edges = []
-    for lineno, tokens in _tokenized(text):
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "gr":
-                raise ParseError("expected `p gr <n> <m>`", line=lineno)
-            header = _ints(tokens[2:], lineno)
-        elif tokens[0] == "e":
-            vals = _ints(tokens[1:], lineno)
-            if len(vals) != 2:
-                raise ParseError("edge line needs 2 endpoints", line=lineno)
-            edges.append((vals[0], vals[1]))
-        else:
-            raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
-    if header is None:
-        raise ParseError("missing `p gr` problem line")
-    n, m = header
-    if len(edges) != m:
-        raise ParseError(f"problem line promises {m} edges, found {len(edges)}")
-    try:
-        return make_graph(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parse_problem(
+        text, "gr", ("n", "m"), 2, lambda rows, n: make_graph(n, rows)
+    )
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
-    header = None
-    edges = []
-    for lineno, tokens in _tokenized(text):
-        if tokens[0] == "p":
-            if len(tokens) != 5 or tokens[1] != "bip":
-                raise ParseError("expected `p bip <nA> <nB> <m>`", line=lineno)
-            header = _ints(tokens[2:], lineno)
-        elif tokens[0] == "e":
-            vals = _ints(tokens[1:], lineno)
-            if len(vals) != 2:
-                raise ParseError("edge line needs 2 endpoints", line=lineno)
-            edges.append((vals[0], vals[1]))
-        else:
-            raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
-    if header is None:
-        raise ParseError("missing `p bip` problem line")
-    n_a, n_b, m = header
-    if len(edges) != m:
-        raise ParseError(f"problem line promises {m} edges, found {len(edges)}")
-    try:
-        return make_bipartite(n_a, n_b, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parse_problem(
+        text, "bip", ("nA", "nB", "m"), 2,
+        lambda rows, n_a, n_b: make_bipartite(n_a, n_b, rows),
+    )
 
 
 def parse_certificate(text: str) -> tuple[list, list, list]:

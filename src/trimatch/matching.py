@@ -20,14 +20,13 @@ from .core import (
     Hypergraph,
     SimpleGraph,
     VertexId,
-    components,
+    _component_blocks,
     shadow_graph,
     validate,
 )
 from .errors import (
     InternalError,
     NotRegular,
-    NotUniform,
     ParallelEdges,
     PreconditionViolated,
 )
@@ -204,13 +203,10 @@ def _max_matching_arrays(adj, active) -> list[int]:
     return match
 
 
-def _pairs_of(match, active) -> tuple[tuple[int, int], ...]:
+def _pairs_of(match) -> tuple[tuple[int, int], ...]:
+    # inactive vertices are never matched, so the array alone gives the pairs
     return tuple(
-        sorted(
-            (v, match[v])
-            for v in range(len(match))
-            if active[v] and match[v] > v
-        )
+        sorted((v, match[v]) for v in range(len(match)) if match[v] > v)
     )
 
 
@@ -218,7 +214,7 @@ def maximum_matching(g: SimpleGraph) -> Matching:
     """A maximum-cardinality matching of g."""
     active = [True] * g.n
     match = _max_matching_arrays(g.adjacency, active)
-    return Matching(pairs=_pairs_of(match, active), host=g)
+    return Matching(pairs=_pairs_of(match), host=g)
 
 
 def perfect_matching(g: SimpleGraph) -> Matching | None:
@@ -233,13 +229,8 @@ def perfect_matching_avoiding(g: SimpleGraph, v: VertexId) -> Matching | None:
     """A perfect matching of g - v, or None."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    if (g.n - 1) % 2 != 0:
-        return None
-    active = [True] * g.n
-    active[v] = False
-    match = _max_matching_arrays(g.adjacency, active)
-    pairs = _pairs_of(match, active)
-    return Matching(pairs=pairs, host=g) if 2 * len(pairs) == g.n - 1 else None
+    match = near_perfect_matching(g, v)
+    return None if match is None else Matching(pairs=_pairs_of(match), host=g)
 
 
 def matching_on_subgraph(g: SimpleGraph, edges, cover, avoid=None) -> Matching | None:
@@ -259,17 +250,8 @@ def matching_on_subgraph(g: SimpleGraph, edges, cover, avoid=None) -> Matching |
     if need % 2 != 0:
         return None
     match = _max_matching_arrays(adj, active)
-    pairs = _pairs_of(match, active)
+    pairs = _pairs_of(match)
     return Matching(pairs=pairs, host=g) if 2 * len(pairs) == need else None
-
-
-def is_factor_critical(g: SimpleGraph) -> bool:
-    """True iff g - v has a perfect matching for every vertex v."""
-    if g.n % 2 == 0:
-        return False
-    if len(components(g).blocks) > 1:
-        return False
-    return all(perfect_matching_avoiding(g, v) is not None for v in range(g.n))
 
 
 class AlternatingTree:
@@ -348,6 +330,24 @@ def near_perfect_matching(g: SimpleGraph, root: VertexId) -> list[int] | None:
     if sum(1 for v in range(g.n) if active[v] and match[v] == -1) != 0:
         return None
     return match
+
+
+def is_factor_critical(g: SimpleGraph) -> bool:
+    """True iff g - v has a perfect matching for every vertex v.
+
+    Decided by one near-perfect matching M missing vertex 0 and one Edmonds
+    search from 0, which marks outer exactly the vertices v reached from 0
+    by an even M-alternating path (Gallai's lemma; Lovasz & Plummer,
+    Matching Theory).  Such a path P gives the perfect matching M xor P of
+    g - v.  Conversely, if g - v has a perfect matching M_v, the component
+    of M xor M_v at 0 is such a path ending at v.  So g is factor-critical
+    exactly when every vertex is outer; vertices outside 0's component
+    never are.
+    """
+    if g.n % 2 == 0:
+        return False
+    match = near_perfect_matching(g, 0)
+    return match is not None and AlternatingTree(g, match, 0).first_non_outer() is None
 
 
 # ---------------------------------------------------------------------------
@@ -457,32 +457,10 @@ def component_bound_check(h: Hypergraph, removed) -> tuple[int, int]:
     xs = sorted(set(removed))
     if not xs:
         raise PreconditionViolated("the removed set must be nonempty")
-    rep = validate(h, 3)
-    if not rep.uniform:
-        raise NotUniform(
-            f"hyperedge {rep.first_nonuniform_hyperedge} is not a triple"
-        )
-    if not rep.regular:
-        raise NotRegular(f"vertex {rep.first_irregular_vertex} has degree != 3")
+    validate(h, 3).require()
+    gone = [False] * h.n
     for v in xs:
         if not 0 <= v < h.n:
             raise ValueError(f"vertex {v} out of range [0, {h.n})")
-    g = shadow_graph(h)
-    gone = [False] * g.n
-    for v in xs:
         gone[v] = True
-    seen = [False] * g.n
-    count = 0
-    for s in range(g.n):
-        if gone[s] or seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if not gone[w] and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return count, len(xs)
+    return len(_component_blocks(shadow_graph(h).adjacency, gone)), len(xs)

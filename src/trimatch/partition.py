@@ -22,6 +22,7 @@ from .core import (
     Hypergraph,
     SimpleGraph,
     VertexId,
+    _component_blocks,
     canonical_edge,
     components,
     induced_hypergraph,
@@ -41,7 +42,6 @@ from .errors import (
     InternalError,
     NotFactorCritical,
     NotRegular,
-    NotUniform,
     PreconditionViolated,
 )
 from .matching import (
@@ -89,10 +89,37 @@ def _canon_pairs(pairs):
     return tuple(sorted(canonical_edge(u, v) for u, v in pairs))
 
 
-def _require_uniform(h: Hypergraph, k: int) -> None:
-    for i, e in enumerate(h.hyperedges):
-        if len(e) != k:
-            raise NotUniform(f"hyperedge {i} has {len(e)} vertices, expected {k}")
+def _require_connected(g: SimpleGraph) -> None:
+    if len(components(g).blocks) > 1:
+        raise Disconnected(
+            "the hypergraph is disconnected; solve each component separately"
+        )
+
+
+def _require_ok(report: VerificationReport) -> None:
+    """Stop a constructed certificate that fails its own verifier."""
+    if not report.ok:
+        raise InternalError(
+            "constructed certificate failed verification: "
+            + "; ".join(report.violations)
+        )
+
+
+def _prefix_matching(d: EarDecomposition, k: int, avoid: VertexId):
+    """Pairs of a perfect matching of the first k ears minus `avoid`.
+
+    The union of the first k ears of an odd ear decomposition is
+    factor-critical, so the matching exists for every `avoid` on it.
+    """
+    edges = []
+    vertices = set()
+    for ear in d.ears[:k]:
+        edges.extend(ear.edge_walk())
+        vertices.update(ear.vertices)
+    base = matching_on_subgraph(d.host, edges, vertices, avoid=avoid)
+    if base is None:
+        raise InternalError("prefix of the decomposition is not factor-critical")
+    return base.pairs
 
 
 def _alternating_cover(walk, t):
@@ -138,24 +165,9 @@ def matching_with_edge_avoiding(
             "avoided vertex does not precede the edge's ear"
         )
 
-    prefix_edges = []
-    prefix_vertices = set()
-    for ear in d.ears[:k]:
-        prefix_edges.extend(ear.edge_walk())
-        prefix_vertices.update(ear.vertices)
-    base = matching_on_subgraph(g, prefix_edges, prefix_vertices, avoid=avoid)
-    if base is None:
-        raise InternalError(
-            "prefix of the decomposition is not factor-critical"
-        )
-    pairs = list(base.pairs)
+    pairs = list(_prefix_matching(d, k, avoid))
     for ear in d.ears[k:]:
-        if ear.trivial:
-            continue
-        walk = ear.vertices
-        pairs.extend(
-            (walk[i], walk[i + 1]) for i in range(1, ear.n_edges - 1, 2)
-        )
+        pairs.extend(_alternating_cover(ear.vertices, 0))
     result = Matching(pairs=_canon_pairs(pairs), host=g)
     _check_near_perfect(result, g, avoid, ce)
     return result
@@ -220,7 +232,6 @@ def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
     k = 0), takes a perfect matching of the earlier ears avoiding u1,
     every-second edges up to the apex, and the odd edges of the rest.
     """
-    g = d.host
     ear = d.ears[k]
     if k >= 1:
         candidates = [list(ear.vertices)[::-1]]
@@ -249,21 +260,7 @@ def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
     if (qa - t) % 2 != 1 or (length - qb) % 2 != 1:
         raise InternalError("ear orientation lost the odd-edge parity")
 
-    pairs = []
-    if k >= 1:
-        prefix_edges = []
-        prefix_vertices = set()
-        for prev in d.ears[:k]:
-            prefix_edges.extend(prev.edge_walk())
-            prefix_vertices.update(prev.vertices)
-        base = matching_on_subgraph(
-            g, prefix_edges, prefix_vertices, avoid=walk[0]
-        )
-        if base is None:
-            raise InternalError(
-                "prefix of the decomposition is not factor-critical"
-            )
-        pairs.extend(base.pairs)
+    pairs = list(_prefix_matching(d, k, walk[0])) if k >= 1 else []
     pairs.extend(_alternating_cover(walk, t))
     return pairs
 
@@ -281,13 +278,13 @@ def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
     Needs a 3-uniform hypergraph whose shadow graph is connected and
     factor-critical (NotFactorCritical carries a witness otherwise).
     """
-    _require_uniform(h, 3)
-    g = shadow_graph(h)
+    validate(h, 3).require_uniform()
+    return _odd_partition(h, shadow_graph(h))
+
+
+def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
+    """The odd construction on the maximal odd ear decomposition of g."""
     d = maximalize(odd_ear_decomposition(g))
-    return _partition_from_decomposition(h, g, d)
-
-
-def _partition_from_decomposition(h, g, d) -> TriMatchingPartition:
     k = last_nontrivial_ear(d)
     walk = d.ears[k].vertices
     e = (walk[1], walk[2]) if k >= 1 else (walk[0], walk[1])
@@ -300,24 +297,16 @@ def _partition_from_decomposition(h, g, d) -> TriMatchingPartition:
     if apex is None:
         raise InternalError("shadow edge not inside any hyperedge")
     if d.labels[apex] < k:
-        m = matching_with_edge_avoiding(d, e, apex)
-        ce = canonical_edge(a, b)
-        pairs = [p for p in m.pairs if p != ce]
+        pairs = matching_with_edge_avoiding(d, e, apex).pairs
     else:
         pairs = _parity_pairs(d, k, e, apex)
-        ce = canonical_edge(a, b)
-        pairs = [canonical_edge(u, v) for u, v in pairs if canonical_edge(u, v) != ce]
+    ce = canonical_edge(a, b)
     cert = TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
-        pairs=_canon_pairs(pairs),
+        pairs=tuple(p for p in _canon_pairs(pairs) if p != ce),
         host=h,
     )
-    report = verify_partition(h, cert)
-    if not report.ok:
-        raise InternalError(
-            "constructed partition failed verification: "
-            + "; ".join(report.violations)
-        )
+    _require_ok(verify_partition(h, cert))
     return cert
 
 
@@ -329,18 +318,9 @@ def solve(h: Hypergraph) -> TriMatchingPartition:
     rest; the shadow graph is factor-critical in that case, and a failure of
     that guarantee is an internal error carrying the witness vertex.
     """
-    rep = validate(h, 3)
-    if not rep.uniform:
-        raise NotUniform(
-            f"hyperedge {rep.first_nonuniform_hyperedge} is not a triple"
-        )
-    if not rep.regular:
-        raise NotRegular(f"vertex {rep.first_irregular_vertex} has degree != 3")
+    validate(h, 3).require()
     g = shadow_graph(h)
-    if len(components(g).blocks) > 1:
-        raise Disconnected(
-            "the hypergraph is disconnected; solve each component separately"
-        )
+    _require_connected(g)
     if h.n % 2 == 0:
         pm = perfect_matching(g)
         if pm is None:
@@ -348,30 +328,19 @@ def solve(h: Hypergraph) -> TriMatchingPartition:
                 "even-order 3-uniform 3-regular shadow without a perfect matching"
             )
         cert = TriMatchingPartition(triangle=None, pairs=pm.pairs, host=h)
-        report = verify_partition(h, cert)
-        if not report.ok:
-            raise InternalError("; ".join(report.violations))
+        _require_ok(verify_partition(h, cert))
         return cert
     try:
-        d = maximalize(odd_ear_decomposition(g))
+        return _odd_partition(h, g)
     except NotFactorCritical as exc:
         raise InternalError(
             f"shadow graph not factor-critical despite regularity: {exc}"
         ) from exc
-    return _partition_from_decomposition(h, g, d)
 
 
 def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     """Per-component certificates (one triangle per odd component)."""
-    rep = validate(h, k)
-    if not rep.uniform:
-        raise NotUniform(
-            f"hyperedge {rep.first_nonuniform_hyperedge} has size != {k}"
-        )
-    if not rep.regular:
-        raise NotRegular(
-            f"vertex {rep.first_irregular_vertex} has degree != {k}"
-        )
+    validate(h, k).require()
     certs = []
     for block in components(shadow_graph(h)).blocks:
         sub, old_ids = induced_hypergraph(h, block)
@@ -391,34 +360,38 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
 def _residual_odd_components(bg: BipartiteGraph, removed_pairs) -> int:
     """Number of residual components with an odd number of B-vertices."""
     removed = set(removed_pairs)
-    adj = {}
-    for a in range(bg.n_a):
-        adj[("a", a)] = [
-            ("b", b) for b in bg.adj_a[a] if (a, b) not in removed
-        ]
-    for b in range(bg.n_b):
-        adj[("b", b)] = [
-            ("a", a) for a in bg.adj_b[b] if (a, b) not in removed
-        ]
-    seen = set()
-    odd = 0
-    for node in adj:
-        if node in seen:
-            continue
-        stack = [node]
-        seen.add(node)
-        b_count = 0
-        while stack:
-            cur = stack.pop()
-            if cur[0] == "b":
-                b_count += 1
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if b_count % 2 == 1:
-            odd += 1
-    return odd
+    n_a = bg.n_a
+    adj = [
+        [n_a + b for b in bg.adj_a[a] if (a, b) not in removed] for a in range(n_a)
+    ]
+    adj.extend(
+        [a for a in bg.adj_b[b] if (a, b) not in removed] for b in range(bg.n_b)
+    )
+    return sum(
+        sum(v >= n_a for v in block) % 2 for block in _component_blocks(adj)
+    )
+
+
+def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
+    """Pairs of t disjoint perfect matchings whose removal leaves exactly as
+    many components with odd |B| as the input has.
+
+    Each input component with odd |B| leaves at least one odd residual
+    component, so equal counts mean one per such component and none
+    elsewhere, which is what `verify_lu` asks.  Rotated scan orders are
+    tried in turn; an InternalError names them when none fits.
+    """
+    target = _residual_odd_components(bg, ())
+    rotations = min(bg.n_a, 24)
+    for rotation in range(rotations):
+        attempt = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
+        pairs = {p for m in attempt for p in m.pairs}
+        if _residual_odd_components(bg, pairs) == target:
+            return pairs
+    raise InternalError(
+        f"extraction rotations 0..{rotations - 1} all leave a residual with "
+        f"other than {target} components of odd |B|"
+    )
 
 
 def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
@@ -428,7 +401,7 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     3-regular hypergraph on B (one hyperedge per A-vertex), solves it
     componentwise, and keeps the 2 or 3 edges of the A-vertex assigned to
     each block.  Extraction retries rotated scan orders when the residual
-    would split into more odd components than |B| forces.
+    would split into more odd components than the input has.
     """
     deg_k = require_regular_bipartite(bg)
     if deg_k != k:
@@ -437,18 +410,7 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
         raise PreconditionViolated("degree must be at least 3")
 
     t = k - 3
-    target_odd = bg.n_b % 2
-    removed: list[Matching] = []
-    if t > 0:
-        for rotation in range(min(bg.n_a, 24)):
-            attempt = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
-            flat = [p for m in attempt for p in m.pairs]
-            if _residual_odd_components(bg, flat) == target_odd:
-                removed = attempt
-                break
-        else:
-            removed = extract_disjoint_perfect_matchings(bg, t)
-    removed_pairs = {p for m in removed for p in m.pairs}
+    removed_pairs = _extract_keeping_odd_count(bg, t) if t > 0 else set()
 
     slots = []
     for a in range(bg.n_a):
@@ -459,9 +421,6 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     residual_h = make_hypergraph(bg.n_b, slots, k=3)
     certs = solve_components(residual_h)
 
-    by_triple: dict[tuple, list[int]] = {}
-    for a, nbrs in enumerate(slots):
-        by_triple.setdefault(nbrs, []).append(a)
     slot_of_vertex: dict[int, list[int]] = {}
     for a, nbrs in enumerate(slots):
         for v in nbrs:
@@ -471,13 +430,8 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     kept = []
 
     def assign(block):
-        if len(block) == 3:
-            cands = by_triple.get(tuple(block), [])
-        else:
-            u, v = block
-            cands = [a for a in slot_of_vertex.get(u, []) if v in slots[a]]
-        for a in sorted(cands):
-            if not used[a]:
+        for a in slot_of_vertex.get(block[0], []):
+            if not used[a] and all(x in slots[a] for x in block):
                 used[a] = True
                 kept.extend((a, x) for x in block)
                 return
@@ -492,9 +446,7 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
         assign(block)
 
     lu = LuSubgraph(kept=tuple(sorted(kept)), host=bg)
-    report = verify_lu(bg, lu)
-    if not report.ok:
-        raise InternalError("; ".join(report.violations))
+    _require_ok(verify_lu(bg, lu))
     return lu
 
 
@@ -507,17 +459,8 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     """
     if k < 3:
         raise PreconditionViolated("uniformity must be at least 3")
-    rep = validate(h, k)
-    if not rep.uniform:
-        raise NotUniform(
-            f"hyperedge {rep.first_nonuniform_hyperedge} has size != {k}"
-        )
-    if not rep.regular:
-        raise NotRegular(f"vertex {rep.first_irregular_vertex} has degree != {k}")
-    if len(components(shadow_graph(h)).blocks) > 1:
-        raise Disconnected(
-            "the hypergraph is disconnected; solve each component separately"
-        )
+    validate(h, k).require()
+    _require_connected(shadow_graph(h))
     edges = []
     slot = 0
     for he, mult in zip(h.hyperedges, h.multiplicities):
@@ -546,9 +489,7 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     cert = TriMatchingPartition(
         triangle=triangle, pairs=_canon_pairs(pairs), host=h
     )
-    report = verify_partition(h, cert)
-    if not report.ok:
-        raise InternalError("; ".join(report.violations))
+    _require_ok(verify_partition(h, cert))
     return cert
 
 
@@ -614,13 +555,10 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
             violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
 
     # at most one triangle per shadow component
-    comp_of = {}
-    for i, block in enumerate(components(shadow_graph(h)).blocks):
-        for v in block:
-            comp_of[v] = i
+    comp_of = _component_ids(h.n, h.hyperedges)
     per_comp: dict[int, int] = {}
     for tri in triangles:
-        cids = {comp_of.get(v) for v in tri}
+        cids = {comp_of[v] for v in tri}
         if len(cids) == 1:
             cid = cids.pop()
             per_comp[cid] = per_comp.get(cid, 0) + 1
@@ -653,11 +591,13 @@ def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
     for b, dv in enumerate(deg_b):
         if dv != 1:
             violations.append(f"B-vertex {b} has kept degree {dv}, expected 1")
-    comp = _bipartite_components(bg)
+    comp = _component_ids(
+        bg.n_a + bg.n_b, [(a, bg.n_a + b) for a, b in bg.edges]
+    )
     three_per_comp: dict[int, int] = {}
     for a, dv in enumerate(deg_a):
         if dv == 3:
-            cid = comp[("a", a)]
+            cid = comp[a]
             three_per_comp[cid] = three_per_comp.get(cid, 0) + 1
         elif dv not in (0, 2):
             violations.append(f"A-vertex {a} has kept degree {dv}")
@@ -667,28 +607,24 @@ def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
     return VerificationReport(violations=tuple(violations))
 
 
-def _bipartite_components(bg: BipartiteGraph) -> dict:
-    comp = {}
-    cid = 0
-    for start_a in range(bg.n_a):
-        if ("a", start_a) in comp:
-            continue
-        stack = [("a", start_a)]
-        comp[("a", start_a)] = cid
-        while stack:
-            side, v = stack.pop()
-            nbrs = bg.adj_a[v] if side == "a" else bg.adj_b[v]
-            other = "b" if side == "a" else "a"
-            for w in nbrs:
-                if (other, w) not in comp:
-                    comp[(other, w)] = cid
-                    stack.append((other, w))
-        cid += 1
-    for b in range(bg.n_b):
-        if ("b", b) not in comp:
-            comp[("b", b)] = cid
-            cid += 1
-    return comp
+def _component_ids(n: int, groups) -> list[int]:
+    """Component id of each vertex 0..n-1 once the members of every group
+    are joined, by union-find.  Ids number the components in order of
+    smallest member; the verifiers keep this apart from the solver's
+    graph code."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for group in groups:
+        for v in group[1:]:
+            parent[find(v)] = find(group[0])
+    ids: dict[int, int] = {}
+    return [ids.setdefault(find(v), len(ids)) for v in range(n)]
 
 
 def verify_certificate(instance, cert) -> VerificationReport:

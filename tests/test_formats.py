@@ -51,6 +51,17 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("p gr 2 1\ne 0\n")
     with pytest.raises(ParseError):
         parse_bipartite("p bip 1 1 1\nx 0 0\n")
+    for parse, header, edge in (
+        (parse_hypergraph, "p hyp 3 1 3", "e 0 1 2"),
+        (parse_graph, "p gr 2 1", "e 0 1"),
+        (parse_bipartite, "p bip 2 2 1", "e 0 1"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(f"{edge}\n{header}\n")  # e line before the problem line
+        assert info.value.line == 1
+        with pytest.raises(ParseError) as info:
+            parse(f"{header}\n{header}\n{edge}\n")  # second problem line
+        assert info.value.line == 2
 
 
 def test_repeated_vertex_rejected_at_parse_time():

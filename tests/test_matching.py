@@ -75,6 +75,7 @@ def test_is_factor_critical_examples():
     assert is_factor_critical(complete_graph(3))
     assert is_factor_critical(cycle_graph(5))
     assert not is_factor_critical(complete_graph(4))
+    assert is_factor_critical(make_graph(1, []))
 
 
 def test_factor_critical_implies_odd_and_connected():
@@ -96,6 +97,7 @@ def test_exhaustive_small_graphs_match_brute_force():
             m = maximum_matching(g)
             assert_valid_matching(g, m)
             assert len(m) == brute_max_size(g)
+            assert is_factor_critical(g) == factor_critical_by_enumeration(g)
 
 
 @st.composite

@@ -26,6 +26,7 @@ from trimatch import (
 from trimatch.ears import _assemble, validate_decomposition
 from trimatch.errors import (
     Disconnected,
+    InternalError,
     NotFactorCritical,
     NotRegular,
     NotUniform,
@@ -227,6 +228,51 @@ def test_lu_retries_residual_splitting_extraction(monkeypatch):
     for a, _ in lu.kept:
         deg_a[a] += 1
     assert sum(1 for d in deg_a if d == 3) == 0  # |B| even: no 3-block
+
+
+def test_lu_disjoint_blocks_keep_first_extraction(monkeypatch):
+    """Two disjoint 4-regular 5+5 blocks have two components with odd |B|;
+    rotation 0 leaves exactly those two odd residual components."""
+    import trimatch.partition as partition_module
+
+    block = [(a, b) for a in range(5) for b in range(5) if a != b]
+    bg = make_bipartite(10, 10, block + [(a + 5, b + 5) for a, b in block])
+    original = partition_module.extract_disjoint_perfect_matchings
+    calls = []
+
+    def spy(graph, t, _rotation=0):
+        calls.append(_rotation)
+        return original(graph, t, _rotation=_rotation)
+
+    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", spy)
+    lu = lu_subgraph(bg, 4)
+    assert calls == [0]
+    assert verify_lu(bg, lu).ok
+
+
+@pytest.mark.parametrize("m", [3, 13])
+def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
+    """An extraction that always splits the residual into two odd components
+    ends in InternalError after min(n_a, 24) rotations."""
+    import trimatch.partition as partition_module
+    from trimatch.matching import Matching
+
+    # 4-regular: two 3-regular m+m circulant blocks joined by a crossing
+    # perfect matching; removing the crossing leaves both blocks, |B| odd
+    edges = [(a + o, (a + s) % m + o) for o in (0, m) for a in range(m) for s in range(3)]
+    crossing = [(a, (a + m) % (2 * m)) for a in range(2 * m)]
+    bg = make_bipartite(2 * m, 2 * m, edges + crossing)
+    calls = []
+
+    def fake_extract(graph, t, _rotation=0):
+        calls.append(_rotation)
+        return [Matching(pairs=tuple(crossing), host=graph)]
+
+    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    tried = min(2 * m, 24)
+    with pytest.raises(InternalError, match=f"rotations 0..{tried - 1} "):
+        lu_subgraph(bg, 4)
+    assert calls == list(range(tried))
 
 
 def test_lu_disconnected_input_one_triangle_per_component():
