@@ -12,14 +12,12 @@ import json
 import sys
 
 from . import formats
-from .core import components, shadow_graph, validate
 from .errors import (
     EXIT_BAD_INPUT,
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     BudgetExceeded,
-    Disconnected,
     NotUniform,
     TrimatchError,
 )
@@ -28,7 +26,6 @@ from .matching import require_regular_bipartite
 from .oracle import OracleBudget, all_tri_partitions
 from .partition import (
     lu_subgraph,
-    solve,
     solve_components,
     solve_k_uniform,
     verify_lu,
@@ -49,21 +46,19 @@ def cmd_solve(args) -> int:
     if h.k != args.k:
         raise NotUniform(f"file declares k={h.k} but --k is {args.k}")
     if args.components:
-        certs = solve_components(h, k=args.k)
-        if args.json:
-            obj = {
-                "kind": "components",
-                "components": [formats.partition_json_object(c) for c in certs],
-            }
-            print(json.dumps(obj))
-        else:
-            sys.stdout.write(formats.format_partition(certs))
+        cert = solve_components(h, k=args.k)
     else:
-        cert = solve(h) if args.k == 3 else solve_k_uniform(h, args.k)
-        if args.json:
-            print(json.dumps(formats.partition_json_object(cert)))
-        else:
-            sys.stdout.write(formats.format_partition(cert))
+        cert = solve_k_uniform(h, args.k)
+    if not args.json:
+        sys.stdout.write(formats.format_partition(cert))
+    elif args.components:
+        obj = {
+            "kind": "components",
+            "components": [formats.partition_json_object(c) for c in cert],
+        }
+        print(json.dumps(obj))
+    else:
+        print(json.dumps(formats.partition_json_object(cert)))
     return EXIT_OK
 
 
@@ -116,10 +111,7 @@ def cmd_oracle(args) -> int:
         raise BudgetExceeded(
             f"instance has {h.n} vertices, budget is {budget.max_vertices}"
         )
-    if len(components(shadow_graph(h)).blocks) > 1:
-        raise Disconnected("oracle comparison needs a connected instance")
-    validate(h, h.k).require()
-    cert = solve(h) if h.k == 3 else solve_k_uniform(h, h.k)
+    cert = solve_k_uniform(h, h.k)
     reference = all_tri_partitions(h, budget)
     key = (cert.triangle, cert.pairs)
     print(f"instance: n={h.n} hyperedges={h.total_multiplicity} k={h.k}")

@@ -70,21 +70,26 @@ class EarDecomposition:
     positions: tuple[int, ...]
 
 
-def _assemble(host: SimpleGraph, walks) -> EarDecomposition:
-    labels = [-1] * host.n
-    positions = [-1] * host.n
-    ears = []
+def _first_seen(n: int, walks) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index of the first walk on which each vertex occurs, and its position
+    there (-1 for vertices on no walk)."""
+    labels = [-1] * n
+    positions = [-1] * n
     for i, w in enumerate(walks):
         for j, v in enumerate(w):
             if labels[v] == -1:
                 labels[v] = i
                 positions[v] = j
-        ears.append(Ear(vertices=tuple(w)))
+    return tuple(labels), tuple(positions)
+
+
+def _assemble(host: SimpleGraph, walks) -> EarDecomposition:
+    labels, positions = _first_seen(host.n, walks)
     return EarDecomposition(
         host=host,
-        ears=tuple(ears),
-        labels=tuple(labels),
-        positions=tuple(positions),
+        ears=tuple(Ear(vertices=tuple(w)) for w in walks),
+        labels=labels,
+        positions=positions,
     )
 
 
@@ -133,15 +138,7 @@ def validate_decomposition(d: EarDecomposition) -> list[str]:
         errs.append("ears do not cover the vertex set")
     if used != set(host.edges):
         errs.append("ear edges do not partition the host edge set")
-    # label/position book-keeping must match the walks
-    labels = [-1] * host.n
-    positions = [-1] * host.n
-    for i, ear in enumerate(d.ears):
-        for j, v in enumerate(ear.vertices):
-            if labels[v] == -1:
-                labels[v] = i
-                positions[v] = j
-    if tuple(labels) != d.labels or tuple(positions) != d.positions:
+    if _first_seen(host.n, (e.vertices for e in d.ears)) != (d.labels, d.positions):
         errs.append("stored labels/positions disagree with the ears")
     return errs
 
@@ -231,11 +228,7 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
                 heapq.heappush(frontier, y)
 
     for v in circuit[:-1]:
-        placed[v] = True
-    for v in circuit[:-1]:
-        for y in g.adjacency[v]:
-            if not placed[y]:
-                heapq.heappush(frontier, y)
+        place(v)
     remaining = n - (len(circuit) - 1)
 
     while remaining > 0:

@@ -112,24 +112,25 @@ def parse_certificate(text: str) -> tuple[list, list, list]:
     return triangles, pairs, keeps
 
 
-def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"p hyp {h.n} {h.total_multiplicity} {h.k}"]
-    for e, mult in zip(h.hyperedges, h.multiplicities):
-        row = "e " + " ".join(str(v) for v in e)
-        lines.extend([row] * mult)
+def _format_problem(kind, values, rows) -> str:
+    """`p <kind> <values>` and one `e` line per row: the writer shared by the
+    formats `_parse_problem` reads."""
+    lines = [" ".join(map(str, ("p", kind, *values)))]
+    lines.extend("e " + " ".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def format_hypergraph(h: Hypergraph) -> str:
+    rows = (e for e, mult in zip(h.hyperedges, h.multiplicities) for _ in range(mult))
+    return _format_problem("hyp", (h.n, h.total_multiplicity, h.k), rows)
 
 
 def format_graph(g: SimpleGraph) -> str:
-    lines = [f"p gr {g.n} {g.m}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return _format_problem("gr", (g.n, g.m), g.edges)
 
 
 def format_bipartite(bg: BipartiteGraph) -> str:
-    lines = [f"p bip {bg.n_a} {bg.n_b} {bg.m}"]
-    lines.extend(f"e {a} {b}" for a, b in bg.edges)
-    return "\n".join(lines) + "\n"
+    return _format_problem("bip", (bg.n_a, bg.n_b, bg.m), bg.edges)
 
 
 def format_partition(certs) -> str:
@@ -162,13 +163,4 @@ def partition_json_object(cert) -> dict:
         "triangle": list(cert.triangle) if cert.triangle is not None else None,
         "pairs": [list(p) for p in cert.pairs],
         "keep": None,
-    }
-
-
-def lu_json_object(lu) -> dict:
-    return {
-        "kind": "lu",
-        "triangle": None,
-        "pairs": [],
-        "keep": [list(e) for e in lu.kept],
     }

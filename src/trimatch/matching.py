@@ -355,39 +355,49 @@ def is_factor_critical(g: SimpleGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _kuhn(adj_a, n_b, order):
-    """Maximum bipartite matching; returns (match_a, match_b)."""
-    n_a = len(adj_a)
-    match_a = [-1] * n_a
-    match_b = [-1] * n_b
+def _kuhn(adj_a, n_b, order) -> list[int]:
+    """Maximum bipartite matching as the B-partner of each A-vertex (-1: none).
 
-    def try_augment(a, visited):
-        for b in adj_a[a]:
-            if visited[b]:
+    Depth-first augmenting search from each exposed A-vertex in `order`,
+    trying neighbours in list order.  The path is an explicit stack, since
+    augmenting paths can be as long as |A|.
+    """
+    match_a = [-1] * len(adj_a)
+    match_b = [-1] * n_b
+    for root in order:
+        if match_a[root] != -1:
+            continue
+        visited = [False] * n_b
+        # one [A-vertex, neighbour iterator, B-vertex taken] frame per path step
+        stack = [[root, iter(adj_a[root]), -1]]
+        while stack:
+            frame = stack[-1]
+            for b in frame[1]:
+                if not visited[b]:
+                    break
+            else:
+                stack.pop()
                 continue
             visited[b] = True
-            if match_b[b] == -1 or try_augment(match_b[b], visited):
-                match_a[a] = b
-                match_b[b] = a
-                return True
-        return False
+            frame[2] = b
+            nxt = match_b[b]
+            if nxt == -1:
+                for a, _, b in stack:
+                    match_a[a] = b
+                    match_b[b] = a
+                break
+            stack.append([nxt, iter(adj_a[nxt]), -1])
+    return match_a
 
-    for a in order:
-        if match_a[a] == -1:
-            try_augment(a, [False] * n_b)
-    return match_a, match_b
 
-
-def bipartite_perfect_matching(bg: BipartiteGraph, _order=None) -> Matching | None:
+def bipartite_perfect_matching(bg: BipartiteGraph) -> Matching | None:
     """Perfect matching covering both sides, or None (also when n_a != n_b)."""
     if bg.n_a != bg.n_b:
         return None
-    order = _order if _order is not None else range(bg.n_a)
-    match_a, _ = _kuhn(bg.adj_a, bg.n_b, order)
-    if any(b == -1 for b in match_a):
+    match_a = _kuhn(bg.adj_a, bg.n_b, range(bg.n_a))
+    if -1 in match_a:
         return None
-    pairs = tuple((a, match_a[a]) for a in range(bg.n_a))
-    return Matching(pairs=pairs, host=bg)
+    return Matching(pairs=tuple(enumerate(match_a)), host=bg)
 
 
 def bipartite_degrees(bg: BipartiteGraph) -> tuple[list[int], list[int]]:
@@ -425,20 +435,18 @@ def extract_disjoint_perfect_matchings(
         raise PreconditionViolated(f"cannot extract {t} matchings from degree {k}")
     if bg.n_a != bg.n_b:
         raise NotRegular("regular bipartite graph must have equal sides")
+    # sorted adjacency lists, which stay sorted as matched edges leave them
     adj = [list(x) for x in bg.adj_a]
     out = []
     order = [(i + _rotation) % bg.n_a for i in range(bg.n_a)]
     for _ in range(t):
-        sub = make_bipartite(
-            bg.n_a, bg.n_b, [(a, b) for a in range(bg.n_a) for b in adj[a]]
-        )
-        m = bipartite_perfect_matching(sub, _order=order)
-        if m is None:
+        match_a = _kuhn(adj, bg.n_b, order)
+        if -1 in match_a:
             raise InternalError(
                 "regular bipartite graph lost its perfect matching"
             )
-        out.append(Matching(pairs=m.pairs, host=bg))
-        for a, b in m.pairs:
+        out.append(Matching(pairs=tuple(enumerate(match_a)), host=bg))
+        for a, b in enumerate(match_a):
             adj[a].remove(b)
     return out
 

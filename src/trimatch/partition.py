@@ -17,6 +17,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, groupby
 
 from .core import (
     Hypergraph,
@@ -87,13 +88,6 @@ class VerificationReport:
 
 def _canon_pairs(pairs):
     return tuple(sorted(canonical_edge(u, v) for u, v in pairs))
-
-
-def _require_connected(g: SimpleGraph) -> None:
-    if len(components(g).blocks) > 1:
-        raise Disconnected(
-            "the hypergraph is disconnected; solve each component separately"
-        )
 
 
 def _require_ok(report: VerificationReport) -> None:
@@ -279,7 +273,9 @@ def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
     factor-critical (NotFactorCritical carries a witness otherwise).
     """
     validate(h, 3).require_uniform()
-    return _odd_partition(h, shadow_graph(h))
+    cert = _odd_partition(h, shadow_graph(h))
+    _require_ok(verify_partition(h, cert))
+    return cert
 
 
 def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
@@ -301,11 +297,65 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
     else:
         pairs = _parity_pairs(d, k, e, apex)
     ce = canonical_edge(a, b)
-    cert = TriMatchingPartition(
+    return TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
         pairs=tuple(p for p in _canon_pairs(pairs) if p != ce),
         host=h,
     )
+
+
+def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
+    """The kept edges of the incidence graph (one A-vertex per hyperedge
+    copy), read back as hyperedge 2-subsets plus at most one 3-subset."""
+    edges = []
+    slot = 0
+    for he, mult in zip(h.hyperedges, h.multiplicities):
+        for _ in range(mult):
+            edges.extend((slot, v) for v in he)
+            slot += 1
+    lu = lu_subgraph(make_bipartite(slot, h.n, edges), k)
+
+    triangle = None
+    pairs = []
+    # kept edges are sorted, so each A-vertex's block comes out sorted
+    for _, kept in groupby(lu.kept, key=lambda e: e[0]):
+        block = tuple(b for _, b in kept)
+        if len(block) == 2:
+            pairs.append(block)
+        elif len(block) == 3:
+            if triangle is not None:
+                raise InternalError(
+                    "construction produced two 3-blocks on a connected instance"
+                )
+            triangle = block
+        else:
+            raise InternalError("kept degrees outside {2, 3}")
+    return TriMatchingPartition(
+        triangle=triangle, pairs=_canon_pairs(pairs), host=h
+    )
+
+
+def _solve_connected(h: Hypergraph, k: int, g: SimpleGraph) -> TriMatchingPartition:
+    """Certificate for h with shadow graph g, once callers have checked that
+    h is connected, k-uniform and k-regular.  The one dispatch on k."""
+    if k < 3:
+        raise PreconditionViolated("uniformity must be at least 3")
+    if k > 3:
+        cert = _incidence_partition(h, k)
+    elif h.n % 2 == 0:
+        pm = perfect_matching(g)
+        if pm is None:
+            raise InternalError(
+                "even-order 3-uniform 3-regular shadow without a perfect matching"
+            )
+        cert = TriMatchingPartition(triangle=None, pairs=pm.pairs, host=h)
+    else:
+        try:
+            cert = _odd_partition(h, g)
+        except NotFactorCritical as exc:
+            raise InternalError(
+                f"shadow graph not factor-critical despite regularity: {exc}"
+            ) from exc
     _require_ok(verify_partition(h, cert))
     return cert
 
@@ -318,33 +368,37 @@ def solve(h: Hypergraph) -> TriMatchingPartition:
     rest; the shadow graph is factor-critical in that case, and a failure of
     that guarantee is an internal error carrying the witness vertex.
     """
-    validate(h, 3).require()
+    return solve_k_uniform(h, 3)
+
+
+def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
+    """Partition into hyperedge 2-subsets plus at most one 3-subset.
+
+    Valid for connected k-uniform k-regular hypergraphs with k >= 3; for
+    k > 3 routed through the bipartite construction on the vertex/hyperedge
+    incidence graph.
+    """
+    validate(h, k).require()
     g = shadow_graph(h)
-    _require_connected(g)
-    if h.n % 2 == 0:
-        pm = perfect_matching(g)
-        if pm is None:
-            raise InternalError(
-                "even-order 3-uniform 3-regular shadow without a perfect matching"
-            )
-        cert = TriMatchingPartition(triangle=None, pairs=pm.pairs, host=h)
-        _require_ok(verify_partition(h, cert))
-        return cert
-    try:
-        return _odd_partition(h, g)
-    except NotFactorCritical as exc:
-        raise InternalError(
-            f"shadow graph not factor-critical despite regularity: {exc}"
-        ) from exc
+    if len(components(g).blocks) > 1:
+        raise Disconnected(
+            "the hypergraph is disconnected; solve each component separately"
+        )
+    return _solve_connected(h, k, g)
 
 
 def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     """Per-component certificates (one triangle per odd component)."""
     validate(h, k).require()
+    g = shadow_graph(h)
+    blocks = components(g).blocks
+    if len(blocks) == 1:
+        # the one block is h itself: nothing to reindex or build again
+        return [_solve_connected(h, k, g)]
     certs = []
-    for block in components(shadow_graph(h)).blocks:
+    for block in blocks:
         sub, old_ids = induced_hypergraph(h, block)
-        sub_cert = solve(sub) if k == 3 else solve_k_uniform(sub, k)
+        sub_cert = _solve_connected(sub, k, shadow_graph(sub))
         tri = (
             tuple(sorted(old_ids[v] for v in sub_cert.triangle))
             if sub_cert.triangle is not None
@@ -450,49 +504,6 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     return lu
 
 
-def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
-    """Partition into hyperedge 2-subsets plus at most one 3-subset.
-
-    Valid for connected k-uniform k-regular hypergraphs with k >= 3; routed
-    through the bipartite construction on the vertex/hyperedge incidence
-    graph (one A-vertex per hyperedge multiplicity copy).
-    """
-    if k < 3:
-        raise PreconditionViolated("uniformity must be at least 3")
-    validate(h, k).require()
-    _require_connected(shadow_graph(h))
-    edges = []
-    slot = 0
-    for he, mult in zip(h.hyperedges, h.multiplicities):
-        for _ in range(mult):
-            edges.extend((slot, v) for v in he)
-            slot += 1
-    bg = make_bipartite(slot, h.n, edges)
-    lu = lu_subgraph(bg, k)
-
-    by_slot: dict[int, list[int]] = {}
-    for a, b in lu.kept:
-        by_slot.setdefault(a, []).append(b)
-    triangle = None
-    pairs = []
-    for a, block in sorted(by_slot.items()):
-        if len(block) == 2:
-            pairs.append(tuple(sorted(block)))
-        elif len(block) == 3:
-            if triangle is not None:
-                raise InternalError(
-                    "construction produced two 3-blocks on a connected instance"
-                )
-            triangle = tuple(sorted(block))
-        else:
-            raise InternalError("kept degrees outside {2, 3}")
-    cert = TriMatchingPartition(
-        triangle=triangle, pairs=_canon_pairs(pairs), host=h
-    )
-    _require_ok(verify_partition(h, cert))
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -505,28 +516,22 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
     (triangles, pairs) tuple as parsed from a certificate file.
     """
     if isinstance(cert, TriMatchingPartition):
-        triangles = [cert.triangle] if cert.triangle is not None else []
-        pairs = list(cert.pairs)
-    elif isinstance(cert, (list, tuple)) and all(
+        cert = [cert]
+    if isinstance(cert, (list, tuple)) and all(
         isinstance(c, TriMatchingPartition) for c in cert
     ) and cert:
         triangles = [c.triangle for c in cert if c.triangle is not None]
         pairs = [p for c in cert for p in c.pairs]
     else:
-        triangles, pairs = cert
-        triangles = list(triangles)
-        pairs = list(pairs)
+        triangles, pairs = map(list, cert)
 
     violations = []
-    for block in list(triangles) + list(pairs):
+    seen: set[int] = set()
+    dup = False
+    for block in triangles + pairs:
         for v in block:
             if not 0 <= v < h.n:
                 raise ValueError(f"certificate vertex {v} out of range [0, {h.n})")
-
-    seen: set[int] = set()
-    dup = False
-    for block in list(triangles) + list(pairs):
-        for v in block:
             if v in seen:
                 dup = True
             seen.add(v)
@@ -536,7 +541,9 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
         missing = sorted(set(range(h.n)) - seen)
         violations.append(f"blocks do not cover the vertex set (missing {missing[:5]})")
 
-    hyperedge_sets = [frozenset(e) for e in h.hyperedges]
+    # indexes of the verifier's own, built without solver code
+    within = {p for e in h.hyperedges for p in combinations(e, 2)}
+    hyperedge_sets = {frozenset(e) for e in h.hyperedges}
     for tri in triangles:
         tset = set(tri)
         if len(tset) != 3:
@@ -545,13 +552,12 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
         if h.k == 3:
             if frozenset(tset) not in hyperedge_sets:
                 violations.append(f"triangle {tuple(sorted(tri))} is not a hyperedge")
-        else:
-            if not any(tset <= hs for hs in hyperedge_sets):
-                violations.append(
-                    f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
-                )
+        elif not any(tset.issubset(e) for e in h.hyperedges):
+            violations.append(
+                f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
+            )
     for u, v in pairs:
-        if u == v or not any({u, v} <= hs for hs in hyperedge_sets):
+        if u == v or canonical_edge(u, v) not in within:
             violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
 
     # at most one triangle per shadow component

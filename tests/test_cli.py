@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from trimatch.cli import main
 
@@ -195,6 +196,21 @@ def test_oracle_budget_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", f)
     assert code == 2
     assert "Budget" in err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (TWO_TRIPLES, "Disconnected"),
+        # disconnected and irregular: validation comes first, as in solve
+        ("p hyp 6 4 3\n" + "e 0 1 2\n" * 3 + "e 3 4 5\n", "NotRegular"),
+    ],
+)
+def test_oracle_disconnected_exit_2(tmp_path, capsys, text, error):
+    f = write(tmp_path, "two.hyp", text)
+    code, out, err = run(capsys, "oracle", f)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}: ")
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import pytest
 
 from trimatch import (
+    Ear,
+    EarDecomposition,
     dump_decomposition,
     ear_label,
     is_odd_edge,
@@ -116,6 +118,24 @@ def test_maximalize_rejects_invalid_input():
     bad = _assemble(g, [[0, 1, 2, 0], [0, 1]])  # edge reuse
     with pytest.raises(InvariantViolation):
         maximalize(bad)
+
+
+@pytest.mark.parametrize(
+    "labels, positions",
+    [((0, 0, 0, 0, 1), (0, 1, 2, 3, 4)), ((0, 0, 0, 0, 0), (0, 1, 2, 4, 3))],
+)
+def test_validate_reports_stored_labels_that_disagree(labels, positions):
+    """A decomposition whose walks are valid but whose stored first-ear labels
+    or positions are not those of the walks."""
+    d = EarDecomposition(
+        host=cycle_graph(5),
+        ears=(Ear(vertices=(0, 1, 2, 3, 4, 0)),),
+        labels=labels,
+        positions=positions,
+    )
+    assert validate_decomposition(d) == [
+        "stored labels/positions disagree with the ears"
+    ]
 
 
 def no_off_ear_odd_edge(d):

@@ -156,6 +156,35 @@ def test_bipartite_perfect_matching_examples():
     assert bipartite_perfect_matching(lonely) is None
 
 
+def test_bipartite_matching_follows_an_augmenting_path_through_every_vertex():
+    """a_i ~ b_i, b_{i+1} and a_{n-1} ~ b_0: the last A-vertex can only be
+    matched along an augmenting path through all n A-vertices, deeper than
+    the interpreter's default recursion limit."""
+    n = 5000
+    edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
+    bg = make_bipartite(n, n, edges + [(n - 1, 0)])
+    m = bipartite_perfect_matching(bg)
+    assert m.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
+
+
+def test_extraction_builds_no_intermediate_graph(monkeypatch):
+    """Extraction removes matched edges from adjacency lists in place and
+    builds no intermediate graph."""
+    import trimatch.matching as matching_module
+
+    edges = [(i, (i + s) % 7) for s in range(5) for i in range(7)]
+    bg = make_bipartite(7, 7, edges)
+
+    def no_build(*args):
+        raise AssertionError("make_bipartite called during extraction")
+
+    monkeypatch.setattr(matching_module, "make_bipartite", no_build)
+    ms = extract_disjoint_perfect_matchings(bg, 4)
+    union = [p for m in ms for p in m.pairs]
+    assert len(set(union)) == 28 and set(union) <= set(bg.edges)
+    assert all(sorted(b for _, b in m.pairs) == list(range(7)) for m in ms)
+
+
 def test_bipartite_rejects_parallel_edges():
     with pytest.raises(ParallelEdges):
         make_bipartite(2, 2, [(0, 0), (0, 0)])

@@ -275,6 +275,30 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
     assert calls == list(range(tried))
 
 
+@pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
+def test_each_hypergraph_is_validated_built_and_split_once(
+    monkeypatch, solver, builds
+):
+    """`lu` gates and splits its residual once; `solve --k` does the same for
+    its input and for the residual, and no component is gated again."""
+    import trimatch.partition as partition_module
+
+    calls = []
+    for name in ("validate", "shadow_graph", "components"):
+        def spy(*args, _name=name, _real=getattr(partition_module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(partition_module, name, spy)
+    bg = random_regular_bipartite(40, 4, 3)
+    if solver == "lu":
+        lu_subgraph(bg, 4)
+    else:
+        h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
+        solve_k_uniform(h, 4)
+    assert sorted(calls) == sorted(["validate", "shadow_graph", "components"] * builds)
+
+
 def test_lu_disconnected_input_one_triangle_per_component():
     two = make_bipartite(
         6, 6,
