@@ -113,10 +113,10 @@ def parse_certificate(text: str) -> tuple[list, list, list]:
 
 
 def _format_problem(kind, values, rows) -> str:
-    """`p <kind> <values>` and one `e` line per row: the writer shared by the
-    formats `_parse_problem` reads."""
+    """`p <kind> <values>` and one `e` line per row (a tuple of ints): the
+    writer shared by the formats `_parse_problem` reads."""
     lines = [" ".join(map(str, ("p", kind, *values)))]
-    lines.extend("e " + " ".join(map(str, row)) for row in rows)
+    lines.extend(("e" + " %d" * len(row)) % row for row in rows)
     return "\n".join(lines) + "\n"
 
 
