@@ -100,6 +100,19 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
 # by an even-length alternating path, and that path can be read off by
 # following v -> match[v] -> p[match[v]] -> ... back to the root; blossom
 # contraction rewires p[] precisely so that this walk stays a simple path.
+#
+# base[v] always holds the exact base of v's outermost blossom.  A contraction
+# touches only the blossom it forms (Gabow 1976, J. ACM 23): `members` keeps,
+# for each base of a nontrivial blossom, the list of vertices with that base,
+# and the bases _mark_blossom flags are the blossoms and inner singletons on
+# the two tree paths up to the new base `cur` (both walks stop at `cur`'s
+# blossom, so `cur` itself is never flagged).  Their members are relabelled
+# to `cur` and appended to its list; no other vertex's base changes.  Every
+# vertex of a nontrivial blossom is already outer, so the vertices that turn
+# outer are exactly the flagged inner singletons.  They join the queue in
+# increasing index, the order in which a scan over all n vertices would meet
+# them, so the search order, the p[] it leaves and with them the certificate
+# bytes do not depend on how the blossom is found.
 
 
 def _lca(match, p, base, a, b):
@@ -119,10 +132,10 @@ def _lca(match, p, base, a, b):
         v = p[match[v]]
 
 
-def _mark_blossom(match, p, base, flag, v, b, child):
+def _mark_blossom(match, p, base, flagged, v, b, child):
     while base[v] != b:
-        flag[base[v]] = True
-        flag[base[match[v]]] = True
+        flagged.add(base[v])
+        flagged.add(base[match[v]])
         p[v] = child
         child = match[v]
         v = p[match[v]]
@@ -139,6 +152,7 @@ def _search(adj, match, root, active):
     base = list(range(n))
     outer = [False] * n
     outer[root] = True
+    members = {}
     queue = deque([root])
     while queue:
         v = queue.popleft()
@@ -150,15 +164,21 @@ def _search(adj, match, root, active):
             if outer[to]:
                 # odd cycle: contract the blossom up to the common base
                 cur = _lca(match, p, base, v, to)
-                flag = [False] * n
-                _mark_blossom(match, p, base, flag, v, cur, to)
-                _mark_blossom(match, p, base, flag, to, cur, v)
-                for i in range(n):
-                    if flag[base[i]]:
+                flagged = set()
+                _mark_blossom(match, p, base, flagged, v, cur, to)
+                _mark_blossom(match, p, base, flagged, to, cur, v)
+                blossom = members.setdefault(cur, [cur])
+                fresh = []
+                for b in flagged:
+                    group = members.pop(b, [b])
+                    for i in group:
                         base[i] = cur
                         if not outer[i]:
-                            outer[i] = True
-                            queue.append(i)
+                            fresh.append(i)
+                    blossom.extend(group)
+                for i in sorted(fresh):
+                    outer[i] = True
+                    queue.append(i)
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -203,6 +223,12 @@ def _max_matching_arrays(adj, active) -> list[int]:
     return match
 
 
+def _require_vertex(n, v):
+    # a negative index would wrap around to a vertex at the end
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range [0, {n})")
+
+
 def _pairs_of(match) -> tuple[tuple[int, int], ...]:
     # inactive vertices are never matched, so the array alone gives the pairs
     return tuple(
@@ -227,8 +253,6 @@ def perfect_matching(g: SimpleGraph) -> Matching | None:
 
 def perfect_matching_avoiding(g: SimpleGraph, v: VertexId) -> Matching | None:
     """A perfect matching of g - v, or None."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range [0, {g.n})")
     match = near_perfect_matching(g, v)
     return None if match is None else Matching(pairs=_pairs_of(match), host=g)
 
@@ -265,6 +289,7 @@ class AlternatingTree:
     """
 
     def __init__(self, g: SimpleGraph, match, root: VertexId):
+        _require_vertex(g.n, root)
         if match[root] != -1:
             raise PreconditionViolated("root must be exposed")
         active = [True] * g.n
@@ -324,6 +349,7 @@ class AlternatingTree:
 
 def near_perfect_matching(g: SimpleGraph, root: VertexId) -> list[int] | None:
     """Matching array covering everything except `root`, or None."""
+    _require_vertex(g.n, root)
     active = [True] * g.n
     active[root] = False
     match = _max_matching_arrays(g.adjacency, active)
@@ -468,7 +494,6 @@ def component_bound_check(h: Hypergraph, removed) -> tuple[int, int]:
     validate(h, 3).require()
     gone = [False] * h.n
     for v in xs:
-        if not 0 <= v < h.n:
-            raise ValueError(f"vertex {v} out of range [0, {h.n})")
+        _require_vertex(h.n, v)
         gone[v] = True
     return len(_component_blocks(shadow_graph(h).adjacency, gone)), len(xs)

@@ -1,6 +1,8 @@
 """Matching engine against brute force, plus the bipartite toolbox."""
 
 import itertools
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,14 @@ from trimatch import (
     shadow_graph,
 )
 from trimatch.errors import ParallelEdges, PreconditionViolated
-from trimatch.matching import AlternatingTree, near_perfect_matching
+from trimatch.matching import (
+    AlternatingTree,
+    _augment,
+    _greedy_init,
+    _lca,
+    _search,
+    near_perfect_matching,
+)
 
 from conftest import complete_graph, cycle_graph
 
@@ -69,6 +78,19 @@ def test_perfect_matching_avoiding_examples():
     assert perfect_matching_avoiding(complete_graph(3), 2).pairs == ((0, 1),)
     with pytest.raises(ValueError):
         perfect_matching_avoiding(cycle_graph(5), 7)
+
+
+@pytest.mark.parametrize("root", [-1, 3])
+def test_near_perfect_matching_rejects_out_of_range_root(root):
+    with pytest.raises(ValueError, match="out of range"):
+        near_perfect_matching(complete_graph(3), root)
+
+
+@pytest.mark.parametrize("root", [-1, 3])
+def test_alternating_tree_rejects_out_of_range_root(root):
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="out of range"):
+        AlternatingTree(g, [1, 0, -1], root)
 
 
 def test_is_factor_critical_examples():
@@ -143,6 +165,113 @@ def test_even_path_tracer_on_factor_critical_graphs():
             assert tree.is_outer(v)
             path = tree.even_path_to(v)  # validity checked internally
             assert path[0] == 0 and path[-1] == v
+
+
+def _reference_mark_blossom(match, p, base, flag, v, b, child):
+    while base[v] != b:
+        flag[base[v]] = True
+        flag[base[match[v]]] = True
+        p[v] = child
+        child = match[v]
+        v = p[match[v]]
+
+
+def _reference_search(adj, match, root, active):
+    """Reference blossom search: each contraction flags bases in an n-long
+    array and scans all n vertices to relabel them.  `_search` must return
+    the same arrays."""
+    n = len(adj)
+    p = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if not active[to]:
+                continue
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if outer[to]:
+                cur = _lca(match, p, base, v, to)
+                flag = [False] * n
+                _reference_mark_blossom(match, p, base, flag, v, cur, to)
+                _reference_mark_blossom(match, p, base, flag, to, cur, v)
+                for i in range(n):
+                    if flag[base[i]]:
+                        base[i] = cur
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    return to, p, base, outer
+                w = match[to]
+                if not outer[w]:
+                    outer[w] = True
+                    queue.append(w)
+    return -1, p, base, outer
+
+
+def assert_search_matches_reference(adj, active):
+    """Run the maximum-matching loop; before each augmentation, search from
+    every exposed root with both contractions and require equal results."""
+    n = len(adj)
+    match = [-1] * n
+    _greedy_init(adj, active, match)
+    searches = 0
+    for root in range(n):
+        if not active[root] or match[root] != -1:
+            continue
+        for r in range(n):
+            if active[r] and match[r] == -1:
+                assert _search(adj, match, r, active) == _reference_search(
+                    adj, match, r, active
+                ), (root, r)
+                searches += 1
+        end, p, _base, _outer = _search(adj, match, root, active)
+        if end != -1:
+            _augment(match, p, end)
+    return searches
+
+
+def test_search_matches_full_scan_reference_on_triple_systems():
+    searches = 0
+    for n in range(4, 301, 3):
+        g = random_shadow(n, 1)
+        active = [True] * n
+        searches += assert_search_matches_reference(g.adjacency, active)
+        if n % 2:
+            # the near-perfect matching's search: one vertex left out
+            active[1] = False
+            searches += assert_search_matches_reference(g.adjacency, active)
+    assert searches > 1000
+
+
+def test_search_matches_full_scan_reference_on_dense_graphs():
+    rng = random.Random(7)
+    for _ in range(600):
+        n = rng.randint(5, 40)
+        density = rng.uniform(0.08, 0.6)
+        edges = [
+            e for e in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        g = make_graph(n, edges)
+        active = [rng.random() < 0.9 for _ in range(n)]
+        assert_search_matches_reference(g.adjacency, active)
+
+
+def test_alternating_tree_search_matches_full_scan_reference():
+    for n in range(5, 302, 2):
+        g = random_shadow(n, n)
+        match = near_perfect_matching(g, 0)
+        reference = _reference_search(g.adjacency, match, 0, [True] * n)
+        assert reference[0] == -1 and all(reference[3])  # factor-critical
+        tree = AlternatingTree(g, match, 0)
+        assert (tree._p, tree._outer) == (reference[1], reference[3])
+        assert _search(g.adjacency, match, 0, [True] * n) == reference
 
 
 def test_bipartite_perfect_matching_examples():
