@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import SimpleGraph, VertexId, canonical_edge
 from .errors import (
@@ -94,51 +95,76 @@ def _assemble(host: SimpleGraph, walks) -> EarDecomposition:
 
 
 def validate_decomposition(d: EarDecomposition) -> list[str]:
-    """All invariant violations of d (empty list means valid)."""
+    """All invariant violations of d (empty list means valid).
+
+    One pass over the ears checks each ear's edges and placement and records
+    the first-seen labels and positions.  An ear with a vertex outside
+    0..n-1 is reported and skipped, so no lookup indexes with it.
+    """
     host = d.host
     errs = []
     if not d.ears:
         return ["decomposition has no ears"]
+    n = host.n
+    edge_set = host.edge_set
     used = set()
-    placed = set()
-    for i, ear in enumerate(d.ears):
-        w = ear.vertices
+    placed = [False] * n
+    labels = [-1] * n
+    positions = [-1] * n
+    walks = [ear.vertices for ear in d.ears]
+    flat = list(chain.from_iterable(walks))
+    in_range = not flat or (min(flat) >= 0 and max(flat) < n)
+    for i, w in enumerate(walks):
+        if not in_range:
+            bad = next((v for v in w if not 0 <= v < n), None)
+            if bad is not None:
+                errs.append(f"ear {i} has vertex {bad} out of range [0, {n})")
+                continue
         if len(w) < 2:
             errs.append(f"ear {i} has no edges")
-            continue
-        if ear.n_edges % 2 == 0:
+        elif len(w) % 2 == 1:
             errs.append(f"ear {i} has an even number of edges")
-        for j in range(len(w) - 1):
-            u, v = w[j], w[j + 1]
-            if u == v or not host.has_edge(u, v):
-                errs.append(f"ear {i} uses non-edge ({u}, {v})")
-                continue
-            ce = canonical_edge(u, v)
-            if ce in used:
-                errs.append(f"edge {ce} appears on more than one ear")
-            used.add(ce)
+        u = -1
+        for j, v in enumerate(w):
+            if labels[v] == -1:
+                labels[v] = i
+                positions[v] = j
+            if j:
+                e = (u, v) if u < v else (v, u)
+                if u == v or e not in edge_set:
+                    errs.append(f"ear {i} uses non-edge ({u}, {v})")
+                elif e in used:
+                    errs.append(f"edge {e} appears on more than one ear")
+                else:
+                    used.add(e)
+            u = v
+        if len(w) < 2:
+            continue
         if i == 0:
             if w[0] != w[-1]:
                 errs.append("the initial ear is not a closed circuit")
-            if ear.n_edges < 3:
+            if len(w) < 4:
                 errs.append("the initial circuit has fewer than 3 edges")
-            if len(set(w[:-1])) != ear.n_edges:
+            new = w[:-1]
+            if len(set(new)) != len(new):
                 errs.append("the initial circuit repeats a vertex")
-            placed.update(w[:-1])
         else:
-            if w[0] not in placed or w[-1] not in placed:
+            if not (placed[w[0]] and placed[w[-1]]):
                 errs.append(f"ear {i} endpoints do not lie on earlier ears")
-            internal = w[1:-1]
-            if len(set(internal)) != len(internal):
-                errs.append(f"ear {i} repeats an interior vertex")
-            if any(v in placed for v in internal):
-                errs.append(f"ear {i} interior revisits a placed vertex")
-            placed.update(internal)
-    if placed != set(range(host.n)):
+            new = w[1:-1]
+            if new:
+                if len(set(new)) != len(new):
+                    errs.append(f"ear {i} repeats an interior vertex")
+                if any(map(placed.__getitem__, new)):
+                    errs.append(f"ear {i} interior revisits a placed vertex")
+        for v in new:
+            placed[v] = True
+    if not all(placed):
         errs.append("ears do not cover the vertex set")
-    if used != set(host.edges):
+    # only distinct host edges ever enter `used`
+    if len(used) != len(edge_set):
         errs.append("ear edges do not partition the host edge set")
-    if _first_seen(host.n, (e.vertices for e in d.ears)) != (d.labels, d.positions):
+    if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
         errs.append("stored labels/positions disagree with the ears")
     return errs
 
@@ -368,7 +394,25 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
 
 
 def _assert_maximal(d: EarDecomposition) -> None:
-    on_ear = [set(e.edge_walk()) for e in d.ears]
+    # is_odd_edge inlined; an odd edge's label is the circuit or a
+    # nontrivial ear (a trivial ear's ends sit at positions 0 and 1)
+    ears, labels, positions = d.ears, d.labels, d.positions
+    on_ear = {
+        ((u, v) if u < v else (v, u), i)
+        for i, ear in enumerate(ears)
+        if i == 0 or not ear.trivial
+        for u, v in zip(ear.vertices, ear.vertices[1:])
+    }
     for e in d.host.edges:
-        if is_odd_edge(d, e) and e not in on_ear[d.labels[e[0]]]:
+        u, v = e
+        i = labels[u]
+        if i != labels[v]:
+            continue
+        if i != 0:
+            p, q = positions[u], positions[v]
+            if p > q:
+                p, q = q, p
+            if p % 2 == 0 or (ears[i].n_edges - q) % 2 == 0:
+                continue
+        if (e, i) not in on_ear:
             raise InternalError(f"odd edge {e} is off its ear after slicing")

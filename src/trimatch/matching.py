@@ -113,6 +113,13 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
 # increasing index, the order in which a scan over all n vertices would meet
 # them, so the search order, the p[] it leaves and with them the certificate
 # bytes do not depend on how the blossom is found.
+#
+# The caller owns p/base/outer, clean on entry (p all -1, base the identity,
+# outer all False), and a `touched` list.  _search appends to it the root,
+# every `to` whose p it sets and every `w` it makes outer; p is only ever set
+# on those vertices, and every blossom member is one of them, so resetting
+# the touched entries cleans the arrays for the next root in time
+# proportional to the search, not to n.
 
 
 def _lca(match, p, base, a, b):
@@ -141,17 +148,14 @@ def _mark_blossom(match, p, base, flagged, v, b, child):
         v = p[match[v]]
 
 
-def _search(adj, match, root, active):
+def _search(adj, match, root, active, p, base, outer, touched):
     """Alternating BFS from exposed `root` over `active` vertices.
 
-    Returns (exposed_end, p, base, outer); exposed_end is -1 when no
-    augmenting path exists.
+    Returns the exposed end of an augmenting path, or -1 when none exists;
+    the search itself is left in p, base and outer.
     """
-    n = len(adj)
-    p = [-1] * n
-    base = list(range(n))
-    outer = [False] * n
     outer[root] = True
+    touched.append(root)
     members = {}
     queue = deque([root])
     while queue:
@@ -181,13 +185,15 @@ def _search(adj, match, root, active):
                     queue.append(i)
             elif p[to] == -1:
                 p[to] = v
+                touched.append(to)
                 if match[to] == -1:
-                    return to, p, base, outer
+                    return to
                 w = match[to]
                 if not outer[w]:
                     outer[w] = True
+                    touched.append(w)
                     queue.append(w)
-    return -1, p, base, outer
+    return -1
 
 
 def _augment(match, p, end):
@@ -215,11 +221,21 @@ def _max_matching_arrays(adj, active) -> list[int]:
     n = len(adj)
     match = [-1] * n
     _greedy_init(adj, active, match)
+    # one set of search arrays, reset after each root to its clean state
+    p = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    touched = []
     for root in range(n):
         if active[root] and match[root] == -1:
-            end, p, _base, _outer = _search(adj, match, root, active)
+            end = _search(adj, match, root, active, p, base, outer, touched)
             if end != -1:
                 _augment(match, p, end)
+            for v in touched:
+                p[v] = -1
+                base[v] = v
+                outer[v] = False
+            touched.clear()
     return match
 
 
@@ -292,8 +308,12 @@ class AlternatingTree:
         _require_vertex(g.n, root)
         if match[root] != -1:
             raise PreconditionViolated("root must be exposed")
-        active = [True] * g.n
-        end, p, base, outer = _search(g.adjacency, match, root, active)
+        n = g.n
+        p = [-1] * n
+        outer = [False] * n
+        end = _search(
+            g.adjacency, match, root, [True] * n, p, list(range(n)), outer, []
+        )
         if end != -1:
             raise InternalError(
                 "augmenting path found; the matching was not maximum"

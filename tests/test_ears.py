@@ -1,5 +1,7 @@
 """Odd ear decompositions: construction, odd-edge predicate, slicing."""
 
+import random
+
 import pytest
 
 from trimatch import (
@@ -16,8 +18,9 @@ from trimatch import (
     shadow_graph,
     validate_decomposition,
 )
-from trimatch.ears import _assemble
-from trimatch.errors import InvariantViolation, NotFactorCritical
+from trimatch.core import canonical_edge
+from trimatch.ears import _assemble, _assert_maximal, _first_seen
+from trimatch.errors import InternalError, InvariantViolation, NotFactorCritical
 
 from conftest import complete_graph, cycle_graph
 
@@ -182,3 +185,164 @@ def test_dump_format():
     lines = text.splitlines()
     assert lines[0] == "ear 0 nontrivial : 0 1 2 3 4 0"
     assert lines[1] == "ear 1 nontrivial : 0 5 6 1"
+
+
+def test_out_of_range_ear_vertex_is_a_violation():
+    """An ear vertex outside 0..n-1 is reported by the checker, never used as
+    an index, and makes maximalize raise InvariantViolation."""
+    for bad in (5, 3, -1):
+        d = EarDecomposition(
+            host=complete_graph(3),
+            ears=(Ear((0, 1, 2, 0)), Ear((1, bad))),
+            labels=(0, 0, 0),
+            positions=(0, 1, 2),
+        )
+        assert validate_decomposition(d) == [
+            f"ear 1 has vertex {bad} out of range [0, 3)"
+        ]
+        with pytest.raises(InvariantViolation, match="out of range"):
+            maximalize(d)
+
+
+def test_out_of_range_circuit_vertex_is_a_violation():
+    d = EarDecomposition(
+        host=complete_graph(3),
+        ears=(Ear((0, 1, 7, 0)),),
+        labels=(0, 0, -1),
+        positions=(0, 1, -1),
+    )
+    assert validate_decomposition(d)[0] == "ear 0 has vertex 7 out of range [0, 3)"
+
+
+# Copies of the checks as they were before they became one pass; the
+# rewritten checks must agree with them message for message.
+
+
+def old_validate_decomposition(d):
+    host = d.host
+    errs = []
+    if not d.ears:
+        return ["decomposition has no ears"]
+    used = set()
+    placed = set()
+    for i, ear in enumerate(d.ears):
+        w = ear.vertices
+        if len(w) < 2:
+            errs.append(f"ear {i} has no edges")
+            continue
+        if ear.n_edges % 2 == 0:
+            errs.append(f"ear {i} has an even number of edges")
+        for j in range(len(w) - 1):
+            u, v = w[j], w[j + 1]
+            if u == v or not host.has_edge(u, v):
+                errs.append(f"ear {i} uses non-edge ({u}, {v})")
+                continue
+            ce = canonical_edge(u, v)
+            if ce in used:
+                errs.append(f"edge {ce} appears on more than one ear")
+            used.add(ce)
+        if i == 0:
+            if w[0] != w[-1]:
+                errs.append("the initial ear is not a closed circuit")
+            if ear.n_edges < 3:
+                errs.append("the initial circuit has fewer than 3 edges")
+            if len(set(w[:-1])) != ear.n_edges:
+                errs.append("the initial circuit repeats a vertex")
+            placed.update(w[:-1])
+        else:
+            if w[0] not in placed or w[-1] not in placed:
+                errs.append(f"ear {i} endpoints do not lie on earlier ears")
+            internal = w[1:-1]
+            if len(set(internal)) != len(internal):
+                errs.append(f"ear {i} repeats an interior vertex")
+            if any(v in placed for v in internal):
+                errs.append(f"ear {i} interior revisits a placed vertex")
+            placed.update(internal)
+    if placed != set(range(host.n)):
+        errs.append("ears do not cover the vertex set")
+    if used != set(host.edges):
+        errs.append("ear edges do not partition the host edge set")
+    if _first_seen(host.n, (e.vertices for e in d.ears)) != (d.labels, d.positions):
+        errs.append("stored labels/positions disagree with the ears")
+    return errs
+
+
+def old_assert_maximal(d):
+    on_ear = [set(e.edge_walk()) for e in d.ears]
+    for e in d.host.edges:
+        if is_odd_edge(d, e) and e not in on_ear[d.labels[e[0]]]:
+            raise InternalError(f"odd edge {e} is off its ear after slicing")
+
+
+def outcome(check, d):
+    """What a check returns, or the class and message of what it raises."""
+    try:
+        return check(d)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def mutants(d, rng):
+    """Broken copies of d: swapped vertices, a dropped, duplicated, even or
+    open ear, and stored labels or positions that disagree with the walks."""
+    walks = [list(e.vertices) for e in d.ears]
+    n = d.host.n
+
+    def build(ws, labels=None, positions=None):
+        own_labels, own_positions = _first_seen(n, ws)
+        return EarDecomposition(
+            host=d.host,
+            ears=tuple(Ear(tuple(w)) for w in ws),
+            labels=own_labels if labels is None else tuple(labels),
+            positions=own_positions if positions is None else tuple(positions),
+        )
+
+    out = []
+    for _ in range(3):
+        ws = [list(w) for w in walks]
+        spots = [(i, j) for i, w in enumerate(ws) for j in range(len(w))]
+        (i1, j1), (i2, j2) = rng.sample(spots, 2)
+        ws[i1][j1], ws[i2][j2] = ws[i2][j2], ws[i1][j1]
+        out.append(build(ws))
+        out.append(build(ws, d.labels, d.positions))
+    for i in {0, 1, len(walks) - 1, rng.randrange(len(walks))}:
+        if i < len(walks):
+            out.append(build(walks[:i] + walks[i + 1 :]))
+            out.append(build(walks[: i + 1] + walks[i:]))
+            out.append(build(walks + [walks[i]]))
+            even = [list(w) for w in walks]
+            even[i] = even[i][:-1] if len(even[i]) > 2 else even[i] + [even[i][0]]
+            out.append(build(even))
+    out.append(build([walks[0][:-1]] + walks[1:]))
+    out.append(build([walks[0] + [walks[0][1]]] + walks[1:]))
+    out.append(build(walks[1:] + walks[:1]))
+    out.append(build([[walks[0][0]]] + walks))
+    for field in ("labels", "positions"):
+        for _ in range(3):
+            values = list(getattr(d, field))
+            values[rng.randrange(n)] = rng.randrange(-1, len(walks))
+            out.append(build(walks, **{field: values}))
+    return out
+
+
+def test_one_pass_checks_agree_with_the_old_checks():
+    rng = random.Random(5)
+    broken = caught = unsliced = 0
+    for n in range(5, 62, 2):
+        for s in range(2):
+            g = shadow_graph(random_triple_system(n, seed=31 * n + s, require_connected=True))
+            d = odd_ear_decomposition(g)
+            out = maximalize(d)
+            assert not validate_decomposition(d) and not validate_decomposition(out)
+            cases = mutants(d, rng) + mutants(out, rng)
+            for x in [d, out] + cases:
+                errs = outcome(validate_decomposition, x)
+                assert errs == outcome(old_validate_decomposition, x)
+                assert outcome(_assert_maximal, x) == outcome(old_assert_maximal, x)
+            broken += len(cases)
+            caught += sum(1 for x in cases if validate_decomposition(x))
+            unsliced += outcome(_assert_maximal, d) is not None
+    # a few mutants are valid (a swap of equal vertices, an unchanged label)
+    assert broken > 3000 and caught > 0.95 * broken
+    # the unsliced decompositions that slicing would change fail the check
+    assert unsliced > 20

@@ -24,11 +24,13 @@ from trimatch import (
     shadow_graph,
 )
 from trimatch.errors import ParallelEdges, PreconditionViolated
+import trimatch.matching as matching_module
 from trimatch.matching import (
     AlternatingTree,
     _augment,
     _greedy_init,
     _lca,
+    _max_matching_arrays,
     _search,
     near_perfect_matching,
 )
@@ -215,6 +217,14 @@ def _reference_search(adj, match, root, active):
     return -1, p, base, outer
 
 
+def fresh_search(adj, match, root, active):
+    """`_search` on clean arrays of its own, returned as the reference does."""
+    n = len(adj)
+    p, base, outer = [-1] * n, list(range(n)), [False] * n
+    end = _search(adj, match, root, active, p, base, outer, [])
+    return end, p, base, outer
+
+
 def assert_search_matches_reference(adj, active):
     """Run the maximum-matching loop; before each augmentation, search from
     every exposed root with both contractions and require equal results."""
@@ -227,11 +237,11 @@ def assert_search_matches_reference(adj, active):
             continue
         for r in range(n):
             if active[r] and match[r] == -1:
-                assert _search(adj, match, r, active) == _reference_search(
+                assert fresh_search(adj, match, r, active) == _reference_search(
                     adj, match, r, active
                 ), (root, r)
                 searches += 1
-        end, p, _base, _outer = _search(adj, match, root, active)
+        end, p, _base, _outer = fresh_search(adj, match, root, active)
         if end != -1:
             _augment(match, p, end)
     return searches
@@ -271,7 +281,83 @@ def test_alternating_tree_search_matches_full_scan_reference():
         assert reference[0] == -1 and all(reference[3])  # factor-critical
         tree = AlternatingTree(g, match, 0)
         assert (tree._p, tree._outer) == (reference[1], reference[3])
-        assert _search(g.adjacency, match, 0, [True] * n) == reference
+        assert fresh_search(g.adjacency, match, 0, [True] * n) == reference
+
+
+def fresh_array_matching(adj, active):
+    """The maximum-matching loop with new search arrays for every root, as
+    it ran before the arrays were shared; returns each search's end and the
+    final match."""
+    n = len(adj)
+    match = [-1] * n
+    _greedy_init(adj, active, match)
+    ends = []
+    for root in range(n):
+        if active[root] and match[root] == -1:
+            end, p, _base, _outer = _reference_search(adj, match, root, active)
+            ends.append(end)
+            if end != -1:
+                _augment(match, p, end)
+    return ends, match
+
+
+def assert_clean(p, base, outer):
+    n = len(p)
+    assert p == [-1] * n
+    assert base == list(range(n))
+    assert outer == [False] * n
+
+
+def shared_array_matching(monkeypatch, adj, active):
+    """`_max_matching_arrays` with each search's end recorded, asserting that
+    every search gets the same arrays and finds them reset."""
+    ends = []
+    seen = []
+    search = matching_module._search
+
+    def recording(adj, match, root, active, p, base, outer, touched):
+        assert_clean(p, base, outer)
+        assert not touched
+        seen.append((p, base, outer))
+        assert all(a is b for a, b in zip(seen[0], seen[-1]))
+        end = search(adj, match, root, active, p, base, outer, touched)
+        ends.append(end)
+        return end
+
+    monkeypatch.setattr(matching_module, "_search", recording)
+    try:
+        match = _max_matching_arrays(adj, active)
+    finally:
+        monkeypatch.undo()
+    if seen:
+        assert_clean(*seen[-1])  # the reset after the last root
+    return ends, match
+
+
+def test_shared_array_search_matches_fresh_arrays(monkeypatch):
+    cases = []
+    for n in range(4, 302, 3):
+        g = random_shadow(n, n + 1)
+        cases.append((g.adjacency, [True] * n))
+        if n % 2:
+            cases.append((g.adjacency, [v != 1 for v in range(n)]))
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(5, 40)
+        density = rng.uniform(0.08, 0.6)
+        edges = [
+            e for e in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        active = [rng.random() < 0.9 for _ in range(n)]
+        cases.append((make_graph(n, edges).adjacency, active))
+    searches = augmentations = 0
+    for adj, active in cases:
+        ends, match = shared_array_matching(monkeypatch, adj, active)
+        assert (ends, match) == fresh_array_matching(adj, active)
+        searches += len(ends)
+        augmentations += sum(1 for end in ends if end != -1)
+    # both outcomes occur often: augmenting paths and exhausted searches
+    assert augmentations > 500 and searches - augmentations > 500
 
 
 def test_bipartite_perfect_matching_examples():
@@ -299,8 +385,6 @@ def test_bipartite_matching_follows_an_augmenting_path_through_every_vertex():
 def test_extraction_builds_no_intermediate_graph(monkeypatch):
     """Extraction removes matched edges from adjacency lists in place and
     builds no intermediate graph."""
-    import trimatch.matching as matching_module
-
     edges = [(i, (i + s) % 7) for s in range(5) for i in range(7)]
     bg = make_bipartite(7, 7, edges)
 
