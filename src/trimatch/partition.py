@@ -17,7 +17,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 
 from .core import (
     Hypergraph,
@@ -117,15 +117,16 @@ def _prefix_matching(d: EarDecomposition, k: int, avoid: VertexId):
 
 
 def _alternating_cover(walk, t):
-    """Every-second edges of walk[0..t] plus odd edges of walk[t..L].
+    """Edges (walk[i], walk[i + 1]) for odd i < t and even i > t.
 
-    Covers walk[0..t-1] and walk[t+1..L-1], leaving walk[t] and the far end
-    uncovered; t must be even and the walk length odd.
+    On a walk of odd length L and an odd t they cover walk[1..L] except
+    walk[t]; t = L gives the odd edges, which cover the interior.
     """
     length = len(walk) - 1
-    pairs = [(walk[i], walk[i + 1]) for i in range(0, t, 2)]
-    pairs.extend((walk[i], walk[i + 1]) for i in range(t + 1, length - 1, 2))
-    return pairs
+    return [
+        (walk[i], walk[i + 1])
+        for i in chain(range(1, t, 2), range(t + 1, length, 2))
+    ]
 
 
 def matching_with_edge_avoiding(
@@ -161,7 +162,7 @@ def matching_with_edge_avoiding(
 
     pairs = list(_prefix_matching(d, k, avoid))
     for ear in d.ears[k:]:
-        pairs.extend(_alternating_cover(ear.vertices, 0))
+        pairs.extend(_alternating_cover(ear.vertices, ear.n_edges))
     result = Matching(pairs=_canon_pairs(pairs), host=g)
     _check_near_perfect(result, g, avoid, ce)
     return result
@@ -181,89 +182,44 @@ def _check_near_perfect(m: Matching, g: SimpleGraph, avoid, must_contain):
         raise InternalError("matching lost its forced edge")
 
 
-def _cut_circuit(d: EarDecomposition, e):
-    """Open the circuit for the circuit-only case of the odd construction.
-
-    Chooses the first circuit vertex (in cyclic order) at odd distance from
-    both ends of e along the arcs avoiding the other end, and cuts there;
-    both traversal directions are returned.
-    """
-    a, b = e
-    cycle = list(d.ears[0].vertices[:-1])
-    length = len(cycle)
-    pa = d.positions[a]
-    pb = d.positions[b]
-    if (pb - pa) % length != 1:
-        # normalize so b follows a in cyclic order
-        a, b = b, a
-        pa, pb = pb, pa
-    if (pb - pa) % length != 1:
-        raise InternalError("circuit edge endpoints are not adjacent")
-    # path from b forward around to a, avoiding the edge itself
-    span = cycle[pb:] + cycle[:pb]
-    dist_to_b = {v: i for i, v in enumerate(span)}
-    chosen = None
-    for u in cycle:
-        if u in (a, b):
-            continue
-        db = dist_to_b[u]
-        da = (length - 1) - db
-        if da % 2 == 1 and db % 2 == 1:
-            chosen = u
-            break
-    if chosen is None:
-        raise InternalError("no circuit vertex at odd distance from both ends")
-    j = d.positions[chosen]
-    forward = cycle[j:] + cycle[:j] + [chosen]
-    # the caller keeps whichever direction puts the apex before a and b
-    return forward, forward[::-1]
-
-
 def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
     """Matching of host - apex containing e when the apex shares e's ear.
 
-    Orients the ear as u1 .. apex .. a b .. u2 (cutting the circuit when
-    k = 0), takes a perfect matching of the earlier ears avoiding u1,
-    every-second edges up to the apex, and the odd edges of the rest.
+    On ear k >= 1 stored as u1 .. a b .. apex .. u2, e = ab starts at an
+    odd position and the apex sits at an odd position t (an even t would
+    make the apex and the end of e nearer u1 an odd edge off its ear).  The
+    pairs are a perfect matching of the earlier ears avoiding u2, the edges
+    at odd positions up to the apex and those at even positions after it.
+
+    k = 0 happens only for n = 3, where the triangle leaves no pairs.  Every
+    chord of the circuit is odd, so `maximalize` slices it off; a maximal
+    decomposition whose only nontrivial ear is the circuit is therefore a
+    chordless cycle through every vertex.  Every shadow edge lies in a
+    hyperedge, so that cycle contains a triangle and is itself a triangle.
     """
-    ear = d.ears[k]
-    if k >= 1:
-        candidates = [list(ear.vertices)[::-1]]
-    else:
-        fwd, bwd = _cut_circuit(d, e)
-        candidates = [fwd, bwd]
-    walk = None
-    for q in candidates:
-        # the apex must come first; a cut at the apex itself gives index 0
-        if _first_index(q, apex) < min(_first_index(q, e[0]), _first_index(q, e[1])):
-            walk = q
-            break
-    if walk is None:
-        raise InternalError("could not orient the ear around the triangle apex")
-    ia = _first_index(walk, e[0])
-    ib = _first_index(walk, e[1])
-    qa, qb = min(ia, ib), max(ia, ib)
-    length = len(walk) - 1
-    t = _first_index(walk, apex)
-    if qb != qa + 1:
-        raise InternalError("chosen edge is not consecutive on the oriented ear")
-    if t % 2 != 0:
+    if k == 0:
+        if d.host.n != 3:
+            raise InternalError(
+                f"only the circuit is nontrivial on {d.host.n} vertices"
+            )
+        return []
+    walk = d.ears[k].vertices
+    qa, qb = sorted(d.positions[v] for v in e)
+    t = d.positions[apex]
+    if (
+        any(d.labels[v] != k for v in (*e, apex))
+        or qb != qa + 1
+        or qa % 2 == 0
+        or t <= qb
+    ):
+        raise InternalError("chosen edge is not an odd edge ahead of the apex")
+    if t % 2 == 0:
         raise InternalError(
             "even-length guarantee failed: the decomposition is not maximal"
         )
-    if (qa - t) % 2 != 1 or (length - qb) % 2 != 1:
-        raise InternalError("ear orientation lost the odd-edge parity")
-
-    pairs = list(_prefix_matching(d, k, walk[0])) if k >= 1 else []
+    pairs = list(_prefix_matching(d, k, walk[-1]))
     pairs.extend(_alternating_cover(walk, t))
     return pairs
-
-
-def _first_index(walk, v):
-    for i, x in enumerate(walk):
-        if x == v:
-            return i
-    raise InternalError(f"vertex {v} missing from the oriented ear")
 
 
 def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
@@ -512,14 +468,15 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
 def verify_partition(h: Hypergraph, cert) -> VerificationReport:
     """Check a partition certificate against its instance.
 
-    Accepts a TriMatchingPartition, a list of them (componentwise), or a raw
-    (triangles, pairs) tuple as parsed from a certificate file.
+    Accepts a TriMatchingPartition, a list of them (componentwise, possibly
+    empty), or a raw (triangles, pairs) tuple as parsed from a certificate
+    file.
     """
     if isinstance(cert, TriMatchingPartition):
         cert = [cert]
     if isinstance(cert, (list, tuple)) and all(
         isinstance(c, TriMatchingPartition) for c in cert
-    ) and cert:
+    ):
         triangles = [c.triangle for c in cert if c.triangle is not None]
         pairs = [p for c in cert for p in c.pairs]
     else:

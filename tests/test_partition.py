@@ -8,11 +8,14 @@ from trimatch import (
     all_perfect_matchings,
     all_tri_partitions,
     is_factor_critical,
+    last_nontrivial_ear,
     lu_subgraph,
     make_bipartite,
     make_graph,
     make_hypergraph,
     matching_with_edge_avoiding,
+    maximalize,
+    odd_ear_decomposition,
     random_regular_bipartite,
     random_triple_system,
     shadow_graph,
@@ -32,8 +35,9 @@ from trimatch.errors import (
     NotUniform,
     PreconditionViolated,
 )
+from trimatch.partition import _parity_pairs
 
-from conftest import FANO_LINES
+from conftest import FANO_LINES, cycle_graph
 
 
 def c5_plus_ear_decomposition():
@@ -383,6 +387,18 @@ def test_verify_catches_pair_outside_hyperedges(fano):
 def test_verify_catches_missing_coverage(triple):
     report = verify_partition(triple, ([], [(0, 1)]))
     assert not report.ok
+    # an empty list is zero certificates, not a malformed raw tuple
+    report = verify_partition(triple, [])
+    assert report.violations == (
+        "blocks do not cover the vertex set (missing [0, 1, 2])",
+    )
+
+
+def test_verify_empty_certificate_list():
+    empty = make_hypergraph(0, [], k=3)
+    certs = solve_components(empty)
+    assert certs == []
+    assert verify_partition(empty, certs).ok
 
 
 def test_verify_triangle_must_be_hyperedge(fano):
@@ -398,8 +414,6 @@ def test_same_ear_apex_construction_on_closed_ear():
     g = make_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
     d = _assemble(g, [[0, 1, 2, 0], [2, 3, 4, 5, 6, 2]])
     assert not validate_decomposition(d)
-    from trimatch.partition import _parity_pairs
-
     pairs = sorted(tuple(sorted(p)) for p in _parity_pairs(d, 1, (3, 4), 5))
     assert pairs == [(0, 1), (2, 6), (3, 4)]
 
@@ -424,15 +438,20 @@ def test_same_ear_apex_instances_end_to_end(monkeypatch):
         return original(d, k, e, apex)
 
     monkeypatch.setattr(partition_module, "_parity_pairs", spy)
-    for n, seed in [(11, 8583), (19, 14789), (25, 19442)]:
+    instances = [
+        (7, 10), (11, 8583), (19, 14789), (25, 19442), (33, 9), (51, 10), (127, 9)
+    ]
+    for n, seed in instances:
+        hits.clear()
         h = random_triple_system(n, seed=seed, require_connected=True)
         cert = solve(h)
         assert verify_partition(h, cert).ok
-    assert hits and all(k >= 1 for k in hits)
+        assert len(hits) == 1 and hits[0] >= 1, (n, seed, hits)
 
 
 def test_circuit_cut_construction_on_triple(monkeypatch):
-    """The triple instance is the k=0 case: the circuit is cut at the apex."""
+    """The triple is the k=0 case, the only one: its shadow is the circuit
+    itself, the hyperedge is the triangle and no pairs are left."""
     import trimatch.partition as partition_module
 
     hits = []
@@ -448,6 +467,16 @@ def test_circuit_cut_construction_on_triple(monkeypatch):
     assert hits == [0]
 
 
+@pytest.mark.parametrize("apex", [2, 3, 4])
+def test_circuit_only_case_off_the_triangle_is_an_internal_error(apex):
+    """Only n = 3 has the circuit as its last nontrivial ear; a 5-cycle
+    decomposition reaching the k=0 case is refused, whatever the apex."""
+    d = _assemble(cycle_graph(5), [[0, 1, 2, 3, 4, 0]])
+    assert not validate_decomposition(d)
+    with pytest.raises(InternalError):
+        _parity_pairs(d, 0, (0, 1), apex)
+
+
 def test_solved_random_instances_verify_and_match_parity():
     for n in range(4, 14):
         for s in range(6):
@@ -456,7 +485,10 @@ def test_solved_random_instances_verify_and_match_parity():
             assert verify_partition(h, cert).ok
             assert (cert.triangle is None) == (n % 2 == 0)
             if n % 2 == 1:
-                assert is_factor_critical(shadow_graph(h))
+                g = shadow_graph(h)
+                assert is_factor_critical(g)
+                d = maximalize(odd_ear_decomposition(g))
+                assert last_nontrivial_ear(d) >= 1
 
 
 def test_exhaustive_small_uniform_regular_hypergraphs():
