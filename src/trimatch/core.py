@@ -140,6 +140,7 @@ def make_graph(n, edges) -> SimpleGraph:
             raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
         canon.add(canonical_edge(u, v))
     ordered = tuple(sorted(canon))
+    # filled in sorted edge order, so every list comes out increasing
     adj = [[] for _ in range(n)]
     for u, v in ordered:
         adj[u].append(v)
@@ -147,7 +148,7 @@ def make_graph(n, edges) -> SimpleGraph:
     return SimpleGraph(
         n=n,
         edges=ordered,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        adjacency=tuple(map(tuple, adj)),
         edge_set=frozenset(ordered),
     )
 

@@ -294,57 +294,42 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
 def maximalize(d: EarDecomposition) -> EarDecomposition:
     """Slice until every odd edge lies on its own ear.
 
-    Trivial ears are normalized to the tail (sorted).  Each round picks the
-    lowest ear carrying an off-ear odd edge and within it the lowest such
-    edge, and replaces that ear plus the edge's trivial ear by two odd ears.
-    The count of nontrivial ears grows by one per round, so the loop ends.
+    Trivial ears are normalized to the tail (sorted).  The nontrivial walks
+    sit on a stack with the circuit on top.  Each round pops a walk, which is
+    the circuit exactly when no walk has finished yet, and looks for its
+    lowest off-ear odd edge.  With none the walk is finished; otherwise the
+    walk and the edge's trivial ear become two odd ears, pushed so that the
+    one in the walk's place (the new circuit, or the ear keeping the walk's
+    ends) is popped next.  Each slice adds one nontrivial ear, so the loop
+    ends.
     """
     errs = validate_decomposition(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
-    host = d.host
-    adj = host.adjacency
-    n = host.n
-
-    trivial_set = {
-        canonical_edge(e.vertices[0], e.vertices[1])
-        for e in d.ears
-        if e.trivial
-    }
-    label = [-1] * n
-    pos = [-1] * n
-    tok_walk: list[list[int]] = []
-    tok_len: list[int] = []
-    tok_intro: list[list[int]] = []
-
-    def make_token(walk, is_circuit):
-        tok = len(tok_walk)
-        tok_walk.append(walk)
-        tok_len.append(len(walk) - 1)
-        intro = walk[:-1] if is_circuit else walk[1:-1]
-        offset = 0 if is_circuit else 1
-        for off, v in enumerate(intro):
-            label[v] = tok
-            pos[v] = offset + off
-        tok_intro.append(list(intro))
-        return tok
-
-    order = []
-    for i, ear in enumerate(e for e in d.ears if not e.trivial):
-        order.append(make_token(list(ear.vertices), i == 0))
-
-    idx = 0
-    while idx < len(order):
-        tok = order[idx]
-        length = tok_len[tok]
+    adj = d.host.adjacency
+    trivial_set = {canonical_edge(*e.vertices) for e in d.ears if e.trivial}
+    label = [-1] * d.host.n
+    pos = [-1] * d.host.n
+    stack = [list(e.vertices) for e in reversed(d.ears) if not e.trivial]
+    done: list[list[int]] = []
+    wid = 0
+    while stack:
+        walk = stack.pop()
+        wid += 1
+        circuit = not done
+        length = len(walk) - 1
+        intro = walk[:-1] if circuit else walk[1:-1]
+        for p, v in enumerate(intro, 0 if circuit else 1):
+            label[v] = wid
+            pos[v] = p
         best = None
-        for w in tok_intro[tok]:
+        for w in intro:
             pw = pos[w]
             for y in adj[w]:
-                if y <= w or label[y] != tok:
+                if y <= w or label[y] != wid:
                     continue
                 py = pos[y]
-                if idx == 0:
+                if circuit:
                     diff = (py - pw) % length
                     if diff == 1 or diff == length - 1:
                         continue
@@ -358,7 +343,7 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
                 if best is None or e < best:
                     best = e
         if best is None:
-            idx += 1
+            done.append(walk)
             continue
 
         a, b = best
@@ -366,26 +351,22 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
             raise InternalError(f"off-ear odd edge {best} is not a trivial ear")
         trivial_set.remove(best)
         pa, pb = sorted((pos[a], pos[b]))
-        if idx == 0:
-            cycle = tok_walk[tok][:-1]
+        if circuit:
+            cycle = walk[:-1]
             if (pb - pa) % 2 == 0:
-                circuit_walk = cycle[pa : pb + 1] + [cycle[pa]]
-                branch_walk = cycle[pb:] + cycle[: pa + 1]
+                first = cycle[pa : pb + 1] + [cycle[pa]]
+                second = cycle[pb:] + cycle[: pa + 1]
             else:
-                circuit_walk = cycle[pb:] + cycle[: pa + 1] + [cycle[pb]]
-                branch_walk = cycle[pa : pb + 1]
-            t_a = make_token(circuit_walk, True)
-            t_b = make_token(branch_walk, False)
+                first = cycle[pb:] + cycle[: pa + 1] + [cycle[pb]]
+                second = cycle[pa : pb + 1]
         else:
-            walk = tok_walk[tok]
-            t_a = make_token(walk[: pa + 1] + walk[pb:], False)
-            t_b = make_token(walk[pa : pb + 1], False)
-        order[idx : idx + 1] = [t_a, t_b]
-        # stay on idx: the replacement ear may still carry off-ear odd edges
+            first = walk[: pa + 1] + walk[pb:]
+            second = walk[pa : pb + 1]
+        # the first piece is popped next: it may still carry off-ear odd edges
+        stack += (second, first)
 
-    final_walks = [tok_walk[t] for t in order]
-    final_walks.extend([u, v] for u, v in sorted(trivial_set))
-    out = _assemble(host, final_walks)
+    done.extend([u, v] for u, v in sorted(trivial_set))
+    out = _assemble(d.host, done)
     errs = validate_decomposition(out)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))

@@ -75,6 +75,7 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
             raise ParallelEdges(f"parallel edge ({a}, {b})")
         seen.add((a, b))
     ordered = tuple(sorted(seen))
+    # filled in sorted edge order, so every list comes out increasing
     adj_a = [[] for _ in range(n_a)]
     adj_b = [[] for _ in range(n_b)]
     for a, b in ordered:
@@ -84,8 +85,8 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
         n_a=n_a,
         n_b=n_b,
         edges=ordered,
-        adj_a=tuple(tuple(sorted(x)) for x in adj_a),
-        adj_b=tuple(tuple(sorted(x)) for x in adj_b),
+        adj_a=tuple(map(tuple, adj_a)),
+        adj_b=tuple(map(tuple, adj_b)),
     )
 
 

@@ -124,6 +124,13 @@ def test_shadow_edges_come_from_hyperedges(h):
     for e in h.hyperedges:
         for u, v in itertools.combinations(e, 2):
             assert g.has_edge(u, v)
+    # adjacency lists are strictly increasing and read off the edge list
+    from_edges = [[] for _ in range(h.n)]
+    for u, v in g.edges:
+        from_edges[u].append(v)
+        from_edges[v].append(u)
+    for v in range(h.n):
+        assert list(g.adjacency[v]) == sorted(set(from_edges[v]))
 
 
 @settings(max_examples=100, deadline=None)

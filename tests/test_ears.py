@@ -1,6 +1,8 @@
 """Odd ear decompositions: construction, odd-edge predicate, slicing."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from trimatch import (
     EarDecomposition,
     dump_decomposition,
     ear_label,
+    is_factor_critical,
     is_odd_edge,
     last_nontrivial_ear,
     make_graph,
@@ -114,6 +117,18 @@ def test_maximalize_c5_with_chord():
     assert sum(1 for e in out.ears if e.trivial) == 0
     assert out.ears[0].vertices == (0, 1, 2, 0)
     assert out.ears[1].vertices == (2, 3, 4, 0)
+    # C7 with chord (0, 3): a circuit split across an odd span
+    g = make_graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
+    out = maximalize(_assemble(g, [[0, 1, 2, 3, 4, 5, 6, 0], [0, 3]]))
+    assert not validate_decomposition(out)
+    assert [e.vertices for e in out.ears] == [(3, 4, 5, 6, 0, 3), (0, 1, 2, 3)]
+    # a triangle, an ear 0-3-4-5-6-1 and chord (3, 6): an ear split
+    g = make_graph(
+        7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (1, 6), (3, 6)]
+    )
+    out = maximalize(_assemble(g, [[0, 1, 2, 0], [0, 3, 4, 5, 6, 1], [3, 6]]))
+    assert not validate_decomposition(out)
+    assert [e.vertices for e in out.ears] == [(0, 1, 2, 0), (0, 3, 6, 1), (3, 4, 5, 6)]
 
 
 def test_maximalize_rejects_invalid_input():
@@ -346,3 +361,145 @@ def test_one_pass_checks_agree_with_the_old_checks():
     assert broken > 3000 and caught > 0.95 * broken
     # the unsliced decompositions that slicing would change fail the check
     assert unsliced > 20
+
+
+# A copy of the slicing loop as it was before it ran on a stack of walks,
+# with a counter per split shape; the stack must produce the same ears.
+
+
+def old_maximalize(d, shapes):
+    errs = validate_decomposition(d)
+    if errs:
+        raise InvariantViolation("; ".join(errs))
+    host = d.host
+    adj = host.adjacency
+    n = host.n
+
+    trivial_set = {
+        canonical_edge(e.vertices[0], e.vertices[1])
+        for e in d.ears
+        if e.trivial
+    }
+    label = [-1] * n
+    pos = [-1] * n
+    tok_walk: list[list[int]] = []
+    tok_len: list[int] = []
+    tok_intro: list[list[int]] = []
+
+    def make_token(walk, is_circuit):
+        tok = len(tok_walk)
+        tok_walk.append(walk)
+        tok_len.append(len(walk) - 1)
+        intro = walk[:-1] if is_circuit else walk[1:-1]
+        offset = 0 if is_circuit else 1
+        for off, v in enumerate(intro):
+            label[v] = tok
+            pos[v] = offset + off
+        tok_intro.append(list(intro))
+        return tok
+
+    order = []
+    for i, ear in enumerate(e for e in d.ears if not e.trivial):
+        order.append(make_token(list(ear.vertices), i == 0))
+
+    idx = 0
+    while idx < len(order):
+        tok = order[idx]
+        length = tok_len[tok]
+        best = None
+        for w in tok_intro[tok]:
+            pw = pos[w]
+            for y in adj[w]:
+                if y <= w or label[y] != tok:
+                    continue
+                py = pos[y]
+                if idx == 0:
+                    diff = (py - pw) % length
+                    if diff == 1 or diff == length - 1:
+                        continue
+                else:
+                    lo, hi = (pw, py) if pw < py else (py, pw)
+                    if hi - lo == 1:
+                        continue
+                    if lo % 2 == 0 or (length - hi) % 2 == 0:
+                        continue
+                e = (w, y)
+                if best is None or e < best:
+                    best = e
+        if best is None:
+            idx += 1
+            continue
+
+        a, b = best
+        if best not in trivial_set:
+            raise InternalError(f"off-ear odd edge {best} is not a trivial ear")
+        trivial_set.remove(best)
+        pa, pb = sorted((pos[a], pos[b]))
+        if idx == 0:
+            cycle = tok_walk[tok][:-1]
+            if (pb - pa) % 2 == 0:
+                shapes["even-span circuit split"] += 1
+                circuit_walk = cycle[pa : pb + 1] + [cycle[pa]]
+                branch_walk = cycle[pb:] + cycle[: pa + 1]
+            else:
+                shapes["odd-span circuit split"] += 1
+                circuit_walk = cycle[pb:] + cycle[: pa + 1] + [cycle[pb]]
+                branch_walk = cycle[pa : pb + 1]
+            t_a = make_token(circuit_walk, True)
+            t_b = make_token(branch_walk, False)
+        else:
+            shapes["ear split"] += 1
+            walk = tok_walk[tok]
+            t_a = make_token(walk[: pa + 1] + walk[pb:], False)
+            t_b = make_token(walk[pa : pb + 1], False)
+        order[idx : idx + 1] = [t_a, t_b]
+        # stay on idx: the replacement ear may still carry off-ear odd edges
+
+    final_walks = [tok_walk[t] for t in order]
+    final_walks.extend([u, v] for u, v in sorted(trivial_set))
+    out = _assemble(host, final_walks)
+    errs = validate_decomposition(out)
+    if errs:
+        raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
+    _assert_maximal(out)
+    return out
+
+
+def reference_decompositions():
+    """Triple-system shadows, factor-critical random graphs and odd cycles
+    whose chords ride along as trivial ears."""
+    for n in range(5, 100, 2):
+        for s in (1, 2, 3):
+            g = shadow_graph(random_triple_system(n, seed=s, require_connected=True))
+            yield odd_ear_decomposition(g)
+    rng = random.Random(7)
+    found = 0
+    while found < 150:
+        n = rng.randrange(5, 40, 2)
+        p = rng.uniform(0.15, 0.9)
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = make_graph(n, pairs)
+        if is_factor_critical(g):
+            found += 1
+            yield odd_ear_decomposition(g)
+    rng = random.Random(11)
+    for n in range(5, 60, 2):
+        chords = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if v - u not in (1, n - 1) and rng.random() < 0.3
+        ]
+        g = make_graph(n, [(i, (i + 1) % n) for i in range(n)] + chords)
+        yield _assemble(g, [list(range(n)) + [0]] + [list(c) for c in chords])
+
+
+def test_stack_of_walks_slices_like_the_token_tables():
+    shapes = Counter()
+    count = 0
+    for d in reference_decompositions():
+        assert maximalize(d) == old_maximalize(d, shapes)
+        count += 1
+    assert count == 322
+    # every split shape is reached often
+    for shape in ("ear split", "even-span circuit split", "odd-span circuit split"):
+        assert shapes[shape] >= 20, shapes

@@ -77,6 +77,15 @@ def test_bipartite_valid_and_deterministic():
     assert a == b and format_bipartite(a) == format_bipartite(b)
     assert all(len(x) == 3 for x in a.adj_a)
     assert all(len(x) == 3 for x in a.adj_b)
+    # adjacency lists are strictly increasing and read off the edge list
+    for n_side, k, seed in [(7, 3, 1), (12, 4, 2), (30, 5, 3), (50, 6, 4)]:
+        bg = random_regular_bipartite(n_side, k, seed)
+        assert bg.adj_a == tuple(
+            tuple(sorted({b for a, b in bg.edges if a == x})) for x in range(bg.n_a)
+        )
+        assert bg.adj_b == tuple(
+            tuple(sorted({a for a, b in bg.edges if b == y})) for y in range(bg.n_b)
+        )
 
 
 def test_bipartite_precondition():
