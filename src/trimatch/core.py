@@ -155,11 +155,37 @@ def make_graph(n, edges) -> SimpleGraph:
 
 def shadow_graph(h: Hypergraph) -> SimpleGraph:
     """Simple graph on the same vertices whose edges are the within-hyperedge
-    pairs; multiplicities collapse to one."""
-    pairs = set()
+    pairs; multiplicities collapse to one.
+
+    Each hyperedge must be a sorted tuple of distinct vertices in [0, n), as
+    `make_hypergraph` builds it; ValueError otherwise.  Neighbours are
+    gathered per vertex and each short list is sorted, so the edges come out
+    in order without a sort over all pairs.
+    """
+    n = h.n
+    near = [[] for _ in range(n)]
     for e in h.hyperedges:
-        pairs.update(itertools.combinations(e, 2))
-    return make_graph(h.n, pairs)
+        prev = -1
+        for v in e:
+            if not prev < v < n:
+                raise ValueError(
+                    f"hyperedge {e} is not a sorted tuple of distinct vertices"
+                    f" in [0, {n})"
+                )
+            near[v].extend(e)
+            prev = v
+    adjacency = []
+    for v, xs in enumerate(near):
+        ys = set(xs)
+        ys.discard(v)
+        adjacency.append(tuple(sorted(ys)))
+    edges = tuple((v, u) for v, a in enumerate(adjacency) for u in a if u > v)
+    return SimpleGraph(
+        n=n,
+        edges=edges,
+        adjacency=tuple(adjacency),
+        edge_set=frozenset(edges),
+    )
 
 
 def degree(h: Hypergraph, v: VertexId) -> int:

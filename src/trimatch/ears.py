@@ -71,47 +71,56 @@ class EarDecomposition:
     positions: tuple[int, ...]
 
 
-def _first_seen(n: int, walks) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Index of the first walk on which each vertex occurs, and its position
-    there (-1 for vertices on no walk)."""
-    labels = [-1] * n
-    positions = [-1] * n
-    for i, w in enumerate(walks):
-        for j, v in enumerate(w):
-            if labels[v] == -1:
-                labels[v] = i
-                positions[v] = j
-    return tuple(labels), tuple(positions)
-
-
 def _assemble(host: SimpleGraph, walks) -> EarDecomposition:
-    labels, positions = _first_seen(host.n, walks)
-    return EarDecomposition(
+    """The decomposition with these walks as its ears, labelled by the
+    check's own pass.  The value keeps the pass's verdict, so `_violations`
+    reads it instead of checking the value a second time."""
+    errs, labels, positions = _scan(host, walks)
+    d = EarDecomposition(
         host=host,
-        ears=tuple(Ear(vertices=tuple(w)) for w in walks),
-        labels=labels,
-        positions=positions,
+        ears=tuple(Ear(tuple(w)) for w in walks),
+        labels=tuple(labels),
+        positions=tuple(positions),
     )
+    # the value is frozen, so the verdict stays true of it; a copy made by
+    # dataclasses.replace or built by hand carries none and is checked anew
+    object.__setattr__(d, "_verdict", errs)
+    return d
+
+
+def _violations(d: EarDecomposition) -> list[str]:
+    """validate_decomposition(d), read off the verdict `_assemble` left on d
+    when it built d."""
+    errs = vars(d).get("_verdict")
+    return validate_decomposition(d) if errs is None else errs
 
 
 def validate_decomposition(d: EarDecomposition) -> list[str]:
-    """All invariant violations of d (empty list means valid).
-
-    One pass over the ears checks each ear's edges and placement and records
-    the first-seen labels and positions.  An ear with a vertex outside
-    0..n-1 is reported and skipped, so no lookup indexes with it.
-    """
-    host = d.host
-    errs = []
+    """All invariant violations of d (empty list means valid)."""
     if not d.ears:
         return ["decomposition has no ears"]
+    errs, labels, positions = _scan(d.host, [ear.vertices for ear in d.ears])
+    if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
+        errs.append("stored labels/positions disagree with the ears")
+    return errs
+
+
+def _scan(host: SimpleGraph, walks):
+    """Every violation of `walks` as the ears of a decomposition of host,
+    and the index of the first walk on which each vertex occurs with its
+    position there (-1 for vertices on no walk), in one pass.
+
+    An ear with a vertex outside 0..n-1 is reported and skipped, so no lookup
+    indexes with it.  A trivial ear after the circuit takes a short path that
+    reports what the general one would, in the same order.
+    """
     n = host.n
+    labels = [-1] * n
+    positions = [-1] * n
+    errs = []
     edge_set = host.edge_set
     used = set()
     placed = [False] * n
-    labels = [-1] * n
-    positions = [-1] * n
-    walks = [ear.vertices for ear in d.ears]
     flat = list(chain.from_iterable(walks))
     in_range = not flat or (min(flat) >= 0 and max(flat) < n)
     for i, w in enumerate(walks):
@@ -120,6 +129,24 @@ def validate_decomposition(d: EarDecomposition) -> list[str]:
             if bad is not None:
                 errs.append(f"ear {i} has vertex {bad} out of range [0, {n})")
                 continue
+        if i and len(w) == 2:
+            u, v = w
+            if labels[u] == -1:
+                labels[u] = i
+                positions[u] = 0
+            if labels[v] == -1:
+                labels[v] = i
+                positions[v] = 1
+            e = (u, v) if u < v else (v, u)
+            if u == v or e not in edge_set:
+                errs.append(f"ear {i} uses non-edge ({u}, {v})")
+            elif e in used:
+                errs.append(f"edge {e} appears on more than one ear")
+            else:
+                used.add(e)
+            if not (placed[u] and placed[v]):
+                errs.append(f"ear {i} endpoints do not lie on earlier ears")
+            continue
         if len(w) < 2:
             errs.append(f"ear {i} has no edges")
         elif len(w) % 2 == 1:
@@ -164,9 +191,7 @@ def validate_decomposition(d: EarDecomposition) -> list[str]:
     # only distinct host edges ever enter `used`
     if len(used) != len(edge_set):
         errs.append("ear edges do not partition the host edge set")
-    if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
-        errs.append("stored labels/positions disagree with the ears")
-    return errs
+    return errs, labels, positions
 
 
 def ear_label(d: EarDecomposition, v: VertexId) -> int:
@@ -263,11 +288,7 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
         if not frontier:
             raise InternalError("ran out of frontier before covering all vertices")
         v = heapq.heappop(frontier)
-        path = tree.even_path_to(v)
-        j = len(path) - 1
-        while not placed[path[j]]:
-            j -= 1
-        suffix = path[j:]
+        suffix = tree.path_from_placed(v, placed)
         if len(suffix) % 2 == 0:
             raise InternalError("ear suffix has odd length; matching closure broken")
         close = min(y for y in g.adjacency[v] if placed[y])
@@ -276,16 +297,13 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
             place(x)
         remaining -= len(suffix) - 1
 
-    covered = set()
-    for walk in walks:
-        for i in range(len(walk) - 1):
-            covered.add(canonical_edge(walk[i], walk[i + 1]))
-    for e in g.edges:
-        if e not in covered:
-            walks.append([e[0], e[1]])
+    covered = {
+        (a, b) if a < b else (b, a) for walk in walks for a, b in zip(walk, walk[1:])
+    }
+    walks.extend([u, v] for u, v in g.edges if (u, v) not in covered)
 
     d = _assemble(g, walks)
-    errs = validate_decomposition(d)
+    errs = _violations(d)
     if errs:
         raise InternalError("constructed decomposition invalid: " + "; ".join(errs))
     return d
@@ -302,15 +320,20 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     one in the walk's place (the new circuit, or the ear keeping the walk's
     ends) is popped next.  Each slice adds one nontrivial ear, so the loop
     ends.
+
+    A value that this module built was checked as it was built and is not
+    checked again; any other value (built by hand, or a `dataclasses.replace`
+    copy) is checked on entry and raises InvariantViolation if it is broken.
     """
-    errs = validate_decomposition(d)
+    errs = _violations(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
     adj = d.host.adjacency
-    trivial_set = {canonical_edge(*e.vertices) for e in d.ears if e.trivial}
+    walks = [ear.vertices for ear in d.ears]
+    trivial_set = {canonical_edge(*w) for w in walks if len(w) == 2}
     label = [-1] * d.host.n
     pos = [-1] * d.host.n
-    stack = [list(e.vertices) for e in reversed(d.ears) if not e.trivial]
+    stack = [list(w) for w in reversed(walks) if len(w) > 2]
     done: list[list[int]] = []
     wid = 0
     while stack:
@@ -367,7 +390,7 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
 
     done.extend([u, v] for u, v in sorted(trivial_set))
     out = _assemble(d.host, done)
-    errs = validate_decomposition(out)
+    errs = _violations(out)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
     _assert_maximal(out)

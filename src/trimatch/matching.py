@@ -336,35 +336,54 @@ class AlternatingTree:
 
     def even_path_to(self, v: VertexId) -> list[VertexId]:
         """Even alternating path root .. v (simple; checked defensively)."""
-        if v == self.root:
-            return [self.root]
-        if not self._outer[v]:
-            raise PreconditionViolated(f"vertex {v} is not evenly reachable")
-        rev = [v]
-        cur = v
-        cap = self.graph.n + 1
-        while cur != self.root:
-            m = self.match[cur]
-            nxt = self._p[m]
-            rev.append(m)
-            rev.append(nxt)
-            cur = nxt
-            if len(rev) > 2 * cap:
-                raise InternalError("even-path trace did not terminate")
-        path = rev[::-1]
-        self._check_path(path)
+        only_root = [False] * self.graph.n
+        only_root[self.root] = True
+        path = self.path_from_placed(v, only_root)
+        if len(path) % 2 == 0:
+            raise InternalError("traced path is not a simple even path")
         return path
 
+    def path_from_placed(self, v: VertexId, placed) -> list[VertexId]:
+        """The even path root .. v from its last vertex x with placed[x] set.
+
+        Walks from v toward the root and stops at the first placed vertex, so
+        the work and the check cover only the part that is returned.  Raises
+        InternalError when no vertex of the path is placed.
+        """
+        if not self._outer[v]:
+            raise PreconditionViolated(f"vertex {v} is not evenly reachable")
+        match, p, root = self.match, self._p, self.root
+        rev = [v]
+        cur = v
+        cap = 2 * (self.graph.n + 1)
+        while not placed[cur]:
+            if cur == root:
+                raise InternalError("no placed vertex on the even path")
+            m = match[cur]
+            rev.append(m)
+            if placed[m]:
+                break
+            cur = p[m]
+            rev.append(cur)
+            if len(rev) > cap:
+                raise InternalError("even-path trace did not terminate")
+        rev.reverse()
+        self._check_path(rev)
+        return rev
+
     def _check_path(self, path):
+        """A simple path of graph edges that alternates and ends with the
+        matching edge into its last vertex."""
         g = self.graph
-        if len(set(path)) != len(path) or len(path) % 2 == 0:
+        if len(set(path)) != len(path):
             raise InternalError("traced path is not a simple even path")
-        for i in range(len(path) - 1):
+        last = len(path) - 2
+        for i in range(last + 1):
             u, v = path[i], path[i + 1]
             if not g.has_edge(u, v):
                 raise InternalError("traced path leaves the graph")
             matched = self.match[u] == v
-            if matched != (i % 2 == 1):
+            if matched != ((last - i) % 2 == 0):
                 raise InternalError("traced path does not alternate")
 
 

@@ -1,17 +1,21 @@
 """Hypergraph model: shadow graphs, degrees, validation, components."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimatch import (
+    Hypergraph,
     components,
     degree,
     hereditary_members,
     make_graph,
     make_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
     shadow_graph,
     validate,
 )
@@ -93,6 +97,37 @@ def test_multiplicity_folding():
 def test_graph_rejects_loops():
     with pytest.raises(ValueError):
         make_graph(2, [(0, 0)])
+
+
+def test_shadow_graph_is_the_graph_of_all_within_hyperedge_pairs():
+    """shadow_graph reads its edges off sorted per-vertex neighbour lists; it
+    builds exactly what make_graph builds from every within-hyperedge pair."""
+    rng = random.Random(23)
+    hs = []
+    for _ in range(200):
+        k = rng.randrange(3, 7)
+        n = rng.randrange(k, 40)
+        edges = [rng.sample(range(n), k) for _ in range(rng.randrange(2 * n))]
+        hs.append(make_hypergraph(n, edges + edges[:3], k=k))
+    for k in range(3, 7):
+        # a regular bipartite graph read as a hypergraph: one hyperedge per A-vertex
+        for n_side in (k, 10, 25, 60):
+            bg = random_regular_bipartite(n_side, k, seed=n_side + k)
+            hs.append(make_hypergraph(bg.n_b, bg.adj_a, k=k))
+    hs.extend(random_triple_system(n, 1) for n in range(3, 60))
+    for h in hs:
+        pairs = [p for e in h.hyperedges for p in itertools.combinations(e, 2)]
+        assert shadow_graph(h) == make_graph(h.n, pairs)
+
+
+@pytest.mark.parametrize(
+    "hyperedge", [(0, 2, 1), (0, 1, 1), (1, 2, 4), (-1, 0, 2)]
+)
+def test_shadow_graph_rejects_hand_built_malformed_hyperedges(hyperedge):
+    """Unsorted, repeating a vertex, or leaving [0, n)."""
+    h = Hypergraph(n=4, hyperedges=((0, 1, 2), hyperedge), multiplicities=(1, 1), k=3)
+    with pytest.raises(ValueError, match="not a sorted tuple of distinct vertices"):
+        shadow_graph(h)
 
 
 @st.composite

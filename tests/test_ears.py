@@ -1,5 +1,6 @@
 """Odd ear decompositions: construction, odd-edge predicate, slicing."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -19,10 +20,12 @@ from trimatch import (
     odd_ear_decomposition,
     random_triple_system,
     shadow_graph,
+    solve,
     validate_decomposition,
 )
+import trimatch.ears as ears_module
 from trimatch.core import canonical_edge
-from trimatch.ears import _assemble, _assert_maximal, _first_seen
+from trimatch.ears import _assemble, _assert_maximal, _violations
 from trimatch.errors import InternalError, InvariantViolation, NotFactorCritical
 
 from conftest import complete_graph, cycle_graph
@@ -231,6 +234,19 @@ def test_out_of_range_circuit_vertex_is_a_violation():
 
 # Copies of the checks as they were before they became one pass; the
 # rewritten checks must agree with them message for message.
+
+
+def _first_seen(n, walks):
+    """Index of the first walk on which each vertex occurs, and its position
+    there (-1 for vertices on no walk)."""
+    labels = [-1] * n
+    positions = [-1] * n
+    for i, w in enumerate(walks):
+        for j, v in enumerate(w):
+            if labels[v] == -1:
+                labels[v] = i
+                positions[v] = j
+    return tuple(labels), tuple(positions)
 
 
 def old_validate_decomposition(d):
@@ -503,3 +519,83 @@ def test_stack_of_walks_slices_like_the_token_tables():
     # every split shape is reached often
     for shape in ("ear split", "even-span circuit split", "odd-span circuit split"):
         assert shapes[shape] >= 20, shapes
+
+
+# Each decomposition value is checked once: as it is built.
+
+
+def count_checks(monkeypatch):
+    """Spy on the one-pass check; returns the list its calls append to."""
+    calls = []
+    scan = ears_module._scan
+
+    def spy(host, walks):
+        calls.append(len(walks))
+        return scan(host, walks)
+
+    monkeypatch.setattr(ears_module, "_scan", spy)
+    return calls
+
+
+def test_an_odd_solve_checks_two_decompositions(monkeypatch):
+    calls = count_checks(monkeypatch)
+    for n in (3, 5, 7, 9, 21, 55, 101):
+        for seed in (1, 2, 3):
+            h = random_triple_system(n, seed, require_connected=True)
+            calls.clear()
+            solve(h)
+            # the constructed decomposition and the sliced one
+            assert len(calls) == 2, (n, seed)
+
+
+def test_maximalize_checks_values_it_did_not_build(monkeypatch):
+    g = shadow_graph(random_triple_system(21, 4, require_connected=True))
+    d = odd_ear_decomposition(g)
+    calls = count_checks(monkeypatch)
+    out = maximalize(d)
+    assert len(calls) == 1  # the sliced value only
+    # equal values that this module did not build are checked on entry
+    by_hand = EarDecomposition(
+        host=d.host, ears=d.ears, labels=d.labels, positions=d.positions
+    )
+    for x in (by_hand, dataclasses.replace(d)):
+        calls.clear()
+        assert maximalize(x) == out
+        assert len(calls) == 2
+    # and a broken one still raises
+    w = d.ears[1].vertices
+    ears = list(d.ears)
+    ears[1] = Ear(w[:1] + w[2:])  # drops a vertex: the ear is even
+    with pytest.raises(InvariantViolation, match="ear 1 has an even number"):
+        maximalize(dataclasses.replace(d, ears=tuple(ears)))
+    with pytest.raises(InvariantViolation, match="more than one ear"):
+        maximalize(
+            EarDecomposition(
+                host=complete_graph(3),
+                ears=(Ear((0, 1, 2, 0)), Ear((0, 1))),
+                labels=(0, 0, 0),
+                positions=(0, 1, 2),
+            )
+        )
+
+
+def test_the_verdict_kept_on_a_built_value_is_the_full_check():
+    """For valid and broken walks alike, the verdict `_assemble` keeps equals
+    validate_decomposition, and maximalize behaves as on an unmarked copy."""
+    rng = random.Random(17)
+    broken = 0
+    for n in range(5, 40, 2):
+        g = shadow_graph(random_triple_system(n, n, require_connected=True))
+        d = odd_ear_decomposition(g)
+        for x in [d, maximalize(d)] + mutants(d, rng):
+            walks = [e.vertices for e in x.ears]
+            if not all(0 <= v < n for w in walks for v in w):
+                continue
+            built = _assemble(x.host, walks)
+            errs = _violations(built)
+            assert errs == validate_decomposition(built)
+            assert outcome(maximalize, built) == outcome(
+                maximalize, dataclasses.replace(built)
+            )
+            broken += bool(errs)
+    assert broken > 300

@@ -23,7 +23,7 @@ from trimatch import (
     random_triple_system,
     shadow_graph,
 )
-from trimatch.errors import ParallelEdges, PreconditionViolated
+from trimatch.errors import InternalError, ParallelEdges, PreconditionViolated
 import trimatch.matching as matching_module
 from trimatch.matching import (
     AlternatingTree,
@@ -167,6 +167,43 @@ def test_even_path_tracer_on_factor_critical_graphs():
             assert tree.is_outer(v)
             path = tree.even_path_to(v)  # validity checked internally
             assert path[0] == 0 and path[-1] == v
+
+
+def _reference_root_path(tree, v):
+    """The root .. v path read off the search pointers: v, its partner, that
+    partner's parent, and so on up to the root."""
+    rev = [v]
+    while rev[-1] != tree.root:
+        m = tree.match[rev[-1]]
+        rev += [m, tree._p[m]]
+    return rev[::-1]
+
+
+def test_trace_from_placed_is_the_root_path_cut_at_its_last_placed_vertex():
+    """The early-stop trace returns the part of the root path after its last
+    placed vertex, and raises InternalError when no vertex of the path is
+    placed."""
+    rng = random.Random(13)
+    traced = cut = 0
+    for n in range(5, 200, 2):
+        for seed in (1, 2, 3):
+            g = shadow_graph(random_triple_system(n, seed, require_connected=True))
+            tree = AlternatingTree(g, near_perfect_matching(g, 0), 0)
+            for density in (0.05, 0.3, 0.8):
+                placed = [rng.random() < density for _ in range(n)]
+                placed[0] = True
+                for v in rng.sample(range(n), min(n, 20)):
+                    path = _reference_root_path(tree, v)
+                    assert tree.even_path_to(v) == path
+                    j = max(i for i, x in enumerate(path) if placed[x])
+                    assert tree.path_from_placed(v, placed) == path[j:]
+                    traced += 1
+                    cut += j > 0
+            nowhere = [False] * n
+            for v in rng.sample(range(n), 3):
+                with pytest.raises(InternalError):
+                    tree.path_from_placed(v, nowhere)
+    assert traced > 15000 and cut > traced // 2
 
 
 def _reference_mark_blossom(match, p, base, flag, v, b, child):
