@@ -72,4 +72,10 @@ class InvariantViolation(TrimatchError):
 
 
 class InternalError(TrimatchError):
+    """An invariant broke; `witness`, when given, is the input it broke on."""
+
     exit_code = EXIT_INTERNAL
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness

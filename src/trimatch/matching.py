@@ -2,8 +2,8 @@
 
 Maximum matching in general graphs by alternating BFS with blossom
 contraction, perfect-matching queries, factor-criticality, bipartite matching
-by augmenting paths, and extraction of pairwise disjoint perfect matchings
-from regular bipartite graphs.
+by Hopcroft-Karp, and extraction of pairwise disjoint perfect matchings from
+regular bipartite graphs.
 
 Everything is deterministic for a fixed input ordering: vertices are scanned
 in increasing index, adjacency lists are sorted, the BFS queue is FIFO, and
@@ -417,50 +417,87 @@ def is_factor_critical(g: SimpleGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bipartite graphs: augmenting paths, no blossoms needed
+# Bipartite graphs: Hopcroft-Karp, no blossoms needed
 # ---------------------------------------------------------------------------
 
 
-def _kuhn(adj_a, n_b, order) -> list[int]:
+def _hopcroft_karp(adj_a, n_b, order) -> list[int]:
     """Maximum bipartite matching as the B-partner of each A-vertex (-1: none).
 
-    Depth-first augmenting search from each exposed A-vertex in `order`,
-    trying neighbours in list order.  The path is an explicit stack, since
-    augmenting paths can be as long as |A|.
+    Hopcroft & Karp (SIAM J. Comput. 2(4), 1973).  A greedy start scans A in
+    `order` and takes the first free neighbour in list order.  Each phase
+    then grows BFS layers from the exposed A-vertices in `order`, up to the
+    first layer that sees a free B-vertex, and augments along a maximal set
+    of vertex-disjoint shortest paths found by depth-first search from the
+    same roots, neighbours in list order.  A vertex leaves its layer once it
+    is on an augmenting path or is a dead end, so each phase scans every
+    edge at most once; the search keeps an explicit stack, since a path can
+    be as long as |A|.
     """
     match_a = [-1] * len(adj_a)
     match_b = [-1] * n_b
-    for root in order:
-        if match_a[root] != -1:
-            continue
-        visited = [False] * n_b
-        # one [A-vertex, neighbour iterator, B-vertex taken] frame per path step
-        stack = [[root, iter(adj_a[root]), -1]]
-        while stack:
-            frame = stack[-1]
-            for b in frame[1]:
-                if not visited[b]:
-                    break
-            else:
-                stack.pop()
-                continue
-            visited[b] = True
-            frame[2] = b
-            nxt = match_b[b]
-            if nxt == -1:
-                for a, _, b in stack:
-                    match_a[a] = b
-                    match_b[b] = a
+    for a in order:
+        for b in adj_a[a]:
+            if match_b[b] == -1:
+                match_a[a] = b
+                match_b[b] = a
                 break
-            stack.append([nxt, iter(adj_a[nxt]), -1])
-    return match_a
+    while True:
+        roots = [a for a in order if match_a[a] == -1]
+        # layer[a]: BFS depth of a, -1 when a is in no layer
+        layer = [-1] * len(adj_a)
+        for a in roots:
+            layer[a] = 0
+        frontier = roots
+        found = False
+        while frontier and not found:
+            nxt = []
+            for a in frontier:
+                below = layer[a] + 1
+                for b in adj_a[a]:
+                    m = match_b[b]
+                    if m == -1:
+                        found = True
+                    elif layer[m] == -1:
+                        layer[m] = below
+                        nxt.append(m)
+            if found:
+                # shortest paths end in this layer; the next is never entered
+                for m in nxt:
+                    layer[m] = -1
+            frontier = nxt
+        if not found:
+            return match_a
+        for root in roots:
+            # one [A-vertex, neighbour iterator, B-vertex taken] frame per step
+            stack = [[root, iter(adj_a[root]), -1]]
+            while stack:
+                frame = stack[-1]
+                a = frame[0]
+                want = layer[a] + 1
+                for b in frame[1]:
+                    m = match_b[b]
+                    if m == -1 or layer[m] == want:
+                        break
+                else:
+                    layer[a] = -1
+                    stack.pop()
+                    continue
+                frame[2] = b
+                if m == -1:
+                    for a, _, b in stack:
+                        layer[a] = -1
+                        match_a[a] = b
+                        match_b[b] = a
+                    break
+                stack.append([m, iter(adj_a[m]), -1])
 
 
 def bipartite_perfect_matching(bg: BipartiteGraph) -> Matching | None:
     """Perfect matching covering both sides, or None (also when n_a != n_b)."""
     if bg.n_a != bg.n_b:
         return None
-    match_a = _kuhn(bg.adj_a, bg.n_b, range(bg.n_a))
+    match_a = _hopcroft_karp(bg.adj_a, bg.n_b, range(bg.n_a))
     if -1 in match_a:
         return None
     return Matching(pairs=tuple(enumerate(match_a)), host=bg)
@@ -493,8 +530,9 @@ def extract_disjoint_perfect_matchings(
     """t pairwise edge-disjoint perfect matchings of a regular bipartite graph.
 
     After removing them the graph is (k-t)-regular.  `_rotation` rotates the
-    deterministic Kuhn scan order; the default order is part of the output
-    contract, the rotation is an internal knob.
+    A-side order in which the matcher scans for its greedy start and its
+    search roots; the default order is part of the output contract, the
+    rotation is an internal knob.
     """
     k = require_regular_bipartite(bg)
     if t < 0 or t > k:
@@ -506,7 +544,7 @@ def extract_disjoint_perfect_matchings(
     out = []
     order = [(i + _rotation) % bg.n_a for i in range(bg.n_a)]
     for _ in range(t):
-        match_a = _kuhn(adj, bg.n_b, order)
+        match_a = _hopcroft_karp(adj, bg.n_b, order)
         if -1 in match_a:
             raise InternalError(
                 "regular bipartite graph lost its perfect matching"

@@ -389,7 +389,8 @@ def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
     Each input component with odd |B| leaves at least one odd residual
     component, so equal counts mean one per such component and none
     elsewhere, which is what `verify_lu` asks.  Rotated scan orders are
-    tried in turn; an InternalError names them when none fits.
+    tried in turn; when none fits, an InternalError names them and carries
+    the graph's edges as its witness.
     """
     target = _residual_odd_components(bg, ())
     rotations = min(bg.n_a, 24)
@@ -400,7 +401,8 @@ def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
             return pairs
     raise InternalError(
         f"extraction rotations 0..{rotations - 1} all leave a residual with "
-        f"other than {target} components of odd |B|"
+        f"other than {target} components of odd |B|",
+        witness=bg.edges,
     )
 
 

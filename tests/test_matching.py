@@ -1,11 +1,12 @@
 """Matching engine against brute force, plus the bipartite toolbox."""
 
+import functools
 import itertools
 import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimatch import (
@@ -20,6 +21,7 @@ from trimatch import (
     maximum_matching,
     perfect_matching,
     perfect_matching_avoiding,
+    random_regular_bipartite,
     random_triple_system,
     shadow_graph,
 )
@@ -28,6 +30,7 @@ import trimatch.matching as matching_module
 from trimatch.matching import (
     AlternatingTree,
     _augment,
+    _hopcroft_karp,
     _greedy_init,
     _lca,
     _max_matching_arrays,
@@ -417,6 +420,73 @@ def test_bipartite_matching_follows_an_augmenting_path_through_every_vertex():
     bg = make_bipartite(n, n, edges + [(n - 1, 0)])
     m = bipartite_perfect_matching(bg)
     assert m.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
+
+
+def brute_bipartite_max(bg):
+    @functools.lru_cache(maxsize=None)
+    def best(a, used):
+        if a == bg.n_a:
+            return 0
+        options = [best(a + 1, used)]
+        for b in bg.adj_a[a]:
+            if not used >> b & 1:
+                options.append(1 + best(a + 1, used | 1 << b))
+        return max(options)
+
+    return best(0, 0)
+
+
+@st.composite
+def bipartite_graphs_and_orders(draw):
+    """Small bipartite graphs of any shape, with an A-side scan order."""
+    n_a = draw(st.integers(min_value=0, max_value=6))
+    n_b = draw(st.integers(min_value=0, max_value=6))
+    pairs = list(itertools.product(range(n_a), range(n_b)))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    order = draw(st.permutations(range(n_a)))
+    return make_bipartite(n_a, n_b, edges), order
+
+
+# unequal sides; equal sides without a perfect matching; non-regular with one
+@example((make_bipartite(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)]), [2, 0, 1]))
+@example((make_bipartite(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)]), [0, 1, 2]))
+@example((make_bipartite(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2), (1, 2)]), [1, 2, 0]))
+@settings(max_examples=200, deadline=None)
+@given(bipartite_graphs_and_orders())
+def test_hopcroft_karp_finds_a_maximum_matching(case):
+    bg, order = case
+    match_a = _hopcroft_karp(bg.adj_a, bg.n_b, order)
+    taken = [b for b in match_a if b != -1]
+    assert len(match_a) == bg.n_a and len(set(taken)) == len(taken)
+    assert all(b == -1 or b in bg.adj_a[a] for a, b in enumerate(match_a))
+    size = brute_bipartite_max(bg)
+    assert len(taken) == size
+    m = bipartite_perfect_matching(bg)
+    assert (m is None) == (bg.n_a != bg.n_b or size < bg.n_a)
+    if m is not None:
+        assert set(m.pairs) <= set(bg.edges)
+        assert sorted(b for _, b in m.pairs) == list(range(bg.n_b))
+
+
+@st.composite
+def regular_bipartite_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=min(n, 4)))
+    return random_regular_bipartite(n, k, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_bipartite_graphs(), st.data())
+def test_every_rotation_extracts_disjoint_perfect_matchings(bg, data):
+    t = data.draw(st.integers(min_value=0, max_value=len(bg.adj_a[0])))
+    for rotation in range(bg.n_a):
+        ms = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
+        assert len(ms) == t
+        union = [p for m in ms for p in m.pairs]
+        assert len(set(union)) == len(union) and set(union) <= set(bg.edges)
+        for m in ms:
+            assert [a for a, _ in m.pairs] == list(range(bg.n_a))
+            assert sorted(b for _, b in m.pairs) == list(range(bg.n_b))
 
 
 def test_extraction_builds_no_intermediate_graph(monkeypatch):

@@ -38,6 +38,7 @@ from trimatch.errors import (
 from trimatch.partition import _parity_pairs
 
 from conftest import FANO_LINES, cycle_graph
+from rotation_census import graph_of, lu_with_rotations
 
 
 def c5_plus_ear_decomposition():
@@ -234,6 +235,39 @@ def test_lu_retries_residual_splitting_extraction(monkeypatch):
     assert sum(1 for d in deg_a if d == 3) == 0  # |B| even: no 3-block
 
 
+# The labelled 4-regular 6 + 6 graphs on which the first extraction leaves a
+# residual with too many odd components, out of all 67,950 that
+# rotation_census.py enumerates.  Each string lists, A-vertex by A-vertex,
+# the two B-vertices it is not adjacent to.
+ROTATION_0_SPLITS = """
+    010212343545 010212344535 010212353445 010212354534 010212453435 010212453534
+    011202343545 011202344535 011202353445 011202354534 011202453435 011202453534
+    020112343545 020112344535 020112353445 020112354534 020112453435 020112453534
+    021201343545 021201344535 021201353445 021201354534 021201453435 021201453534
+    031345012425 031345012524 041425350123 041435250123 051523243401 051523342401
+    051524233401 051524342301 051534232401 051534242301 120102343545 120102344535
+    120102353445 120102354534 120102453435 120102453534 120201343545 120201344535
+    120201353445 120201354534 120201453435 120201453534 130345012425 130345012524
+    140425350123 140435250123 150523243401 150523342401 150524233401 150524342301
+    150534232401 150534242301 234502031415 234502031514 234503021415 234503021514
+    243504150213 253405131402 253405141302 341525030412 341525040312 342515030412
+    342515040312 351424051203 352414051203 451213230405 451213230504 451223130405
+    451223130504 451312230405 451312230504 451323120405 451323120504 452312130405
+    452312130504 452313120405 452313120504
+""".split()
+
+
+@pytest.mark.parametrize("missing", ROTATION_0_SPLITS)
+def test_lu_retries_on_every_known_rotation_0_split(missing):
+    masks = [
+        (1 << int(missing[2 * a])) | (1 << int(missing[2 * a + 1])) for a in range(6)
+    ]
+    bg = graph_of(masks)
+    lu, rotations = lu_with_rotations(bg)
+    assert verify_lu(bg, lu).ok
+    assert rotations[0] == 0 and rotations[-1] > 0
+
+
 def test_lu_disjoint_blocks_keep_first_extraction(monkeypatch):
     """Two disjoint 4-regular 5+5 blocks have two components with odd |B|;
     rotation 0 leaves exactly those two odd residual components."""
@@ -274,9 +308,10 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
 
     monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
     tried = min(2 * m, 24)
-    with pytest.raises(InternalError, match=f"rotations 0..{tried - 1} "):
+    with pytest.raises(InternalError, match=f"rotations 0..{tried - 1} ") as err:
         lu_subgraph(bg, 4)
     assert calls == list(range(tried))
+    assert err.value.witness == bg.edges
 
 
 @pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
