@@ -100,7 +100,9 @@ def make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergraph:
     """Build a canonical Hypergraph, folding repeated hyperedges.
 
     Raises ValueError on out-of-range vertices or a repeated vertex inside a
-    hyperedge (hyperedges are vertex sets).
+    hyperedge (hyperedges are vertex sets).  Hyperedges are checked in input
+    order, each for multiplicity, then range, then repeats; an out-of-range
+    message names the hyperedge's first such vertex in input order.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -113,10 +115,10 @@ def make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergraph:
     for e, mult in zip(hyperedges, multiplicities):
         if mult < 1:
             raise ValueError("multiplicities must be positive")
-        for v in e:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range [0, {n})")
         ce = tuple(sorted(e))
+        if ce and (ce[0] < 0 or ce[-1] >= n):
+            v = next(v for v in e if not 0 <= v < n)
+            raise ValueError(f"vertex {v} out of range [0, {n})")
         if len(set(ce)) != len(ce):
             raise ValueError(f"hyperedge {e} repeats a vertex")
         folded[ce] = folded.get(ce, 0) + mult

@@ -18,16 +18,18 @@ from .matching import BipartiteGraph, make_bipartite
 
 
 def _tokenized(text):
+    """(line number, tokens) of each line that is neither blank nor a
+    comment; `str.split` and `str.strip` share one notion of whitespace, so
+    the first token starts where the stripped line does."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line.split()
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "c":
+            yield lineno, tokens
 
 
 def _ints(tokens, lineno):
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError as exc:
         raise ParseError(f"expected integers, got {tokens!r}", line=lineno) from exc
 
@@ -147,7 +149,7 @@ def format_partition(certs) -> str:
             blocks.append(("triangle", tuple(sorted(cert.triangle))))
         blocks.extend(("pair", p) for p in cert.pairs)
     blocks.sort(key=lambda kb: kb[1][0])
-    lines = [f"{kind} " + " ".join(str(v) for v in block) for kind, block in blocks]
+    lines = [f"{kind} " + " ".join(map(str, block)) for kind, block in blocks]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -17,7 +17,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, islice
 
 from .core import (
     Hypergraph,
@@ -472,7 +472,13 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
 
     Accepts a TriMatchingPartition, a list of them (componentwise, possibly
     empty), or a raw (triangles, pairs) tuple as parsed from a certificate
-    file.
+    file.  A vertex outside [0, n) raises ValueError naming the first one in
+    block order; every other fault is a violation.
+
+    The rule "at most one triangle per shadow component" can only fail with
+    two or more triangles, so its component search, a union-find over every
+    hyperedge that costs more than all other checks together, runs
+    only then.  A connected instance's certificate never pays for it.
     """
     if isinstance(cert, TriMatchingPartition):
         cert = [cert]
@@ -484,25 +490,24 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
     else:
         triangles, pairs = map(list, cert)
 
+    n = h.n
+    flat = [v for block in chain(triangles, pairs) for v in block]
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        v = next(v for v in flat if not 0 <= v < n)
+        raise ValueError(f"certificate vertex {v} out of range [0, {n})")
     violations = []
-    seen: set[int] = set()
-    dup = False
-    for block in triangles + pairs:
-        for v in block:
-            if not 0 <= v < h.n:
-                raise ValueError(f"certificate vertex {v} out of range [0, {h.n})")
-            if v in seen:
-                dup = True
-            seen.add(v)
-    if dup:
+    seen = set(flat)
+    if len(seen) != len(flat):
         violations.append("blocks are not disjoint")
-    if seen != set(range(h.n)):
-        missing = sorted(set(range(h.n)) - seen)
-        violations.append(f"blocks do not cover the vertex set (missing {missing[:5]})")
+    if len(seen) != n:
+        # stops at the fifth, so a huge declared n costs no pass over range(n)
+        missing = list(islice((v for v in range(n) if v not in seen), 5))
+        violations.append(f"blocks do not cover the vertex set (missing {missing})")
 
     # indexes of the verifier's own, built without solver code
     within = {p for e in h.hyperedges for p in combinations(e, 2)}
-    hyperedge_sets = {frozenset(e) for e in h.hyperedges}
+    if triangles:
+        hyperedge_sets = {frozenset(e) for e in h.hyperedges}
     for tri in triangles:
         tset = set(tri)
         if len(tset) != 3:
@@ -516,26 +521,33 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
                 f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
             )
     for u, v in pairs:
-        if u == v or canonical_edge(u, v) not in within:
+        if u == v or ((u, v) if u < v else (v, u)) not in within:
             violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
 
     # at most one triangle per shadow component
-    comp_of = _component_ids(h.n, h.hyperedges)
-    per_comp: dict[int, int] = {}
-    for tri in triangles:
-        cids = {comp_of[v] for v in tri}
-        if len(cids) == 1:
-            cid = cids.pop()
-            per_comp[cid] = per_comp.get(cid, 0) + 1
-    for cid, cnt in per_comp.items():
-        if cnt > 1:
-            violations.append(f"component {cid} carries {cnt} triangles")
+    if len(triangles) >= 2:
+        comp_of = _component_ids(n, h.hyperedges)
+        per_comp: dict[int, int] = {}
+        for tri in triangles:
+            cids = {comp_of[v] for v in tri}
+            if len(cids) == 1:
+                cid = cids.pop()
+                per_comp[cid] = per_comp.get(cid, 0) + 1
+        for cid, cnt in per_comp.items():
+            if cnt > 1:
+                violations.append(f"component {cid} carries {cnt} triangles")
     return VerificationReport(violations=tuple(violations))
 
 
 def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
     """Check kept-edge degrees: B all 1; A in {0, 2} plus at most one 3 per
-    component of the input graph."""
+    component of the input graph.
+
+    The per-component rule can only fail with two or more degree-3
+    A-vertices, so its component search, a union-find over every edge of
+    the graph, runs only then; a connected graph's kept set never pays for
+    it.
+    """
     kept = cert.kept if isinstance(cert, LuSubgraph) else tuple(cert)
     violations = []
     edge_set = set(bg.edges)
@@ -556,19 +568,23 @@ def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
     for b, dv in enumerate(deg_b):
         if dv != 1:
             violations.append(f"B-vertex {b} has kept degree {dv}, expected 1")
-    comp = _component_ids(
-        bg.n_a + bg.n_b, [(a, bg.n_a + b) for a, b in bg.edges]
-    )
-    three_per_comp: dict[int, int] = {}
+    threes = []
     for a, dv in enumerate(deg_a):
         if dv == 3:
-            cid = comp[a]
-            three_per_comp[cid] = three_per_comp.get(cid, 0) + 1
+            threes.append(a)
         elif dv not in (0, 2):
             violations.append(f"A-vertex {a} has kept degree {dv}")
-    for cid, cnt in three_per_comp.items():
-        if cnt > 1:
-            violations.append(f"component {cid} has {cnt} degree-3 A-vertices")
+    if len(threes) >= 2:
+        comp = _component_ids(
+            bg.n_a + bg.n_b, [(a, bg.n_a + b) for a, b in bg.edges]
+        )
+        three_per_comp: dict[int, int] = {}
+        for a in threes:
+            cid = comp[a]
+            three_per_comp[cid] = three_per_comp.get(cid, 0) + 1
+        for cid, cnt in three_per_comp.items():
+            if cnt > 1:
+                violations.append(f"component {cid} has {cnt} degree-3 A-vertices")
     return VerificationReport(violations=tuple(violations))
 
 

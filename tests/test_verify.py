@@ -1,0 +1,366 @@
+"""The certificate verifiers against copies of their linear-pass forebears.
+
+`verify_partition` and `verify_lu` run their per-component rule only when
+it can fail.  The copies below are the verifiers as they were before that
+change; on solver certificates and broken variants of them the verifiers
+must return the same violations, message for message, or raise the same
+ValueError.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trimatch.partition as partition_module
+from trimatch import (
+    LuSubgraph,
+    TriMatchingPartition,
+    lu_subgraph,
+    make_bipartite,
+    make_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
+    solve,
+    solve_components,
+    verify_lu,
+    verify_partition,
+)
+from trimatch.core import canonical_edge
+from trimatch.partition import VerificationReport
+
+
+# Copies of the verifiers as they were before the component search became
+# conditional.
+
+
+def old_verify_partition(h, cert) -> VerificationReport:
+    if isinstance(cert, TriMatchingPartition):
+        cert = [cert]
+    if isinstance(cert, (list, tuple)) and all(
+        isinstance(c, TriMatchingPartition) for c in cert
+    ):
+        triangles = [c.triangle for c in cert if c.triangle is not None]
+        pairs = [p for c in cert for p in c.pairs]
+    else:
+        triangles, pairs = map(list, cert)
+
+    violations = []
+    seen: set[int] = set()
+    dup = False
+    for block in triangles + pairs:
+        for v in block:
+            if not 0 <= v < h.n:
+                raise ValueError(f"certificate vertex {v} out of range [0, {h.n})")
+            if v in seen:
+                dup = True
+            seen.add(v)
+    if dup:
+        violations.append("blocks are not disjoint")
+    if seen != set(range(h.n)):
+        missing = sorted(set(range(h.n)) - seen)
+        violations.append(f"blocks do not cover the vertex set (missing {missing[:5]})")
+
+    within = {p for e in h.hyperedges for p in combinations(e, 2)}
+    hyperedge_sets = {frozenset(e) for e in h.hyperedges}
+    for tri in triangles:
+        tset = set(tri)
+        if len(tset) != 3:
+            violations.append(f"triangle {tri} does not have 3 distinct vertices")
+            continue
+        if h.k == 3:
+            if frozenset(tset) not in hyperedge_sets:
+                violations.append(f"triangle {tuple(sorted(tri))} is not a hyperedge")
+        elif not any(tset.issubset(e) for e in h.hyperedges):
+            violations.append(
+                f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
+            )
+    for u, v in pairs:
+        if u == v or canonical_edge(u, v) not in within:
+            violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
+
+    comp_of = old_component_ids(h.n, h.hyperedges)
+    per_comp: dict[int, int] = {}
+    for tri in triangles:
+        cids = {comp_of[v] for v in tri}
+        if len(cids) == 1:
+            cid = cids.pop()
+            per_comp[cid] = per_comp.get(cid, 0) + 1
+    for cid, cnt in per_comp.items():
+        if cnt > 1:
+            violations.append(f"component {cid} carries {cnt} triangles")
+    return VerificationReport(violations=tuple(violations))
+
+
+def old_verify_lu(bg, cert) -> VerificationReport:
+    kept = cert.kept if isinstance(cert, LuSubgraph) else tuple(cert)
+    violations = []
+    edge_set = set(bg.edges)
+    deg_a = [0] * bg.n_a
+    deg_b = [0] * bg.n_b
+    seen = set()
+    for a, b in kept:
+        if not (0 <= a < bg.n_a and 0 <= b < bg.n_b):
+            raise ValueError(f"kept edge ({a}, {b}) out of range")
+        if (a, b) not in edge_set:
+            violations.append(f"kept edge ({a}, {b}) is not an edge of the graph")
+            continue
+        if (a, b) in seen:
+            violations.append(f"kept edge ({a}, {b}) repeated")
+        seen.add((a, b))
+        deg_a[a] += 1
+        deg_b[b] += 1
+    for b, dv in enumerate(deg_b):
+        if dv != 1:
+            violations.append(f"B-vertex {b} has kept degree {dv}, expected 1")
+    comp = old_component_ids(
+        bg.n_a + bg.n_b, [(a, bg.n_a + b) for a, b in bg.edges]
+    )
+    three_per_comp: dict[int, int] = {}
+    for a, dv in enumerate(deg_a):
+        if dv == 3:
+            cid = comp[a]
+            three_per_comp[cid] = three_per_comp.get(cid, 0) + 1
+        elif dv not in (0, 2):
+            violations.append(f"A-vertex {a} has kept degree {dv}")
+    for cid, cnt in three_per_comp.items():
+        if cnt > 1:
+            violations.append(f"component {cid} has {cnt} degree-3 A-vertices")
+    return VerificationReport(violations=tuple(violations))
+
+
+def old_component_ids(n, groups):
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for group in groups:
+        for v in group[1:]:
+            parent[find(v)] = find(group[0])
+    ids = {}
+    return [ids.setdefault(find(v), len(ids)) for v in range(n)]
+
+
+def outcome(check, instance, cert):
+    """The violations a verifier returns, or the class and message of what
+    it raises."""
+    try:
+        return check(instance, cert).violations
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Instances: disjoint unions of connected ones, so that certificates carry
+# one triangle per odd component
+# ---------------------------------------------------------------------------
+
+
+def k4_hypergraph(n, seed):
+    """4-uniform 4-regular hypergraph read off a 4-regular bipartite graph
+    (one hyperedge per A-vertex)."""
+    bg = random_regular_bipartite(n, 4, seed)
+    return make_hypergraph(n, list(bg.adj_a), k=4)
+
+
+def hypergraph_union(parts):
+    edges, mults, offset = [], [], 0
+    for h in parts:
+        edges.extend(tuple(v + offset for v in e) for e in h.hyperedges)
+        mults.extend(h.multiplicities)
+        offset += h.n
+    return make_hypergraph(offset, edges, k=parts[0].k, multiplicities=mults)
+
+
+def bipartite_union(parts):
+    edges, off_a, off_b = [], 0, 0
+    for bg in parts:
+        edges.extend((a + off_a, b + off_b) for a, b in bg.edges)
+        off_a += bg.n_a
+        off_b += bg.n_b
+    return make_bipartite(off_a, off_b, edges)
+
+
+@st.composite
+def hypergraph_instances(draw):
+    k = draw(st.sampled_from((3, 4)))
+    seed = draw(st.integers(0, 2**16))
+    if k == 3:
+        sizes = draw(st.lists(st.integers(3, 21), min_size=1, max_size=4))
+        parts = [
+            random_triple_system(n, seed + i, require_connected=True)
+            for i, n in enumerate(sizes)
+        ]
+    else:
+        sizes = draw(st.lists(st.integers(4, 11), min_size=1, max_size=4))
+        parts = [k4_hypergraph(n, seed + i) for i, n in enumerate(sizes)]
+    return hypergraph_union(parts)
+
+
+@st.composite
+def bipartite_instances(draw):
+    k = draw(st.integers(3, 5))
+    seed = draw(st.integers(0, 2**16))
+    sizes = draw(st.lists(st.integers(k, 12), min_size=1, max_size=4))
+    return bipartite_union(
+        [random_regular_bipartite(n, k, seed + i) for i, n in enumerate(sizes)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Broken variants
+# ---------------------------------------------------------------------------
+
+
+def put(blocks, i, j, v):
+    block = list(blocks[i])
+    block[j] = v
+    blocks[i] = tuple(block)
+
+
+def mutate_partition(data, h, triangles, pairs):
+    """Apply a few drawn edits to raw (triangles, pairs) lists."""
+    n = h.n
+    vertex = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 4))):
+        spots = [
+            (blocks, i, j)
+            for blocks in (triangles, pairs)
+            for i, block in enumerate(blocks)
+            for j in range(len(block))
+        ]
+        blocks = triangles if triangles and data.draw(st.booleans()) else pairs
+        op = data.draw(
+            st.sampled_from(
+                ("drop", "duplicate", "swap", "replace", "out-of-range",
+                 "non-hyperedge", "hyperedge", "repeat")
+            )
+        )
+        if op in ("drop", "duplicate") and blocks:
+            i = data.draw(st.integers(0, len(blocks) - 1))
+            if op == "drop":
+                del blocks[i]
+            else:
+                blocks.insert(data.draw(st.integers(0, len(blocks))), blocks[i])
+        elif op == "swap" and spots:
+            (b1, i1, j1), (b2, i2, j2) = (data.draw(st.sampled_from(spots)) for _ in "12")
+            x, y = b1[i1][j1], b2[i2][j2]
+            put(b1, i1, j1, y)
+            put(b2, i2, j2, x)
+        elif op == "replace" and spots:
+            put(*data.draw(st.sampled_from(spots)), data.draw(vertex))
+        elif op == "out-of-range" and spots:
+            # several, so that the first in block order is seldom the extreme
+            for _ in range(data.draw(st.integers(1, 3))):
+                put(*data.draw(st.sampled_from(spots)),
+                    data.draw(st.sampled_from((-1, -5, n, n + 3))))
+        elif op == "non-hyperedge" and n >= 3:
+            tri = tuple(data.draw(st.lists(vertex, min_size=3, max_size=3, unique=True)))
+            triangles.insert(data.draw(st.integers(0, len(triangles))), tri)
+        elif op == "hyperedge":
+            # a second or third triangle, in the same component as another
+            # or in a different one
+            e = data.draw(st.sampled_from(h.hyperedges))
+            tri = tuple(data.draw(st.permutations(e))[:3])
+            triangles.insert(data.draw(st.integers(0, len(triangles))), tri)
+        elif op == "repeat":
+            v = data.draw(vertex)
+            if data.draw(st.booleans()):
+                pairs.append((v, v))
+            else:
+                triangles.append((v, v, data.draw(vertex)))
+    return triangles, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraph_instances(), st.data())
+def test_verify_partition_agrees_with_the_old_verifier(h, data):
+    certs = solve_components(h, h.k)
+    for cert in (certs, certs[0], tuple(certs)):
+        assert outcome(verify_partition, h, cert) == outcome(old_verify_partition, h, cert)
+    assert verify_partition(h, certs).ok
+    triangles = [c.triangle for c in certs if c.triangle is not None]
+    pairs = [p for c in certs for p in c.pairs]
+    raw = mutate_partition(data, h, triangles, pairs)
+    assert outcome(verify_partition, h, raw) == outcome(old_verify_partition, h, raw)
+
+
+def mutate_kept(data, bg, kept):
+    """Apply a few drawn edits to a kept-edge list."""
+    edge = st.sampled_from(bg.edges)
+    for _ in range(data.draw(st.integers(0, 4))):
+        op = data.draw(
+            st.sampled_from(("drop", "duplicate", "add-edge", "non-edge",
+                             "out-of-range", "third-edge", "subset"))
+        )
+        if op == "drop" and kept:
+            del kept[data.draw(st.integers(0, len(kept) - 1))]
+        elif op == "duplicate" and kept:
+            kept.append(kept[data.draw(st.integers(0, len(kept) - 1))])
+        elif op == "add-edge":
+            kept.append(data.draw(edge))
+        elif op == "non-edge":
+            kept.append((data.draw(st.integers(0, bg.n_a - 1)),
+                         data.draw(st.integers(0, bg.n_b - 1))))
+        elif op == "out-of-range":
+            kept.append(data.draw(st.sampled_from(
+                ((bg.n_a, 0), (0, bg.n_b), (-1, 0), (0, -1)))))
+        elif op == "third-edge":
+            # raise kept A-degrees 2 to 3, in one component or in several
+            for a in data.draw(st.lists(st.integers(0, bg.n_a - 1), max_size=4)):
+                spare = [(a, b) for b in bg.adj_a[a] if (a, b) not in kept]
+                if spare:
+                    kept.append(data.draw(st.sampled_from(spare)))
+        elif op == "subset":
+            kept[:] = data.draw(st.lists(edge, unique=True))
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_instances(), st.data())
+def test_verify_lu_agrees_with_the_old_verifier(bg, data):
+    k = len(bg.adj_a[0])
+    lu = lu_subgraph(bg, k)
+    assert outcome(verify_lu, bg, lu) == outcome(old_verify_lu, bg, lu) == ()
+    kept = mutate_kept(data, bg, list(lu.kept))
+    assert outcome(verify_lu, bg, kept) == outcome(old_verify_lu, bg, kept)
+
+
+def test_component_search_runs_only_when_its_rule_can_fail(monkeypatch):
+    odd = random_triple_system(21, 3, require_connected=True)
+    even = random_triple_system(20, 3, require_connected=True)
+    two_odd = hypergraph_union([odd, random_triple_system(9, 4, require_connected=True)])
+    bg = random_regular_bipartite(15, 4, 2)
+    two_bg = bipartite_union([bg, random_regular_bipartite(9, 4, 3)])
+    odd_cert, even_cert, two_odd_certs = solve(odd), solve(even), solve_components(two_odd)
+    lu, two_lu = lu_subgraph(bg, 4), lu_subgraph(two_bg, 4)
+    calls = []
+    real = partition_module._component_ids
+
+    def spy(n, groups):
+        calls.append(n)
+        return real(n, groups)
+
+    monkeypatch.setattr(partition_module, "_component_ids", spy)
+
+    # connected solver certificates: at most one triangle or degree-3 A-vertex
+    assert verify_partition(odd, odd_cert).ok
+    assert verify_partition(even, even_cert).ok
+    assert verify_lu(bg, lu).ok
+    assert calls == []
+
+    # one triangle or degree-3 A-vertex per odd component: the rule can fail
+    assert sum(c.triangle is not None for c in two_odd_certs) == 2
+    assert verify_partition(two_odd, two_odd_certs).ok
+    assert calls == [two_odd.n]
+    e, f = odd.hyperedges[:2]
+    assert "component 0 carries 2 triangles" in verify_partition(odd, ([e, f], [])).violations
+    assert calls == [two_odd.n, odd.n]
+    assert sorted(Counter(a for a, _ in two_lu.kept).values()).count(3) == 2
+    assert verify_lu(two_bg, two_lu).ok
+    assert calls == [two_odd.n, odd.n, two_bg.n_a + two_bg.n_b]
