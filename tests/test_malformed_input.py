@@ -199,6 +199,11 @@ PARSERS = (
 )
 
 
+def check_parsers(text):
+    for parse in PARSERS:
+        assert outcome(parse, text) == old_outcome(parse, text)
+
+
 def test_parsers_agree_with_the_old_parsers_on_valid_files():
     for case in REAL:
         for lines in case:
@@ -209,11 +214,6 @@ def test_parsers_agree_with_the_old_parsers_on_valid_files():
 @given(texts())
 def test_parsers_agree_with_the_old_parsers(text):
     check_parsers(text)
-
-
-def check_parsers(text):
-    for parse in PARSERS:
-        assert outcome(parse, text) == old_outcome(parse, text)
 
 
 @settings(max_examples=200, deadline=None)
