@@ -300,7 +300,9 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
     covered = {
         (a, b) if a < b else (b, a) for walk in walks for a, b in zip(walk, walk[1:])
     }
-    walks.extend([u, v] for u, v in g.edges if (u, v) not in covered)
+    # the host's own edge tuples: unlike fresh lists, tuples of ints drop out
+    # of the cyclic collector's reach at its first pass
+    walks.extend(e for e in g.edges if e not in covered)
 
     d = _assemble(g, walks)
     errs = _violations(d)
@@ -334,7 +336,7 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     label = [-1] * d.host.n
     pos = [-1] * d.host.n
     stack = [list(w) for w in reversed(walks) if len(w) > 2]
-    done: list[list[int]] = []
+    done: list = []
     wid = 0
     while stack:
         walk = stack.pop()
@@ -388,7 +390,7 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
         # the first piece is popped next: it may still carry off-ear odd edges
         stack += (second, first)
 
-    done.extend([u, v] for u, v in sorted(trivial_set))
+    done.extend(sorted(trivial_set))
     out = _assemble(d.host, done)
     errs = _violations(out)
     if errs:

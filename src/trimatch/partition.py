@@ -389,8 +389,13 @@ def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
     Each input component with odd |B| leaves at least one odd residual
     component, so equal counts mean one per such component and none
     elsewhere, which is what `verify_lu` asks.  Rotated scan orders are
-    tried in turn; when none fits, an InternalError names them and carries
-    the graph's edges as its witness.
+    tried in turn, and the first that fits the whole graph wins.
+
+    A rotation of the whole graph leaves the scan order inside most of its
+    components unchanged, so when none fits and the input is disconnected,
+    each component is extracted alone, with rotations of its own, and the
+    pairs are combined.  When a connected graph fits no rotation, an
+    InternalError names them and carries the graph's edges as its witness.
     """
     target = _residual_odd_components(bg, ())
     rotations = min(bg.n_a, 24)
@@ -399,11 +404,30 @@ def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
         pairs = {p for m in attempt for p in m.pairs}
         if _residual_odd_components(bg, pairs) == target:
             return pairs
-    raise InternalError(
-        f"extraction rotations 0..{rotations - 1} all leave a residual with "
-        f"other than {target} components of odd |B|",
-        witness=bg.edges,
+    n_a = bg.n_a
+    blocks = _component_blocks(
+        [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
     )
+    if len(blocks) == 1:
+        raise InternalError(
+            f"extraction rotations 0..{rotations - 1} all leave a residual with "
+            f"other than {target} components of odd |B|",
+            witness=bg.edges,
+        )
+    pairs = set()
+    for block in blocks:
+        a_ids = sorted(v for v in block if v < n_a)
+        b_ids = sorted(v - n_a for v in block if v >= n_a)
+        b_new = {b: j for j, b in enumerate(b_ids)}
+        sub = make_bipartite(
+            len(a_ids),
+            len(b_ids),
+            [(i, b_new[b]) for i, a in enumerate(a_ids) for b in bg.adj_a[a]],
+        )
+        pairs.update(
+            (a_ids[a], b_ids[b]) for a, b in _extract_keeping_odd_count(sub, t)
+        )
+    return pairs
 
 
 def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
@@ -506,16 +530,18 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
 
     # indexes of the verifier's own, built without solver code
     within = {p for e in h.hyperedges for p in combinations(e, 2)}
-    if triangles:
-        hyperedge_sets = {frozenset(e) for e in h.hyperedges}
+    if triangles and h.k == 3:
+        # hyperedges are stored as sorted tuples
+        hyperedge_set = set(h.hyperedges)
     for tri in triangles:
         tset = set(tri)
         if len(tset) != 3:
             violations.append(f"triangle {tri} does not have 3 distinct vertices")
             continue
         if h.k == 3:
-            if frozenset(tset) not in hyperedge_sets:
-                violations.append(f"triangle {tuple(sorted(tri))} is not a hyperedge")
+            key = tuple(sorted(tri))
+            if key not in hyperedge_set:
+                violations.append(f"triangle {key} is not a hyperedge")
         elif not any(tset.issubset(e) for e in h.hyperedges):
             violations.append(
                 f"triangle {tuple(sorted(tri))} is not inside any hyperedge"

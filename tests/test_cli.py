@@ -1,11 +1,14 @@
 """CLI behavior: formats, flags, exit codes, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+import trimatch.cli as cli_module
+from trimatch import formats, random_regular_bipartite, random_triple_system
 from trimatch.cli import main
 
 TRIPLE = "p hyp 3 3 3\ne 0 1 2\ne 0 1 2\ne 0 1 2\n"
@@ -243,3 +246,84 @@ def test_subprocess_byte_determinism(tmp_path):
         )
         solved.add(r.stdout)
     assert len(solved) == 1
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector is paused for one command
+# ---------------------------------------------------------------------------
+
+
+def cyclic_garbage(capsys, argv):
+    """Exit code, stdout and the number of unreachable objects that one
+    `main` call leaves, counted with the collector paused around it."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main(argv)
+        return code, capsys.readouterr().out, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "lu"])
+def test_cyclic_garbage_of_one_command_does_not_grow_with_the_input(
+    tmp_path, capsys, command
+):
+    """The pause must not hide a leak: what one command leaves for the
+    collector is the same at n=101 as at n=2001."""
+    counts = []
+    for n in (101, 2001):
+        if command == "lu":
+            text = formats.format_bipartite(random_regular_bipartite(n, 5, 1))
+            instance = write(tmp_path, f"b{n}.bip", text)
+            argv = ["lu", instance, "--k", "5"]
+        else:
+            text = formats.format_hypergraph(random_triple_system(n, 1, require_connected=True))
+            instance = write(tmp_path, f"i{n}.hyp", text)
+            argv = ["solve", instance]
+        if command == "verify":
+            _, cert, _ = cyclic_garbage(capsys, argv)
+            argv = ["verify", instance, write(tmp_path, f"i{n}.cert", cert)]
+        code, _, garbage = cyclic_garbage(capsys, argv)
+        assert code == 0
+        counts.append(garbage)
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text, argv, expected",
+    [
+        (TRIPLE, ["solve"], 0),
+        (TRIPLE, ["solve", "--k", "x"], 2),  # argparse exits
+        ("p hyp 3 1 3\ne 0 x 2\n", ["solve"], 2),  # ValueError
+    ],
+    ids=["solved", "argparse-exit", "parse-error"],
+)
+def test_main_pauses_the_collector_and_restores_its_state(
+    tmp_path, capsys, monkeypatch, enabled, text, argv, expected
+):
+    f = write(tmp_path, "t.hyp", text)
+    seen = []
+    real = cli_module.solve_k_uniform
+
+    def spy(h, k):
+        seen.append(gc.isenabled())
+        return real(h, k)
+
+    monkeypatch.setattr(cli_module, "solve_k_uniform", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            code = main([argv[0], f, *argv[1:]])
+        except SystemExit as exc:
+            code = exc.code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert code == expected
+    assert seen == ([False] if expected == 0 else [])

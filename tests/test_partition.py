@@ -314,6 +314,42 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
     assert err.value.witness == bg.edges
 
 
+def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
+    """Disconnected input: after every rotation of the whole graph, each
+    component is extracted alone; one whose every own rotation splits ends
+    in InternalError with that component as the witness."""
+    import trimatch.partition as partition_module
+    from trimatch.matching import Matching
+
+    # the splitting 3 + 3 circulant pair of the test above, then K4,4
+    m = 3
+    edges = [(a + o, (a + s) % m + o) for o in (0, m) for a in range(m) for s in range(3)]
+    crossing = [(a, (a + m) % (2 * m)) for a in range(2 * m)]
+    first = make_bipartite(2 * m, 2 * m, edges + crossing)
+    k44 = [(2 * m + a, 2 * m + b) for a in range(4) for b in range(4)]
+    bg = make_bipartite(2 * m + 4, 2 * m + 4, edges + crossing + k44)
+    original = partition_module.extract_disjoint_perfect_matchings
+    calls = []
+
+    def fake_extract(graph, t, _rotation=0):
+        calls.append((graph.n_a, _rotation))
+        if graph.n_a == bg.n_a:
+            pairs = crossing + [(2 * m + i, 2 * m + i) for i in range(4)]
+        elif graph.n_a == first.n_a:
+            pairs = crossing
+        else:
+            return original(graph, t, _rotation=_rotation)
+        return [Matching(pairs=tuple(pairs), host=graph)]
+
+    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    with pytest.raises(InternalError, match=f"rotations 0..{2 * m - 1} ") as err:
+        lu_subgraph(bg, 4)
+    assert calls == [(bg.n_a, r) for r in range(bg.n_a)] + [
+        (first.n_a, r) for r in range(first.n_a)
+    ]
+    assert err.value.witness == first.edges
+
+
 @pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
 def test_each_hypergraph_is_validated_built_and_split_once(
     monkeypatch, solver, builds
@@ -558,3 +594,24 @@ def test_solve_scales_to_mid_sizes():
         cert = solve(h)
         assert verify_partition(h, cert).ok
         assert (cert.triangle is None) == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_calls_leave_the_collector_alone(monkeypatch, enabled):
+    """Interpreter-global state belongs to the caller: `solve` and
+    `lu_subgraph` neither switch the cyclic collector nor run it."""
+    import gc
+
+    h = random_triple_system(501, 1, require_connected=True)
+    bg = random_regular_bipartite(200, 5, 1)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with monkeypatch.context() as patch:
+            for name in ("enable", "disable", "collect", "freeze"):
+                patch.setattr(gc, name, lambda *args, _name=name: pytest.fail(f"gc.{_name}"))
+            assert verify_partition(h, solve(h)).ok
+            assert verify_lu(bg, lu_subgraph(bg, 5)).ok
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

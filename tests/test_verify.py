@@ -10,7 +10,7 @@ ValueError.
 from collections import Counter
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trimatch.partition as partition_module
@@ -29,6 +29,8 @@ from trimatch import (
 )
 from trimatch.core import canonical_edge
 from trimatch.partition import VerificationReport
+
+from rotation_census import lu_with_rotations
 
 
 # Copies of the verifiers as they were before the component search became
@@ -321,12 +323,31 @@ def mutate_kept(data, bg, kept):
     return kept
 
 
+# 5-regular, four components with |B| = 5, 6, 12 and 6: each has a rotation
+# whose residual fits it, but no rotation of the whole graph fits them all
+LU_WITNESS = bipartite_union(
+    [random_regular_bipartite(n, 5, 18 + i) for i, n in enumerate((5, 6, 12, 6))]
+)
+
+
+def test_lu_settles_each_component_alone_when_no_rotation_fits_the_union():
+    lu, rotations = lu_with_rotations(LU_WITNESS, 5)
+    # every rotation of the union was tried before the components went alone
+    assert rotations[:24] == list(range(24)) and len(rotations) > 24
+    assert outcome(verify_lu, LU_WITNESS, lu) == outcome(old_verify_lu, LU_WITNESS, lu) == ()
+    degrees = Counter(a for a, _ in lu.kept)
+    assert sorted(degrees.values()).count(3) == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(bipartite_instances(), st.data())
+@example(LU_WITNESS, None)
 def test_verify_lu_agrees_with_the_old_verifier(bg, data):
     k = len(bg.adj_a[0])
     lu = lu_subgraph(bg, k)
     assert outcome(verify_lu, bg, lu) == outcome(old_verify_lu, bg, lu) == ()
+    if data is None:  # a pinned example: its certificate alone
+        return
     kept = mutate_kept(data, bg, list(lu.kept))
     assert outcome(verify_lu, bg, kept) == outcome(old_verify_lu, bg, kept)
 
