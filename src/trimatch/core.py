@@ -11,6 +11,7 @@ a pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotRegular, NotUniform
@@ -204,15 +205,16 @@ def validate(h: Hypergraph, k: int) -> ValidationReport:
         if len(e) != k:
             bad_edge = i
             break
-    deg = [0] * h.n
+    # more vertices than incidences, which no k-regular input with k >= 1
+    # has: a Counter keeps a huge declared n from allocating per vertex
+    deg = [0] * h.n if h.n <= sum(map(len, h.hyperedges)) else Counter()
     for e, m in zip(h.hyperedges, h.multiplicities):
         for v in e:
             deg[v] += m
-    bad_vertex = None
-    for v in range(h.n):
-        if deg[v] != k:
-            bad_vertex = v
-            break
+    # a Counter's scan stops at the first vertex on no hyperedge (degree 0),
+    # unless k is 0: then only the vertices that occur can be irregular
+    scan = sorted(deg) if k == 0 and isinstance(deg, Counter) else range(h.n)
+    bad_vertex = next((v for v in scan if deg[v] != k), None)
     return ValidationReport(
         k=k,
         uniform=bad_edge is None,

@@ -274,27 +274,6 @@ def perfect_matching_avoiding(g: SimpleGraph, v: VertexId) -> Matching | None:
     return None if match is None else Matching(pairs=_pairs_of(match), host=g)
 
 
-def matching_on_subgraph(g: SimpleGraph, edges, cover, avoid=None) -> Matching | None:
-    """Perfect matching of the subgraph with the given edges, covering all of
-    `cover` except `avoid`.  Vertex ids stay those of g."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    adj = [sorted(a) for a in adj]
-    active = [False] * g.n
-    for v in cover:
-        active[v] = True
-    if avoid is not None:
-        active[avoid] = False
-    need = sum(active)
-    if need % 2 != 0:
-        return None
-    match = _max_matching_arrays(adj, active)
-    pairs = _pairs_of(match)
-    return Matching(pairs=pairs, host=g) if 2 * len(pairs) == need else None
-
-
 class AlternatingTree:
     """Final blossom-search structure rooted at the one exposed vertex of a
     near-perfect matching; serves even alternating root-to-v paths.

@@ -16,6 +16,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, islice
 
@@ -50,7 +51,6 @@ from .matching import (
     Matching,
     extract_disjoint_perfect_matchings,
     make_bipartite,
-    matching_on_subgraph,
     perfect_matching,
     require_regular_bipartite,
 )
@@ -102,30 +102,36 @@ def _require_ok(report: VerificationReport) -> None:
 def _prefix_matching(d: EarDecomposition, k: int, avoid: VertexId):
     """Pairs of a perfect matching of the first k ears minus `avoid`.
 
-    The union of the first k ears of an odd ear decomposition is
-    factor-critical, so the matching exists for every `avoid` on it.
+    Lovász's induction on the odd ear decomposition, from ear k-1 back to
+    the circuit with a hole that starts at `avoid`.  The ear on which the
+    hole first appears, at position t, gives the alternating edges around
+    t, and the hole moves to the end those edges cover: walk[-1] for an odd
+    t, walk[0] for an even t.  Every other ear gives its odd edges.  The
+    circuit is closed, so the same rule covers it around the hole last.
     """
-    edges = []
-    vertices = set()
-    for ear in d.ears[:k]:
-        edges.extend(ear.edge_walk())
-        vertices.update(ear.vertices)
-    base = matching_on_subgraph(d.host, edges, vertices, avoid=avoid)
-    if base is None:
-        raise InternalError("prefix of the decomposition is not factor-critical")
-    return base.pairs
+    pairs = []
+    hole = avoid
+    for j in range(k - 1, -1, -1):
+        walk = d.ears[j].vertices
+        if d.labels[hole] == j:
+            t = d.positions[hole]
+            pairs.extend(_alternating_cover(walk, t))
+            hole = walk[-1] if t % 2 else walk[0]
+        else:
+            pairs.extend(_alternating_cover(walk, len(walk) - 1))
+    return pairs
 
 
 def _alternating_cover(walk, t):
-    """Edges (walk[i], walk[i + 1]) for odd i < t and even i > t.
-
-    On a walk of odd length L and an odd t they cover walk[1..L] except
-    walk[t]; t = L gives the odd edges, which cover the interior.
+    """Edges (walk[i], walk[i + 1]) for i < t of t's parity and i > t of
+    the other.  On a walk of odd length L they cover walk[1..L] (odd t) or
+    walk[0..L-1] (even t) except walk[t]; t = L gives the odd edges, which
+    cover the interior.
     """
     length = len(walk) - 1
     return [
         (walk[i], walk[i + 1])
-        for i in chain(range(1, t, 2), range(t + 1, length, 2))
+        for i in chain(range(t % 2, t, 2), range(t + 1, length, 2))
     ]
 
 
@@ -135,9 +141,8 @@ def matching_with_edge_avoiding(
     """Perfect matching of host - avoid containing `edge`.
 
     Requires: edge is an odd edge lying on its (nontrivial) ear, and `avoid`
-    first appears on a strictly earlier ear.  Built from a perfect matching
-    of the union of the earlier ears minus `avoid`, plus the odd edges of the
-    edge's ear and of every later nontrivial ear.
+    first appears on a strictly earlier ear.  Read off the ears by
+    `_prefix_matching`, in which the edge's ear gives its odd edges.
     """
     a, b = edge
     g = d.host
@@ -160,9 +165,7 @@ def matching_with_edge_avoiding(
             "avoided vertex does not precede the edge's ear"
         )
 
-    pairs = list(_prefix_matching(d, k, avoid))
-    for ear in d.ears[k:]:
-        pairs.extend(_alternating_cover(ear.vertices, ear.n_edges))
+    pairs = _prefix_matching(d, len(d.ears), avoid)
     result = Matching(pairs=_canon_pairs(pairs), host=g)
     _check_near_perfect(result, g, avoid, ce)
     return result
@@ -178,7 +181,7 @@ def _check_near_perfect(m: Matching, g: SimpleGraph, avoid, must_contain):
         raise InternalError("matching pairs overlap")
     if set(cov) != set(range(g.n)) - {avoid}:
         raise InternalError("matching does not cover exactly host minus one vertex")
-    if must_contain is not None and must_contain not in set(m.pairs):
+    if must_contain not in m.pairs:
         raise InternalError("matching lost its forced edge")
 
 
@@ -203,7 +206,6 @@ def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
                 f"only the circuit is nontrivial on {d.host.n} vertices"
             )
         return []
-    walk = d.ears[k].vertices
     qa, qb = sorted(d.positions[v] for v in e)
     t = d.positions[apex]
     if (
@@ -217,9 +219,7 @@ def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
         raise InternalError(
             "even-length guarantee failed: the decomposition is not maximal"
         )
-    pairs = list(_prefix_matching(d, k, walk[-1]))
-    pairs.extend(_alternating_cover(walk, t))
-    return pairs
+    return _prefix_matching(d, k + 1, apex)
 
 
 def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
@@ -397,17 +397,17 @@ def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
     pairs are combined.  When a connected graph fits no rotation, an
     InternalError names them and carries the graph's edges as its witness.
     """
-    target = _residual_odd_components(bg, ())
+    n_a = bg.n_a
+    blocks = _component_blocks(
+        [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
+    )
+    target = sum(sum(v >= n_a for v in block) % 2 for block in blocks)
     rotations = min(bg.n_a, 24)
     for rotation in range(rotations):
         attempt = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
         pairs = {p for m in attempt for p in m.pairs}
         if _residual_odd_components(bg, pairs) == target:
             return pairs
-    n_a = bg.n_a
-    blocks = _component_blocks(
-        [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
-    )
     if len(blocks) == 1:
         raise InternalError(
             f"extraction rotations 0..{rotations - 1} all leave a residual with "
@@ -555,7 +555,7 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
         comp_of = _component_ids(n, h.hyperedges)
         per_comp: dict[int, int] = {}
         for tri in triangles:
-            cids = {comp_of[v] for v in tri}
+            cids = {comp_of(v) for v in tri}
             if len(cids) == 1:
                 cid = cids.pop()
                 per_comp[cid] = per_comp.get(cid, 0) + 1
@@ -606,7 +606,7 @@ def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
         )
         three_per_comp: dict[int, int] = {}
         for a in threes:
-            cid = comp[a]
+            cid = comp(a)
             three_per_comp[cid] = three_per_comp.get(cid, 0) + 1
         for cid, cnt in three_per_comp.items():
             if cnt > 1:
@@ -614,24 +614,42 @@ def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
     return VerificationReport(violations=tuple(violations))
 
 
-def _component_ids(n: int, groups) -> list[int]:
-    """Component id of each vertex 0..n-1 once the members of every group
-    are joined, by union-find.  Ids number the components in order of
-    smallest member; the verifiers keep this apart from the solver's
-    graph code."""
-    parent = list(range(n))
+def _component_ids(n: int, groups):
+    """Component id of each vertex 0..n-1, as a function, once the members
+    of every group are joined.  Ids number the components in order of least
+    member, isolated vertices included; only grouped vertices get a
+    union-find slot, so a huge n allocates nothing per vertex.  The
+    verifiers keep this apart from the solver's graph code."""
+    members = sorted({v for group in groups for v in group})
+    slot = {v: i for i, v in enumerate(members)}
+    parent = list(range(len(members)))
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     for group in groups:
-        for v in group[1:]:
-            parent[find(v)] = find(group[0])
+        if len(group) > 1:
+            root = find(slot[group[0]])
+            for v in group[1:]:
+                parent[find(slot[v])] = root
     ids: dict[int, int] = {}
-    return [ids.setdefault(find(v), len(ids)) for v in range(n)]
+    starts = []  # least member of each joined component, ascending
+    for i, v in enumerate(members):
+        root = find(i)
+        if root not in ids:
+            # len(starts) joined and v - i isolated components come first
+            ids[root] = len(starts) + v - i
+            starts.append(v)
+
+    def component_id(v):
+        if v in slot:
+            return ids[find(slot[v])]
+        return bisect_left(starts, v) + v - bisect_left(members, v)
+
+    return component_id
 
 
 def verify_certificate(instance, cert) -> VerificationReport:

@@ -1,0 +1,80 @@
+"""Exhaustive check of the forced-edge matchings read off the ears.
+
+For every odd n from 3 to MAX_N and every seed from 1 to 5, takes the odd
+ear decomposition of the shadow graph of
+`random_triple_system(n, seed, require_connected=True)` and its maximal
+form.  On each, for every prefix of k ears and every vertex (hole) on it,
+`partition._prefix_matching(d, k, hole)` must be a perfect matching of the
+prefix's edges minus the hole.  Prints the number of (prefix, hole) cases
+and exits non-zero if any case fails.  It takes about 30 s on one core, so
+it runs as its own CI step rather than in the pytest suite:
+
+    PYTHONPATH=src python tests/prefix_census.py
+"""
+
+from __future__ import annotations
+
+import sys
+
+from trimatch import (
+    maximalize,
+    odd_ear_decomposition,
+    random_triple_system,
+    shadow_graph,
+)
+from trimatch.core import canonical_edge
+from trimatch.partition import _prefix_matching
+
+MAX_N = 55
+SEEDS = range(1, 6)
+
+
+def decompositions(n, seeds):
+    """(seed, d) for the unsliced and the maximal decomposition of each
+    seed's instance."""
+    for seed in seeds:
+        h = random_triple_system(n, seed=seed, require_connected=True)
+        d = odd_ear_decomposition(shadow_graph(h))
+        yield seed, d
+        yield seed, maximalize(d)
+
+
+def prefix_cases(d):
+    """(k, hole, fault) for every prefix of k ears and every hole on it;
+    fault is None when the matching is right, else what is wrong with it."""
+    edges = set()
+    vertices = set()
+    for k, ear in enumerate(d.ears, start=1):
+        edges.update(ear.edge_walk())
+        vertices.update(ear.vertices)
+        for hole in sorted(vertices):
+            pairs = _prefix_matching(d, k, hole)
+            covered = [v for pair in pairs for v in pair]
+            fault = None
+            if any(canonical_edge(*pair) not in edges for pair in pairs):
+                fault = "a pair is not an edge of the prefix"
+            elif len(set(covered)) != len(covered):
+                fault = "pairs overlap"
+            elif set(covered) != vertices - {hole}:
+                fault = "pairs do not cover the prefix minus the hole"
+            yield k, hole, fault
+
+
+def main() -> int:
+    cases = 0
+    failed = []
+    for n in range(3, MAX_N + 1, 2):
+        for seed, d in decompositions(n, SEEDS):
+            for k, hole, fault in prefix_cases(d):
+                cases += 1
+                if fault is not None:
+                    failed.append((n, seed, k, hole, fault))
+    print(f"cases: {cases}")
+    print(f"failed: {len(failed)}")
+    for n, seed, k, hole, fault in failed[:20]:
+        print(f"  n={n} seed={seed}, prefix of {k} ears, hole {hole}: {fault}")
+    return 1 if failed or not cases else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

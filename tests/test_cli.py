@@ -123,6 +123,24 @@ def test_verify_size_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+def test_huge_declared_vertex_count(tmp_path, capsys):
+    """Nothing is allocated per declared vertex: `solve` refuses the
+    instance and `verify` reports on the certificate, with the messages
+    of an ordinary count."""
+    instance = write(tmp_path, "huge.hyp", "p hyp 100000000000000000000 0 3\n")
+    cert = write(tmp_path, "huge.cert", "triangle 0 1 2\ntriangle 3 4 5\n")
+    assert run(capsys, "solve", instance) == (
+        2, "", "error: NotRegular: vertex 0 has degree != 3\n"
+    )
+    assert run(capsys, "verify", instance, cert) == (
+        1,
+        "blocks do not cover the vertex set (missing [6, 7, 8, 9, 10])\n"
+        "triangle (0, 1, 2) is not a hyperedge\n"
+        "triangle (3, 4, 5) is not a hyperedge\n",
+        "",
+    )
+
+
 def test_gen_triple(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--n", "3")
     assert code == 0

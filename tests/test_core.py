@@ -58,6 +58,36 @@ def test_validate_examples(triple, four_triples):
     assert rep.first_irregular_vertex == 0
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "n, hyperedges",
+    [
+        (3, [(0, 1, 2)] * 3),
+        (7, [(0, 1, 2)] * 3),
+        (8, [(3, 4, 5)] * 3),
+        (9, [(2, 4, 6)] * 2 + [(1,)]),
+        (4, []),
+        (0, []),
+    ],
+)
+def test_validate_first_irregular_vertex_with_vertices_on_no_hyperedge(
+    n, hyperedges, k
+):
+    """More vertices than incidences: the degrees of the vertices that occur
+    and the degree 0 of the others name the same first irregular vertex as
+    a count over every vertex."""
+    h = make_hypergraph(n, hyperedges, k=3)
+    first = next((v for v in range(n) if degree(h, v) != k), None)
+    assert validate(h, k).first_irregular_vertex == first
+
+
+def test_validate_huge_declared_vertex_count():
+    h = make_hypergraph(10**20, [(0, 1, 2)] * 3, k=3)
+    assert validate(h, 3).first_irregular_vertex == 3
+    assert validate(h, 0).first_irregular_vertex == 0
+    assert validate(make_hypergraph(10**20, [], k=0), 0).ok
+
+
 def test_validate_reports_first_nonuniform():
     h = make_hypergraph(4, [(0, 1, 2), (0, 1)], k=3)
     rep = validate(h, 3)

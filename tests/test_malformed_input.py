@@ -99,9 +99,10 @@ HUGE = ("99999999999999999999", str(2**64), "-18446744073709551617")
 ODD_INTS = ("+2", "1_0", "-0", "007", "\u0663")  # int() reads them all
 JUNK = ("x", "cat", "e1", "0x1", "1e3", "1.0", "--", "#", "triangles", "hyp")
 SMALL = st.integers(-2, 9).map(str)
-# Declared vertex counts stay small: each builder allocates per declared
-# vertex, so a count like 10**20 would exhaust memory rather than test
-# parsing.  Huge integers appear everywhere else.
+# Declared `gr` and `bip` vertex counts stay small: those builders allocate
+# per declared vertex, so a count like 10**20 would exhaust memory rather
+# than test parsing.  Nothing is built per `hyp` vertex, so its counts, like
+# every other value, may be huge.
 COUNT = st.one_of(SMALL, st.sampled_from(ODD_INTS[:4] + JUNK))
 VALUE = st.one_of(SMALL, st.sampled_from(HUGE + ODD_INTS + JUNK))
 # str.split whitespace; \x0b, \x0c, \x85 and \u2028 also end a line for
@@ -114,11 +115,12 @@ NEWLINE = st.sampled_from(("\n", "\r\n", "\r"))
 def token_lines(draw):
     shape = draw(st.sampled_from(("p", "e", "cert", "comment", "blank", "junk")))
     if shape == "p":
-        values = draw(st.lists(COUNT, min_size=1, max_size=4))
+        kind = draw(st.sampled_from(("hyp", "gr", "bip", "x")))
+        count = VALUE if kind == "hyp" else COUNT
+        values = draw(st.lists(count, min_size=1, max_size=4))
         if draw(st.booleans()):
             # the last field is never a vertex count in any format
             values[-1] = draw(VALUE)
-        kind = draw(st.sampled_from(("hyp", "gr", "bip", "x")))
         tokens = ["p", kind, *values]
     elif shape == "e":
         tokens = ["e", *draw(st.lists(VALUE, max_size=5))]

@@ -38,6 +38,7 @@ from trimatch.errors import (
 from trimatch.partition import _parity_pairs
 
 from conftest import FANO_LINES, cycle_graph
+from prefix_census import decompositions, prefix_cases
 from rotation_census import graph_of, lu_with_rotations
 
 
@@ -350,6 +351,42 @@ def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
     assert err.value.witness == first.edges
 
 
+def test_lu_searches_the_input_components_once(monkeypatch):
+    """The components of the input give the target count and, when no
+    rotation fits the whole graph, the blocks extracted one by one."""
+    import trimatch.partition as partition_module
+    from trimatch.matching import Matching
+
+    # the splitting 3 + 3 circulant pair of the tests above, then K4,4
+    m = 3
+    edges = [(a + o, (a + s) % m + o) for o in (0, m) for a in range(m) for s in range(3)]
+    crossing = [(a, (a + m) % (2 * m)) for a in range(2 * m)]
+    k44 = [(2 * m + a, 2 * m + b) for a in range(4) for b in range(4)]
+    bg = make_bipartite(2 * m + 4, 2 * m + 4, edges + crossing + k44)
+    extract = partition_module.extract_disjoint_perfect_matchings
+    search = partition_module._component_blocks
+    n_a = bg.n_a
+    full = [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(map(list, bg.adj_b))
+    searches = []
+
+    def fake_extract(graph, t, _rotation=0):
+        if graph.n_a == bg.n_a:
+            pairs = crossing + [(2 * m + i, 2 * m + i) for i in range(4)]
+            return [Matching(pairs=tuple(pairs), host=graph)]
+        return extract(graph, t, _rotation=_rotation)
+
+    def spy(adj, *args):
+        searches.append([list(a) for a in adj] == full)
+        return search(adj, *args)
+
+    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    monkeypatch.setattr(partition_module, "_component_blocks", spy)
+    lu = lu_subgraph(bg, 4)
+    assert verify_lu(bg, lu).ok
+    assert searches.count(True) == 1
+    assert len(searches) > bg.n_a  # one residual search per rotation as well
+
+
 @pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
 def test_each_hypergraph_is_validated_built_and_split_once(
     monkeypatch, solver, builds
@@ -479,21 +516,88 @@ def test_verify_triangle_must_be_hyperedge(fano):
     assert any("hyperedge" in v for v in report.violations)
 
 
-def test_same_ear_apex_construction_on_closed_ear():
-    # circuit 0-1-2 plus the closed ear 2-3-4-5-6-2; apex 5 shares the ear
-    # with the chosen edge (3, 4), so the orientation construction runs
+def closed_ear_decomposition():
+    """Circuit 0-1-2 plus the closed ear 2-3-4-5-6-2."""
     g = make_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
     d = _assemble(g, [[0, 1, 2, 0], [2, 3, 4, 5, 6, 2]])
     assert not validate_decomposition(d)
+    return d
+
+
+def trivial_ear_inside_decomposition():
+    """Circuit 0-1-2-3-4-0, the chord 0-2 as a trivial ear, then 1-5-6-3."""
+    g = make_graph(
+        7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 5), (5, 6), (6, 3)]
+    )
+    d = _assemble(g, [[0, 1, 2, 3, 4, 0], [0, 2], [1, 5, 6, 3]])
+    assert not validate_decomposition(d)
+    return d
+
+
+def test_same_ear_apex_construction_on_closed_ear():
+    # apex 5 shares the closed ear with the chosen edge (3, 4), so the
+    # orientation construction runs
+    d = closed_ear_decomposition()
     pairs = sorted(tuple(sorted(p)) for p in _parity_pairs(d, 1, (3, 4), 5))
     assert pairs == [(0, 1), (2, 6), (3, 4)]
 
 
 def test_forced_edge_matching_on_closed_ear():
-    g = make_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
-    d = _assemble(g, [[0, 1, 2, 0], [2, 3, 4, 5, 6, 2]])
+    d = closed_ear_decomposition()
     m = matching_with_edge_avoiding(d, (3, 4), 0)
     assert m.pairs == ((1, 2), (3, 4), (5, 6))
+
+
+@pytest.mark.parametrize(
+    "build", [closed_ear_decomposition, trivial_ear_inside_decomposition]
+)
+def test_prefix_matching_on_hand_built_decompositions(build):
+    d = build()
+    cases = list(prefix_cases(d))
+    assert len(cases) == sum(
+        len({v for ear in d.ears[:k] for v in ear.vertices})
+        for k in range(1, len(d.ears) + 1)
+    )
+    assert [c for c in cases if c[2] is not None] == []
+    # library callers may pass either decomposition to the forced-edge matching
+    edge = (3, 4) if build is closed_ear_decomposition else (5, 6)
+    for avoid in (v for v in range(d.host.n) if d.labels[v] < d.labels[edge[0]]):
+        m = matching_with_edge_avoiding(d, edge, avoid)
+        assert m.pairs in all_perfect_matchings(d.host, avoid=avoid)
+        assert edge in m.pairs
+
+
+@pytest.mark.parametrize("n", range(3, 30, 2))
+def test_prefix_matching_every_prefix_and_hole(n):
+    """Every prefix of k ears minus every vertex on it, on the unsliced and
+    the maximal decomposition; `tests/prefix_census.py` runs larger n."""
+    for seed, d in decompositions(n, (1, 2, 3)):
+        faults = [c for c in prefix_cases(d) if c[2] is not None]
+        assert faults == [], (n, seed, faults[:3])
+
+
+def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
+    import trimatch.matching as matching_module
+
+    calls = []
+    blossom = matching_module._max_matching_arrays
+    tree_init = matching_module.AlternatingTree.__init__
+
+    def blossom_spy(adj, active):
+        calls.append("blossom")
+        return blossom(adj, active)
+
+    def tree_spy(self, *args):
+        calls.append("tree")
+        tree_init(self, *args)
+
+    monkeypatch.setattr(matching_module, "_max_matching_arrays", blossom_spy)
+    monkeypatch.setattr(matching_module.AlternatingTree, "__init__", tree_spy)
+    for n, seed in ((101, 1), (33, 9)):  # forced-edge and same-ear branches
+        calls.clear()
+        h = random_triple_system(n, seed=seed, require_connected=True)
+        assert verify_partition(h, solve(h)).ok
+        assert sorted(calls) == ["blossom", "tree"], (n, seed)
 
 
 def test_same_ear_apex_instances_end_to_end(monkeypatch):

@@ -148,6 +148,23 @@ def old_component_ids(n, groups):
     return [ids.setdefault(find(v), len(ids)) for v in range(n)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, n - 1), max_size=4), max_size=6),
+        )
+    )
+)
+def test_component_ids_agree_with_the_list_form(case):
+    """Ids computed from the grouped vertices alone, isolated vertices
+    included, equal the old n-long union-find's."""
+    n, groups = case
+    component_id = partition_module._component_ids(n, groups)
+    assert [component_id(v) for v in range(n)] == old_component_ids(n, groups)
+
+
 def outcome(check, instance, cert):
     """The violations a verifier returns, or the class and message of what
     it raises."""
