@@ -17,7 +17,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, groupby, islice
 
 from .core import (
@@ -293,9 +293,8 @@ def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
 
 def _solve_connected(h: Hypergraph, k: int, g: SimpleGraph) -> TriMatchingPartition:
     """Certificate for h with shadow graph g, once callers have checked that
-    h is connected, k-uniform and k-regular.  The one dispatch on k."""
-    if k < 3:
-        raise PreconditionViolated("uniformity must be at least 3")
+    h is connected, k-uniform and k-regular with k >= 3.  The one dispatch
+    on k."""
     if k > 3:
         cert = _incidence_partition(h, k)
     elif h.n % 2 == 0:
@@ -316,6 +315,16 @@ def _solve_connected(h: Hypergraph, k: int, g: SimpleGraph) -> TriMatchingPartit
     return cert
 
 
+def _gated_shadow_graph(h: Hypergraph, k: int) -> SimpleGraph:
+    """The shadow graph of a k-uniform k-regular h with k >= 3.  k is checked
+    first: with k = 0 a huge declared count passes `validate`, and its shadow
+    graph would hold one list per declared vertex."""
+    validate(h, k).require()
+    if k < 3:
+        raise PreconditionViolated("uniformity must be at least 3")
+    return shadow_graph(h)
+
+
 def solve(h: Hypergraph) -> TriMatchingPartition:
     """Certificate for a connected 3-uniform 3-regular hypergraph.
 
@@ -334,8 +343,7 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     k > 3 routed through the bipartite construction on the vertex/hyperedge
     incidence graph.
     """
-    validate(h, k).require()
-    g = shadow_graph(h)
+    g = _gated_shadow_graph(h, k)
     if len(components(g).blocks) > 1:
         raise Disconnected(
             "the hypergraph is disconnected; solve each component separately"
@@ -345,15 +353,25 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
 
 def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     """Per-component certificates (one triangle per odd component)."""
-    validate(h, k).require()
-    g = shadow_graph(h)
+    g = _gated_shadow_graph(h, k)
     blocks = components(g).blocks
     if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
         return [_solve_connected(h, k, g)]
+    # hand each block only its own hyperedges, so that no block scans all of h
+    block_of = [0] * h.n
+    for i, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = i
+    parts = [([], []) for _ in blocks]
+    for e, m in zip(h.hyperedges, h.multiplicities):
+        edges, mults = parts[block_of[e[0]]]
+        edges.append(e)
+        mults.append(m)
     certs = []
-    for block in blocks:
-        sub, old_ids = induced_hypergraph(h, block)
+    for block, (edges, mults) in zip(blocks, parts):
+        own = replace(h, hyperedges=tuple(edges), multiplicities=tuple(mults))
+        sub, old_ids = induced_hypergraph(own, block)
         sub_cert = _solve_connected(sub, k, shadow_graph(sub))
         tri = (
             tuple(sorted(old_ids[v] for v in sub_cert.triangle))
@@ -367,54 +385,86 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     return certs
 
 
-def _residual_odd_components(bg: BipartiteGraph, removed_pairs) -> int:
-    """Number of residual components with an odd number of B-vertices."""
-    removed = set(removed_pairs)
-    n_a = bg.n_a
-    adj = [
-        [n_a + b for b in bg.adj_a[a] if (a, b) not in removed] for a in range(n_a)
-    ]
-    adj.extend(
-        [a for a in bg.adj_b[b] if (a, b) not in removed] for b in range(bg.n_b)
-    )
-    return sum(
-        sum(v >= n_a for v in block) % 2 for block in _component_blocks(adj)
-    )
+def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
+    """Kept edges of one pass at one extraction rotation, sorted.
+
+    Deletes t disjoint perfect matchings (none when t = 0), reads the
+    residual as a 3-uniform 3-regular hypergraph on B (one hyperedge per
+    A-vertex), solves it componentwise, and gives each block the 2 or 3
+    edges of the first A-vertex through block[0] whose slot contains it.
+    Blocks are disjoint and have at least 2 vertices, so a 3-vertex slot
+    contains at most one of them and no A-vertex is chosen twice.
+    """
+    removed = set()
+    if t > 0:
+        for m in extract_disjoint_perfect_matchings(bg, t, _rotation=rotation):
+            removed.update(m.pairs)
+    slots = []
+    slots_at = [[] for _ in range(bg.n_b)]
+    for a in range(bg.n_a):
+        nbrs = tuple(b for b in bg.adj_a[a] if (a, b) not in removed)
+        if len(nbrs) != 3:
+            raise InternalError("residual is not 3-regular on the A side")
+        slots.append(nbrs)
+        for b in nbrs:
+            slots_at[b].append(a)
+
+    kept = []
+    for cert in solve_components(make_hypergraph(bg.n_b, slots, k=3)):
+        tri = () if cert.triangle is None else (cert.triangle,)
+        for block in chain(tri, cert.pairs):
+            a = next(
+                (a for a in slots_at[block[0]] if all(x in slots[a] for x in block)),
+                None,
+            )
+            if a is None:
+                raise InternalError(f"no A-vertex carries block {block}")
+            kept.extend((a, x) for x in block)
+    return tuple(sorted(kept))
 
 
-def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
-    """Pairs of t disjoint perfect matchings whose removal leaves exactly as
-    many components with odd |B| as the input has.
+def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
+    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3.
 
-    Each input component with odd |B| leaves at least one odd residual
-    component, so equal counts mean one per such component and none
-    elsewhere, which is what `verify_lu` asks.  Rotated scan orders are
-    tried in turn, and the first that fits the whole graph wins.
+    Each pass of `_kept_edges` puts exactly one 3-block on every residual
+    component with odd |B|, so `verify_lu` rejects a pass only when the
+    extraction split some input component into two such residual
+    components.  Rotated scan orders are tried in turn (with k = 3 nothing
+    is extracted, so there is one pass), and the first pass that `verify_lu`
+    accepts wins.
 
     A rotation of the whole graph leaves the scan order inside most of its
     components unchanged, so when none fits and the input is disconnected,
-    each component is extracted alone, with rotations of its own, and the
-    pairs are combined.  When a connected graph fits no rotation, an
+    each component is solved alone, with rotations of its own, and the kept
+    edges are combined.  When a connected graph fits no rotation, an
     InternalError names them and carries the graph's edges as its witness.
     """
+    deg_k = require_regular_bipartite(bg)
+    if deg_k != k:
+        raise NotRegular(f"graph is {deg_k}-regular, expected {k}-regular")
+    if k < 3:
+        raise PreconditionViolated("degree must be at least 3")
+
+    rotations = min(bg.n_a, 24) if k > 3 else 1
+    for rotation in range(rotations):
+        lu = LuSubgraph(kept=_kept_edges(bg, k - 3, rotation), host=bg)
+        report = verify_lu(bg, lu)
+        if report.ok:
+            return lu
+    if k == 3:
+        _require_ok(report)
+
     n_a = bg.n_a
     blocks = _component_blocks(
         [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
     )
-    target = sum(sum(v >= n_a for v in block) % 2 for block in blocks)
-    rotations = min(bg.n_a, 24)
-    for rotation in range(rotations):
-        attempt = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
-        pairs = {p for m in attempt for p in m.pairs}
-        if _residual_odd_components(bg, pairs) == target:
-            return pairs
     if len(blocks) == 1:
         raise InternalError(
-            f"extraction rotations 0..{rotations - 1} all leave a residual with "
-            f"other than {target} components of odd |B|",
+            f"extraction rotations 0..{rotations - 1} all fail verification: "
+            + "; ".join(report.violations),
             witness=bg.edges,
         )
-    pairs = set()
+    kept = []
     for block in blocks:
         a_ids = sorted(v for v in block if v < n_a)
         b_ids = sorted(v - n_a for v in block if v >= n_a)
@@ -424,63 +474,8 @@ def _extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
             len(b_ids),
             [(i, b_new[b]) for i, a in enumerate(a_ids) for b in bg.adj_a[a]],
         )
-        pairs.update(
-            (a_ids[a], b_ids[b]) for a, b in _extract_keeping_odd_count(sub, t)
-        )
-    return pairs
-
-
-def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
-    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3.
-
-    Deletes k-3 disjoint perfect matchings, reads the residual as a 3-uniform
-    3-regular hypergraph on B (one hyperedge per A-vertex), solves it
-    componentwise, and keeps the 2 or 3 edges of the A-vertex assigned to
-    each block.  Extraction retries rotated scan orders when the residual
-    would split into more odd components than the input has.
-    """
-    deg_k = require_regular_bipartite(bg)
-    if deg_k != k:
-        raise NotRegular(f"graph is {deg_k}-regular, expected {k}-regular")
-    if k < 3:
-        raise PreconditionViolated("degree must be at least 3")
-
-    t = k - 3
-    removed_pairs = _extract_keeping_odd_count(bg, t) if t > 0 else set()
-
-    slots = []
-    for a in range(bg.n_a):
-        nbrs = tuple(b for b in bg.adj_a[a] if (a, b) not in removed_pairs)
-        if len(nbrs) != 3:
-            raise InternalError("residual is not 3-regular on the A side")
-        slots.append(nbrs)
-    residual_h = make_hypergraph(bg.n_b, slots, k=3)
-    certs = solve_components(residual_h)
-
-    slot_of_vertex: dict[int, list[int]] = {}
-    for a, nbrs in enumerate(slots):
-        for v in nbrs:
-            slot_of_vertex.setdefault(v, []).append(a)
-
-    used = [False] * bg.n_a
-    kept = []
-
-    def assign(block):
-        for a in slot_of_vertex.get(block[0], []):
-            if not used[a] and all(x in slots[a] for x in block):
-                used[a] = True
-                kept.extend((a, x) for x in block)
-                return
-        raise InternalError(f"no free A-vertex carries block {block}")
-
-    blocks = []
-    for cert in certs:
-        if cert.triangle is not None:
-            blocks.append(tuple(cert.triangle))
-        blocks.extend(cert.pairs)
-    for block in sorted(blocks, key=lambda blk: blk[0]):
-        assign(block)
-
+        # through the module-level name, so a wrapper sees each component
+        kept.extend((a_ids[a], b_ids[b]) for a, b in lu_subgraph(sub, k).kept)
     lu = LuSubgraph(kept=tuple(sorted(kept)), host=bg)
     _require_ok(verify_lu(bg, lu))
     return lu

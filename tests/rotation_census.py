@@ -2,11 +2,15 @@
 
 Runs `lu_subgraph(bg, 4)` on every labelled 4-regular bipartite graph with
 6 + 6 vertices: 67,950 graphs, each the complement of a 6x6 0/1 matrix with
-row and column sums 2.  Prints how many graphs the retry in
-`partition._extract_keeping_odd_count` settles at each rotation, and exits
-non-zero if `lu` fails on any graph: every rotation splits its residual, or
-the kept edges fail `lu`'s own `verify_lu` check.  It takes about 20 s on one
-core, so it runs as its own CI step rather than in the pytest suite:
+row and column sums 2.  Prints how many graphs `lu_subgraph` settles at each
+extraction rotation, then runs `lu` on each graph that needed a rotation
+past 0 joined with a copy of itself, and prints how many of those unions
+fit no rotation of the whole graph and are solved one component at a time.
+Exits non-zero if `lu` fails on any graph (every rotation fails `verify_lu`)
+or if either count differs from the pinned one: 67,869 graphs at rotation
+0, 81 at rotation 1, and all 81 unions solved per component.  It takes
+about 20 s on one core, so it runs as its own CI step rather than in the
+pytest suite:
 
     PYTHONPATH=src python tests/rotation_census.py
 """
@@ -22,6 +26,8 @@ from trimatch import make_bipartite
 from trimatch.errors import InternalError
 
 SIDE = 6
+EXPECTED_ROTATIONS = {0: 67869, 1: 81}
+EXPECTED_FALLBACKS = 81
 ROW_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(SIDE), 2)]
 
 
@@ -56,6 +62,16 @@ def graph_of(masks):
     return make_bipartite(SIDE, SIDE, edges)
 
 
+def disjoint_union(*graphs):
+    """The bipartite graphs side by side, each shifted past the ones before."""
+    edges, off_a, off_b = [], 0, 0
+    for bg in graphs:
+        edges.extend((a + off_a, b + off_b) for a, b in bg.edges)
+        off_a += bg.n_a
+        off_b += bg.n_b
+    return make_bipartite(off_a, off_b, edges)
+
+
 def lu_with_rotations(bg, k=4):
     """`lu_subgraph(bg, k)` and the extraction rotations it tried, in order."""
     original = partition.extract_disjoint_perfect_matchings
@@ -72,9 +88,27 @@ def lu_with_rotations(bg, k=4):
         partition.extract_disjoint_perfect_matchings = original
 
 
+def lu_calls(bg, k=4):
+    """`lu_subgraph(bg, k)` and how many times `lu_subgraph` ran, the
+    per-component calls of its fallback included."""
+    original = partition.lu_subgraph
+    calls = []
+
+    def spy(graph, degree):
+        calls.append(graph)
+        return original(graph, degree)
+
+    partition.lu_subgraph = spy
+    try:
+        return spy(bg, k), len(calls)
+    finally:
+        partition.lu_subgraph = original
+
+
 def main() -> int:
     settled = Counter()
     failed = []
+    retried = []
     graphs = 0
     for masks in complement_masks():
         graphs += 1
@@ -82,17 +116,34 @@ def main() -> int:
         try:
             _, rotations = lu_with_rotations(bg)
         except InternalError as exc:
-            # every rotation split the residual, or the self-check failed
+            # no rotation passed verify_lu
             failed.append((masks, exc))
             continue
         settled[rotations[-1]] += 1
+        if rotations[-1] > 0:
+            retried.append(masks)
+    fallbacks = 0
+    for masks in retried:
+        bg = graph_of(masks)
+        try:
+            _, calls = lu_calls(disjoint_union(bg, bg))
+        except InternalError as exc:
+            failed.append(((masks, masks), exc))
+            continue
+        fallbacks += calls > 1
     print(f"graphs: {graphs}")
     for rotation in sorted(settled):
         print(f"rotation {rotation}: {settled[rotation]}")
+    print(f"self-unions of retried graphs solved per component: {fallbacks}")
     print(f"failed: {len(failed)}")
     for masks, exc in failed:
         print(f"  complement row masks {masks}: {exc}")
-    return 1 if failed or graphs != 67950 else 0
+    pinned = (
+        graphs == 67950
+        and settled == EXPECTED_ROTATIONS
+        and fallbacks == EXPECTED_FALLBACKS
+    )
+    return 0 if pinned and not failed else 1
 
 
 if __name__ == "__main__":

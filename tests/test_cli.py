@@ -141,6 +141,16 @@ def test_huge_declared_vertex_count(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("components", [[], ["--components"]])
+def test_huge_declared_vertex_count_below_uniformity_3(tmp_path, capsys, components):
+    """`solve --k 0` on a huge count with no hyperedges passes `validate`
+    and is refused before anything is built per declared vertex."""
+    instance = write(tmp_path, "huge.hyp", "p hyp 100000000000000000000 0 0\n")
+    assert run(capsys, "solve", "--k", "0", *components, instance) == (
+        2, "", "error: PreconditionViolated: uniformity must be at least 3\n"
+    )
+
+
 def test_gen_triple(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--n", "3")
     assert code == 0

@@ -35,11 +35,17 @@ from trimatch.errors import (
     NotUniform,
     PreconditionViolated,
 )
-from trimatch.partition import _parity_pairs
+from trimatch.core import _component_blocks
+from trimatch.matching import (
+    BipartiteGraph,
+    extract_disjoint_perfect_matchings,
+    require_regular_bipartite,
+)
+from trimatch.partition import LuSubgraph, _parity_pairs, _require_ok
 
 from conftest import FANO_LINES, cycle_graph
 from prefix_census import decompositions, prefix_cases
-from rotation_census import graph_of, lu_with_rotations
+from rotation_census import disjoint_union, graph_of, lu_with_rotations
 
 
 def c5_plus_ear_decomposition():
@@ -157,6 +163,30 @@ def test_solve_components_mixed(four_triples):
     assert verify_partition(h, certs).ok
 
 
+def test_solve_components_hands_each_block_only_its_hyperedges(monkeypatch):
+    """Splitting costs one pass over the hyperedges, not one per block."""
+    import trimatch.partition as partition_module
+
+    parts = [random_triple_system(n, n, require_connected=True) for n in (5, 8, 3, 11, 6)]
+    edges, mults, offset = [], [], 0
+    for part in parts:
+        edges.extend(tuple(v + offset for v in e) for e in part.hyperedges)
+        mults.extend(part.multiplicities)
+        offset += part.n
+    h = make_hypergraph(offset, edges, k=3, multiplicities=mults)
+    seen = []
+    induced = partition_module.induced_hypergraph
+
+    def spy(own, block):
+        seen.extend(own.hyperedges)
+        return induced(own, block)
+
+    monkeypatch.setattr(partition_module, "induced_hypergraph", spy)
+    certs = solve_components(h)
+    assert len(certs) == len(parts) and verify_partition(h, certs).ok
+    assert sorted(seen) == sorted(h.hyperedges)
+
+
 def test_solve_components_connected_agrees(fano):
     assert solve_components(fano) == [solve(fano)]
 
@@ -187,21 +217,6 @@ def test_lu_fano_plus_matching(fano_incidence):
     bg = make_bipartite(7, 7, list(fano_incidence.edges) + extra)
     lu = lu_subgraph(bg, 4)
     assert verify_lu(bg, lu).ok
-
-
-def test_residual_odd_component_counting():
-    from trimatch.partition import _residual_odd_components
-
-    k33 = make_bipartite(3, 3, [(a, b) for a in range(3) for b in range(3)])
-    assert _residual_odd_components(k33, []) == 1
-    two = make_bipartite(
-        6, 6,
-        [(a, b) for a in range(3) for b in range(3)]
-        + [(a, b) for a in range(3, 6) for b in range(3, 6)],
-    )
-    assert _residual_odd_components(two, []) == 2
-    c8 = make_bipartite(4, 4, [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)])
-    assert _residual_odd_components(c8, []) == 0
 
 
 def test_lu_retries_residual_splitting_extraction(monkeypatch):
@@ -260,10 +275,7 @@ ROTATION_0_SPLITS = """
 
 @pytest.mark.parametrize("missing", ROTATION_0_SPLITS)
 def test_lu_retries_on_every_known_rotation_0_split(missing):
-    masks = [
-        (1 << int(missing[2 * a])) | (1 << int(missing[2 * a + 1])) for a in range(6)
-    ]
-    bg = graph_of(masks)
+    bg = rotation_0_split(missing)
     lu, rotations = lu_with_rotations(bg)
     assert verify_lu(bg, lu).ok
     assert rotations[0] == 0 and rotations[-1] > 0
@@ -352,8 +364,9 @@ def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
 
 
 def test_lu_searches_the_input_components_once(monkeypatch):
-    """The components of the input give the target count and, when no
-    rotation fits the whole graph, the blocks extracted one by one."""
+    """The input's components are searched only when no rotation fits the
+    whole graph, to give the blocks solved one by one, and no residual is
+    searched: `verify_lu` alone accepts a rotation."""
     import trimatch.partition as partition_module
     from trimatch.matching import Matching
 
@@ -383,8 +396,40 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     monkeypatch.setattr(partition_module, "_component_blocks", spy)
     lu = lu_subgraph(bg, 4)
     assert verify_lu(bg, lu).ok
-    assert searches.count(True) == 1
-    assert len(searches) > bg.n_a  # one residual search per rotation as well
+    assert searches == [True]
+
+
+def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
+    """The per-component kept edges go back to the input's own ids, sorted,
+    when the components' ids interleave."""
+    import trimatch.partition as partition_module
+    from trimatch.matching import Matching
+
+    # the splitting 3 + 3 circulant pair of the tests above and K4,4, with
+    # the pair on ids 0, 2, 4, 6, 8, 9 and K4,4 on ids 1, 3, 5, 7 of each side
+    m = 3
+    edges = [(a + o, (a + s) % m + o) for o in (0, m) for a in range(m) for s in range(3)]
+    crossing = [(a, (a + m) % (2 * m)) for a in range(2 * m)]
+    first = make_bipartite(2 * m, 2 * m, edges + crossing)
+    k44 = make_bipartite(4, 4, [(a, b) for a in range(4) for b in range(4)])
+    at_first, at_k44 = [0, 2, 4, 6, 8, 9], [1, 3, 5, 7]
+    bg = make_bipartite(10, 10, [(at_first[a], at_first[b]) for a, b in first.edges]
+                        + [(at_k44[a], at_k44[b]) for a, b in k44.edges])
+    splitting = [(at_first[a], at_first[b]) for a, b in crossing]
+    splitting += [(at_k44[i], at_k44[i]) for i in range(4)]
+    extract = partition_module.extract_disjoint_perfect_matchings
+
+    def fake_extract(graph, t, _rotation=0):
+        if graph.n_a == bg.n_a:
+            return [Matching(pairs=tuple(splitting), host=graph)]
+        return extract(graph, t, _rotation=_rotation)
+
+    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    expected = sorted(
+        [(at_first[a], at_first[b]) for a, b in lu_subgraph(first, 4).kept]
+        + [(at_k44[a], at_k44[b]) for a, b in lu_subgraph(k44, 4).kept]
+    )
+    assert lu_subgraph(bg, 4).kept == tuple(expected)
 
 
 @pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
@@ -409,6 +454,28 @@ def test_each_hypergraph_is_validated_built_and_split_once(
         h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
         solve_k_uniform(h, 4)
     assert sorted(calls) == sorted(["validate", "shadow_graph", "components"] * builds)
+
+
+@pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
+@pytest.mark.parametrize(
+    "k, h",
+    [
+        (0, make_hypergraph(4, [], k=0)),
+        (1, make_hypergraph(2, [(0,), (1,)], k=1)),
+        (2, make_hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], k=2)),
+    ],
+)
+def test_uniformity_below_3_is_refused_before_the_shadow_graph(monkeypatch, solver, k, h):
+    """A k < 3 instance that passes `validate` is refused before its shadow
+    graph is built, which for a huge declared vertex count would hold one
+    list per vertex."""
+    import trimatch.partition as partition_module
+
+    built = []
+    monkeypatch.setattr(partition_module, "shadow_graph", built.append)
+    with pytest.raises(PreconditionViolated, match="uniformity must be at least 3"):
+        solver(h, k)
+    assert built == []
 
 
 def test_lu_disconnected_input_one_triangle_per_component():
@@ -441,6 +508,174 @@ def test_lu_degree_three_iff_odd_side():
             deg_a[a] += 1
         threes = sum(1 for d in deg_a if d == 3)
         assert threes == n_side % 2
+
+
+# Copies of `lu_subgraph` and its two helpers as they were while a rotation
+# was accepted by counting residual components with odd |B| against the
+# input's count, verbatim but for the `old_` prefix on their names.
+
+
+def old_residual_odd_components(bg: BipartiteGraph, removed_pairs) -> int:
+    """Number of residual components with an odd number of B-vertices."""
+    removed = set(removed_pairs)
+    n_a = bg.n_a
+    adj = [
+        [n_a + b for b in bg.adj_a[a] if (a, b) not in removed] for a in range(n_a)
+    ]
+    adj.extend(
+        [a for a in bg.adj_b[b] if (a, b) not in removed] for b in range(bg.n_b)
+    )
+    return sum(
+        sum(v >= n_a for v in block) % 2 for block in _component_blocks(adj)
+    )
+
+
+def old_extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
+    """Pairs of t disjoint perfect matchings whose removal leaves exactly as
+    many components with odd |B| as the input has.
+
+    Each input component with odd |B| leaves at least one odd residual
+    component, so equal counts mean one per such component and none
+    elsewhere, which is what `verify_lu` asks.  Rotated scan orders are
+    tried in turn, and the first that fits the whole graph wins.
+
+    A rotation of the whole graph leaves the scan order inside most of its
+    components unchanged, so when none fits and the input is disconnected,
+    each component is extracted alone, with rotations of its own, and the
+    pairs are combined.  When a connected graph fits no rotation, an
+    InternalError names them and carries the graph's edges as its witness.
+    """
+    n_a = bg.n_a
+    blocks = _component_blocks(
+        [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
+    )
+    target = sum(sum(v >= n_a for v in block) % 2 for block in blocks)
+    rotations = min(bg.n_a, 24)
+    for rotation in range(rotations):
+        attempt = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
+        pairs = {p for m in attempt for p in m.pairs}
+        if old_residual_odd_components(bg, pairs) == target:
+            return pairs
+    if len(blocks) == 1:
+        raise InternalError(
+            f"extraction rotations 0..{rotations - 1} all leave a residual with "
+            f"other than {target} components of odd |B|",
+            witness=bg.edges,
+        )
+    pairs = set()
+    for block in blocks:
+        a_ids = sorted(v for v in block if v < n_a)
+        b_ids = sorted(v - n_a for v in block if v >= n_a)
+        b_new = {b: j for j, b in enumerate(b_ids)}
+        sub = make_bipartite(
+            len(a_ids),
+            len(b_ids),
+            [(i, b_new[b]) for i, a in enumerate(a_ids) for b in bg.adj_a[a]],
+        )
+        pairs.update(
+            (a_ids[a], b_ids[b]) for a, b in old_extract_keeping_odd_count(sub, t)
+        )
+    return pairs
+
+
+def old_lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
+    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3.
+
+    Deletes k-3 disjoint perfect matchings, reads the residual as a 3-uniform
+    3-regular hypergraph on B (one hyperedge per A-vertex), solves it
+    componentwise, and keeps the 2 or 3 edges of the A-vertex assigned to
+    each block.  Extraction retries rotated scan orders when the residual
+    would split into more odd components than the input has.
+    """
+    deg_k = require_regular_bipartite(bg)
+    if deg_k != k:
+        raise NotRegular(f"graph is {deg_k}-regular, expected {k}-regular")
+    if k < 3:
+        raise PreconditionViolated("degree must be at least 3")
+
+    t = k - 3
+    removed_pairs = old_extract_keeping_odd_count(bg, t) if t > 0 else set()
+
+    slots = []
+    for a in range(bg.n_a):
+        nbrs = tuple(b for b in bg.adj_a[a] if (a, b) not in removed_pairs)
+        if len(nbrs) != 3:
+            raise InternalError("residual is not 3-regular on the A side")
+        slots.append(nbrs)
+    residual_h = make_hypergraph(bg.n_b, slots, k=3)
+    certs = solve_components(residual_h)
+
+    slot_of_vertex: dict[int, list[int]] = {}
+    for a, nbrs in enumerate(slots):
+        for v in nbrs:
+            slot_of_vertex.setdefault(v, []).append(a)
+
+    used = [False] * bg.n_a
+    kept = []
+
+    def assign(block):
+        for a in slot_of_vertex.get(block[0], []):
+            if not used[a] and all(x in slots[a] for x in block):
+                used[a] = True
+                kept.extend((a, x) for x in block)
+                return
+        raise InternalError(f"no free A-vertex carries block {block}")
+
+    blocks = []
+    for cert in certs:
+        if cert.triangle is not None:
+            blocks.append(tuple(cert.triangle))
+        blocks.extend(cert.pairs)
+    for block in sorted(blocks, key=lambda blk: blk[0]):
+        assign(block)
+
+    lu = LuSubgraph(kept=tuple(sorted(kept)), host=bg)
+    _require_ok(verify_lu(bg, lu))
+    return lu
+
+
+def rotation_0_split(missing):
+    """The census graph that a ROTATION_0_SPLITS string names."""
+    return graph_of([
+        (1 << int(missing[2 * a])) | (1 << int(missing[2 * a + 1])) for a in range(6)
+    ])
+
+
+def assert_same_kept(bg, k=None):
+    k = len(bg.adj_a[0]) if k is None else k
+    assert lu_subgraph(bg, k).kept == old_lu_subgraph(bg, k).kept
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_lu_keeps_the_edges_of_the_odd_count_rule_on_seeded_graphs(k):
+    for n_side in list(range(k, 40)) + [97, 200]:
+        for seed in (1, 2):
+            assert_same_kept(random_regular_bipartite(n_side, k, seed))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_lu_keeps_the_edges_of_the_odd_count_rule_on_unions(k):
+    for seed in range(40):
+        sizes = [k + (seed * 7 + 3 * i) % (13 - k) for i in range(2 + seed % 3)]
+        assert_same_kept(disjoint_union(
+            *(random_regular_bipartite(n, k, 100 * seed + i) for i, n in enumerate(sizes))
+        ))
+    # four k=5 components: about one union in twenty needs a rotation past 0,
+    # and a few fit no rotation of the whole graph
+    if k == 5:
+        for seed in range(120):
+            assert_same_kept(disjoint_union(
+                *(random_regular_bipartite(n, 5, 4 * seed + i) for i, n in enumerate((5, 6, 12, 6)))
+            ))
+
+
+def test_lu_keeps_the_edges_of_the_odd_count_rule_on_retried_census_graphs():
+    """Each graph that needs rotation 1, alone and joined with a copy of
+    itself (which reaches the per-component fallback)."""
+    for missing in ROTATION_0_SPLITS:
+        bg = rotation_0_split(missing)
+        assert_same_kept(bg)
+        assert_same_kept(disjoint_union(bg, bg))
 
 
 def test_solve_k_uniform_k3_matches_solve(fano, triple, four_triples):
