@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
+from operator import attrgetter
 
 from .core import SimpleGraph, VertexId, canonical_edge
 from .errors import (
@@ -24,6 +25,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .matching import AlternatingTree, near_perfect_matching
+
+_vertices = attrgetter("vertices")
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,15 @@ def _assemble(host: SimpleGraph, walks) -> EarDecomposition:
     """The decomposition with these walks as its ears, labelled by the
     check's own pass.  The value keeps the pass's verdict, so `_violations`
     reads it instead of checking the value a second time."""
+    return _checked(host, walks, tuple(Ear(tuple(w)) for w in walks))
+
+
+def _checked(host: SimpleGraph, walks, ears) -> EarDecomposition:
+    """`_assemble` for ears already built, one per walk and in its order."""
     errs, labels, positions = _scan(host, walks)
     d = EarDecomposition(
         host=host,
-        ears=tuple(Ear(tuple(w)) for w in walks),
+        ears=ears,
         labels=tuple(labels),
         positions=tuple(positions),
     )
@@ -113,6 +121,14 @@ def _scan(host: SimpleGraph, walks):
     An ear with a vertex outside 0..n-1 is reported and skipped, so no lookup
     indexes with it.  A trivial ear after the circuit takes a short path that
     reports what the general one would, in the same order.
+
+    The run of trivial ears at the tail is checked in bulk, with one set of
+    its edges.  It passes when the ears before it place every vertex, no
+    edge repeats within the run, none lies on an earlier ear and all are
+    host edges; the host's edges are canonical, so each ear is then (u, v)
+    with u < v.  Such a run adds no label and no violation.  When any of
+    these fails, the run is checked ear by ear like the ears before it, so
+    the violations and their order stay the same.
     """
     n = host.n
     labels = [-1] * n
@@ -123,7 +139,19 @@ def _scan(host: SimpleGraph, walks):
     placed = [False] * n
     flat = list(chain.from_iterable(walks))
     in_range = not flat or (min(flat) >= 0 and max(flat) < n)
+    tail = max(len(walks) - _trivial_run(reversed(walks)), 1)
+    bulk = 0  # edges of a tail run that passed in bulk; they skip `used`
     for i, w in enumerate(walks):
+        if i == tail and all(placed):
+            run = walks[i:]
+            edges = set(map(tuple, run))
+            if (
+                len(edges) == len(run)
+                and edges <= edge_set
+                and used.isdisjoint(edges)
+            ):
+                bulk = len(edges)
+                break
         if not in_range:
             bad = next((v for v in w if not 0 <= v < n), None)
             if bad is not None:
@@ -189,7 +217,7 @@ def _scan(host: SimpleGraph, walks):
     if not all(placed):
         errs.append("ears do not cover the vertex set")
     # only distinct host edges ever enter `used`
-    if len(used) != len(edge_set):
+    if len(used) + bulk != len(edge_set):
         errs.append("ear edges do not partition the host edge set")
     return errs, labels, positions
 
@@ -201,13 +229,16 @@ def ear_label(d: EarDecomposition, v: VertexId) -> int:
     return d.labels[v]
 
 
+def _trivial_run(backwards) -> int:
+    """The number of two-vertex walks that `backwards`, walks listed from
+    the last one back, starts with; it stops at the first longer walk."""
+    return len(list(takewhile((2).__eq__, map(len, backwards))))
+
+
 def last_nontrivial_ear(d: EarDecomposition) -> int:
     """Largest index of an ear with more than one edge (the circuit counts)."""
-    best = 0
-    for i, ear in enumerate(d.ears):
-        if not ear.trivial:
-            best = i
-    return best
+    back = _trivial_run(map(_vertices, reversed(d.ears)))
+    return max(len(d.ears) - 1 - back, 0)
 
 
 def is_odd_edge(d: EarDecomposition, edge) -> bool:
@@ -314,7 +345,8 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
 def maximalize(d: EarDecomposition) -> EarDecomposition:
     """Slice until every odd edge lies on its own ear.
 
-    Trivial ears are normalized to the tail (sorted).  The nontrivial walks
+    Trivial ears are normalized to the tail (sorted); one already canonical
+    (u < v) is kept as the same `Ear`.  The nontrivial walks
     sit on a stack with the circuit on top.  Each round pops a walk, which is
     the circuit exactly when no walk has finished yet, and looks for its
     lowest off-ear odd edge.  With none the walk is finished; otherwise the
@@ -331,11 +363,20 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     if errs:
         raise InvariantViolation("; ".join(errs))
     adj = d.host.adjacency
-    walks = [ear.vertices for ear in d.ears]
-    trivial_set = {canonical_edge(*w) for w in walks if len(w) == 2}
+    # the trivial ears by edge; a canonical one is kept as it is
+    trivial = {}
+    stack = []
+    for ear in reversed(d.ears):
+        w = ear.vertices
+        if len(w) > 2:
+            stack.append(list(w))
+        elif w[0] < w[1]:
+            trivial[w] = ear
+        else:
+            w = (w[1], w[0])
+            trivial[w] = Ear(w)
     label = [-1] * d.host.n
     pos = [-1] * d.host.n
-    stack = [list(w) for w in reversed(walks) if len(w) > 2]
     done: list = []
     wid = 0
     while stack:
@@ -372,9 +413,8 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
             continue
 
         a, b = best
-        if best not in trivial_set:
+        if trivial.pop(best, None) is None:
             raise InternalError(f"off-ear odd edge {best} is not a trivial ear")
-        trivial_set.remove(best)
         pa, pb = sorted((pos[a], pos[b]))
         if circuit:
             cycle = walk[:-1]
@@ -390,8 +430,9 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
         # the first piece is popped next: it may still carry off-ear odd edges
         stack += (second, first)
 
-    done.extend(sorted(trivial_set))
-    out = _assemble(d.host, done)
+    tail = sorted(trivial)
+    ears = tuple(chain((Ear(tuple(w)) for w in done), map(trivial.get, tail)))
+    out = _checked(d.host, done + tail, ears)
     errs = _violations(out)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
@@ -400,25 +441,20 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
 
 
 def _assert_maximal(d: EarDecomposition) -> None:
-    # is_odd_edge inlined; an odd edge's label is the circuit or a
-    # nontrivial ear (a trivial ear's ends sit at positions 0 and 1)
+    # is_odd_edge inlined; an odd edge is looked for at its ends' stored
+    # positions on its ear, and along the whole walk only if it is not there
     ears, labels, positions = d.ears, d.labels, d.positions
-    on_ear = {
-        ((u, v) if u < v else (v, u), i)
-        for i, ear in enumerate(ears)
-        if i == 0 or not ear.trivial
-        for u, v in zip(ear.vertices, ear.vertices[1:])
-    }
     for e in d.host.edges:
         u, v = e
         i = labels[u]
         if i != labels[v]:
             continue
-        if i != 0:
-            p, q = positions[u], positions[v]
-            if p > q:
-                p, q = q, p
-            if p % 2 == 0 or (ears[i].n_edges - q) % 2 == 0:
-                continue
-        if (e, i) not in on_ear:
+        p, q = positions[u], positions[v]
+        lo, hi = (p, q) if p < q else (q, p)
+        if i != 0 and (lo % 2 == 0 or (ears[i].n_edges - hi) % 2 == 0):
+            continue
+        w = ears[i].vertices
+        if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
+            continue
+        if e not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:
             raise InternalError(f"odd edge {e} is off its ear after slicing")

@@ -165,7 +165,8 @@ def matching_with_edge_avoiding(
             "avoided vertex does not precede the edge's ear"
         )
 
-    pairs = _prefix_matching(d, len(d.ears), avoid)
+    # the ears after the last nontrivial one are single edges: no pairs
+    pairs = _prefix_matching(d, last_nontrivial_ear(d) + 1, avoid)
     result = Matching(pairs=_canon_pairs(pairs), host=g)
     _check_near_perfect(result, g, avoid, ce)
     return result

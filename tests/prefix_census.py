@@ -5,8 +5,11 @@ ear decomposition of the shadow graph of
 `random_triple_system(n, seed, require_connected=True)` and its maximal
 form.  On each, for every prefix of k ears and every vertex (hole) on it,
 `partition._prefix_matching(d, k, hole)` must be a perfect matching of the
-prefix's edges minus the hole.  Prints the number of (prefix, hole) cases
-and exits non-zero if any case fails.  It takes about 30 s on one core, so
+prefix's edges minus the hole.  For every vertex as the hole, the ears after
+the last nontrivial one must add no pair: the matching of all the ears must
+equal that of the ears up to the last nontrivial one.  Prints the number of
+(prefix, hole) cases and of tail cases, and exits non-zero if any case
+fails.  It takes about 30 s on one core, so
 it runs as its own CI step rather than in the pytest suite:
 
     PYTHONPATH=src python tests/prefix_census.py
@@ -17,6 +20,7 @@ from __future__ import annotations
 import sys
 
 from trimatch import (
+    last_nontrivial_ear,
     maximalize,
     odd_ear_decomposition,
     random_triple_system,
@@ -60,20 +64,37 @@ def prefix_cases(d):
             yield k, hole, fault
 
 
+def tail_cases(d):
+    """(hole, fault) for every vertex as the hole; fault is None when the
+    ears after the last nontrivial one add no pair, as single edges must."""
+    k = last_nontrivial_ear(d) + 1
+    for hole in range(d.host.n):
+        whole = _prefix_matching(d, len(d.ears), hole)
+        fault = None
+        if whole != _prefix_matching(d, k, hole):
+            fault = "the ears after the last nontrivial one add pairs"
+        yield hole, fault
+
+
 def main() -> int:
-    cases = 0
+    cases = tails = 0
     failed = []
     for n in range(3, MAX_N + 1, 2):
         for seed, d in decompositions(n, SEEDS):
             for k, hole, fault in prefix_cases(d):
                 cases += 1
                 if fault is not None:
-                    failed.append((n, seed, k, hole, fault))
+                    failed.append((n, seed, f"prefix of {k} ears", hole, fault))
+            for hole, fault in tail_cases(d):
+                tails += 1
+                if fault is not None:
+                    failed.append((n, seed, "all ears", hole, fault))
     print(f"cases: {cases}")
+    print(f"tail cases: {tails}")
     print(f"failed: {len(failed)}")
-    for n, seed, k, hole, fault in failed[:20]:
-        print(f"  n={n} seed={seed}, prefix of {k} ears, hole {hole}: {fault}")
-    return 1 if failed or not cases else 0
+    for n, seed, where, hole, fault in failed[:20]:
+        print(f"  n={n} seed={seed}, {where}, hole {hole}: {fault}")
+    return 1 if failed or not cases or not tails else 0
 
 
 if __name__ == "__main__":

@@ -134,6 +134,19 @@ def test_maximalize_c5_with_chord():
     assert [e.vertices for e in out.ears] == [(0, 1, 2, 0), (0, 3, 6, 1), (3, 4, 5, 6)]
 
 
+def test_maximalize_keeps_canonical_trivial_ears_and_normalizes_the_rest():
+    g = shadow_graph(random_triple_system(21, 4, require_connected=True))
+    d = odd_ear_decomposition(g)
+    out = maximalize(d)
+    t = last_nontrivial_ear(out) + 1
+    # the tail holds the input's own canonical Ear objects
+    own = {id(ear) for ear in d.ears}
+    assert t < len(out.ears) and all(id(ear) in own for ear in out.ears[t:])
+    # a reversed trivial ear comes out canonical
+    ears = tuple(Ear(e.vertices[::-1]) if e.trivial else e for e in d.ears)
+    assert maximalize(dataclasses.replace(d, ears=ears)) == out
+
+
 def test_maximalize_rejects_invalid_input():
     g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
     bad = _assemble(g, [[0, 1, 2, 0], [0, 1]])  # edge reuse
@@ -313,14 +326,51 @@ def outcome(check, d):
         return type(exc), str(exc)
 
 
+WHOLE = (
+    "ears do not cover the vertex set",
+    "ear edges do not partition the host edge set",
+    "stored labels/positions disagree with the ears",
+)
+
+
+def old_validate_outcome(d):
+    """outcome(old_validate_decomposition, d).  The old check indexed with a
+    vertex out of range; for one on the last ear the expected outcome is the
+    old check's without that ear, with the one-pass check's report of it
+    after the per-ear violations and before the whole-decomposition ones."""
+    n = d.host.n
+    bad = [v for v in d.ears[-1].vertices if not 0 <= v < n]
+    if not bad:
+        return outcome(old_validate_decomposition, d)
+    errs = old_validate_decomposition(dataclasses.replace(d, ears=d.ears[:-1]))
+    k = len(errs)
+    while k and errs[k - 1] in WHOLE:
+        k -= 1
+    report = f"ear {len(d.ears) - 1} has vertex {bad[0]} out of range [0, {n})"
+    return errs[:k] + [report] + errs[k:]
+
+
+def test_assert_maximal_reads_no_stored_position_from_the_back():
+    """A stored position of -1 must not index the walk from its end: 0 and
+    1 are the two ends of the ear 0-5-6-1, but (0, 1) is not on it."""
+    d = c5_plus_ear()
+    x = dataclasses.replace(
+        d, labels=(1, 1) + d.labels[2:], positions=(0, -1) + d.positions[2:]
+    )
+    expected = (InternalError, "odd edge (0, 1) is off its ear after slicing")
+    assert outcome(_assert_maximal, x) == outcome(old_assert_maximal, x) == expected
+
+
 def mutants(d, rng):
     """Broken copies of d: swapped vertices, a dropped, duplicated, even or
-    open ear, and stored labels or positions that disagree with the walks."""
+    open ear, stored labels or positions that disagree with the walks, and
+    a broken trivial tail."""
     walks = [list(e.vertices) for e in d.ears]
     n = d.host.n
 
     def build(ws, labels=None, positions=None):
-        own_labels, own_positions = _first_seen(n, ws)
+        if labels is None or positions is None:
+            own_labels, own_positions = _first_seen(n, ws)
         return EarDecomposition(
             host=d.host,
             ears=tuple(Ear(tuple(w)) for w in ws),
@@ -353,6 +403,52 @@ def mutants(d, rng):
             values = list(getattr(d, field))
             values[rng.randrange(n)] = rng.randrange(-1, len(walks))
             out.append(build(walks, **{field: values}))
+    # a host edge whose two ends both carry label -1, which indexes the last
+    # ear from the back: an edge of the last ear, and any host edge
+    for u, v in (walks[-1][:2], rng.choice(d.host.edges)):
+        labels = list(d.labels)
+        labels[u] = labels[v] = -1
+        out.append(build(walks, labels=labels))
+    return out + tail_mutants(d, walks, build, rng)
+
+
+def tail_mutants(d, walks, build, rng):
+    """Breakages confined to the run of trivial ears at the tail, which the
+    one-pass check otherwise takes in bulk."""
+    t = last_nontrivial_ear(d) + 1
+    tail = range(t, len(walks))
+    if not tail:
+        return []
+    n = d.host.n
+    out = []
+    # reversed: still its edge, but not canonical
+    ws = [list(w) for w in walks]
+    ws[rng.choice(tail)].reverse()
+    out.append(build(ws))
+    # duplicated within the tail
+    j = rng.choice(tail)
+    out.append(build(walks[:j] + [walks[rng.choice(tail)]] + walks[j:]))
+    # an edge of a nontrivial ear once more, as a trivial ear in the tail
+    w = walks[rng.randrange(t)]
+    a = rng.randrange(len(w) - 1)
+    j = rng.choice(tail)
+    out.append(build(walks[:j] + [sorted(w[a : a + 2])] + walks[j:]))
+    # on a non-edge
+    others = [
+        e for e in itertools.combinations(range(n), 2) if e not in d.host.edge_set
+    ]
+    if others:
+        ws = list(walks)
+        ws[rng.choice(tail)] = list(rng.choice(others))
+        out.append(build(ws))
+    # a vertex out of range on the last ear, with the stored labels
+    ws = walks[:-1] + [[walks[-1][0], n]]
+    out.append(build(ws, d.labels, d.positions))
+    # moved in front of the last nontrivial ear, from an end that ear places
+    # when there is one (otherwise the move may leave the ears valid)
+    inner = set(walks[t - 1][1:-1])
+    j = rng.choice([j for j in tail if inner & set(walks[j])] or tail)
+    out.append(build(walks[: t - 1] + [walks[j]] + walks[t - 1 : j] + walks[j + 1 :]))
     return out
 
 
@@ -368,7 +464,7 @@ def test_one_pass_checks_agree_with_the_old_checks():
             cases = mutants(d, rng) + mutants(out, rng)
             for x in [d, out] + cases:
                 errs = outcome(validate_decomposition, x)
-                assert errs == outcome(old_validate_decomposition, x)
+                assert errs == old_validate_outcome(x)
                 assert outcome(_assert_maximal, x) == outcome(old_assert_maximal, x)
             broken += len(cases)
             caught += sum(1 for x in cases if validate_decomposition(x))

@@ -26,7 +26,7 @@ from trimatch import (
     verify_lu,
     verify_partition,
 )
-from trimatch.ears import _assemble, validate_decomposition
+from trimatch.ears import Ear, EarDecomposition, _assemble, validate_decomposition
 from trimatch.errors import (
     Disconnected,
     InternalError,
@@ -44,7 +44,7 @@ from trimatch.matching import (
 from trimatch.partition import LuSubgraph, _parity_pairs, _require_ok
 
 from conftest import FANO_LINES, cycle_graph
-from prefix_census import decompositions, prefix_cases
+from prefix_census import decompositions, prefix_cases, tail_cases
 from rotation_census import disjoint_union, graph_of, lu_with_rotations
 
 
@@ -805,10 +805,36 @@ def test_prefix_matching_on_hand_built_decompositions(build):
 @pytest.mark.parametrize("n", range(3, 30, 2))
 def test_prefix_matching_every_prefix_and_hole(n):
     """Every prefix of k ears minus every vertex on it, on the unsliced and
-    the maximal decomposition; `tests/prefix_census.py` runs larger n."""
+    the maximal decomposition, and the ears after the last nontrivial one
+    adding no pair for any hole; `tests/prefix_census.py` runs larger n."""
     for seed, d in decompositions(n, (1, 2, 3)):
         faults = [c for c in prefix_cases(d) if c[2] is not None]
         assert faults == [], (n, seed, faults[:3])
+        faults = [c for c in tail_cases(d) if c[1] is not None]
+        assert faults == [], (n, seed, faults[:3])
+
+
+def test_interleaved_trivial_ear_on_a_value_built_by_hand():
+    """A trivial ear between two nontrivial ones and another after them, on
+    a value that the ears module did not build: the last nontrivial ear is
+    found from the back, and the ears up to it give the forced-edge
+    matching."""
+    g = make_graph(
+        7,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 5), (5, 6), (6, 3), (2, 4)],
+    )
+    d = EarDecomposition(
+        host=g,
+        ears=(Ear((0, 1, 2, 3, 4, 0)), Ear((0, 2)), Ear((1, 5, 6, 3)), Ear((2, 4))),
+        labels=(0, 0, 0, 0, 0, 2, 2),
+        positions=(0, 1, 2, 3, 4, 1, 2),
+    )
+    assert validate_decomposition(d) == []
+    assert last_nontrivial_ear(d) == 2
+    for avoid in range(5):
+        m = matching_with_edge_avoiding(d, (5, 6), avoid)
+        assert m.pairs in all_perfect_matchings(g, avoid=avoid)
+        assert (5, 6) in m.pairs
 
 
 def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
