@@ -11,6 +11,7 @@ a pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -103,26 +104,41 @@ def make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergraph:
     Raises ValueError on out-of-range vertices or a repeated vertex inside a
     hyperedge (hyperedges are vertex sets).  Hyperedges are checked in input
     order, each for multiplicity, then range, then repeats; an out-of-range
-    message names the hyperedge's first such vertex in input order.
+    message names the hyperedge's first such vertex in input order.  The
+    checks run over the whole input at once; only when one fails does
+    `_first_hyperedge_fault` walk the hyperedges to raise the first fault.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    hyperedges = [tuple(e) for e in hyperedges]
-    if multiplicities is None:
-        multiplicities = [1] * len(hyperedges)
-    elif len(multiplicities) != len(hyperedges):
+    hyperedges = list(map(tuple, hyperedges))
+    if multiplicities is not None and len(multiplicities) != len(hyperedges):
         raise ValueError("multiplicities do not match hyperedges")
-    folded: dict[tuple[int, ...], int] = {}
-    for e, mult in zip(hyperedges, multiplicities):
-        if mult < 1:
-            raise ValueError("multiplicities must be positive")
-        ce = tuple(sorted(e))
-        if ce and (ce[0] < 0 or ce[-1] >= n):
-            v = next(v for v in e if not 0 <= v < n)
-            raise ValueError(f"vertex {v} out of range [0, {n})")
-        if len(set(ce)) != len(ce):
-            raise ValueError(f"hyperedge {e} repeats a vertex")
-        folded[ce] = folded.get(ce, 0) + mult
+    flat = list(itertools.chain.from_iterable(hyperedges))
+    widths = set(map(len, hyperedges))
+    width = widths.pop() if len(widths) == 1 else 0
+    if width and all(
+        all(map(operator.lt, itertools.islice(flat, i, None, width),
+                itertools.islice(flat, i + 1, None, width)))
+        for i in range(width - 1)
+    ):
+        # every hyperedge already increases, as `format_hypergraph` writes
+        # them: a sorted vertex set
+        canon = hyperedges
+    else:
+        canon = list(map(tuple, map(sorted, map(set, hyperedges))))
+    if (
+        (multiplicities is not None and min(multiplicities, default=1) < 1)
+        or (flat and (min(flat) < 0 or max(flat) >= n))
+        # a sorted vertex set is shorter than its hyperedge exactly on a repeat
+        or sum(map(len, canon)) != len(flat)
+    ):
+        _first_hyperedge_fault(n, hyperedges, multiplicities)
+    if multiplicities is None:
+        folded = Counter(canon)
+    else:
+        folded = Counter()
+        for ce, mult in zip(canon, multiplicities):
+            folded[ce] += mult
     if k is None:
         k = len(next(iter(folded), ()))
     return Hypergraph(
@@ -133,16 +149,40 @@ def make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergraph:
     )
 
 
+def _first_hyperedge_fault(n, hyperedges, multiplicities):
+    """Raise the ValueError of the first faulty hyperedge in input order."""
+    if multiplicities is None:
+        multiplicities = itertools.repeat(1)
+    for e, mult in zip(hyperedges, multiplicities):
+        if mult < 1:
+            raise ValueError("multiplicities must be positive")
+        ce = tuple(sorted(e))
+        if ce and (ce[0] < 0 or ce[-1] >= n):
+            v = next(v for v in e if not 0 <= v < n)
+            raise ValueError(f"vertex {v} out of range [0, {n})")
+        if len(set(ce)) != len(ce):
+            raise ValueError(f"hyperedge {e} repeats a vertex")
+
+
 def make_graph(n, edges) -> SimpleGraph:
-    """Build a canonical SimpleGraph; loops rejected, parallel edges folded."""
-    canon = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-        canon.add(canonical_edge(u, v))
-    ordered = tuple(sorted(canon))
+    """Build a canonical SimpleGraph; loops rejected, parallel edges folded.
+
+    Edges are checked in input order, each for a loop, then range.  The
+    checks run over all edges at once; only when one fails does
+    `_first_edge_fault` walk them to raise the first fault.
+    """
+    edges = list(map(tuple, edges))
+    ok = set(map(len, edges)) <= {2}
+    if ok and edges:
+        flat = list(itertools.chain.from_iterable(edges))
+        ok = (
+            not any(map(operator.eq, flat[::2], flat[1::2]))
+            and min(flat) >= 0
+            and max(flat) < n
+        )
+    if not ok:
+        _first_edge_fault(n, edges)
+    ordered = tuple(sorted(set(zip(map(min, edges), map(max, edges)))))
     # filled in sorted edge order, so every list comes out increasing
     adj = [[] for _ in range(n)]
     for u, v in ordered:
@@ -154,6 +194,15 @@ def make_graph(n, edges) -> SimpleGraph:
         adjacency=tuple(map(tuple, adj)),
         edge_set=frozenset(ordered),
     )
+
+
+def _first_edge_fault(n, edges):
+    """Raise the ValueError of the first faulty edge in input order."""
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
 
 
 def shadow_graph(h: Hypergraph) -> SimpleGraph:

@@ -6,15 +6,52 @@ Graph:       `p gr <n> <m>` then `e u v`.
 Bipartite:   `p bip <nA> <nB> <m>` then `e a b` with a in A, b in B.
 Certificate: optional `triangle v1 v2 v3` lines, `pair u v` lines, and for
 kept-edge certificates `keep a b` lines.
-Lines starting with `c` are comments; tokens are whitespace-separated and
-output is newline-terminated.  Writers emit blocks sorted by smallest member.
+A line whose first token starts with `c` is a comment; tokens are
+whitespace-separated, integers are whatever `int()` reads, and output is
+newline-terminated.  Writers emit blocks sorted by smallest member.
+
+A text is read in a few whole-text passes: one split into token lists,
+with blank and comment lines dropped; set operations over the line kinds
+and widths; one `int` pass over the flattened values, whose rows are cut
+by `zip`.  Only when a pass finds a fault does the line loop
+(`_tokenized`/`_ints`) walk the text again, to raise the first faulty
+line's ParseError with its line number.  It builds no value.
 """
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import itemgetter
+
 from .core import Hypergraph, SimpleGraph, make_graph, make_hypergraph
-from .errors import ParseError
+from .errors import InternalError, ParseError
 from .matching import BipartiteGraph, make_bipartite
+
+_head = itemgetter(0)
+
+# certificate line kind -> (values per line, message when that is wrong)
+_CERTIFICATE_LINES = {
+    "triangle": (3, "triangle needs 3 vertices"),
+    "pair": (2, "pair needs 2 vertices"),
+    "keep": (2, "keep needs 2 endpoints"),
+}
+_CERTIFICATE_TOKENS = {kind: 1 + w for kind, (w, _) in _CERTIFICATE_LINES.items()}
+
+
+def _lines(text):
+    """Token lists of the lines that are neither blank nor a comment."""
+    lines = list(filter(None, map(str.split, text.splitlines())))
+    if any(head[0] == "c" for head in set(map(_head, lines))):
+        lines = [t for t in lines if t[0][0] != "c"]
+    return lines
+
+
+def _rows(tokens, width):
+    """Integer tuples of `width`-token lines, given as one flat token list,
+    without each line's first token; ValueError on a token `int` does not
+    read."""
+    del tokens[::width]
+    return list(zip(*[map(int, tokens)] * (width - 1)))
 
 
 def _tokenized(text):
@@ -42,27 +79,7 @@ def _parse_problem(text, kind, fields, arity, build):
     number).  `build(rows, *values)` gets the `e` rows and the other values
     in order, and its ValueError becomes a ParseError.
     """
-    header = None
-    rows = []
-    for lineno, tokens in _tokenized(text):
-        if tokens[0] == "p":
-            if header is not None:
-                raise ParseError("duplicate problem line", line=lineno)
-            if len(tokens) != 2 + len(fields) or tokens[1] != kind:
-                usage = " ".join(f"<{f}>" for f in fields)
-                raise ParseError(f"expected `p {kind} {usage}`", line=lineno)
-            header = _ints(tokens[2:], lineno)
-        elif tokens[0] == "e":
-            if header is None:
-                raise ParseError("e line before problem line", line=lineno)
-            row = _ints(tokens[1:], lineno)
-            if len(row) != arity if arity else not row:
-                raise ParseError(f"e line has {len(row)} vertices", line=lineno)
-            rows.append(row)
-        else:
-            raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
-    if header is None:
-        raise ParseError(f"missing `p {kind}` problem line")
+    header, rows = _problem_rows(text, kind, fields, arity)
     m = header.pop(fields.index("m"))
     if len(rows) != m:
         raise ParseError(f"problem line promises {m} e lines, found {len(rows)}")
@@ -70,6 +87,60 @@ def _parse_problem(text, kind, fields, arity, build):
         return build(rows, *header)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _problem_rows(text, kind, fields, arity):
+    """The problem-line values and the `e` rows, as lists of ints and int
+    tuples.  The token lists are freed on return, before anything is built
+    from the rows."""
+    lines = _lines(text)
+    if not lines:
+        raise ParseError(f"missing `p {kind}` problem line")
+    head, body = lines[0], lines[1:]
+    widths = set(map(len, body))
+    if (
+        head[0] == "p"
+        and len(head) == 2 + len(fields)
+        and head[1] == kind
+        and {"e"}.issuperset(map(_head, body))
+        and (widths <= {1 + arity} if arity else 1 not in widths)
+    ):
+        try:
+            header = list(map(int, head[2:]))
+            if len(widths) == 1:
+                tokens = list(chain.from_iterable(body))
+                # str.split leaves room for 12 tokens in each line's list:
+                # free the lists before the ints are made
+                del lines, body
+                return header, _rows(tokens, *widths)
+            # no e line, or ragged `hyp` rows, which `validate` reports
+            return header, [tuple(map(int, t[1:])) for t in body]
+        except ValueError:
+            pass  # the line loop names the line
+    _problem_fault(text, kind, fields, arity)
+
+
+def _problem_fault(text, kind, fields, arity):
+    """The line loop: raise the ParseError of the first faulty line."""
+    header = False
+    for lineno, tokens in _tokenized(text):
+        if tokens[0] == "p":
+            if header:
+                raise ParseError("duplicate problem line", line=lineno)
+            if len(tokens) != 2 + len(fields) or tokens[1] != kind:
+                usage = " ".join(f"<{f}>" for f in fields)
+                raise ParseError(f"expected `p {kind} {usage}`", line=lineno)
+            _ints(tokens[2:], lineno)
+            header = True
+        elif tokens[0] == "e":
+            if not header:
+                raise ParseError("e line before problem line", line=lineno)
+            width = len(_ints(tokens[1:], lineno))
+            if width != arity if arity else not width:
+                raise ParseError(f"e line has {width} vertices", line=lineno)
+        else:
+            raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
+    raise InternalError("the whole-text pass saw a fault the line loop did not")
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -93,25 +164,33 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 
 
 def parse_certificate(text: str) -> tuple[list, list, list]:
-    """Raw (triangles, pairs, keeps) from a certificate file."""
-    triangles, pairs, keeps = [], [], []
-    for lineno, tokens in _tokenized(text):
-        kind, rest = tokens[0], _ints(tokens[1:], lineno)
-        if kind == "triangle":
-            if len(rest) != 3:
-                raise ParseError("triangle needs 3 vertices", line=lineno)
-            triangles.append(tuple(rest))
-        elif kind == "pair":
-            if len(rest) != 2:
-                raise ParseError("pair needs 2 vertices", line=lineno)
-            pairs.append(tuple(rest))
-        elif kind == "keep":
-            if len(rest) != 2:
-                raise ParseError("keep needs 2 endpoints", line=lineno)
-            keeps.append(tuple(rest))
+    """Raw (triangles, pairs, keeps) from a certificate file, each in line
+    order."""
+    lines = _lines(text)
+    if set(zip(map(_head, lines), map(len, lines))) <= _CERTIFICATE_TOKENS.items():
+        try:
+            # a stable sort keeps each kind's lines in order
+            rows = {
+                kind: _rows(list(chain.from_iterable(group)), _CERTIFICATE_TOKENS[kind])
+                for kind, group in groupby(sorted(lines, key=_head), _head)
+            }
+        except ValueError:
+            pass  # the line loop names the line
         else:
+            return rows.get("triangle", []), rows.get("pair", []), rows.get("keep", [])
+    _certificate_fault(text)
+
+
+def _certificate_fault(text):
+    """The line loop: raise the ParseError of the first faulty line."""
+    for lineno, tokens in _tokenized(text):
+        kind, width = tokens[0], len(_ints(tokens[1:], lineno))
+        if kind not in _CERTIFICATE_LINES:
             raise ParseError(f"unknown certificate line {kind!r}", line=lineno)
-    return triangles, pairs, keeps
+        expected, message = _CERTIFICATE_LINES[kind]
+        if width != expected:
+            raise ParseError(message, line=lineno)
+    raise InternalError("the whole-text pass saw a fault the line loop did not")
 
 
 def _format_problem(kind, values, rows) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import (
     Hypergraph,
@@ -66,14 +67,24 @@ class BipartiteGraph:
 
 
 def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
-    """Build a BipartiteGraph; duplicate (a, b) pairs raise ParallelEdges."""
-    seen = set()
-    for a, b in edges:
-        if not (0 <= a < n_a and 0 <= b < n_b):
-            raise ValueError(f"edge ({a}, {b}) out of range")
-        if (a, b) in seen:
-            raise ParallelEdges(f"parallel edge ({a}, {b})")
-        seen.add((a, b))
+    """Build a BipartiteGraph; duplicate (a, b) pairs raise ParallelEdges.
+
+    Edges are checked in input order, each for range, then repeats.  The
+    checks run over all edges at once; only when one fails does
+    `_first_bipartite_fault` walk them to raise the first fault.
+    """
+    edges = list(map(tuple, edges))
+    seen = set(edges)
+    ok = set(map(len, edges)) <= {2} and len(seen) == len(edges)
+    if ok and edges:
+        flat = list(chain.from_iterable(edges))
+        side_a, side_b = flat[::2], flat[1::2]
+        ok = (
+            min(side_a) >= 0 and max(side_a) < n_a
+            and min(side_b) >= 0 and max(side_b) < n_b
+        )
+    if not ok:
+        _first_bipartite_fault(n_a, n_b, edges)
     ordered = tuple(sorted(seen))
     # filled in sorted edge order, so every list comes out increasing
     adj_a = [[] for _ in range(n_a)]
@@ -88,6 +99,17 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
         adj_a=tuple(map(tuple, adj_a)),
         adj_b=tuple(map(tuple, adj_b)),
     )
+
+
+def _first_bipartite_fault(n_a, n_b, edges):
+    """Raise the error of the first faulty edge in input order."""
+    seen = set()
+    for a, b in edges:
+        if not (0 <= a < n_a and 0 <= b < n_b):
+            raise ValueError(f"edge ({a}, {b}) out of range")
+        if (a, b) in seen:
+            raise ParallelEdges(f"parallel edge ({a}, {b})")
+        seen.add((a, b))
 
 
 # ---------------------------------------------------------------------------

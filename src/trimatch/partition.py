@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, combinations, groupby, islice, repeat
 
 from .core import (
     Hypergraph,
@@ -249,14 +249,15 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
             break
     if apex is None:
         raise InternalError("shadow edge not inside any hyperedge")
+    # matching_with_edge_avoiding already returns canonical, sorted pairs
     if d.labels[apex] < k:
         pairs = matching_with_edge_avoiding(d, e, apex).pairs
     else:
-        pairs = _parity_pairs(d, k, e, apex)
+        pairs = _canon_pairs(_parity_pairs(d, k, e, apex))
     ce = canonical_edge(a, b)
     return TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
-        pairs=tuple(p for p in _canon_pairs(pairs) if p != ce),
+        pairs=tuple(p for p in pairs if p != ce),
         host=h,
     )
 
@@ -524,8 +525,12 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
         missing = list(islice((v for v in range(n) if v not in seen), 5))
         violations.append(f"blocks do not cover the vertex set (missing {missing})")
 
-    # indexes of the verifier's own, built without solver code
-    within = {p for e in h.hyperedges for p in combinations(e, 2)}
+    # indexes of the verifier's own, built without solver code: of the
+    # hyperedges' 2-subsets, only the certificate's own pairs are kept
+    need = {(u, v) if u < v else (v, u) for u, v in pairs}
+    within = need.intersection(
+        chain.from_iterable(map(combinations, h.hyperedges, repeat(2)))
+    )
     if triangles and h.k == 3:
         # hyperedges are stored as sorted tuples
         hyperedge_set = set(h.hyperedges)

@@ -1,17 +1,16 @@
-"""Malformed and hostile input text: the parsers against copies of their
-earlier forms, and the CLI's exit codes.
+"""Malformed and hostile input text: the parsers and builders against
+copies of their earlier forms, and the CLI's exit codes.
 
-The copies below are the line splitter, the integer reader and the
-hypergraph builder as they were before each line was split once and each
-hyperedge sorted once.  Run through the same `_parse_problem`, they must
-give every parser the same value, or the same ParseError message and line.
+The copies below are the line-by-line parsers and the item-by-item
+builders as they were before input was read in whole-text passes and
+checked in bulk.  Every parser and builder must give the same value as its
+copy, or raise the same exception class with the same message and line.
 """
 
 import contextlib
 import io
 import os
 import tempfile
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +19,8 @@ from trimatch import (
     cli,
     formats,
     lu_subgraph,
+    make_bipartite,
+    make_graph,
     make_hypergraph,
     random_regular_bipartite,
     random_triple_system,
@@ -27,23 +28,95 @@ from trimatch import (
     solve,
     solve_k_uniform,
 )
-from trimatch.core import Hypergraph
-from trimatch.errors import ParseError
+from trimatch.core import Hypergraph, SimpleGraph, canonical_edge
+from trimatch.errors import ParallelEdges, ParseError
+from trimatch.matching import BipartiteGraph
 
 
 def old_tokenized(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line.split()
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "c":
+            yield lineno, tokens
 
 
 def old_ints(tokens, lineno):
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError as exc:
         raise ParseError(f"expected integers, got {tokens!r}", line=lineno) from exc
+
+
+def old_parse_problem(text, kind, fields, arity, build):
+    header = None
+    rows = []
+    for lineno, tokens in old_tokenized(text):
+        if tokens[0] == "p":
+            if header is not None:
+                raise ParseError("duplicate problem line", line=lineno)
+            if len(tokens) != 2 + len(fields) or tokens[1] != kind:
+                usage = " ".join(f"<{f}>" for f in fields)
+                raise ParseError(f"expected `p {kind} {usage}`", line=lineno)
+            header = old_ints(tokens[2:], lineno)
+        elif tokens[0] == "e":
+            if header is None:
+                raise ParseError("e line before problem line", line=lineno)
+            row = old_ints(tokens[1:], lineno)
+            if len(row) != arity if arity else not row:
+                raise ParseError(f"e line has {len(row)} vertices", line=lineno)
+            rows.append(row)
+        else:
+            raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
+    if header is None:
+        raise ParseError(f"missing `p {kind}` problem line")
+    m = header.pop(fields.index("m"))
+    if len(rows) != m:
+        raise ParseError(f"problem line promises {m} e lines, found {len(rows)}")
+    try:
+        return build(rows, *header)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def old_parse_hypergraph(text: str) -> Hypergraph:
+    return old_parse_problem(
+        text, "hyp", ("n", "m", "k"), 0,
+        lambda rows, n, k: old_make_hypergraph(n, rows, k=k),
+    )
+
+
+def old_parse_graph(text: str) -> SimpleGraph:
+    return old_parse_problem(
+        text, "gr", ("n", "m"), 2, lambda rows, n: old_make_graph(n, rows)
+    )
+
+
+def old_parse_bipartite(text: str) -> BipartiteGraph:
+    return old_parse_problem(
+        text, "bip", ("nA", "nB", "m"), 2,
+        lambda rows, n_a, n_b: old_make_bipartite(n_a, n_b, rows),
+    )
+
+
+def old_parse_certificate(text: str) -> tuple[list, list, list]:
+    triangles, pairs, keeps = [], [], []
+    for lineno, tokens in old_tokenized(text):
+        kind, rest = tokens[0], old_ints(tokens[1:], lineno)
+        if kind == "triangle":
+            if len(rest) != 3:
+                raise ParseError("triangle needs 3 vertices", line=lineno)
+            triangles.append(tuple(rest))
+        elif kind == "pair":
+            if len(rest) != 2:
+                raise ParseError("pair needs 2 vertices", line=lineno)
+            pairs.append(tuple(rest))
+        elif kind == "keep":
+            if len(rest) != 2:
+                raise ParseError("keep needs 2 endpoints", line=lineno)
+            keeps.append(tuple(rest))
+        else:
+            raise ParseError(f"unknown certificate line {kind!r}", line=lineno)
+    return triangles, pairs, keeps
 
 
 def old_make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergraph:
@@ -58,10 +131,10 @@ def old_make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergrap
     for e, mult in zip(hyperedges, multiplicities):
         if mult < 1:
             raise ValueError("multiplicities must be positive")
-        for v in e:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range [0, {n})")
         ce = tuple(sorted(e))
+        if ce and (ce[0] < 0 or ce[-1] >= n):
+            v = next(v for v in e if not 0 <= v < n)
+            raise ValueError(f"vertex {v} out of range [0, {n})")
         if len(set(ce)) != len(ce):
             raise ValueError(f"hyperedge {e} repeats a vertex")
         folded[ce] = folded.get(ce, 0) + mult
@@ -75,6 +148,52 @@ def old_make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergrap
     )
 
 
+def old_make_graph(n, edges) -> SimpleGraph:
+    canon = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
+        canon.add(canonical_edge(u, v))
+    ordered = tuple(sorted(canon))
+    # filled in sorted edge order, so every list comes out increasing
+    adj = [[] for _ in range(n)]
+    for u, v in ordered:
+        adj[u].append(v)
+        adj[v].append(u)
+    return SimpleGraph(
+        n=n,
+        edges=ordered,
+        adjacency=tuple(map(tuple, adj)),
+        edge_set=frozenset(ordered),
+    )
+
+
+def old_make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
+    seen = set()
+    for a, b in edges:
+        if not (0 <= a < n_a and 0 <= b < n_b):
+            raise ValueError(f"edge ({a}, {b}) out of range")
+        if (a, b) in seen:
+            raise ParallelEdges(f"parallel edge ({a}, {b})")
+        seen.add((a, b))
+    ordered = tuple(sorted(seen))
+    # filled in sorted edge order, so every list comes out increasing
+    adj_a = [[] for _ in range(n_a)]
+    adj_b = [[] for _ in range(n_b)]
+    for a, b in ordered:
+        adj_a[a].append(b)
+        adj_b[b].append(a)
+    return BipartiteGraph(
+        n_a=n_a,
+        n_b=n_b,
+        edges=ordered,
+        adj_a=tuple(map(tuple, adj_a)),
+        adj_b=tuple(map(tuple, adj_b)),
+    )
+
+
 def outcome(call, *args):
     """What a call returns, or the class, message and line of what it
     raises."""
@@ -82,13 +201,6 @@ def outcome(call, *args):
         return call(*args)
     except Exception as exc:  # compared, never swallowed
         return type(exc), str(exc), getattr(exc, "line", None)
-
-
-def old_outcome(parse, text):
-    with mock.patch.object(formats, "_tokenized", old_tokenized), \
-            mock.patch.object(formats, "_ints", old_ints), \
-            mock.patch.object(formats, "make_hypergraph", old_make_hypergraph):
-        return outcome(parse, text)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +306,16 @@ def texts():
 
 
 PARSERS = (
-    formats.parse_hypergraph,
-    formats.parse_graph,
-    formats.parse_bipartite,
-    formats.parse_certificate,
+    (formats.parse_hypergraph, old_parse_hypergraph),
+    (formats.parse_graph, old_parse_graph),
+    (formats.parse_bipartite, old_parse_bipartite),
+    (formats.parse_certificate, old_parse_certificate),
 )
 
 
 def check_parsers(text):
-    for parse in PARSERS:
-        assert outcome(parse, text) == old_outcome(parse, text)
+    for parse, old_parse in PARSERS:
+        assert outcome(parse, text) == outcome(old_parse, text), (parse, text)
 
 
 def test_parsers_agree_with_the_old_parsers_on_valid_files():
@@ -218,16 +330,159 @@ def test_parsers_agree_with_the_old_parsers(text):
     check_parsers(text)
 
 
+def with_multiplicities(edges):
+    """Hyperedge lists with no multiplicities, one per hyperedge, or a list
+    of any length."""
+    mult = st.integers(-1, 3)
+    return edges.flatmap(lambda es: st.tuples(st.just(es), st.one_of(
+        st.none(),
+        st.lists(mult, min_size=len(es), max_size=len(es)),
+        st.lists(mult, max_size=6),
+    )))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(-1, 8),
-    st.lists(st.lists(st.integers(-2, 9), max_size=5), max_size=6),
-    st.one_of(st.none(), st.lists(st.integers(-1, 3), max_size=6)),
+    with_multiplicities(st.lists(st.lists(st.integers(-2, 9), max_size=5), max_size=6)),
 )
-def test_make_hypergraph_agrees_with_the_old_builder(n, edges, mults):
+def test_make_hypergraph_agrees_with_the_old_builder(n, case):
+    edges, mults = case
     assert outcome(make_hypergraph, n, edges, None, mults) == outcome(
         old_make_hypergraph, n, edges, None, mults
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-1, 8),
+    with_multiplicities(st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-2, 9), min_size=k, max_size=k).map(sorted), max_size=6
+        )
+    )),
+)
+def test_make_hypergraph_agrees_with_the_old_builder_on_sorted_rows(n, case):
+    """Rows of one width, each sorted as a file writer emits them, some with a
+    repeated vertex."""
+    edges, mults = case
+    assert outcome(make_hypergraph, n, edges, None, mults) == outcome(
+        old_make_hypergraph, n, edges, None, mults
+    )
+
+
+# vertices near the declared count, so that repeats and collisions are common
+VERTEX = st.integers(-2, 6)
+EDGE = st.one_of(st.tuples(VERTEX, VERTEX), st.lists(VERTEX, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1, 6), st.lists(EDGE, max_size=8))
+def test_make_graph_agrees_with_the_old_builder(n, edges):
+    assert outcome(make_graph, n, edges) == outcome(old_make_graph, n, edges)
+
+
+@st.composite
+def bipartite_inputs(draw):
+    """Side sizes and edges, most of them at most one past either side."""
+    n_a, n_b = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
+    near = st.tuples(st.integers(-1, max(n_a, 0)), st.integers(-1, max(n_b, 0)))
+    return n_a, n_b, draw(st.lists(st.one_of(near, near, EDGE), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartite_inputs())
+def test_make_bipartite_agrees_with_the_old_builder(case):
+    n_a, n_b, edges = case
+    assert outcome(make_bipartite, n_a, n_b, edges) == outcome(
+        old_make_bipartite, n_a, n_b, edges
+    )
+
+
+def boundary_texts():
+    """Hand-written texts at the edges of the whole-text pass."""
+    good = ["e %d %d %d" % (i, i + 1, i + 2) for i in range(1000)]
+    good_pairs = ["e %d %d" % (i, i + 1) for i in range(1000)]
+    texts = [
+        # a bad token on line 1,001, and on the line after 1,000 good e lines
+        "\n".join(["p hyp 1003 1000 3", *good[:-1], "e 0 1 x"]) + "\n",
+        "\n".join(["p hyp 1003 1001 3", *good, "e 0 1 x"]) + "\n",
+        "\n".join(["p bip 1003 1003 1001", *good_pairs, "e 0 1 x"]),
+        "\n".join(["p bip 1003 1003 1000", *good_pairs]),
+        # comment and blank lines between e lines
+        "p hyp 4 2 3\ne 0 1 2\nc a comment\ncat 1 2\n\n  \ne 1 2 3\n",
+        "c lead\np hyp 4 2 3\ne 0 1 2\nc 1\ne 1 2 x\n",
+        # other line ends
+        "p hyp 4 2 3\re 0 1 2\re 1 2 3\r",
+        "p hyp 4 2 3\x0be 0 1 2\x0be 1 2 3",
+        "p hyp 4 2 3\u2028e 0 1 2\u2028e 1 2 3\u2028",
+        "p hyp 4 2 3\r\ne 0 1 2\u2028e 1 2 z\r",
+        "p hyp 4 2 3\x1ce 0 1 2\x1de 1 2 3\x1e",
+        # integers as `int` reads them
+        "p hyp +11 2 003\ne 0 1_0 2\ne \u0663 1 -0\n",
+        "p hyp 4 2 3\ne 0 1 2\ne 1 2 3.0\n",
+        # ragged hyp rows, which `validate` reports later
+        "p hyp 5 3 3\ne 0 1 2\ne 1 2\ne 1 2 3 4\n",
+        "p hyp 5 2 3\ne 0 1 2\ne 3\n",
+        "p hyp 5 2 3\ne 0 1 2\ne\n",
+        "p hyp 5 2 3\ne 0 1\ne 3 x\n",
+        # wrong-arity e lines in gr and bip
+        "p gr 4 2\ne 0 1\ne 1 2 3\n",
+        "p gr 4 2\ne 0\ne 1 2\n",
+        "p bip 3 3 2\ne 0 1\ne 1 2 0\n",
+        "p bip 3 3 2\ne 0 1 2\ne 1 x\n",
+        "p bip 3 3 2\ne 0 1\ne\n",
+        "p bip 3 3 2\ne 0 1\ne 0 1\n",
+        "p bip 4 2 2\ne 0 1\ne 3 2\n",
+        "p bip 2 4 2\ne 0 1\ne 2 3\n",
+        # header faults
+        "p bip 3 3\ne 0 1\n",
+        "p bip 3 3 x\ne 0 1\n",
+        "p hyp 3 1 3\np hyp 3 1 3\ne 0 1 2\n",
+        "e 0 1 2\np hyp 3 1 3\n",
+        "p hyp 3 2 3\ne 0 1 2\n",
+        "c only a comment\n\n",
+        "",
+        # certificates mixing every kind, each with one bad line
+        "pair 0 1\ntriangle 2 3 4\nkeep 5 6\npair 7 8\n",
+        "pair 0 1\ntriangle 2 3 4\nkeep 5 6\npair 7 x\n",
+        "pair 0 1\ntriangle 2 3\nkeep 5 6\npair 7 8\n",
+        "keep 0 1\ntriangle 2 3 4\nkeep 5 6 7\npair 7 8\n",
+        "triangle 0 1 2\npair 3 4\nblock 5 6\nkeep 7 8\n",
+        "triangle 0 1 2\npair 3 4\nblock x\nkeep 7 8\n",
+        "triangle 0 1 2\npair 3 4\npair\nkeep 7 8\n",
+        "c x\npair 0 1\ncat\n\ntriangle 2 3 4\r\nkeep 5 6\n",
+        "pair 0 1\ne 2 3\n",
+    ]
+    return texts
+
+
+def test_parsers_agree_with_the_old_parsers_on_boundary_texts():
+    texts = boundary_texts()
+    for text in texts:
+        check_parsers(text)
+    for text, parse, line in (
+        (texts[0], formats.parse_hypergraph, 1001),
+        (texts[1], formats.parse_hypergraph, 1002),
+        (texts[2], formats.parse_bipartite, 1002),
+    ):
+        assert outcome(parse, text) == (
+            ParseError, f"line {line}: expected integers, got ['0', '1', 'x']", line
+        )
+
+
+def test_parsers_agree_with_the_old_parsers_on_large_files():
+    h = random_triple_system(2001, 3, require_connected=True)
+    bg = random_regular_bipartite(2000, 5, 3)
+    for text, parse, old_parse in (
+        (formats.format_hypergraph(h), formats.parse_hypergraph, old_parse_hypergraph),
+        (formats.format_partition(solve(h)), formats.parse_certificate, old_parse_certificate),
+        (formats.format_bipartite(bg), formats.parse_bipartite, old_parse_bipartite),
+        (formats.format_lu(lu_subgraph(bg, 5)), formats.parse_certificate, old_parse_certificate),
+    ):
+        assert parse(text) == old_parse(text)
+    assert formats.parse_hypergraph(formats.format_hypergraph(h)) == h
+    assert formats.parse_bipartite(formats.format_bipartite(bg)) == bg
 
 
 CLI_CALLS = (
