@@ -7,7 +7,10 @@ leftover single edges ride along as trivial ears at the tail.
 
 `odd_ear_decomposition` builds one constructively from a near-perfect
 matching, and `maximalize` runs the slicing loop until every odd edge lies on
-its own ear.
+its own ear.  Both wrap functions on plain walks: `_ear_walks` builds the
+walks, and `_maximal_walks` slices them and checks the result with one
+`_scan` and `_assert_maximal`.  The solver calls these directly, so an odd
+solve checks one decomposition, the sliced one, and builds no `Ear`.
 """
 
 from __future__ import annotations
@@ -72,35 +75,6 @@ class EarDecomposition:
     ears: tuple[Ear, ...]
     labels: tuple[int, ...]
     positions: tuple[int, ...]
-
-
-def _assemble(host: SimpleGraph, walks) -> EarDecomposition:
-    """The decomposition with these walks as its ears, labelled by the
-    check's own pass.  The value keeps the pass's verdict, so `_violations`
-    reads it instead of checking the value a second time."""
-    return _checked(host, walks, tuple(Ear(tuple(w)) for w in walks))
-
-
-def _checked(host: SimpleGraph, walks, ears) -> EarDecomposition:
-    """`_assemble` for ears already built, one per walk and in its order."""
-    errs, labels, positions = _scan(host, walks)
-    d = EarDecomposition(
-        host=host,
-        ears=ears,
-        labels=tuple(labels),
-        positions=tuple(positions),
-    )
-    # the value is frozen, so the verdict stays true of it; a copy made by
-    # dataclasses.replace or built by hand carries none and is checked anew
-    object.__setattr__(d, "_verdict", errs)
-    return d
-
-
-def _violations(d: EarDecomposition) -> list[str]:
-    """validate_decomposition(d), read off the verdict `_assemble` left on d
-    when it built d."""
-    errs = vars(d).get("_verdict")
-    return validate_decomposition(d) if errs is None else errs
 
 
 def validate_decomposition(d: EarDecomposition) -> list[str]:
@@ -280,6 +254,23 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
     back into the placed set, and closes with the lowest placed neighbor.
     Remaining edges become trivial ears.
     """
+    walks, trivial = _ear_walks(g)
+    walks += trivial
+    errs, labels, positions = _scan(g, walks)
+    if errs:
+        raise InternalError("constructed decomposition invalid: " + "; ".join(errs))
+    return EarDecomposition(
+        host=g,
+        ears=tuple(Ear(tuple(w)) for w in walks),
+        labels=tuple(labels),
+        positions=tuple(positions),
+    )
+
+
+def _ear_walks(g: SimpleGraph):
+    """The walks of `odd_ear_decomposition(g)`, unchecked: the nontrivial
+    ones as lists, in order, and the host edges they leave as the trivial
+    ears, in a dict used as an ordered set (in the host's edge order)."""
     n = g.n
     if n % 2 == 0:
         raise NotFactorCritical(
@@ -333,50 +324,78 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
     }
     # the host's own edge tuples: unlike fresh lists, tuples of ints drop out
     # of the cyclic collector's reach at its first pass
-    walks.extend(e for e in g.edges if e not in covered)
-
-    d = _assemble(g, walks)
-    errs = _violations(d)
-    if errs:
-        raise InternalError("constructed decomposition invalid: " + "; ".join(errs))
-    return d
+    return walks, dict.fromkeys(e for e in g.edges if e not in covered)
 
 
 def maximalize(d: EarDecomposition) -> EarDecomposition:
     """Slice until every odd edge lies on its own ear.
 
-    Trivial ears are normalized to the tail (sorted); one already canonical
-    (u < v) is kept as the same `Ear`.  The nontrivial walks
-    sit on a stack with the circuit on top.  Each round pops a walk, which is
-    the circuit exactly when no walk has finished yet, and looks for its
-    lowest off-ear odd edge.  With none the walk is finished; otherwise the
-    walk and the edge's trivial ear become two odd ears, pushed so that the
-    one in the walk's place (the new circuit, or the ear keeping the walk's
-    ends) is popped next.  Each slice adds one nontrivial ear, so the loop
-    ends.
-
-    A value that this module built was checked as it was built and is not
-    checked again; any other value (built by hand, or a `dataclasses.replace`
-    copy) is checked on entry and raises InvariantViolation if it is broken.
+    d is checked first and InvariantViolation names what is broken.  Trivial
+    ears are normalized to the tail (sorted); one already canonical (u < v)
+    is kept as the same `Ear`.  The slicing and the checks of its result are
+    the solver's own, `_maximal_walks`.
     """
-    errs = _violations(d)
+    errs = validate_decomposition(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
-    adj = d.host.adjacency
-    # the trivial ears by edge; a canonical one is kept as it is
+    walks = []
+    # the trivial ears by canonical edge, each with the input's own `Ear`
+    # when that is canonical
     trivial = {}
-    stack = []
-    for ear in reversed(d.ears):
+    for ear in d.ears:
         w = ear.vertices
         if len(w) > 2:
-            stack.append(list(w))
+            walks.append(list(w))
         elif w[0] < w[1]:
             trivial[w] = ear
         else:
-            w = (w[1], w[0])
-            trivial[w] = Ear(w)
-    label = [-1] * d.host.n
-    pos = [-1] * d.host.n
+            trivial[(w[1], w[0])] = None
+    walks, labels, positions, k = _maximal_walks(d.host, walks, trivial)
+    ears = chain(
+        (Ear(tuple(w)) for w in walks[: k + 1]),
+        (trivial[e] or Ear(e) for e in walks[k + 1 :]),
+    )
+    return EarDecomposition(
+        host=d.host,
+        ears=tuple(ears),
+        labels=tuple(labels),
+        positions=tuple(positions),
+    )
+
+
+def _maximal_walks(host: SimpleGraph, walks, trivial):
+    """The maximal decomposition that slicing makes of the nontrivial `walks`
+    (lists, in order) and the `trivial` edges (canonical, as the keys of a
+    dict), checked by one `_scan` and `_assert_maximal`.
+
+    Returns its walks, the labels and positions from that scan, and the
+    index k of its last nontrivial ear: walks 0..k are the sliced ones, and
+    the rest are the unused trivial edges in sorted order.  `trivial` loses
+    the edges that slicing puts on nontrivial ears.
+    """
+    done = _slice(host.adjacency, walks, trivial)
+    walks = done + sorted(trivial)
+    errs, labels, positions = _scan(host, walks)
+    if errs:
+        raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
+    _assert_maximal(host, walks, labels, positions)
+    return walks, labels, positions, len(done) - 1
+
+
+def _slice(adj, walks, trivial) -> list:
+    """The slicing loop: the finished nontrivial walks, in order.
+
+    The walks sit on a stack with the circuit on top.  Each round pops a
+    walk, which is the circuit exactly when no walk has finished yet, and
+    looks for its lowest off-ear odd edge.  With none the walk is finished;
+    otherwise the walk and the edge, taken out of `trivial`, become two odd
+    ears, pushed so that the one in the walk's place (the new circuit, or the
+    ear keeping the walk's ends) is popped next.  Each slice adds one
+    nontrivial ear, so the loop ends.
+    """
+    stack = walks[::-1]
+    label = [-1] * len(adj)
+    pos = [-1] * len(adj)
     done: list = []
     wid = 0
     while stack:
@@ -413,8 +432,9 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
             continue
 
         a, b = best
-        if trivial.pop(best, None) is None:
+        if best not in trivial:
             raise InternalError(f"off-ear odd edge {best} is not a trivial ear")
+        del trivial[best]
         pa, pb = sorted((pos[a], pos[b]))
         if circuit:
             cycle = walk[:-1]
@@ -429,31 +449,22 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
             second = walk[pa : pb + 1]
         # the first piece is popped next: it may still carry off-ear odd edges
         stack += (second, first)
-
-    tail = sorted(trivial)
-    ears = tuple(chain((Ear(tuple(w)) for w in done), map(trivial.get, tail)))
-    out = _checked(d.host, done + tail, ears)
-    errs = _violations(out)
-    if errs:
-        raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    _assert_maximal(out)
-    return out
+    return done
 
 
-def _assert_maximal(d: EarDecomposition) -> None:
+def _assert_maximal(host: SimpleGraph, walks, labels, positions) -> None:
     # is_odd_edge inlined; an odd edge is looked for at its ends' stored
     # positions on its ear, and along the whole walk only if it is not there
-    ears, labels, positions = d.ears, d.labels, d.positions
-    for e in d.host.edges:
+    for e in host.edges:
         u, v = e
         i = labels[u]
         if i != labels[v]:
             continue
+        w = walks[i]
         p, q = positions[u], positions[v]
         lo, hi = (p, q) if p < q else (q, p)
-        if i != 0 and (lo % 2 == 0 or (ears[i].n_edges - hi) % 2 == 0):
+        if i != 0 and (lo % 2 == 0 or (len(w) - 1 - hi) % 2 == 0):
             continue
-        w = ears[i].vertices
         if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
             continue
         if e not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:

@@ -34,10 +34,10 @@ from .core import (
 )
 from .ears import (
     EarDecomposition,
+    _ear_walks,
+    _maximal_walks,
     is_odd_edge,
     last_nontrivial_ear,
-    maximalize,
-    odd_ear_decomposition,
 )
 from .errors import (
     Disconnected,
@@ -99,8 +99,9 @@ def _require_ok(report: VerificationReport) -> None:
         )
 
 
-def _prefix_matching(d: EarDecomposition, k: int, avoid: VertexId):
-    """Pairs of a perfect matching of the first k ears minus `avoid`.
+def _prefix_matching(walks, labels, positions, k: int, avoid: VertexId):
+    """Pairs of a perfect matching of the first k ears minus `avoid`, for
+    the ears' walks with their first-ear labels and positions.
 
     Lovász's induction on the odd ear decomposition, from ear k-1 back to
     the circuit with a hole that starts at `avoid`.  The ear on which the
@@ -112,9 +113,9 @@ def _prefix_matching(d: EarDecomposition, k: int, avoid: VertexId):
     pairs = []
     hole = avoid
     for j in range(k - 1, -1, -1):
-        walk = d.ears[j].vertices
-        if d.labels[hole] == j:
-            t = d.positions[hole]
+        walk = walks[j]
+        if labels[hole] == j:
+            t = positions[hole]
             pairs.extend(_alternating_cover(walk, t))
             hole = walk[-1] if t % 2 else walk[0]
         else:
@@ -165,16 +166,26 @@ def matching_with_edge_avoiding(
             "avoided vertex does not precede the edge's ear"
         )
 
-    # the ears after the last nontrivial one are single edges: no pairs
-    pairs = _prefix_matching(d, last_nontrivial_ear(d) + 1, avoid)
-    result = Matching(pairs=_canon_pairs(pairs), host=g)
-    _check_near_perfect(result, g, avoid, ce)
-    return result
+    walks = [ear.vertices for ear in d.ears]
+    pairs = _forced_edge_pairs(
+        g, walks, d.labels, d.positions, last_nontrivial_ear(d), ce, avoid
+    )
+    return Matching(pairs=pairs, host=g)
 
 
-def _check_near_perfect(m: Matching, g: SimpleGraph, avoid, must_contain):
+def _forced_edge_pairs(g, walks, labels, positions, k, edge, avoid):
+    """The canonical, sorted pairs of a perfect matching of g - avoid that
+    contains `edge`, read off the ears up to k, the last nontrivial one (the
+    single edges after it give no pairs).  `edge` must be an odd edge on its
+    ear, and `avoid` must first appear on an earlier ear."""
+    pairs = _canon_pairs(_prefix_matching(walks, labels, positions, k + 1, avoid))
+    _check_near_perfect(pairs, g, avoid, edge)
+    return pairs
+
+
+def _check_near_perfect(pairs, g: SimpleGraph, avoid, must_contain):
     cov = []
-    for u, v in m.pairs:
+    for u, v in pairs:
         if not g.has_edge(u, v):
             raise InternalError(f"matching pair ({u}, {v}) is not an edge")
         cov.extend((u, v))
@@ -182,12 +193,14 @@ def _check_near_perfect(m: Matching, g: SimpleGraph, avoid, must_contain):
         raise InternalError("matching pairs overlap")
     if set(cov) != set(range(g.n)) - {avoid}:
         raise InternalError("matching does not cover exactly host minus one vertex")
-    if must_contain not in m.pairs:
+    if must_contain not in pairs:
         raise InternalError("matching lost its forced edge")
 
 
-def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
-    """Matching of host - apex containing e when the apex shares e's ear.
+def _parity_pairs(walks, labels, positions, k: int, e, apex: VertexId):
+    """Matching of host - apex containing e when the apex shares e's ear,
+    for a maximal decomposition's walks with their first-ear labels and
+    positions.
 
     On ear k >= 1 stored as u1 .. a b .. apex .. u2, e = ab starts at an
     odd position and the apex sits at an odd position t (an even t would
@@ -196,21 +209,21 @@ def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
     at odd positions up to the apex and those at even positions after it.
 
     k = 0 happens only for n = 3, where the triangle leaves no pairs.  Every
-    chord of the circuit is odd, so `maximalize` slices it off; a maximal
+    chord of the circuit is odd, so slicing cuts it off; a maximal
     decomposition whose only nontrivial ear is the circuit is therefore a
     chordless cycle through every vertex.  Every shadow edge lies in a
     hyperedge, so that cycle contains a triangle and is itself a triangle.
     """
     if k == 0:
-        if d.host.n != 3:
+        if len(labels) != 3:
             raise InternalError(
-                f"only the circuit is nontrivial on {d.host.n} vertices"
+                f"only the circuit is nontrivial on {len(labels)} vertices"
             )
         return []
-    qa, qb = sorted(d.positions[v] for v in e)
-    t = d.positions[apex]
+    qa, qb = sorted(positions[v] for v in e)
+    t = positions[apex]
     if (
-        any(d.labels[v] != k for v in (*e, apex))
+        any(labels[v] != k for v in (*e, apex))
         or qb != qa + 1
         or qa % 2 == 0
         or t <= qb
@@ -220,7 +233,7 @@ def _parity_pairs(d: EarDecomposition, k: int, e, apex: VertexId):
         raise InternalError(
             "even-length guarantee failed: the decomposition is not maximal"
         )
-    return _prefix_matching(d, k + 1, apex)
+    return _prefix_matching(walks, labels, positions, k + 1, apex)
 
 
 def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
@@ -236,10 +249,10 @@ def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
 
 
 def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
-    """The odd construction on the maximal odd ear decomposition of g."""
-    d = maximalize(odd_ear_decomposition(g))
-    k = last_nontrivial_ear(d)
-    walk = d.ears[k].vertices
+    """The odd construction on the maximal odd ear decomposition of g, read
+    off its walks."""
+    walks, labels, positions, k = _maximal_walks(g, *_ear_walks(g))
+    walk = walks[k]
     e = (walk[1], walk[2]) if k >= 1 else (walk[0], walk[1])
     a, b = e
     apex = None
@@ -249,12 +262,11 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
             break
     if apex is None:
         raise InternalError("shadow edge not inside any hyperedge")
-    # matching_with_edge_avoiding already returns canonical, sorted pairs
-    if d.labels[apex] < k:
-        pairs = matching_with_edge_avoiding(d, e, apex).pairs
-    else:
-        pairs = _canon_pairs(_parity_pairs(d, k, e, apex))
     ce = canonical_edge(a, b)
+    if labels[apex] < k:
+        pairs = _forced_edge_pairs(g, walks, labels, positions, k, ce, apex)
+    else:
+        pairs = _canon_pairs(_parity_pairs(walks, labels, positions, k, e, apex))
     return TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
         pairs=tuple(p for p in pairs if p != ce),
@@ -293,10 +305,12 @@ def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
     )
 
 
-def _solve_connected(h: Hypergraph, k: int, g: SimpleGraph) -> TriMatchingPartition:
-    """Certificate for h with shadow graph g, once callers have checked that
-    h is connected, k-uniform and k-regular with k >= 3.  The one dispatch
-    on k."""
+def _solve_connected(
+    h: Hypergraph, k: int, g: SimpleGraph | None
+) -> TriMatchingPartition:
+    """Certificate for h with shadow graph g (None when k > 3), once callers
+    have checked that h is connected, k-uniform and k-regular with k >= 3.
+    The one dispatch on k."""
     if k > 3:
         cert = _incidence_partition(h, k)
     elif h.n % 2 == 0:
@@ -317,14 +331,29 @@ def _solve_connected(h: Hypergraph, k: int, g: SimpleGraph) -> TriMatchingPartit
     return cert
 
 
-def _gated_shadow_graph(h: Hypergraph, k: int) -> SimpleGraph:
-    """The shadow graph of a k-uniform k-regular h with k >= 3.  k is checked
-    first: with k = 0 a huge declared count passes `validate`, and its shadow
-    graph would hold one list per declared vertex."""
+def _gated_blocks(h: Hypergraph, k: int):
+    """The components of a k-uniform k-regular h with k >= 3 as sorted
+    blocks in order of least vertex, and h's shadow graph when k = 3.
+
+    k is checked first: with k = 0 a huge declared count passes `validate`,
+    and its shadow graph would hold one list per declared vertex.  The k > 3
+    construction never reads the shadow graph, so for k > 3 the blocks come
+    from the vertex-hyperedge incidence lists and the graph is None.
+    """
     validate(h, k).require()
     if k < 3:
         raise PreconditionViolated("uniformity must be at least 3")
-    return shadow_graph(h)
+    if k == 3:
+        g = shadow_graph(h)
+        return components(g).blocks, g
+    n = h.n
+    # hyperedge i is node n + i; its own tuple lists its vertices
+    incidence = [[] for _ in range(n)]
+    for i, e in enumerate(h.hyperedges, n):
+        for v in e:
+            incidence[v].append(i)
+    blocks = _component_blocks(incidence + list(h.hyperedges))
+    return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks), None
 
 
 def solve(h: Hypergraph) -> TriMatchingPartition:
@@ -345,8 +374,8 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     k > 3 routed through the bipartite construction on the vertex/hyperedge
     incidence graph.
     """
-    g = _gated_shadow_graph(h, k)
-    if len(components(g).blocks) > 1:
+    blocks, g = _gated_blocks(h, k)
+    if len(blocks) > 1:
         raise Disconnected(
             "the hypergraph is disconnected; solve each component separately"
         )
@@ -355,8 +384,7 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
 
 def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     """Per-component certificates (one triangle per odd component)."""
-    g = _gated_shadow_graph(h, k)
-    blocks = components(g).blocks
+    blocks, g = _gated_blocks(h, k)
     if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
         return [_solve_connected(h, k, g)]
@@ -374,7 +402,7 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     for block, (edges, mults) in zip(blocks, parts):
         own = replace(h, hyperedges=tuple(edges), multiplicities=tuple(mults))
         sub, old_ids = induced_hypergraph(own, block)
-        sub_cert = _solve_connected(sub, k, shadow_graph(sub))
+        sub_cert = _solve_connected(sub, k, shadow_graph(sub) if k == 3 else None)
         tri = (
             tuple(sorted(old_ids[v] for v in sub_cert.triangle))
             if sub_cert.triangle is not None

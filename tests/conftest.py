@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from trimatch import make_bipartite, make_graph, make_hypergraph
+from trimatch import Ear, EarDecomposition, make_bipartite, make_graph, make_hypergraph
+from trimatch.ears import _scan
 
 FANO_LINES = [
     (0, 1, 2),
@@ -46,3 +47,16 @@ def cycle_graph(n):
 
 def complete_graph(n):
     return make_graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def assemble(host, walks):
+    """The decomposition with these walks as its ears, each vertex labelled
+    with the first walk it occurs on and its position there.  Nothing is
+    checked, so broken walks give a broken value."""
+    _, labels, positions = _scan(host, walks)
+    return EarDecomposition(
+        host=host,
+        ears=tuple(Ear(tuple(w)) for w in walks),
+        labels=tuple(labels),
+        positions=tuple(positions),
+    )

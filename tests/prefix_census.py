@@ -4,13 +4,16 @@ For every odd n from 3 to MAX_N and every seed from 1 to 5, takes the odd
 ear decomposition of the shadow graph of
 `random_triple_system(n, seed, require_connected=True)` and its maximal
 form.  On each, for every prefix of k ears and every vertex (hole) on it,
-`partition._prefix_matching(d, k, hole)` must be a perfect matching of the
-prefix's edges minus the hole.  For every vertex as the hole, the ears after
-the last nontrivial one must add no pair: the matching of all the ears must
-equal that of the ears up to the last nontrivial one.  Prints the number of
-(prefix, hole) cases and of tail cases, and exits non-zero if any case
-fails.  It takes about 30 s on one core, so
-it runs as its own CI step rather than in the pytest suite:
+`partition._prefix_matching(walks, labels, positions, k, hole)` must be a
+perfect matching of the prefix's edges minus the hole.  For every vertex as
+the hole, the ears after the last nontrivial one must add no pair: the
+matching of all the ears must equal that of the ears up to the last
+nontrivial one.  On each instance, the walks, labels, positions and last
+nontrivial ear that the solver reads off `ears._maximal_walks` must equal
+those of the maximal form.  Prints the number of (prefix, hole) cases, of
+tail cases and of instances, and exits non-zero if any case fails.  It
+takes about 30 s on one core, so it runs as its own CI step rather than in
+the pytest suite:
 
     PYTHONPATH=src python tests/prefix_census.py
 """
@@ -27,6 +30,7 @@ from trimatch import (
     shadow_graph,
 )
 from trimatch.core import canonical_edge
+from trimatch.ears import _ear_walks, _maximal_walks
 from trimatch.partition import _prefix_matching
 
 MAX_N = 55
@@ -43,16 +47,36 @@ def decompositions(n, seeds):
         yield seed, maximalize(d)
 
 
+def solve_path_fault(d):
+    """None when the solver's walks, labels, positions and last nontrivial
+    ear for d's host equal those of d, a maximal decomposition of it built
+    by the public functions; else what differs."""
+    g = d.host
+    walks, labels, positions, k = _maximal_walks(g, *_ear_walks(g))
+    if list(map(tuple, walks)) != walks_of(d):
+        return "the walks differ"
+    if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
+        return "the labels or positions differ"
+    if k != last_nontrivial_ear(d):
+        return "the last nontrivial ear differs"
+    return None
+
+
+def walks_of(d):
+    return [ear.vertices for ear in d.ears]
+
+
 def prefix_cases(d):
     """(k, hole, fault) for every prefix of k ears and every hole on it;
     fault is None when the matching is right, else what is wrong with it."""
+    walks = walks_of(d)
     edges = set()
     vertices = set()
     for k, ear in enumerate(d.ears, start=1):
         edges.update(ear.edge_walk())
         vertices.update(ear.vertices)
         for hole in sorted(vertices):
-            pairs = _prefix_matching(d, k, hole)
+            pairs = _prefix_matching(walks, d.labels, d.positions, k, hole)
             covered = [v for pair in pairs for v in pair]
             fault = None
             if any(canonical_edge(*pair) not in edges for pair in pairs):
@@ -67,20 +91,26 @@ def prefix_cases(d):
 def tail_cases(d):
     """(hole, fault) for every vertex as the hole; fault is None when the
     ears after the last nontrivial one add no pair, as single edges must."""
+    walks = walks_of(d)
     k = last_nontrivial_ear(d) + 1
     for hole in range(d.host.n):
-        whole = _prefix_matching(d, len(d.ears), hole)
+        whole = _prefix_matching(walks, d.labels, d.positions, len(walks), hole)
         fault = None
-        if whole != _prefix_matching(d, k, hole):
+        if whole != _prefix_matching(walks, d.labels, d.positions, k, hole):
             fault = "the ears after the last nontrivial one add pairs"
         yield hole, fault
 
 
 def main() -> int:
-    cases = tails = 0
+    cases = tails = instances = 0
     failed = []
     for n in range(3, MAX_N + 1, 2):
-        for seed, d in decompositions(n, SEEDS):
+        for i, (seed, d) in enumerate(decompositions(n, SEEDS)):
+            if i % 2:  # each instance's unsliced form comes before its maximal one
+                instances += 1
+                fault = solve_path_fault(d)
+                if fault is not None:
+                    failed.append((n, seed, "solve path", None, fault))
             for k, hole, fault in prefix_cases(d):
                 cases += 1
                 if fault is not None:
@@ -91,10 +121,11 @@ def main() -> int:
                     failed.append((n, seed, "all ears", hole, fault))
     print(f"cases: {cases}")
     print(f"tail cases: {tails}")
+    print(f"instances: {instances}")
     print(f"failed: {len(failed)}")
     for n, seed, where, hole, fault in failed[:20]:
         print(f"  n={n} seed={seed}, {where}, hole {hole}: {fault}")
-    return 1 if failed or not cases or not tails else 0
+    return 1 if failed or not cases or not tails or not instances else 0
 
 
 if __name__ == "__main__":

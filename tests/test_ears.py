@@ -22,13 +22,14 @@ from trimatch import (
     shadow_graph,
     solve,
     validate_decomposition,
+    verify_partition,
 )
 import trimatch.ears as ears_module
 from trimatch.core import canonical_edge
-from trimatch.ears import _assemble, _assert_maximal, _violations
+from trimatch.ears import _assert_maximal
 from trimatch.errors import InternalError, InvariantViolation, NotFactorCritical
 
-from conftest import complete_graph, cycle_graph
+from conftest import assemble, complete_graph, cycle_graph
 
 
 def nontrivial_count(d):
@@ -68,7 +69,7 @@ def test_even_order_rejected():
 
 def c5_plus_ear():
     g = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 1)])
-    d = _assemble(g, [[0, 1, 2, 3, 4, 0], [0, 5, 6, 1]])
+    d = assemble(g, [[0, 1, 2, 3, 4, 0], [0, 5, 6, 1]])
     assert not validate_decomposition(d)
     return d
 
@@ -100,7 +101,7 @@ def test_last_nontrivial_ear():
     d = c5_plus_ear()
     assert last_nontrivial_ear(d) == 1
     g = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 1), (0, 2)])
-    d2 = _assemble(g, [[0, 1, 2, 3, 4, 0], [0, 5, 6, 1], [0, 2]])
+    d2 = assemble(g, [[0, 1, 2, 3, 4, 0], [0, 5, 6, 1], [0, 2]])
     assert last_nontrivial_ear(d2) == 1
 
 
@@ -113,7 +114,7 @@ def test_maximalize_fixpoints():
 
 def test_maximalize_c5_with_chord():
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    d = _assemble(g, [[0, 1, 2, 3, 4, 0], [0, 2]])
+    d = assemble(g, [[0, 1, 2, 3, 4, 0], [0, 2]])
     out = maximalize(d)
     assert not validate_decomposition(out)
     assert nontrivial_count(out) == 2
@@ -122,14 +123,14 @@ def test_maximalize_c5_with_chord():
     assert out.ears[1].vertices == (2, 3, 4, 0)
     # C7 with chord (0, 3): a circuit split across an odd span
     g = make_graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
-    out = maximalize(_assemble(g, [[0, 1, 2, 3, 4, 5, 6, 0], [0, 3]]))
+    out = maximalize(assemble(g, [[0, 1, 2, 3, 4, 5, 6, 0], [0, 3]]))
     assert not validate_decomposition(out)
     assert [e.vertices for e in out.ears] == [(3, 4, 5, 6, 0, 3), (0, 1, 2, 3)]
     # a triangle, an ear 0-3-4-5-6-1 and chord (3, 6): an ear split
     g = make_graph(
         7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (1, 6), (3, 6)]
     )
-    out = maximalize(_assemble(g, [[0, 1, 2, 0], [0, 3, 4, 5, 6, 1], [3, 6]]))
+    out = maximalize(assemble(g, [[0, 1, 2, 0], [0, 3, 4, 5, 6, 1], [3, 6]]))
     assert not validate_decomposition(out)
     assert [e.vertices for e in out.ears] == [(0, 1, 2, 0), (0, 3, 6, 1), (3, 4, 5, 6)]
 
@@ -149,7 +150,7 @@ def test_maximalize_keeps_canonical_trivial_ears_and_normalizes_the_rest():
 
 def test_maximalize_rejects_invalid_input():
     g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    bad = _assemble(g, [[0, 1, 2, 0], [0, 1]])  # edge reuse
+    bad = assemble(g, [[0, 1, 2, 0], [0, 1]])  # edge reuse
     with pytest.raises(InvariantViolation):
         maximalize(bad)
 
@@ -311,6 +312,11 @@ def old_validate_decomposition(d):
     return errs
 
 
+def assert_maximal(d):
+    """The maximality check on d's walks, labels and positions."""
+    _assert_maximal(d.host, [e.vertices for e in d.ears], d.labels, d.positions)
+
+
 def old_assert_maximal(d):
     on_ear = [set(e.edge_walk()) for e in d.ears]
     for e in d.host.edges:
@@ -358,7 +364,7 @@ def test_assert_maximal_reads_no_stored_position_from_the_back():
         d, labels=(1, 1) + d.labels[2:], positions=(0, -1) + d.positions[2:]
     )
     expected = (InternalError, "odd edge (0, 1) is off its ear after slicing")
-    assert outcome(_assert_maximal, x) == outcome(old_assert_maximal, x) == expected
+    assert outcome(assert_maximal, x) == outcome(old_assert_maximal, x) == expected
 
 
 def mutants(d, rng):
@@ -465,10 +471,10 @@ def test_one_pass_checks_agree_with_the_old_checks():
             for x in [d, out] + cases:
                 errs = outcome(validate_decomposition, x)
                 assert errs == old_validate_outcome(x)
-                assert outcome(_assert_maximal, x) == outcome(old_assert_maximal, x)
+                assert outcome(assert_maximal, x) == outcome(old_assert_maximal, x)
             broken += len(cases)
             caught += sum(1 for x in cases if validate_decomposition(x))
-            unsliced += outcome(_assert_maximal, d) is not None
+            unsliced += outcome(assert_maximal, d) is not None
     # a few mutants are valid (a swap of equal vertices, an unchanged label)
     assert broken > 3000 and caught > 0.95 * broken
     # the unsliced decompositions that slicing would change fail the check
@@ -569,11 +575,11 @@ def old_maximalize(d, shapes):
 
     final_walks = [tok_walk[t] for t in order]
     final_walks.extend([u, v] for u, v in sorted(trivial_set))
-    out = _assemble(host, final_walks)
+    out = assemble(host, final_walks)
     errs = validate_decomposition(out)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    _assert_maximal(out)
+    assert_maximal(out)
     return out
 
 
@@ -602,7 +608,7 @@ def reference_decompositions():
             if v - u not in (1, n - 1) and rng.random() < 0.3
         ]
         g = make_graph(n, [(i, (i + 1) % n) for i in range(n)] + chords)
-        yield _assemble(g, [list(range(n)) + [0]] + [list(c) for c in chords])
+        yield assemble(g, [list(range(n)) + [0]] + [list(c) for c in chords])
 
 
 def test_stack_of_walks_slices_like_the_token_tables():
@@ -617,7 +623,8 @@ def test_stack_of_walks_slices_like_the_token_tables():
         assert shapes[shape] >= 20, shapes
 
 
-# Each decomposition value is checked once: as it is built.
+# An odd solve checks one decomposition, the sliced one, on its walks; the
+# public functions check each value they take or return.
 
 
 def count_checks(monkeypatch):
@@ -633,31 +640,50 @@ def count_checks(monkeypatch):
     return calls
 
 
-def test_an_odd_solve_checks_two_decompositions(monkeypatch):
+ODD_SOLVES = [(n, seed) for n in (3, 5, 7, 9, 21, 55, 101) for seed in (1, 2, 3)]
+
+
+def test_an_odd_solve_checks_one_decomposition(monkeypatch):
     calls = count_checks(monkeypatch)
-    for n in (3, 5, 7, 9, 21, 55, 101):
-        for seed in (1, 2, 3):
-            h = random_triple_system(n, seed, require_connected=True)
-            calls.clear()
-            solve(h)
-            # the constructed decomposition and the sliced one
-            assert len(calls) == 2, (n, seed)
+    for n, seed in ODD_SOLVES:
+        h = random_triple_system(n, seed, require_connected=True)
+        ears = len(maximalize(odd_ear_decomposition(shadow_graph(h))).ears)
+        calls.clear()
+        solve(h)
+        assert calls == [ears], (n, seed)  # the sliced decomposition only
+
+
+def test_an_odd_solve_builds_no_ear(monkeypatch):
+    built = []
+    for name in ("Ear", "EarDecomposition"):
+        def spy(*args, _real=getattr(ears_module, name), **kwargs):
+            built.append(_real)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ears_module, name, spy)
+    for n, seed in ODD_SOLVES:
+        h = random_triple_system(n, seed, require_connected=True)
+        assert verify_partition(h, solve(h)).ok
+    assert built == []
+    # the spies do see the public functions build their values
+    maximalize(odd_ear_decomposition(complete_graph(5)))
+    assert built
 
 
 def test_maximalize_checks_values_it_did_not_build(monkeypatch):
+    """maximalize checks every input, whoever built it, and then the value
+    it returns."""
     g = shadow_graph(random_triple_system(21, 4, require_connected=True))
     d = odd_ear_decomposition(g)
     calls = count_checks(monkeypatch)
     out = maximalize(d)
-    assert len(calls) == 1  # the sliced value only
-    # equal values that this module did not build are checked on entry
     by_hand = EarDecomposition(
         host=d.host, ears=d.ears, labels=d.labels, positions=d.positions
     )
-    for x in (by_hand, dataclasses.replace(d)):
+    for x in (d, by_hand, dataclasses.replace(d)):
         calls.clear()
         assert maximalize(x) == out
-        assert len(calls) == 2
+        assert calls == [len(d.ears), len(out.ears)]  # the input, then the output
     # and a broken one still raises
     w = d.ears[1].vertices
     ears = list(d.ears)
@@ -675,23 +701,20 @@ def test_maximalize_checks_values_it_did_not_build(monkeypatch):
         )
 
 
-def test_the_verdict_kept_on_a_built_value_is_the_full_check():
-    """For valid and broken walks alike, the verdict `_assemble` keeps equals
-    validate_decomposition, and maximalize behaves as on an unmarked copy."""
+def test_maximalize_refuses_each_broken_value_with_its_violations():
+    """On valid and broken values alike, maximalize raises InvariantViolation
+    carrying exactly validate_decomposition's violations, or returns a valid
+    decomposition."""
     rng = random.Random(17)
     broken = 0
     for n in range(5, 40, 2):
         g = shadow_graph(random_triple_system(n, n, require_connected=True))
         d = odd_ear_decomposition(g)
         for x in [d, maximalize(d)] + mutants(d, rng):
-            walks = [e.vertices for e in x.ears]
-            if not all(0 <= v < n for w in walks for v in w):
-                continue
-            built = _assemble(x.host, walks)
-            errs = _violations(built)
-            assert errs == validate_decomposition(built)
-            assert outcome(maximalize, built) == outcome(
-                maximalize, dataclasses.replace(built)
-            )
-            broken += bool(errs)
+            errs = validate_decomposition(x)
+            if errs:
+                assert outcome(maximalize, x) == (InvariantViolation, "; ".join(errs))
+                broken += 1
+            else:
+                assert not validate_decomposition(maximalize(x))
     assert broken > 300

@@ -26,7 +26,7 @@ from trimatch import (
     verify_lu,
     verify_partition,
 )
-from trimatch.ears import Ear, EarDecomposition, _assemble, validate_decomposition
+from trimatch.ears import Ear, EarDecomposition, validate_decomposition
 from trimatch.errors import (
     Disconnected,
     InternalError,
@@ -43,14 +43,14 @@ from trimatch.matching import (
 )
 from trimatch.partition import LuSubgraph, _parity_pairs, _require_ok
 
-from conftest import FANO_LINES, cycle_graph
-from prefix_census import decompositions, prefix_cases, tail_cases
+from conftest import FANO_LINES, assemble, cycle_graph
+from prefix_census import decompositions, prefix_cases, solve_path_fault, tail_cases
 from rotation_census import disjoint_union, graph_of, lu_with_rotations
 
 
 def c5_plus_ear_decomposition():
     g = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 1)])
-    d = _assemble(g, [[0, 1, 2, 3, 4, 0], [0, 5, 6, 1]])
+    d = assemble(g, [[0, 1, 2, 3, 4, 0], [0, 5, 6, 1]])
     assert not validate_decomposition(d)
     return d
 
@@ -436,8 +436,9 @@ def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
 def test_each_hypergraph_is_validated_built_and_split_once(
     monkeypatch, solver, builds
 ):
-    """`lu` gates and splits its residual once; `solve --k` does the same for
-    its input and for the residual, and no component is gated again."""
+    """`lu` gates and splits its residual once; `solve --k` also gates its
+    k = 4 input, and splits it on the incidence lists without a shadow
+    graph.  No component is gated again."""
     import trimatch.partition as partition_module
 
     calls = []
@@ -453,7 +454,33 @@ def test_each_hypergraph_is_validated_built_and_split_once(
     else:
         h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
         solve_k_uniform(h, 4)
-    assert sorted(calls) == sorted(["validate", "shadow_graph", "components"] * builds)
+    # the one shadow graph, and its split, is the 3-uniform residual's
+    assert sorted(calls) == sorted(["validate"] * builds + ["shadow_graph", "components"])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_k_above_3_blocks_are_the_shadow_components(k):
+    """For k > 3 the blocks come from the incidence lists, with no shadow
+    graph, and equal the shadow graph's components, in the same order, on
+    unions whose components interleave their vertex ids."""
+    import random
+
+    from trimatch import components
+    from trimatch.partition import _gated_blocks
+
+    rng = random.Random(k)
+    for trial in range(20):
+        parts = [random_regular_bipartite(rng.randrange(k, 12), k, rng.randrange(99))
+                 for _ in range(rng.randrange(1, 5))]
+        union = disjoint_union(*parts)
+        ids = list(range(union.n_b))
+        rng.shuffle(ids)
+        h = make_hypergraph(
+            union.n_b, [[ids[b] for b in nbrs] for nbrs in union.adj_a], k=k
+        )
+        blocks, g = _gated_blocks(h, k)
+        assert g is None
+        assert blocks == components(shadow_graph(h)).blocks, trial
 
 
 @pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
@@ -754,7 +781,7 @@ def test_verify_triangle_must_be_hyperedge(fano):
 def closed_ear_decomposition():
     """Circuit 0-1-2 plus the closed ear 2-3-4-5-6-2."""
     g = make_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
-    d = _assemble(g, [[0, 1, 2, 0], [2, 3, 4, 5, 6, 2]])
+    d = assemble(g, [[0, 1, 2, 0], [2, 3, 4, 5, 6, 2]])
     assert not validate_decomposition(d)
     return d
 
@@ -764,7 +791,7 @@ def trivial_ear_inside_decomposition():
     g = make_graph(
         7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 5), (5, 6), (6, 3)]
     )
-    d = _assemble(g, [[0, 1, 2, 3, 4, 0], [0, 2], [1, 5, 6, 3]])
+    d = assemble(g, [[0, 1, 2, 3, 4, 0], [0, 2], [1, 5, 6, 3]])
     assert not validate_decomposition(d)
     return d
 
@@ -773,7 +800,9 @@ def test_same_ear_apex_construction_on_closed_ear():
     # apex 5 shares the closed ear with the chosen edge (3, 4), so the
     # orientation construction runs
     d = closed_ear_decomposition()
-    pairs = sorted(tuple(sorted(p)) for p in _parity_pairs(d, 1, (3, 4), 5))
+    walks = [ear.vertices for ear in d.ears]
+    pairs = _parity_pairs(walks, d.labels, d.positions, 1, (3, 4), 5)
+    pairs = sorted(tuple(sorted(p)) for p in pairs)
     assert pairs == [(0, 1), (2, 6), (3, 4)]
 
 
@@ -861,6 +890,13 @@ def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
         assert sorted(calls) == ["blossom", "tree"], (n, seed)
 
 
+# (n, seed) of `random_triple_system` instances whose solve takes the
+# same-ear-apex branch
+SAME_EAR_INSTANCES = [
+    (7, 10), (11, 8583), (19, 14789), (25, 19442), (33, 9), (51, 10), (127, 9)
+]
+
+
 def test_same_ear_apex_instances_end_to_end(monkeypatch):
     """Deterministic instances known to route through the same-ear-apex
     (parity) construction rather than the earlier-ear lemma."""
@@ -869,20 +905,27 @@ def test_same_ear_apex_instances_end_to_end(monkeypatch):
     hits = []
     original = partition_module._parity_pairs
 
-    def spy(d, k, e, apex):
+    def spy(walks, labels, positions, k, e, apex):
         hits.append(k)
-        return original(d, k, e, apex)
+        return original(walks, labels, positions, k, e, apex)
 
     monkeypatch.setattr(partition_module, "_parity_pairs", spy)
-    instances = [
-        (7, 10), (11, 8583), (19, 14789), (25, 19442), (33, 9), (51, 10), (127, 9)
-    ]
-    for n, seed in instances:
+    for n, seed in SAME_EAR_INSTANCES:
         hits.clear()
         h = random_triple_system(n, seed=seed, require_connected=True)
         cert = solve(h)
         assert verify_partition(h, cert).ok
         assert len(hits) == 1 and hits[0] >= 1, (n, seed, hits)
+
+
+def test_the_solver_reads_the_maximal_decomposition_off_its_walks():
+    """The walks, labels, positions and last nontrivial ear that an odd
+    solve reads equal those of `maximalize(odd_ear_decomposition(g))`."""
+    instances = [(n, s) for n in range(3, 402, 2) for s in (1, 2, 3)]
+    for n, seed in instances + SAME_EAR_INSTANCES:
+        h = random_triple_system(n, seed=seed, require_connected=True)
+        d = maximalize(odd_ear_decomposition(shadow_graph(h)))
+        assert solve_path_fault(d) is None, (n, seed, solve_path_fault(d))
 
 
 def test_circuit_cut_construction_on_triple(monkeypatch):
@@ -893,9 +936,9 @@ def test_circuit_cut_construction_on_triple(monkeypatch):
     hits = []
     original = partition_module._parity_pairs
 
-    def spy(d, k, e, apex):
+    def spy(walks, labels, positions, k, e, apex):
         hits.append(k)
-        return original(d, k, e, apex)
+        return original(walks, labels, positions, k, e, apex)
 
     monkeypatch.setattr(partition_module, "_parity_pairs", spy)
     h = make_hypergraph(3, [(0, 1, 2)] * 3, k=3)
@@ -907,10 +950,11 @@ def test_circuit_cut_construction_on_triple(monkeypatch):
 def test_circuit_only_case_off_the_triangle_is_an_internal_error(apex):
     """Only n = 3 has the circuit as its last nontrivial ear; a 5-cycle
     decomposition reaching the k=0 case is refused, whatever the apex."""
-    d = _assemble(cycle_graph(5), [[0, 1, 2, 3, 4, 0]])
+    d = assemble(cycle_graph(5), [[0, 1, 2, 3, 4, 0]])
     assert not validate_decomposition(d)
+    walks = [ear.vertices for ear in d.ears]
     with pytest.raises(InternalError):
-        _parity_pairs(d, 0, (0, 1), apex)
+        _parity_pairs(walks, d.labels, d.positions, 0, (0, 1), apex)
 
 
 def test_solved_random_instances_verify_and_match_parity():
