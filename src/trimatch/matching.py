@@ -13,9 +13,10 @@ certificates byte-reproducible.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 from .core import (
     Hypergraph,
@@ -71,11 +72,16 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
 
     Edges are checked in input order, each for range, then repeats.  The
     checks run over all edges at once; only when one fails does
-    `_first_bipartite_fault` walk them to raise the first fault.
+    `_first_bipartite_fault` walk them to raise the first fault.  Edges that
+    strictly increase, as `format_bipartite` writes them, are distinct and
+    in order already, so they are neither deduplicated nor sorted again.
     """
     edges = list(map(tuple, edges))
-    seen = set(edges)
-    ok = set(map(len, edges)) <= {2} and len(seen) == len(edges)
+    ok = set(map(len, edges)) <= {2}
+    increasing = ok and all(map(operator.lt, edges, islice(edges, 1, None)))
+    if ok and not increasing:
+        seen = set(edges)
+        ok = len(seen) == len(edges)
     if ok and edges:
         flat = list(chain.from_iterable(edges))
         side_a, side_b = flat[::2], flat[1::2]
@@ -85,7 +91,7 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
         )
     if not ok:
         _first_bipartite_fault(n_a, n_b, edges)
-    ordered = tuple(sorted(seen))
+    ordered = tuple(edges) if increasing else tuple(sorted(seen))
     # filled in sorted edge order, so every list comes out increasing
     adj_a = [[] for _ in range(n_a)]
     adj_b = [[] for _ in range(n_b)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, groupby, islice, repeat
+from itertools import chain, combinations, filterfalse, groupby, islice, repeat
 
 from .core import (
     Hypergraph,
@@ -418,24 +418,25 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
 def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
     """Kept edges of one pass at one extraction rotation, sorted.
 
-    Deletes t disjoint perfect matchings (none when t = 0), reads the
-    residual as a 3-uniform 3-regular hypergraph on B (one hyperedge per
-    A-vertex), solves it componentwise, and gives each block the 2 or 3
-    edges of the first A-vertex through block[0] whose slot contains it.
-    Blocks are disjoint and have at least 2 vertices, so a 3-vertex slot
-    contains at most one of them and no A-vertex is chosen twice.
+    Deletes t disjoint perfect matchings (none when t = 0): the residual is
+    the host's adjacency with each matched edge taken out of its A-vertex's
+    sorted list.  Reads it as a 3-uniform 3-regular hypergraph on B (one
+    hyperedge per A-vertex), solves it componentwise, and gives each block
+    the 2 or 3 edges of the first A-vertex through block[0] whose slot
+    contains it.  Blocks are disjoint and have at least 2 vertices, so a
+    3-vertex slot contains at most one of them and no A-vertex is chosen
+    twice.
     """
-    removed = set()
+    adj = [list(nbrs) for nbrs in bg.adj_a]
     if t > 0:
         for m in extract_disjoint_perfect_matchings(bg, t, _rotation=rotation):
-            removed.update(m.pairs)
-    slots = []
+            for a, b in m.pairs:
+                adj[a].remove(b)
+    slots = list(map(tuple, adj))
+    if set(map(len, slots)) - {3}:
+        raise InternalError("residual is not 3-regular on the A side")
     slots_at = [[] for _ in range(bg.n_b)]
-    for a in range(bg.n_a):
-        nbrs = tuple(b for b in bg.adj_a[a] if (a, b) not in removed)
-        if len(nbrs) != 3:
-            raise InternalError("residual is not 3-regular on the A side")
-        slots.append(nbrs)
+    for a, nbrs in enumerate(slots):
         for b in nbrs:
             slots_at[b].append(a)
 
@@ -443,11 +444,12 @@ def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
     for cert in solve_components(make_hypergraph(bg.n_b, slots, k=3)):
         tri = () if cert.triangle is None else (cert.triangle,)
         for block in chain(tri, cert.pairs):
-            a = next(
-                (a for a in slots_at[block[0]] if all(x in slots[a] for x in block)),
-                None,
-            )
-            if a is None:
+            # every slot listed at block[0] contains it: test only the rest
+            rest = set(block[1:])
+            for a in slots_at[block[0]]:
+                if rest.issubset(slots[a]):
+                    break
+            else:
                 raise InternalError(f"no A-vertex carries block {block}")
             kept.extend((a, x) for x in block)
     return tuple(sorted(kept))
@@ -562,6 +564,25 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
     if triangles and h.k == 3:
         # hyperedges are stored as sorted tuples
         hyperedge_set = set(h.hyperedges)
+    elif triangles:
+        # the verifier's own index of the triangles by least vertex, matched
+        # in one pass over the hyperedges through those vertices that stops
+        # once every triangle lies inside one
+        waiting = {}
+        for tri in map(frozenset, triangles):
+            if len(tri) == 3:
+                waiting.setdefault(min(tri), set()).add(tri)
+        inside = set()
+        for e in filterfalse(waiting.keys().isdisjoint, h.hyperedges):
+            e = set(e)
+            for v in waiting.keys() & e:
+                found = {tri for tri in waiting[v] if tri <= e}
+                inside |= found
+                waiting[v] -= found
+                if not waiting[v]:
+                    del waiting[v]
+            if not waiting:
+                break
     for tri in triangles:
         tset = set(tri)
         if len(tset) != 3:
@@ -571,7 +592,7 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
             key = tuple(sorted(tri))
             if key not in hyperedge_set:
                 violations.append(f"triangle {key} is not a hyperedge")
-        elif not any(tset.issubset(e) for e in h.hyperedges):
+        elif tset not in inside:
             violations.append(
                 f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
             )
@@ -605,14 +626,13 @@ def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:
     """
     kept = cert.kept if isinstance(cert, LuSubgraph) else tuple(cert)
     violations = []
-    edge_set = set(bg.edges)
     deg_a = [0] * bg.n_a
     deg_b = [0] * bg.n_b
     seen = set()
     for a, b in kept:
         if not (0 <= a < bg.n_a and 0 <= b < bg.n_b):
             raise ValueError(f"kept edge ({a}, {b}) out of range")
-        if (a, b) not in edge_set:
+        if b not in bg.adj_a[a]:
             violations.append(f"kept edge ({a}, {b}) is not an edge of the graph")
             continue
         if (a, b) in seen:

@@ -6,17 +6,19 @@ row and column sums 2.  Prints how many graphs `lu_subgraph` settles at each
 extraction rotation, then runs `lu` on each graph that needed a rotation
 past 0 joined with a copy of itself, and prints how many of those unions
 fit no rotation of the whole graph and are solved one component at a time.
-Exits non-zero if `lu` fails on any graph (every rotation fails `verify_lu`)
-or if either count differs from the pinned one: 67,869 graphs at rotation
-0, 81 at rotation 1, and all 81 unions solved per component.  It takes
-about 20 s on one core, so it runs as its own CI step rather than in the
-pytest suite:
+Exits non-zero if `lu` fails on any graph (every rotation fails `verify_lu`),
+if either count differs from the pinned one (67,869 graphs at rotation
+0, 81 at rotation 1, and all 81 unions solved per component), or if the
+SHA-256 of all 67,950 `lu` certificates, as `format_lu` writes them and
+in enumeration order, differs from the pinned one.  It takes about 20 s on
+one core, so it runs as its own CI step rather than in the pytest suite:
 
     PYTHONPATH=src python tests/rotation_census.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from collections import Counter
 from itertools import combinations
@@ -24,10 +26,12 @@ from itertools import combinations
 import trimatch.partition as partition
 from trimatch import make_bipartite
 from trimatch.errors import InternalError
+from trimatch.formats import format_lu
 
 SIDE = 6
 EXPECTED_ROTATIONS = {0: 67869, 1: 81}
 EXPECTED_FALLBACKS = 81
+EXPECTED_SHA256 = "6390ff19dd8363567acb659315c0411f7e7c42e32bb8f89824bb1609d9d6368d"
 ROW_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(SIDE), 2)]
 
 
@@ -110,15 +114,17 @@ def main() -> int:
     failed = []
     retried = []
     graphs = 0
+    digest = hashlib.sha256()
     for masks in complement_masks():
         graphs += 1
         bg = graph_of(masks)
         try:
-            _, rotations = lu_with_rotations(bg)
+            lu, rotations = lu_with_rotations(bg)
         except InternalError as exc:
             # no rotation passed verify_lu
             failed.append((masks, exc))
             continue
+        digest.update(format_lu(lu).encode("ascii"))
         settled[rotations[-1]] += 1
         if rotations[-1] > 0:
             retried.append(masks)
@@ -135,6 +141,7 @@ def main() -> int:
     for rotation in sorted(settled):
         print(f"rotation {rotation}: {settled[rotation]}")
     print(f"self-unions of retried graphs solved per component: {fallbacks}")
+    print(f"sha256 of the lu certificates: {digest.hexdigest()}")
     print(f"failed: {len(failed)}")
     for masks, exc in failed:
         print(f"  complement row masks {masks}: {exc}")
@@ -142,6 +149,7 @@ def main() -> int:
         graphs == 67950
         and settled == EXPECTED_ROTATIONS
         and fallbacks == EXPECTED_FALLBACKS
+        and digest.hexdigest() == EXPECTED_SHA256
     )
     return 0 if pinned and not failed else 1
 

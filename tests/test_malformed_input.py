@@ -384,10 +384,32 @@ def test_make_graph_agrees_with_the_old_builder(n, edges):
 
 @st.composite
 def bipartite_inputs(draw):
-    """Side sizes and edges, most of them at most one past either side."""
+    """Side sizes and edges, most of them at most one past either side.
+
+    Half the draws are distinct edges on nonempty sides, sorted as a file
+    writer emits them, so strictly increasing, and then given at most one
+    fault: an adjacent
+    repeat, an out-of-range last edge that still increases, or a row of
+    width 1 or 3.
+    """
     n_a, n_b = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
     near = st.tuples(st.integers(-1, max(n_a, 0)), st.integers(-1, max(n_b, 0)))
-    return n_a, n_b, draw(st.lists(st.one_of(near, near, EDGE), max_size=8))
+    if draw(st.booleans()):
+        return n_a, n_b, draw(st.lists(st.one_of(near, near, EDGE), max_size=8))
+    n_a, n_b = max(n_a, 1), max(n_b, 1)
+    inside = st.tuples(st.integers(0, n_a - 1), st.integers(0, n_b - 1))
+    edges = sorted(draw(st.sets(inside, min_size=1, max_size=8)))
+    fault = draw(st.sampled_from(["none", "repeat", "out of range", "width"]))
+    if fault == "out of range":
+        edges.append(draw(st.sampled_from([(n_a, 0), (n_a - 1, n_b)])))
+    elif fault != "none":
+        i = draw(st.integers(0, len(edges) - 1))
+        a, b = edges[i]
+        if fault == "repeat":
+            edges.insert(i, (a, b))
+        else:
+            edges[i] = draw(st.sampled_from([(a,), (a, b, b + 1)]))
+    return n_a, n_b, edges
 
 
 @settings(max_examples=200, deadline=None)

@@ -432,6 +432,33 @@ def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
     assert lu_subgraph(bg, 4).kept == tuple(expected)
 
 
+def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
+    """199 random 4-regular components plus one census graph that needs
+    rotation 1: no rotation fits the whole graph, so `lu` tries all 24 of
+    them, then solves the 200 components one by one (the split one at its
+    own rotation 1) and checks the combined kept edges once."""
+    import trimatch.partition as partition_module
+
+    parts = [random_regular_bipartite(5 + i % 8, 4, i) for i in range(199)]
+    bg = disjoint_union(*parts, rotation_0_split(ROTATION_0_SPLITS[0]))
+    assert bg.n_b == 1694
+    verify = partition_module.verify_lu
+    checked = []
+
+    def spy(graph, cert):
+        checked.append(graph.n_b)
+        return verify(graph, cert)
+
+    monkeypatch.setattr(partition_module, "verify_lu", spy)
+    lu = lu_subgraph(bg, 4)
+    assert verify(bg, lu).ok
+    assert len(checked) == 226
+    whole = [i for i, n_b in enumerate(checked) if n_b == bg.n_b]
+    # 24 whole-graph rotations, 199 + 2 per-component calls, 1 final call
+    assert whole == list(range(24)) + [225]
+    assert checked[24:225] == [part.n_b for part in parts] + [6, 6]
+
+
 @pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
 def test_each_hypergraph_is_validated_built_and_split_once(
     monkeypatch, solver, builds
