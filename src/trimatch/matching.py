@@ -72,16 +72,16 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
 
     Edges are checked in input order, each for range, then repeats.  The
     checks run over all edges at once; only when one fails does
-    `_first_bipartite_fault` walk them to raise the first fault.  Edges that
-    strictly increase, as `format_bipartite` writes them, are distinct and
-    in order already, so they are neither deduplicated nor sorted again.
+    `_first_bipartite_fault` walk them to raise the first fault.  The edges
+    are sorted, with no set: sorted edges are distinct exactly when they
+    strictly increase, and edges that increase already, as `format_bipartite`
+    writes them, sort in one linear pass.
     """
     edges = list(map(tuple, edges))
     ok = set(map(len, edges)) <= {2}
-    increasing = ok and all(map(operator.lt, edges, islice(edges, 1, None)))
-    if ok and not increasing:
-        seen = set(edges)
-        ok = len(seen) == len(edges)
+    if ok:
+        ordered = sorted(edges)
+        ok = all(map(operator.lt, ordered, islice(ordered, 1, None)))
     if ok and edges:
         flat = list(chain.from_iterable(edges))
         side_a, side_b = flat[::2], flat[1::2]
@@ -91,7 +91,7 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
         )
     if not ok:
         _first_bipartite_fault(n_a, n_b, edges)
-    ordered = tuple(edges) if increasing else tuple(sorted(seen))
+    ordered = tuple(ordered)
     # filled in sorted edge order, so every list comes out increasing
     adj_a = [[] for _ in range(n_a)]
     adj_b = [[] for _ in range(n_b)]

@@ -430,8 +430,12 @@ def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
     adj = [list(nbrs) for nbrs in bg.adj_a]
     if t > 0:
         for m in extract_disjoint_perfect_matchings(bg, t, _rotation=rotation):
-            for a, b in m.pairs:
-                adj[a].remove(b)
+            try:
+                for a, b in m.pairs:
+                    adj[a].remove(b)
+            except ValueError:
+                # a matched pair that is no edge, or was matched twice
+                raise InternalError("residual is not 3-regular on the A side")
     slots = list(map(tuple, adj))
     if set(map(len, slots)) - {3}:
         raise InternalError("residual is not 3-regular on the A side")

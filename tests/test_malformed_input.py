@@ -412,7 +412,7 @@ def bipartite_inputs(draw):
     return n_a, n_b, edges
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(bipartite_inputs())
 def test_make_bipartite_agrees_with_the_old_builder(case):
     n_a, n_b, edges = case

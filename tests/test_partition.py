@@ -432,6 +432,29 @@ def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
     assert lu_subgraph(bg, 4).kept == tuple(expected)
 
 
+@pytest.mark.parametrize("fault", ["non-edge", "repeat"])
+def test_lu_reports_a_broken_extraction_as_an_internal_error(monkeypatch, fault):
+    """A matched pair that is no edge of the graph, or one matched twice,
+    is the solver's fault, not the input's: it raises InternalError."""
+    import trimatch.partition as partition_module
+    from trimatch.matching import Matching
+
+    bg = random_regular_bipartite(6, 5, 1)
+    first = next(iter(partition_module.extract_disjoint_perfect_matchings(bg, 1)))
+    missing = next(b for b in range(6) if b not in bg.adj_a[0])
+    if fault == "non-edge":
+        pairs = [((0, missing),) + first.pairs[1:], first.pairs]
+    else:
+        pairs = [first.pairs, first.pairs]
+
+    def fake_extract(graph, t, _rotation=0):
+        return [Matching(pairs=p, host=graph) for p in pairs[:t]]
+
+    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    with pytest.raises(InternalError, match="residual is not 3-regular"):
+        lu_subgraph(bg, 5)
+
+
 def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
     """199 random 4-regular components plus one census graph that needs
     rotation 1: no rotation fits the whole graph, so `lu` tries all 24 of
