@@ -93,8 +93,9 @@ def _scan(host: SimpleGraph, walks):
     position there (-1 for vertices on no walk), in one pass.
 
     An ear with a vertex outside 0..n-1 is reported and skipped, so no lookup
-    indexes with it.  A trivial ear after the circuit takes a short path that
-    reports what the general one would, in the same order.
+    indexes with it.  Host edges, odd lengths, fresh and distinct interiors
+    and coverage are all an odd ear decomposition is, so on the solve path
+    this is the only check of the traced paths (see `_ear_walks`).
 
     The run of trivial ears at the tail is checked in bulk, with one set of
     its edges.  It passes when the ears before it place every vertex, no
@@ -131,24 +132,6 @@ def _scan(host: SimpleGraph, walks):
             if bad is not None:
                 errs.append(f"ear {i} has vertex {bad} out of range [0, {n})")
                 continue
-        if i and len(w) == 2:
-            u, v = w
-            if labels[u] == -1:
-                labels[u] = i
-                positions[u] = 0
-            if labels[v] == -1:
-                labels[v] = i
-                positions[v] = 1
-            e = (u, v) if u < v else (v, u)
-            if u == v or e not in edge_set:
-                errs.append(f"ear {i} uses non-edge ({u}, {v})")
-            elif e in used:
-                errs.append(f"edge {e} appears on more than one ear")
-            else:
-                used.add(e)
-            if not (placed[u] and placed[v]):
-                errs.append(f"ear {i} endpoints do not lie on earlier ears")
-            continue
         if len(w) < 2:
             errs.append(f"ear {i} has no edges")
         elif len(w) % 2 == 1:
@@ -270,7 +253,9 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
 def _ear_walks(g: SimpleGraph):
     """The walks of `odd_ear_decomposition(g)`, unchecked: the nontrivial
     ones as lists, in order, and the host edges they leave as the trivial
-    ears, in a dict used as an ordered set (in the host's edge order)."""
+    ears, in a dict used as an ordered set (in the host's edge order).
+    Slicing keeps their edges and interiors and an even ear's even middle
+    piece, so the caller's one `_scan` sees every fault of the traced paths."""
     n = g.n
     if n % 2 == 0:
         raise NotFactorCritical(
@@ -311,8 +296,6 @@ def _ear_walks(g: SimpleGraph):
             raise InternalError("ran out of frontier before covering all vertices")
         v = heapq.heappop(frontier)
         suffix = tree.path_from_placed(v, placed)
-        if len(suffix) % 2 == 0:
-            raise InternalError("ear suffix has odd length; matching closure broken")
         close = min(y for y in g.adjacency[v] if placed[y])
         walks.append(suffix + [close])
         for x in suffix[1:]:

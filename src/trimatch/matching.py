@@ -342,20 +342,17 @@ class AlternatingTree:
         return None
 
     def even_path_to(self, v: VertexId) -> list[VertexId]:
-        """Even alternating path root .. v (simple; checked defensively)."""
+        """Even path root .. v: the root is exposed, so no partner stops it."""
         only_root = [False] * self.graph.n
         only_root[self.root] = True
-        path = self.path_from_placed(v, only_root)
-        if len(path) % 2 == 0:
-            raise InternalError("traced path is not a simple even path")
-        return path
+        return self.path_from_placed(v, only_root)
 
     def path_from_placed(self, v: VertexId, placed) -> list[VertexId]:
         """The even path root .. v from its last vertex x with placed[x] set.
 
         Walks from v toward the root and stops at the first placed vertex, so
-        the work and the check cover only the part that is returned.  Raises
-        InternalError when no vertex of the path is placed.
+        the work covers only the part that is returned.  Raises InternalError
+        when no vertex of the path is placed.  Unchecked: see `ears._scan`.
         """
         if not self._outer[v]:
             raise PreconditionViolated(f"vertex {v} is not evenly reachable")
@@ -375,23 +372,7 @@ class AlternatingTree:
             if len(rev) > cap:
                 raise InternalError("even-path trace did not terminate")
         rev.reverse()
-        self._check_path(rev)
         return rev
-
-    def _check_path(self, path):
-        """A simple path of graph edges that alternates and ends with the
-        matching edge into its last vertex."""
-        g = self.graph
-        if len(set(path)) != len(path):
-            raise InternalError("traced path is not a simple even path")
-        last = len(path) - 2
-        for i in range(last + 1):
-            u, v = path[i], path[i + 1]
-            if not g.has_edge(u, v):
-                raise InternalError("traced path leaves the graph")
-            matched = self.match[u] == v
-            if matched != ((last - i) % 2 == 0):
-                raise InternalError("traced path does not alternate")
 
 
 def near_perfect_matching(g: SimpleGraph, root: VertexId) -> list[int] | None:

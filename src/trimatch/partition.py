@@ -276,7 +276,8 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
 
 def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
     """The kept edges of the incidence graph (one A-vertex per hyperedge
-    copy), read back as hyperedge 2-subsets plus at most one 3-subset."""
+    copy), read back as hyperedge 2-subsets plus at most one 3-subset, as
+    `verify_lu` left them; others fail `verify_partition` as missing."""
     edges = []
     slot = 0
     for he, mult in zip(h.hyperedges, h.multiplicities):
@@ -290,16 +291,10 @@ def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
     # kept edges are sorted, so each A-vertex's block comes out sorted
     for _, kept in groupby(lu.kept, key=lambda e: e[0]):
         block = tuple(b for _, b in kept)
-        if len(block) == 2:
-            pairs.append(block)
-        elif len(block) == 3:
-            if triangle is not None:
-                raise InternalError(
-                    "construction produced two 3-blocks on a connected instance"
-                )
+        if len(block) == 3:
             triangle = block
-        else:
-            raise InternalError("kept degrees outside {2, 3}")
+        elif len(block) == 2:
+            pairs.append(block)
     return TriMatchingPartition(
         triangle=triangle, pairs=_canon_pairs(pairs), host=h
     )
@@ -469,11 +464,13 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     is extracted, so there is one pass), and the first pass that `verify_lu`
     accepts wins.
 
-    A rotation of the whole graph leaves the scan order inside most of its
-    components unchanged, so when none fits and the input is disconnected,
-    each component is solved alone, with rotations of its own, and the kept
-    edges are combined.  When a connected graph fits no rotation, an
-    InternalError names them and carries the graph's edges as its witness.
+    Hopcroft-Karp matches each component of a disconnected graph as it
+    would match it alone, so rotation 0 of the whole graph is rotation 0 of
+    every component.  When it fails on a disconnected input, each component
+    is solved alone, with rotations of its own, and the kept edges are
+    combined; the components are searched only then.  When a connected
+    graph fits no rotation, an InternalError names them and carries the
+    graph's edges as its witness.
     """
     deg_k = require_regular_bipartite(bg)
     if deg_k != k:
@@ -481,20 +478,22 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     if k < 3:
         raise PreconditionViolated("degree must be at least 3")
 
-    rotations = min(bg.n_a, 24) if k > 3 else 1
+    n_a = bg.n_a
+    rotations = min(n_a, 24) if k > 3 else 1
     for rotation in range(rotations):
         lu = LuSubgraph(kept=_kept_edges(bg, k - 3, rotation), host=bg)
         report = verify_lu(bg, lu)
         if report.ok:
             return lu
-    if k == 3:
-        _require_ok(report)
-
-    n_a = bg.n_a
-    blocks = _component_blocks(
-        [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
-    )
-    if len(blocks) == 1:
+        if rotation == 0:
+            if k == 3:
+                _require_ok(report)
+            blocks = _component_blocks(
+                [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
+            )
+            if len(blocks) > 1:
+                break
+    else:  # connected, and no rotation fits
         raise InternalError(
             f"extraction rotations 0..{rotations - 1} all fail verification: "
             + "; ".join(report.violations),

@@ -718,3 +718,77 @@ def test_maximalize_refuses_each_broken_value_with_its_violations():
             else:
                 assert not validate_decomposition(maximalize(x))
     assert broken > 300
+
+
+# Faults that only the one decomposition check stands against on the solve
+# path: each is put into the traced paths, and `trimatch solve` must exit 3
+# with an InternalError naming it.
+
+
+def solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault):
+    """Exit code and stderr of `trimatch solve` on an odd instance, with
+    `fault(tree, v, placed, path)` rewriting the first traced ear path it
+    does not return as None.  The circuit's trace is left alone."""
+    from trimatch import formats
+    from trimatch.cli import main
+    from trimatch.matching import AlternatingTree
+
+    trace = AlternatingTree.path_from_placed
+    done = []
+
+    def faulty(tree, v, placed):
+        path = trace(tree, v, placed)
+        if done or sum(placed) == 1:
+            return path
+        bad = fault(tree, v, placed, path)
+        if bad is None:
+            return path
+        done.append(bad)
+        return bad
+
+    monkeypatch.setattr(AlternatingTree, "path_from_placed", faulty)
+    f = tmp_path / "odd.hyp"
+    f.write_text(formats.format_hypergraph(random_triple_system(101, 1, require_connected=True)))
+    code = main(["solve", str(f)])
+    assert done
+    return code, capsys.readouterr().err
+
+
+def test_a_traced_non_edge_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def fault(tree, v, placed, path):
+        # start the path at a placed vertex that is no neighbour of its second
+        g = tree.graph
+        y = next(
+            (y for y in range(g.n) if placed[y] and not g.has_edge(y, path[1])),
+            None,
+        )
+        return None if y is None else [y] + path[1:]
+
+    code, err = solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault)
+    assert code == 3
+    assert err.startswith("error: InternalError: sliced decomposition invalid: ")
+    assert "uses non-edge" in err
+
+
+def test_a_traced_repeated_vertex_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def fault(tree, v, placed, path):
+        # walk the last edge back and forth once more: still host edges
+        return path + path[-2:]
+
+    code, err = solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault)
+    assert code == 3
+    assert err.startswith("error: InternalError: sliced decomposition invalid: ")
+    assert "repeats an interior vertex" in err
+
+
+def test_an_even_traced_ear_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def fault(tree, v, placed, path):
+        # one host edge from a placed vertex other than the one that closes
+        # the ear: an ear of two edges
+        near = [y for y in tree.graph.adjacency[v] if placed[y]]
+        return [max(near), v] if len(near) > 1 else None
+
+    code, err = solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault)
+    assert code == 3
+    assert err.startswith("error: InternalError: sliced decomposition invalid: ")
+    assert "has an even number of edges" in err

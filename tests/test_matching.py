@@ -168,8 +168,15 @@ def test_even_path_tracer_on_factor_critical_graphs():
         tree = AlternatingTree(g, match, 0)
         for v in range(n):
             assert tree.is_outer(v)
-            path = tree.even_path_to(v)  # validity checked internally
+            path = tree.even_path_to(v)
             assert path[0] == 0 and path[-1] == v
+            assert len(set(path)) == len(path) and len(path) % 2 == 1
+            # out of the root on a non-matching edge, then alternating, so the
+            # last edge is the matching edge into v
+            for i, (a, b) in enumerate(zip(path, path[1:])):
+                assert g.has_edge(a, b)
+                assert (match[a] == b) == (i % 2 == 1)
+            assert v == 0 or match[v] == path[-2]
 
 
 def _reference_root_path(tree, v):

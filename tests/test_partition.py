@@ -1,6 +1,7 @@
 """Constructive partitions, the bipartite subgraph map, and verification."""
 
 import itertools
+import random
 
 import pytest
 
@@ -41,7 +42,7 @@ from trimatch.matching import (
     extract_disjoint_perfect_matchings,
     require_regular_bipartite,
 )
-from trimatch.partition import LuSubgraph, _parity_pairs, _require_ok
+from trimatch.partition import LuSubgraph, _kept_edges, _parity_pairs, _require_ok
 
 from conftest import FANO_LINES, assemble, cycle_graph
 from prefix_census import decompositions, prefix_cases, solve_path_fault, tail_cases
@@ -328,7 +329,7 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
 
 
 def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
-    """Disconnected input: after every rotation of the whole graph, each
+    """Disconnected input: after rotation 0 of the whole graph fails, each
     component is extracted alone; one whose every own rotation splits ends
     in InternalError with that component as the witness."""
     import trimatch.partition as partition_module
@@ -357,9 +358,7 @@ def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
     monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
     with pytest.raises(InternalError, match=f"rotations 0..{2 * m - 1} ") as err:
         lu_subgraph(bg, 4)
-    assert calls == [(bg.n_a, r) for r in range(bg.n_a)] + [
-        (first.n_a, r) for r in range(first.n_a)
-    ]
+    assert calls == [(bg.n_a, 0)] + [(first.n_a, r) for r in range(first.n_a)]
     assert err.value.witness == first.edges
 
 
@@ -457,9 +456,9 @@ def test_lu_reports_a_broken_extraction_as_an_internal_error(monkeypatch, fault)
 
 def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
     """199 random 4-regular components plus one census graph that needs
-    rotation 1: no rotation fits the whole graph, so `lu` tries all 24 of
-    them, then solves the 200 components one by one (the split one at its
-    own rotation 1) and checks the combined kept edges once."""
+    rotation 1: rotation 0 of the whole graph fails, so `lu` tries no other
+    whole-graph rotation, solves the 200 components one by one (the split
+    one at its own rotation 1) and checks the combined kept edges once."""
     import trimatch.partition as partition_module
 
     parts = [random_regular_bipartite(5 + i % 8, 4, i) for i in range(199)]
@@ -475,11 +474,88 @@ def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
     monkeypatch.setattr(partition_module, "verify_lu", spy)
     lu = lu_subgraph(bg, 4)
     assert verify(bg, lu).ok
-    assert len(checked) == 226
+    assert len(checked) == 203
     whole = [i for i, n_b in enumerate(checked) if n_b == bg.n_b]
-    # 24 whole-graph rotations, 199 + 2 per-component calls, 1 final call
-    assert whole == list(range(24)) + [225]
-    assert checked[24:225] == [part.n_b for part in parts] + [6, 6]
+    # whole-graph rotation 0, 199 + 2 per-component calls, 1 final call
+    assert whole == [0, 202]
+    assert checked[1:202] == [part.n_b for part in parts] + [6, 6]
+
+
+def union_with_ids(graphs, rng=None):
+    """The union of `graphs`, side by side or, given `rng`, with each side's
+    ids dealt out at random, and each graph's A and B ids in it.  A graph's
+    ids keep their order, so its adjacency lists and scan orders keep theirs."""
+    sides = []
+    for n in ([g.n_a for g in graphs], [g.n_b for g in graphs]):
+        owner = [i for i, size in enumerate(n) for _ in range(size)]
+        if rng is not None:
+            rng.shuffle(owner)
+        sides.append([[x for x, o in enumerate(owner) if o == i] for i in range(len(n))])
+    at_a, at_b = sides
+    edges = [(at_a[i][a], at_b[i][b]) for i, g in enumerate(graphs) for a, b in g.edges]
+    return make_bipartite(sum(g.n_a for g in graphs), sum(g.n_b for g in graphs), edges), at_a, at_b
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_rotation_0_of_a_union_is_rotation_0_of_each_component(k):
+    """Hopcroft-Karp matches each component of a union as it would match it
+    alone, so the extracted matchings and the kept edges of rotation 0 are
+    those of every component at its own rotation 0, with the components
+    side by side or dealt out among each other's ids."""
+    rng = random.Random(k)
+    for seed in range(30):
+        parts = [
+            random_regular_bipartite(rng.randrange(k, 13), k, 40 * seed + i)
+            for i in range(2 + seed % 4)
+        ]
+        bg, at_a, at_b = union_with_ids(parts, rng if seed % 2 else None)
+        alone = [set() for _ in range(k - 3)]
+        kept = []
+        for part, ids_a, ids_b in zip(parts, at_a, at_b):
+            for j, m in enumerate(extract_disjoint_perfect_matchings(part, k - 3)):
+                alone[j].update((ids_a[a], ids_b[b]) for a, b in m.pairs)
+            kept.extend((ids_a[a], ids_b[b]) for a, b in _kept_edges(part, k - 3, 0))
+        whole = extract_disjoint_perfect_matchings(bg, k - 3)
+        assert [set(m.pairs) for m in whole] == alone
+        assert _kept_edges(bg, k - 3, 0) == tuple(sorted(kept))
+
+
+# The complements of the edges of a 6-cycle: a 4-uniform 4-regular
+# hypergraph on 6 vertices
+C6_COMPLEMENTS = "p hyp 6 6 4\n" + "".join(
+    "e " + " ".join(str(v) for v in range(6) if v not in (i, (i + 1) % 6)) + "\n"
+    for i in range(6)
+)
+
+
+@pytest.mark.parametrize("blocks", [
+    [(0, 1, 2, 5), (3, 4)],  # a 4-vertex block
+    [(0, 1, 2), (3, 4, 5)],  # two 3-blocks
+])
+def test_kept_blocks_of_a_wrong_shape_are_an_internal_error(
+    monkeypatch, tmp_path, capsys, blocks
+):
+    """Blocks that `verify_lu` would have refused, handed to the read-back
+    of `solve --k 4`: the certificate check stops them, and the CLI exits 3."""
+    import trimatch.partition as partition_module
+    from trimatch.cli import main
+
+    def fake_lu(bg, k):
+        kept = []
+        for block in blocks:
+            a = next(a for a in range(bg.n_a) if set(block) <= set(bg.adj_a[a]))
+            kept.extend((a, b) for b in block)
+        return LuSubgraph(kept=tuple(sorted(kept)), host=bg)
+
+    monkeypatch.setattr(partition_module, "lu_subgraph", fake_lu)
+    f = tmp_path / "c6.hyp"
+    f.write_text(C6_COMPLEMENTS)
+    assert main(["solve", "--k", "4", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: InternalError: constructed certificate failed verification: "
+        "blocks do not cover the vertex set"
+    )
 
 
 @pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])

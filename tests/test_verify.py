@@ -357,9 +357,16 @@ LU_WITNESS = bipartite_union(
 
 
 def test_lu_settles_each_component_alone_when_no_rotation_fits_the_union():
+    union_fits = [
+        verify_lu(LU_WITNESS, partition_module._kept_edges(LU_WITNESS, 2, r)).ok
+        for r in range(24)
+    ]
+    assert union_fits == [False] * 24
     lu, rotations = lu_with_rotations(LU_WITNESS, 5)
-    # every rotation of the union was tried before the components went alone
-    assert rotations[:24] == list(range(24)) and len(rotations) > 24
+    # rotation 0 of the union failed, so the components went alone at once,
+    # the first from its own rotation 0, and no other rotation of the union
+    # was tried
+    assert rotations[:2] == [0, 0] and len(rotations) > 4
     assert outcome(verify_lu, LU_WITNESS, lu) == outcome(old_verify_lu, LU_WITNESS, lu) == ()
     degrees = Counter(a for a, _ in lu.kept)
     assert sorted(degrees.values()).count(3) == 1
