@@ -314,33 +314,20 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     """Slice until every odd edge lies on its own ear.
 
     d is checked first and InvariantViolation names what is broken.  Trivial
-    ears are normalized to the tail (sorted); one already canonical (u < v)
-    is kept as the same `Ear`.  The slicing and the checks of its result are
-    the solver's own, `_maximal_walks`.
+    ears are normalized to the tail (sorted and canonical).  The slicing and
+    the checks of its result are the solver's own, `_maximal_walks`.
     """
     errs = validate_decomposition(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
-    walks = []
-    # the trivial ears by canonical edge, each with the input's own `Ear`
-    # when that is canonical
-    trivial = {}
-    for ear in d.ears:
-        w = ear.vertices
-        if len(w) > 2:
-            walks.append(list(w))
-        elif w[0] < w[1]:
-            trivial[w] = ear
-        else:
-            trivial[(w[1], w[0])] = None
-    walks, labels, positions, k = _maximal_walks(d.host, walks, trivial)
-    ears = chain(
-        (Ear(tuple(w)) for w in walks[: k + 1]),
-        (trivial[e] or Ear(e) for e in walks[k + 1 :]),
+    walks = [list(ear.vertices) for ear in d.ears if not ear.trivial]
+    trivial = dict.fromkeys(
+        canonical_edge(*ear.vertices) for ear in d.ears if ear.trivial
     )
+    walks, labels, positions, _ = _maximal_walks(d.host, walks, trivial)
     return EarDecomposition(
         host=d.host,
-        ears=tuple(ears),
+        ears=tuple(Ear(tuple(w)) for w in walks),
         labels=tuple(labels),
         positions=tuple(positions),
     )

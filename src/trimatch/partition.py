@@ -4,9 +4,9 @@ The vertex set of a 3-uniform 3-regular connected hypergraph splits into a
 perfect matching of its shadow graph when |V| is even, and into exactly one
 triangle (a hyperedge) plus such a matching when |V| is odd.  The odd case
 is driven by a maximal odd ear decomposition: pick an odd edge on the last
-nontrivial ear, complete it with a hyperedge to a triangle, and either build
-a forced-edge matching from the earlier ears (apex on an earlier ear) or
-walk the ear with alternating edges (apex on the same ear).
+nontrivial ear, complete it with a hyperedge to a triangle, and read a
+matching of the rest that keeps the edge off the ears, with a hole that
+starts at the triangle's third vertex (the apex).
 
 The same construction keeps, inside a k-regular bipartite graph, an edge set
 with all B-degrees 1 and A-degrees 0 or 2 except at most one A-vertex of
@@ -176,8 +176,27 @@ def matching_with_edge_avoiding(
 def _forced_edge_pairs(g, walks, labels, positions, k, edge, avoid):
     """The canonical, sorted pairs of a perfect matching of g - avoid that
     contains `edge`, read off the ears up to k, the last nontrivial one (the
-    single edges after it give no pairs).  `edge` must be an odd edge on its
-    ear, and `avoid` must first appear on an earlier ear."""
+    single edges after it give no pairs).
+
+    `edge` must be an odd edge on ear k, and `avoid` must first appear on an
+    earlier ear, or at an odd position after `edge` on ear k.  Ear k then
+    gives its odd edges, or the alternating edges before `avoid`, which are
+    odd ones too; either way `edge` is kept.
+
+    The odd construction takes `edge` at positions 1 and 2 of ear k and
+    `avoid` at the third vertex of a hyperedge through it, the apex.  An
+    apex first seen on ear k sits elsewhere on it, at a position t >= 3, and
+    t is odd: an even t would make the apex and walk[1], both in that
+    hyperedge, an odd edge off the ear, which `_assert_maximal` rejects.
+    The circuit is the last nontrivial ear only at n = 3.  Every chord of
+    the circuit is odd, so slicing cuts it off, and a maximal decomposition
+    whose only nontrivial ear is the circuit is a chordless cycle through
+    every vertex.  Every shadow edge lies in a hyperedge, so that cycle
+    contains a triangle and is one.  There the apex is walk[0], and a hole
+    at position 0 leaves the circuit's odd edges, which are just `edge`.
+    Should any of these arguments fail, `_check_near_perfect` stops the
+    pairs.
+    """
     pairs = _canon_pairs(_prefix_matching(walks, labels, positions, k + 1, avoid))
     _check_near_perfect(pairs, g, avoid, edge)
     return pairs
@@ -197,45 +216,6 @@ def _check_near_perfect(pairs, g: SimpleGraph, avoid, must_contain):
         raise InternalError("matching lost its forced edge")
 
 
-def _parity_pairs(walks, labels, positions, k: int, e, apex: VertexId):
-    """Matching of host - apex containing e when the apex shares e's ear,
-    for a maximal decomposition's walks with their first-ear labels and
-    positions.
-
-    On ear k >= 1 stored as u1 .. a b .. apex .. u2, e = ab starts at an
-    odd position and the apex sits at an odd position t (an even t would
-    make the apex and the end of e nearer u1 an odd edge off its ear).  The
-    pairs are a perfect matching of the earlier ears avoiding u2, the edges
-    at odd positions up to the apex and those at even positions after it.
-
-    k = 0 happens only for n = 3, where the triangle leaves no pairs.  Every
-    chord of the circuit is odd, so slicing cuts it off; a maximal
-    decomposition whose only nontrivial ear is the circuit is therefore a
-    chordless cycle through every vertex.  Every shadow edge lies in a
-    hyperedge, so that cycle contains a triangle and is itself a triangle.
-    """
-    if k == 0:
-        if len(labels) != 3:
-            raise InternalError(
-                f"only the circuit is nontrivial on {len(labels)} vertices"
-            )
-        return []
-    qa, qb = sorted(positions[v] for v in e)
-    t = positions[apex]
-    if (
-        any(labels[v] != k for v in (*e, apex))
-        or qb != qa + 1
-        or qa % 2 == 0
-        or t <= qb
-    ):
-        raise InternalError("chosen edge is not an odd edge ahead of the apex")
-    if t % 2 == 0:
-        raise InternalError(
-            "even-length guarantee failed: the decomposition is not maximal"
-        )
-    return _prefix_matching(walks, labels, positions, k + 1, apex)
-
-
 def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
     """One hyperedge as the triangle plus a perfect matching of the rest.
 
@@ -252,9 +232,7 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
     """The odd construction on the maximal odd ear decomposition of g, read
     off its walks."""
     walks, labels, positions, k = _maximal_walks(g, *_ear_walks(g))
-    walk = walks[k]
-    e = (walk[1], walk[2]) if k >= 1 else (walk[0], walk[1])
-    a, b = e
+    a, b = walks[k][1:3]
     apex = None
     for he in h.hyperedges:
         if a in he and b in he:
@@ -263,10 +241,7 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
     if apex is None:
         raise InternalError("shadow edge not inside any hyperedge")
     ce = canonical_edge(a, b)
-    if labels[apex] < k:
-        pairs = _forced_edge_pairs(g, walks, labels, positions, k, ce, apex)
-    else:
-        pairs = _canon_pairs(_parity_pairs(walks, labels, positions, k, e, apex))
+    pairs = _forced_edge_pairs(g, walks, labels, positions, k, ce, apex)
     return TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
         pairs=tuple(p for p in pairs if p != ce),
@@ -305,7 +280,8 @@ def _solve_connected(
 ) -> TriMatchingPartition:
     """Certificate for h with shadow graph g (None when k > 3), once callers
     have checked that h is connected, k-uniform and k-regular with k >= 3.
-    The one dispatch on k."""
+    The one dispatch on k.  Callers check the certificate once it is in the
+    ids of the hypergraph they return it for."""
     if k > 3:
         cert = _incidence_partition(h, k)
     elif h.n % 2 == 0:
@@ -322,7 +298,6 @@ def _solve_connected(
             raise InternalError(
                 f"shadow graph not factor-critical despite regularity: {exc}"
             ) from exc
-    _require_ok(verify_partition(h, cert))
     return cert
 
 
@@ -374,11 +349,21 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
         raise Disconnected(
             "the hypergraph is disconnected; solve each component separately"
         )
-    return _solve_connected(h, k, g)
+    cert = _solve_connected(h, k, g)
+    _require_ok(verify_partition(h, cert))
+    return cert
 
 
 def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
-    """Per-component certificates (one triangle per odd component)."""
+    """Per-component certificates (one triangle per odd component), checked
+    together against h."""
+    certs = _component_certificates(h, k)
+    _require_ok(verify_partition(h, certs))
+    return certs
+
+
+def _component_certificates(h: Hypergraph, k: int):
+    """The unchecked certificate of each component of h, in h's ids."""
     blocks, g = _gated_blocks(h, k)
     if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again

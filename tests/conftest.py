@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import trimatch.partition as partition_module
 from trimatch import Ear, EarDecomposition, make_bipartite, make_graph, make_hypergraph
 from trimatch.ears import _scan
 
@@ -39,6 +40,28 @@ def fano_incidence():
     """Point/line incidence bipartite graph of the Fano plane (A = lines)."""
     edges = [(a, v) for a, line in enumerate(FANO_LINES) for v in line]
     return make_bipartite(7, 7, edges)
+
+
+def hypergraph_union(parts):
+    """The hypergraphs side by side, each shifted past the ones before."""
+    edges, mults, offset = [], [], 0
+    for h in parts:
+        edges.extend(tuple(v + offset for v in e) for e in h.hyperedges)
+        mults.extend(h.multiplicities)
+        offset += h.n
+    return make_hypergraph(offset, edges, k=parts[0].k, multiplicities=mults)
+
+
+def rotate_block_ids(monkeypatch):
+    """Make `solve_components` map each block's certificate back to the
+    input with wrong ids: the block's own, rotated by one."""
+    induced = partition_module.induced_hypergraph
+
+    def rotated(own, block):
+        sub, old_ids = induced(own, block)
+        return sub, old_ids[1:] + old_ids[:1]
+
+    monkeypatch.setattr(partition_module, "induced_hypergraph", rotated)
 
 
 def cycle_graph(n):

@@ -10,17 +10,26 @@ the hole, the ears after the last nontrivial one must add no pair: the
 matching of all the ears must equal that of the ears up to the last
 nontrivial one.  On each instance, the walks, labels, positions and last
 nontrivial ear that the solver reads off `ears._maximal_walks` must equal
-those of the maximal form.  Prints the number of (prefix, hole) cases, of
-tail cases and of instances, and exits non-zero if any case fails.  It
-takes about 30 s on one core, so it runs as its own CI step rather than in
-the pytest suite:
+those of the maximal form.
+
+The odd solve's output bytes are pinned: one SHA-256 over
+`format_partition(solve(h))` of each instance in turn, then of each of
+SAME_EAR_INSTANCES, must equal SOLVE_SHA256.  On the same instances, the
+number whose apex (the triangle's vertex off the chosen edge) lies on the
+circuit, on an earlier ear or on the chosen edge's own ear must equal
+APEX_CASES.  Prints the number of (prefix, hole) cases, of tail cases and
+of instances, the digest and the apex cases, and exits non-zero if any
+check fails.  It takes about 30 s on one core, so it runs as its own CI
+step rather than in the pytest suite:
 
     PYTHONPATH=src python tests/prefix_census.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
+from collections import Counter
 
 from trimatch import (
     last_nontrivial_ear,
@@ -28,13 +37,22 @@ from trimatch import (
     odd_ear_decomposition,
     random_triple_system,
     shadow_graph,
+    solve,
 )
 from trimatch.core import canonical_edge
 from trimatch.ears import _ear_walks, _maximal_walks
+from trimatch.formats import format_partition
 from trimatch.partition import _prefix_matching
 
 MAX_N = 55
 SEEDS = range(1, 6)
+# (n, seed) of `random_triple_system` instances whose apex first appears on
+# the chosen edge's own ear, after the circuit: random instances rarely do
+SAME_EAR_INSTANCES = [
+    (7, 10), (11, 8583), (19, 14789), (25, 19442), (33, 9), (51, 10), (127, 9)
+]
+SOLVE_SHA256 = "cbcbfb9be7415a55873dd7a38a51bc8e516d68d74e2b76ce27f8177613f7d387"
+APEX_CASES = {"circuit": 5, "earlier ear": 130, "same ear": 7}
 
 
 def decompositions(n, seeds):
@@ -101,6 +119,30 @@ def tail_cases(d):
         yield hole, fault
 
 
+def apex_case(h, cert):
+    """Where the apex of h's odd solve `cert` first appears: on the circuit,
+    on an earlier ear than the chosen edge or on the edge's own ear."""
+    g = shadow_graph(h)
+    walks, labels, _, k = _maximal_walks(g, *_ear_walks(g))
+    (apex,) = set(cert.triangle) - set(walks[k][1:3])
+    if k == 0:
+        return "circuit"
+    return "same ear" if labels[apex] == k else "earlier ear"
+
+
+def solve_census(instances):
+    """The SHA-256 over the certificate text of each instance's odd solve,
+    in turn, and the number of instances of each apex case."""
+    digest = hashlib.sha256()
+    cases = Counter()
+    for n, seed in instances:
+        h = random_triple_system(n, seed=seed, require_connected=True)
+        cert = solve(h)
+        digest.update(format_partition(cert).encode())
+        cases[apex_case(h, cert)] += 1
+    return digest.hexdigest(), dict(cases)
+
+
 def main() -> int:
     cases = tails = instances = 0
     failed = []
@@ -119,9 +161,19 @@ def main() -> int:
                 tails += 1
                 if fault is not None:
                     failed.append((n, seed, "all ears", hole, fault))
+    sha, apex_cases = solve_census(
+        [(n, seed) for n in range(3, MAX_N + 1, 2) for seed in SEEDS]
+        + SAME_EAR_INSTANCES
+    )
+    if sha != SOLVE_SHA256:
+        failed.append((None, None, "solve bytes", None, f"SHA-256 {sha}"))
+    if apex_cases != APEX_CASES:
+        failed.append((None, None, "apex cases", None, f"{apex_cases}"))
     print(f"cases: {cases}")
     print(f"tail cases: {tails}")
     print(f"instances: {instances}")
+    print(f"solve sha256: {sha}")
+    print(f"apex cases: {apex_cases}")
     print(f"failed: {len(failed)}")
     for n, seed, where, hole, fault in failed[:20]:
         print(f"  n={n} seed={seed}, {where}, hole {hole}: {fault}")

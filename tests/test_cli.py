@@ -11,6 +11,8 @@ import trimatch.cli as cli_module
 from trimatch import formats, random_regular_bipartite, random_triple_system
 from trimatch.cli import main
 
+from conftest import hypergraph_union, rotate_block_ids
+
 TRIPLE = "p hyp 3 3 3\ne 0 1 2\ne 0 1 2\ne 0 1 2\n"
 TWO_TRIPLES = (
     "p hyp 6 6 3\n"
@@ -59,6 +61,17 @@ def test_solve_disconnected_needs_components(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", f, "--components")
     assert code == 0
     assert out == "triangle 0 1 2\ntriangle 3 4 5\n"
+
+
+def test_solve_components_with_wrong_block_ids_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    h = hypergraph_union([random_triple_system(9, 1), random_triple_system(10, 2)])
+    f = write(tmp_path, "two.hyp", formats.format_hypergraph(h))
+    rotate_block_ids(monkeypatch)
+    code, out, err = run(capsys, "solve", f, "--components")
+    assert code == 3 and out == ""
+    assert err.startswith("error: InternalError: constructed certificate failed")
 
 
 def test_solve_components_json(tmp_path, capsys):

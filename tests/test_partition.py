@@ -42,10 +42,27 @@ from trimatch.matching import (
     extract_disjoint_perfect_matchings,
     require_regular_bipartite,
 )
-from trimatch.partition import LuSubgraph, _kept_edges, _parity_pairs, _require_ok
+from trimatch.partition import (
+    LuSubgraph,
+    _forced_edge_pairs,
+    _kept_edges,
+    _require_ok,
+)
 
-from conftest import FANO_LINES, assemble, cycle_graph
-from prefix_census import decompositions, prefix_cases, solve_path_fault, tail_cases
+from conftest import (
+    FANO_LINES,
+    assemble,
+    cycle_graph,
+    hypergraph_union,
+    rotate_block_ids,
+)
+from prefix_census import (
+    SAME_EAR_INSTANCES,
+    decompositions,
+    prefix_cases,
+    solve_path_fault,
+    tail_cases,
+)
 from rotation_census import disjoint_union, graph_of, lu_with_rotations
 
 
@@ -169,12 +186,7 @@ def test_solve_components_hands_each_block_only_its_hyperedges(monkeypatch):
     import trimatch.partition as partition_module
 
     parts = [random_triple_system(n, n, require_connected=True) for n in (5, 8, 3, 11, 6)]
-    edges, mults, offset = [], [], 0
-    for part in parts:
-        edges.extend(tuple(v + offset for v in e) for e in part.hyperedges)
-        mults.extend(part.multiplicities)
-        offset += part.n
-    h = make_hypergraph(offset, edges, k=3, multiplicities=mults)
+    h = hypergraph_union(parts)
     seen = []
     induced = partition_module.induced_hypergraph
 
@@ -186,6 +198,15 @@ def test_solve_components_hands_each_block_only_its_hyperedges(monkeypatch):
     certs = solve_components(h)
     assert len(certs) == len(parts) and verify_partition(h, certs).ok
     assert sorted(seen) == sorted(h.hyperedges)
+
+
+def test_solve_components_checks_its_certificates_in_the_input_ids(monkeypatch):
+    """Each block's certificate is right in the block's own ids; mapped back
+    with wrong ids, the list fails the check against the input."""
+    h = hypergraph_union([random_triple_system(9, 1), random_triple_system(10, 2)])
+    rotate_block_ids(monkeypatch)
+    with pytest.raises(InternalError, match="is not inside any hyperedge"):
+        solve_components(h)
 
 
 def test_solve_components_connected_agrees(fano):
@@ -923,13 +944,22 @@ def trivial_ear_inside_decomposition():
 
 
 def test_same_ear_apex_construction_on_closed_ear():
-    # apex 5 shares the closed ear with the chosen edge (3, 4), so the
-    # orientation construction runs
+    # apex 5 shares the closed ear with the chosen edge (3, 4), at the odd
+    # position 3 after it: the alternating edges before it keep the edge
     d = closed_ear_decomposition()
     walks = [ear.vertices for ear in d.ears]
-    pairs = _parity_pairs(walks, d.labels, d.positions, 1, (3, 4), 5)
-    pairs = sorted(tuple(sorted(p)) for p in pairs)
-    assert pairs == [(0, 1), (2, 6), (3, 4)]
+    pairs = _forced_edge_pairs(d.host, walks, d.labels, d.positions, 1, (3, 4), 5)
+    assert pairs == ((0, 1), (2, 6), (3, 4))
+
+
+def test_apex_at_an_even_position_on_the_edge_ear_loses_the_edge():
+    """Apex 6 at the even position 4 of the closed ear, as only a
+    decomposition that is not maximal allows: the alternating edges before
+    it are even ones, and the check stops the matching."""
+    d = closed_ear_decomposition()
+    walks = [ear.vertices for ear in d.ears]
+    with pytest.raises(InternalError, match="matching lost its forced edge"):
+        _forced_edge_pairs(d.host, walks, d.labels, d.positions, 1, (3, 4), 6)
 
 
 def test_forced_edge_matching_on_closed_ear():
@@ -1009,39 +1039,38 @@ def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
 
     monkeypatch.setattr(matching_module, "_max_matching_arrays", blossom_spy)
     monkeypatch.setattr(matching_module.AlternatingTree, "__init__", tree_spy)
-    for n, seed in ((101, 1), (33, 9)):  # forced-edge and same-ear branches
+    for n, seed in ((101, 1), (33, 9)):  # apex on an earlier ear, on the same ear
         calls.clear()
         h = random_triple_system(n, seed=seed, require_connected=True)
         assert verify_partition(h, solve(h)).ok
         assert sorted(calls) == ["blossom", "tree"], (n, seed)
 
 
-# (n, seed) of `random_triple_system` instances whose solve takes the
-# same-ear-apex branch
-SAME_EAR_INSTANCES = [
-    (7, 10), (11, 8583), (19, 14789), (25, 19442), (33, 9), (51, 10), (127, 9)
-]
-
-
-def test_same_ear_apex_instances_end_to_end(monkeypatch):
-    """Deterministic instances known to route through the same-ear-apex
-    (parity) construction rather than the earlier-ear lemma."""
+def forced_edge_spy(monkeypatch):
+    """The (k, apex on ear k) of each `_forced_edge_pairs` call from now on."""
     import trimatch.partition as partition_module
 
     hits = []
-    original = partition_module._parity_pairs
+    original = partition_module._forced_edge_pairs
 
-    def spy(walks, labels, positions, k, e, apex):
-        hits.append(k)
-        return original(walks, labels, positions, k, e, apex)
+    def spy(g, walks, labels, positions, k, edge, apex):
+        hits.append((k, labels[apex] == k))
+        return original(g, walks, labels, positions, k, edge, apex)
 
-    monkeypatch.setattr(partition_module, "_parity_pairs", spy)
+    monkeypatch.setattr(partition_module, "_forced_edge_pairs", spy)
+    return hits
+
+
+def test_same_ear_apex_instances_end_to_end(monkeypatch):
+    """Deterministic instances whose apex first appears on the chosen edge's
+    own ear, a nontrivial one after the circuit, rather than an earlier one."""
+    hits = forced_edge_spy(monkeypatch)
     for n, seed in SAME_EAR_INSTANCES:
         hits.clear()
         h = random_triple_system(n, seed=seed, require_connected=True)
         cert = solve(h)
         assert verify_partition(h, cert).ok
-        assert len(hits) == 1 and hits[0] >= 1, (n, seed, hits)
+        assert len(hits) == 1 and hits[0][0] >= 1 and hits[0][1], (n, seed, hits)
 
 
 def test_the_solver_reads_the_maximal_decomposition_off_its_walks():
@@ -1057,30 +1086,30 @@ def test_the_solver_reads_the_maximal_decomposition_off_its_walks():
 def test_circuit_cut_construction_on_triple(monkeypatch):
     """The triple is the k=0 case, the only one: its shadow is the circuit
     itself, the hyperedge is the triangle and no pairs are left."""
-    import trimatch.partition as partition_module
-
-    hits = []
-    original = partition_module._parity_pairs
-
-    def spy(walks, labels, positions, k, e, apex):
-        hits.append(k)
-        return original(walks, labels, positions, k, e, apex)
-
-    monkeypatch.setattr(partition_module, "_parity_pairs", spy)
+    hits = forced_edge_spy(monkeypatch)
     h = make_hypergraph(3, [(0, 1, 2)] * 3, k=3)
-    assert solve(h).triangle == (0, 1, 2)
-    assert hits == [0]
+    cert = solve(h)
+    assert cert.triangle == (0, 1, 2) and cert.pairs == ()
+    assert hits == [(0, True)]
 
 
 @pytest.mark.parametrize("apex", [2, 3, 4])
-def test_circuit_only_case_off_the_triangle_is_an_internal_error(apex):
-    """Only n = 3 has the circuit as its last nontrivial ear; a 5-cycle
-    decomposition reaching the k=0 case is refused, whatever the apex."""
-    d = assemble(cycle_graph(5), [[0, 1, 2, 3, 4, 0]])
+def test_circuit_case_on_c5_keeps_the_edge_or_is_refused(apex):
+    """Only n = 3 has the circuit as its last nontrivial ear.  Read off a
+    5-cycle's circuit, a hole at the even positions 2 and 4 leaves the edge
+    (0, 1) in a perfect matching of the rest; a hole at 3 loses it, and the
+    check refuses the matching."""
+    g = cycle_graph(5)
+    d = assemble(g, [[0, 1, 2, 3, 4, 0]])
     assert not validate_decomposition(d)
     walks = [ear.vertices for ear in d.ears]
-    with pytest.raises(InternalError):
-        _parity_pairs(walks, d.labels, d.positions, 0, (0, 1), apex)
+    if apex == 3:
+        with pytest.raises(InternalError, match="matching lost its forced edge"):
+            _forced_edge_pairs(g, walks, d.labels, d.positions, 0, (0, 1), apex)
+    else:
+        pairs = _forced_edge_pairs(g, walks, d.labels, d.positions, 0, (0, 1), apex)
+        assert pairs in all_perfect_matchings(g, avoid=apex)
+        assert (0, 1) in pairs
 
 
 def test_solved_random_instances_verify_and_match_parity():

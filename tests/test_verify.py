@@ -30,6 +30,7 @@ from trimatch import (
 from trimatch.core import canonical_edge
 from trimatch.partition import VerificationReport
 
+from conftest import hypergraph_union
 from rotation_census import lu_with_rotations
 
 
@@ -185,15 +186,6 @@ def k4_hypergraph(n, seed):
     (one hyperedge per A-vertex)."""
     bg = random_regular_bipartite(n, 4, seed)
     return make_hypergraph(n, list(bg.adj_a), k=4)
-
-
-def hypergraph_union(parts):
-    edges, mults, offset = [], [], 0
-    for h in parts:
-        edges.extend(tuple(v + offset for v in e) for e in h.hyperedges)
-        mults.extend(h.multiplicities)
-        offset += h.n
-    return make_hypergraph(offset, edges, k=parts[0].k, multiplicities=mults)
 
 
 def bipartite_union(parts):
