@@ -14,6 +14,8 @@ Identical (parameters, seed) always produce byte-identical instances.
 
 from __future__ import annotations
 
+from operator import eq
+
 from .core import Hypergraph, components, make_hypergraph, shadow_graph
 from .errors import GenerationFailed, PreconditionViolated
 from .matching import BipartiteGraph, make_bipartite
@@ -49,10 +51,28 @@ class SplitMix64:
                 return x % n
 
     def shuffle(self, xs: list) -> None:
-        """In-place Fisher-Yates, descending."""
+        """In-place Fisher-Yates, descending, with draw i from
+        `next_below(i + 1)`.
+
+        The splitmix64 step runs in a local loop.  Every bound here is at
+        most len(xs), and `next_below`'s rejection limit for a bound n is
+        above 2**64 - n, so a draw below 2**64 - len(xs) is always kept;
+        only a draw at or above it needs the exact limit.
+        """
+        state = self._state
+        safe = _MASK + 1 - len(xs)
         for i in range(len(xs) - 1, 0, -1):
-            j = self.next_below(i + 1)
+            n = i + 1
+            while True:
+                state = (state + _GAMMA) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < safe or z < _MASK + 1 - ((_MASK + 1) % n):
+                    break
+            j = z % n
             xs[i], xs[j] = xs[j], xs[i]
+        self._state = state
 
     def spawn(self, index: int) -> "SplitMix64":
         """Independent child stream number `index` of this generator's seed."""
@@ -78,11 +98,11 @@ def random_triple_system(
         raise PreconditionViolated("need at least 3 vertices")
     rng = SplitMix64(seed)
     for _ in range(REJECTION_CAP):
-        cols = [_permutation(rng, n) for _ in range(3)]
-        slots = list(zip(cols[0], cols[1], cols[2]))
-        if any(len(set(s)) != 3 for s in slots):
+        a, b, c = (_permutation(rng, n) for _ in range(3))
+        # a slot repeats a vertex exactly when two columns agree there
+        if any(map(eq, a, b)) or any(map(eq, a, c)) or any(map(eq, b, c)):
             continue
-        h = make_hypergraph(n, slots, k=3)
+        h = make_hypergraph(n, zip(a, b, c), k=3)
         if require_connected and len(components(shadow_graph(h)).blocks) > 1:
             continue
         return h
@@ -105,9 +125,7 @@ def random_regular_bipartite(n_side: int, k: int, seed: int) -> BipartiteGraph:
     for _ in range(k):
         for _ in range(REJECTION_CAP):
             cand = _permutation(rng, n_side)
-            if all(
-                all(cand[i] != perm[i] for i in range(n_side)) for perm in perms
-            ):
+            if not any(any(map(eq, cand, perm)) for perm in perms):
                 perms.append(cand)
                 break
         else:

@@ -527,19 +527,20 @@ def extract_disjoint_perfect_matchings(
         raise PreconditionViolated(f"cannot extract {t} matchings from degree {k}")
     if bg.n_a != bg.n_b:
         raise NotRegular("regular bipartite graph must have equal sides")
-    # sorted adjacency lists, which stay sorted as matched edges leave them
-    adj = [list(x) for x in bg.adj_a]
+    # the first matching reads the host's sorted lists as they are; each
+    # later one a copy without the edges matched last, which stays sorted
+    adj = bg.adj_a
     out = []
     order = [(i + _rotation) % bg.n_a for i in range(bg.n_a)]
     for _ in range(t):
+        if out:
+            adj = [[b for b in nbrs if b != m] for nbrs, m in zip(adj, match_a)]
         match_a = _hopcroft_karp(adj, bg.n_b, order)
         if -1 in match_a:
             raise InternalError(
                 "regular bipartite graph lost its perfect matching"
             )
         out.append(Matching(pairs=tuple(enumerate(match_a)), host=bg))
-        for a, b in enumerate(match_a):
-            adj[a].remove(b)
     return out
 
 

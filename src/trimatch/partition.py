@@ -249,17 +249,45 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
     )
 
 
-def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
-    """The kept edges of the incidence graph (one A-vertex per hyperedge
-    copy), read back as hyperedge 2-subsets plus at most one 3-subset, as
-    `verify_lu` left them; others fail `verify_partition` as missing."""
-    edges = []
-    slot = 0
-    for he, mult in zip(h.hyperedges, h.multiplicities):
-        for _ in range(mult):
-            edges.extend((slot, v) for v in he)
-            slot += 1
-    lu = lu_subgraph(make_bipartite(slot, h.n, edges), k)
+def _incidence_graph(h: Hypergraph) -> BipartiteGraph:
+    """The incidence graph of h: one A-vertex per hyperedge copy, in
+    hyperedge order, adjacent to the hyperedge's vertices on B.
+
+    Each hyperedge must be a sorted tuple of distinct vertices in [0, n),
+    as `make_hypergraph` builds it; ValueError otherwise.  The hyperedge
+    tuples are then the A-side lists, one pass in A order gives increasing
+    B-side lists, and the edges come out increasing: `make_bipartite` of the
+    (copy, vertex) pairs, with no sort.
+    """
+    n = h.n
+    adj_a = tuple(chain.from_iterable(map(repeat, h.hyperedges, h.multiplicities)))
+    adj_b = [[] for _ in range(n)]
+    for a, e in enumerate(adj_a):
+        prev = -1
+        for v in e:
+            if not prev < v < n:
+                raise ValueError(
+                    f"hyperedge {e} is not a sorted tuple of distinct vertices"
+                    f" in [0, {n})"
+                )
+            adj_b[v].append(a)
+            prev = v
+    return BipartiteGraph(
+        n_a=len(adj_a),
+        n_b=n,
+        edges=tuple((a, v) for a, e in enumerate(adj_a) for v in e),
+        adj_a=adj_a,
+        adj_b=tuple(map(tuple, adj_b)),
+    )
+
+
+def _incidence_partition(
+    h: Hypergraph, k: int, bg: BipartiteGraph
+) -> TriMatchingPartition:
+    """The kept edges of h's incidence graph bg, read back as hyperedge
+    2-subsets plus at most one 3-subset, as `verify_lu` left them; others
+    fail `verify_partition` as missing."""
+    lu = lu_subgraph(bg, k)
 
     triangle = None
     pairs = []
@@ -276,14 +304,15 @@ def _incidence_partition(h: Hypergraph, k: int) -> TriMatchingPartition:
 
 
 def _solve_connected(
-    h: Hypergraph, k: int, g: SimpleGraph | None
+    h: Hypergraph, k: int, g: SimpleGraph | BipartiteGraph
 ) -> TriMatchingPartition:
-    """Certificate for h with shadow graph g (None when k > 3), once callers
-    have checked that h is connected, k-uniform and k-regular with k >= 3.
-    The one dispatch on k.  Callers check the certificate once it is in the
-    ids of the hypergraph they return it for."""
+    """Certificate for h, given its shadow graph g when k = 3 and its
+    incidence graph g when k > 3, once callers have checked that h is
+    connected, k-uniform and k-regular with k >= 3.  The one dispatch on k.
+    Callers check the certificate once it is in the ids of the hypergraph
+    they return it for."""
     if k > 3:
-        cert = _incidence_partition(h, k)
+        cert = _incidence_partition(h, k, g)
     elif h.n % 2 == 0:
         pm = perfect_matching(g)
         if pm is None:
@@ -303,12 +332,13 @@ def _solve_connected(
 
 def _gated_blocks(h: Hypergraph, k: int):
     """The components of a k-uniform k-regular h with k >= 3 as sorted
-    blocks in order of least vertex, and h's shadow graph when k = 3.
+    blocks in order of least vertex, and the graph its construction reads:
+    the shadow graph when k = 3, the incidence graph when k > 3.
 
     k is checked first: with k = 0 a huge declared count passes `validate`,
     and its shadow graph would hold one list per declared vertex.  The k > 3
-    construction never reads the shadow graph, so for k > 3 the blocks come
-    from the vertex-hyperedge incidence lists and the graph is None.
+    blocks come from the incidence graph, with vertex v as node v and
+    A-vertex a as node n + a, so no shadow graph is built.
     """
     validate(h, k).require()
     if k < 3:
@@ -316,14 +346,12 @@ def _gated_blocks(h: Hypergraph, k: int):
     if k == 3:
         g = shadow_graph(h)
         return components(g).blocks, g
+    bg = _incidence_graph(h)
     n = h.n
-    # hyperedge i is node n + i; its own tuple lists its vertices
-    incidence = [[] for _ in range(n)]
-    for i, e in enumerate(h.hyperedges, n):
-        for v in e:
-            incidence[v].append(i)
-    blocks = _component_blocks(incidence + list(h.hyperedges))
-    return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks), None
+    blocks = _component_blocks(
+        [[n + a for a in nbrs] for nbrs in bg.adj_b] + list(bg.adj_a)
+    )
+    return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks), bg
 
 
 def solve(h: Hypergraph) -> TriMatchingPartition:
@@ -382,7 +410,8 @@ def _component_certificates(h: Hypergraph, k: int):
     for block, (edges, mults) in zip(blocks, parts):
         own = replace(h, hyperedges=tuple(edges), multiplicities=tuple(mults))
         sub, old_ids = induced_hypergraph(own, block)
-        sub_cert = _solve_connected(sub, k, shadow_graph(sub) if k == 3 else None)
+        g = shadow_graph(sub) if k == 3 else _incidence_graph(sub)
+        sub_cert = _solve_connected(sub, k, g)
         tri = (
             tuple(sorted(old_ids[v] for v in sub_cert.triangle))
             if sub_cert.triangle is not None
@@ -406,6 +435,12 @@ def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
     contains it.  Blocks are disjoint and have at least 2 vertices, so a
     3-vertex slot contains at most one of them and no A-vertex is chosen
     twice.
+
+    The residual certificates get no check of their own.  A block inside
+    no slot stops at the lookup, and `verify_lu` on the kept edges sees the
+    rest: overlapping or missing blocks as B-degrees other than 1, and two
+    triangles in one residual component, which lies inside one input
+    component, as two degree-3 A-vertices there.
     """
     adj = [list(nbrs) for nbrs in bg.adj_a]
     if t > 0:
@@ -425,7 +460,7 @@ def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
             slots_at[b].append(a)
 
     kept = []
-    for cert in solve_components(make_hypergraph(bg.n_b, slots, k=3)):
+    for cert in _component_certificates(make_hypergraph(bg.n_b, slots, k=3), 3):
         tri = () if cert.triangle is None else (cert.triangle,)
         for block in chain(tri, cert.pairs):
             # every slot listed at block[0] contains it: test only the rest

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -50,6 +51,22 @@ def hypergraph_union(parts):
         mults.extend(h.multiplicities)
         offset += h.n
     return make_hypergraph(offset, edges, k=parts[0].k, multiplicities=mults)
+
+
+def partition_union_hypergraph(k, q, seed, repeat_first):
+    """k-uniform k-regular hypergraph on k * q vertices: the k-sets of k
+    random partitions of the vertices into k-sets, the first one taken
+    twice when `repeat_first` (so its k-sets are repeated hyperedges)."""
+    rng = random.Random(seed)
+    rounds = []
+    for r in range(k):
+        if r == 1 and repeat_first:
+            rounds.append(rounds[0])
+            continue
+        ids = list(range(k * q))
+        rng.shuffle(ids)
+        rounds.append([sorted(ids[i:i + k]) for i in range(0, k * q, k)])
+    return make_hypergraph(k * q, [e for part in rounds for e in part], k=k)
 
 
 def rotate_block_ids(monkeypatch):

@@ -1,17 +1,26 @@
 """CLI behavior: formats, flags, exit codes, determinism."""
 
 import gc
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 import trimatch.cli as cli_module
-from trimatch import formats, random_regular_bipartite, random_triple_system
+from trimatch import (
+    components,
+    formats,
+    make_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
+    shadow_graph,
+)
 from trimatch.cli import main
 
-from conftest import hypergraph_union, rotate_block_ids
+from conftest import hypergraph_union, partition_union_hypergraph, rotate_block_ids
 
 TRIPLE = "p hyp 3 3 3\ne 0 1 2\ne 0 1 2\ne 0 1 2\n"
 TWO_TRIPLES = (
@@ -368,3 +377,50 @@ def test_main_pauses_the_collector_and_restores_its_state(
     capsys.readouterr()
     assert code == expected
     assert seen == ([False] if expected == 0 else [])
+
+
+def relabelled(h, rng):
+    """h with its vertex ids dealt out at random."""
+    ids = list(range(h.n))
+    rng.shuffle(ids)
+    return make_hypergraph(
+        h.n, [[ids[v] for v in e] for e in h.hyperedges], k=h.k,
+        multiplicities=h.multiplicities,
+    )
+
+
+def solve_k_cases():
+    """(k, hypergraph, componentwise) for `solve --k` with k 4 to 6:
+    regular bipartite graphs read as hypergraphs on B (one hyperedge per
+    A-vertex), unions of partitions with repeated hyperedges, and unions
+    of both whose components interleave their vertex ids."""
+    rng = random.Random(2024)
+    for k in (4, 5, 6):
+        parts = []
+        for n_side in range(k, k + 14):
+            bg = random_regular_bipartite(n_side, k, 10 * n_side + k)
+            parts.append(make_hypergraph(bg.n_b, bg.adj_a, k=k))
+        for q in (1, 2, 3, 5, 8):
+            parts.append(partition_union_hypergraph(k, q, 100 * q + k, True))
+            parts.append(partition_union_hypergraph(k, q, 200 * q + k, False))
+        for h in parts:
+            connected = len(components(shadow_graph(h)).blocks) == 1
+            yield k, h, not connected
+        for seed in range(8):
+            chosen = rng.sample(parts, 2 + seed % 3)
+            yield k, relabelled(hypergraph_union(chosen), rng), True
+
+
+# SHA-256 over the `solve --k` output of every case of `solve_k_cases`, in order
+SOLVE_K_SHA256 = "b6791c9379d2ce1539ffec145b57115bcdd29f179e0feaf3269cfe3af2db431e"
+
+
+def test_solve_k_certificate_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for i, (k, h, componentwise) in enumerate(solve_k_cases()):
+        f = write(tmp_path, f"c{i}.hyp", formats.format_hypergraph(h))
+        argv = ["solve", "--k", str(k), f] + (["--components"] if componentwise else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (i, err)
+        digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == SOLVE_K_SHA256

@@ -1,5 +1,7 @@
 """Seeded generators: determinism, validity, and the splitmix64 stream."""
 
+import hashlib
+
 import pytest
 
 from trimatch import (
@@ -97,3 +99,92 @@ def test_instance_counts():
     h = random_triple_system(11, seed=9)
     assert h.n == 11
     assert h.total_multiplicity == 11
+
+
+def generated_instances():
+    """Instance texts from both generators over a spread of sizes and seeds,
+    connected draws included."""
+    for n in range(3, 40):
+        for seed in (0, 1, 7):
+            yield format_hypergraph(random_triple_system(n, seed))
+        yield format_hypergraph(random_triple_system(n, n, require_connected=True))
+    for n in (101, 500):
+        yield format_hypergraph(random_triple_system(n, 3, require_connected=True))
+    for k in range(1, 7):
+        for n_side in list(range(k, k + 12)) + [60, 200]:
+            yield format_bipartite(random_regular_bipartite(n_side, k, 31 * n_side + k))
+
+
+# SHA-256 over the texts of `generated_instances`, in order
+GENERATED_SHA256 = "71c661805a8546e7e84ae7e8ac993509014f24c4872d7280a27783dd93b1de2f"
+
+
+def test_generated_instance_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for text in generated_instances():
+        digest.update(text.encode("ascii"))
+    assert digest.hexdigest() == GENERATED_SHA256
+
+
+def reference_shuffle(rng, xs):
+    """Fisher-Yates, descending, on `next_below`: the shuffle's definition."""
+    for i in range(len(xs) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        xs[i], xs[j] = xs[j], xs[i]
+
+
+def test_shuffle_draws_as_next_below_does():
+    for seed in range(40):
+        for length in (0, 1, 2, 3, 10, 97):
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            xs, ys = list(range(length)), list(range(length))
+            fast.shuffle(xs)
+            reference_shuffle(slow, ys)
+            assert xs == ys
+            # and leaves the stream where the reference leaves it
+            assert fast.next_u64() == slow.next_u64()
+
+
+def _unxorshift(y, s):
+    """The x with x ^ (x >> s) == y."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def state_before(output):
+    """The splitmix64 state whose next output is `output`: the finalizer
+    inverted, one step back."""
+    mod = 1 << 64
+    z = _unxorshift(output, 31)
+    z = _unxorshift(z * pow(0x94D049BB133111EB, -1, mod) % mod, 27)
+    z = _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, mod) % mod, 30)
+    return (z - 0x9E3779B97F4A7C15) % mod
+
+
+@pytest.mark.parametrize("length", [3, 10, 12, 97])
+@pytest.mark.parametrize("back", [1, 2, 3, 5])
+def test_shuffle_rejects_as_next_below_does(length, back):
+    """A first draw at 2**64 - back, at or above the shuffle's fast bound
+    2**64 - length: `next_below(length)` keeps it exactly when it lies
+    below 2**64 - (2**64 % length), and the shuffle must agree."""
+    output = (1 << 64) - back
+    assert SplitMix64(state_before(output)).next_u64() == output
+    fast, slow = SplitMix64(state_before(output)), SplitMix64(state_before(output))
+    xs, ys = list(range(length)), list(range(length))
+    fast.shuffle(xs)
+    reference_shuffle(slow, ys)
+    assert xs == ys
+    assert fast.next_u64() == slow.next_u64()
+
+
+def test_forced_first_draws_reach_both_branches():
+    """Among the draws above, some are rejected and some kept."""
+    kept = set()
+    for length in (3, 10, 12, 97):
+        for back in (1, 2, 3, 5):
+            rng = SplitMix64(state_before((1 << 64) - back))
+            first = rng.next_u64()
+            kept.add(first < (1 << 64) - ((1 << 64) % length))
+    assert kept == {True, False}

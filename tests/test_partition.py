@@ -6,8 +6,10 @@ import random
 import pytest
 
 from trimatch import (
+    Hypergraph,
     all_perfect_matchings,
     all_tri_partitions,
+    components,
     is_factor_critical,
     last_nontrivial_ear,
     lu_subgraph,
@@ -24,6 +26,7 @@ from trimatch import (
     solve_components,
     solve_k_uniform,
     triangle_partition,
+    validate,
     verify_lu,
     verify_partition,
 )
@@ -36,6 +39,7 @@ from trimatch.errors import (
     NotUniform,
     PreconditionViolated,
 )
+from trimatch.formats import format_hypergraph
 from trimatch.core import _component_blocks
 from trimatch.matching import (
     BipartiteGraph,
@@ -45,6 +49,7 @@ from trimatch.matching import (
 from trimatch.partition import (
     LuSubgraph,
     _forced_edge_pairs,
+    _incidence_graph,
     _kept_edges,
     _require_ok,
 )
@@ -54,6 +59,7 @@ from conftest import (
     assemble,
     cycle_graph,
     hypergraph_union,
+    partition_union_hypergraph,
     rotate_block_ids,
 )
 from prefix_census import (
@@ -607,7 +613,7 @@ def test_each_hypergraph_is_validated_built_and_split_once(
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_k_above_3_blocks_are_the_shadow_components(k):
-    """For k > 3 the blocks come from the incidence lists, with no shadow
+    """For k > 3 the blocks come from the incidence graph, with no shadow
     graph, and equal the shadow graph's components, in the same order, on
     unions whose components interleave their vertex ids."""
     import random
@@ -626,8 +632,106 @@ def test_k_above_3_blocks_are_the_shadow_components(k):
             union.n_b, [[ids[b] for b in nbrs] for nbrs in union.adj_a], k=k
         )
         blocks, g = _gated_blocks(h, k)
-        assert g is None
+        assert g == _incidence_graph(h)
         assert blocks == components(shadow_graph(h)).blocks, trial
+
+
+def old_incidence_graph(h):
+    """The incidence graph as `solve --k` built it before: the (copy,
+    vertex) pairs of every hyperedge copy through `make_bipartite`."""
+    edges = []
+    slot = 0
+    for he, mult in zip(h.hyperedges, h.multiplicities):
+        for _ in range(mult):
+            edges.extend((slot, v) for v in he)
+            slot += 1
+    return make_bipartite(slot, h.n, edges)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_incidence_graph_equals_make_bipartite_of_the_copy_vertex_pairs(k):
+    """Built straight from the hyperedges, one A-vertex per copy, it equals
+    `make_bipartite` of the old pair list, repeated hyperedges included."""
+    cases = [make_hypergraph(k + 1, list(itertools.combinations(range(k + 1), k)), k=k),
+             make_hypergraph(k, [tuple(range(k))] * k, k=k)]
+    cases += [partition_union_hypergraph(k, q, 10 * q + seed, seed % 2)
+              for q in range(1, 8) for seed in range(4)]
+    assert any(max(h.multiplicities) > 1 for h in cases)
+    for h in cases:
+        assert _incidence_graph(h) == old_incidence_graph(h)
+
+
+def five_quads_with(hyperedges):
+    """The 4-regular five quads on 0..4, hand-built with `hyperedges` in
+    place of its first ones, bypassing `make_hypergraph`, which would sort
+    or refuse them."""
+    quads = [tuple(v for v in range(5) if v != skip) for skip in range(5)]
+    quads[:len(hyperedges)] = hyperedges
+    return Hypergraph(n=5, hyperedges=tuple(quads), multiplicities=(1,) * 5, k=4)
+
+
+@pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
+@pytest.mark.parametrize("hyperedges", [
+    [(1, 3, 2, 4)],  # unsorted
+    [(2, 2, 3, 4), (0, 1, 3, 4)],  # a repeated vertex
+    [(-1, 1, 2, 3)],  # -1 for 4, which a list index would take it for
+])
+def test_k4_hand_built_malformed_hyperedges_are_refused(solver, hyperedges):
+    """As `shadow_graph` refuses them at k = 3, the incidence graph refuses
+    hyperedges that are not sorted tuples of distinct vertices in [0, n),
+    though every degree is 4."""
+    h = five_quads_with(hyperedges)
+    assert validate(h, 4).ok
+    with pytest.raises(ValueError, match="not a sorted tuple of distinct vertices"):
+        solver(h, 4)
+
+
+@pytest.mark.parametrize("fault", ["overlap", "no slot"])
+@pytest.mark.parametrize("command", ["lu", "solve"])
+def test_faked_residual_certificates_are_an_internal_error(
+    monkeypatch, tmp_path, capsys, fault, command
+):
+    """The residual certificates in `_kept_edges` are not checked on their
+    own: two pairs that overlap are stopped by `verify_lu`, and a pair
+    inside no residual hyperedge by the slot lookup.  Either way `lu` and
+    `solve --k 4` exit 3."""
+    import trimatch.partition as partition_module
+    from dataclasses import replace
+
+    from trimatch.cli import main
+    from trimatch.formats import format_bipartite
+
+    certificates = partition_module._component_certificates
+
+    def fake(h, k):
+        cert, *rest = certificates(h, k)
+        pairs = list(cert.pairs)
+        if fault == "overlap":
+            pairs[1] = pairs[0]
+        else:
+            inside = {p for e in h.hyperedges for p in itertools.combinations(e, 2)}
+            pairs[0] = next(p for p in itertools.combinations(range(h.n), 2) if p not in inside)
+        return [replace(cert, pairs=tuple(pairs)), *rest]
+
+    bg = random_regular_bipartite(12, 4, 5)
+    h = make_hypergraph(bg.n_b, bg.adj_a, k=4)
+    assert len(components(shadow_graph(h)).blocks) == 1
+    monkeypatch.setattr(partition_module, "_component_certificates", fake)
+    if command == "lu":
+        f = tmp_path / "g.bip"
+        f.write_text(format_bipartite(bg))
+        argv = ["lu", "--k", "4", str(f)]
+    else:
+        f = tmp_path / "g.hyp"
+        f.write_text(format_hypergraph(h))
+        argv = ["solve", "--k", "4", str(f)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: InternalError: ")
+    if fault == "overlap":
+        assert "all fail verification" in err and "repeated" in err
+    else:
+        assert "no A-vertex carries block" in err
 
 
 @pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
