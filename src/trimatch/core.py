@@ -14,6 +14,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NotRegular, NotUniform
 
@@ -55,6 +56,15 @@ class SimpleGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+
+class _ListGraph(NamedTuple):
+    """A simple graph as its sorted neighbour tuples alone: the `n` and
+    `adjacency` of a SimpleGraph, which is all the solver and the matching
+    code read of one."""
+
+    n: int
+    adjacency: tuple[tuple[VertexId, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -210,9 +220,25 @@ def shadow_graph(h: Hypergraph) -> SimpleGraph:
     pairs; multiplicities collapse to one.
 
     Each hyperedge must be a sorted tuple of distinct vertices in [0, n), as
-    `make_hypergraph` builds it; ValueError otherwise.  Neighbours are
-    gathered per vertex and each short list is sorted, so the edges come out
-    in order without a sort over all pairs.
+    `make_hypergraph` builds it; ValueError otherwise.  It wraps
+    `_shadow_lists` and reads the edges off those lists in order.
+    """
+    adjacency = _shadow_lists(h).adjacency
+    edges = tuple((v, u) for v, a in enumerate(adjacency) for u in a if u > v)
+    return SimpleGraph(
+        n=h.n,
+        edges=edges,
+        adjacency=adjacency,
+        edge_set=frozenset(edges),
+    )
+
+
+def _shadow_lists(h: Hypergraph) -> _ListGraph:
+    """The shadow graph of h as its sorted neighbour tuples alone.
+
+    Refuses a malformed hyperedge as `shadow_graph` does.  Neighbours are
+    gathered per vertex and each short list is sorted, so no sort runs over
+    all pairs.
     """
     n = h.n
     near = [[] for _ in range(n)]
@@ -231,13 +257,7 @@ def shadow_graph(h: Hypergraph) -> SimpleGraph:
         ys = set(xs)
         ys.discard(v)
         adjacency.append(tuple(sorted(ys)))
-    edges = tuple((v, u) for v, a in enumerate(adjacency) for u in a if u > v)
-    return SimpleGraph(
-        n=n,
-        edges=edges,
-        adjacency=tuple(adjacency),
-        edge_set=frozenset(edges),
-    )
+    return _ListGraph(n, tuple(adjacency))
 
 
 def degree(h: Hypergraph, v: VertexId) -> int:
@@ -248,7 +268,16 @@ def degree(h: Hypergraph, v: VertexId) -> int:
 
 
 def validate(h: Hypergraph, k: int) -> ValidationReport:
-    """Report whether h is k-uniform and k-regular, with first violations."""
+    """Report whether h is k-uniform and k-regular, with first violations.
+
+    A vertex outside [0, n) raises ValueError naming the first one in
+    hyperedge order; the hyperedges are walked for it only when a bulk
+    min/max test fails.
+    """
+    flat = list(itertools.chain.from_iterable(h.hyperedges))
+    if flat and (min(flat) < 0 or max(flat) >= h.n):
+        v = next(v for v in flat if not 0 <= v < h.n)
+        raise ValueError(f"vertex {v} out of range [0, {h.n})")
     bad_edge = None
     for i, e in enumerate(h.hyperedges):
         if len(e) != k:
@@ -256,7 +285,7 @@ def validate(h: Hypergraph, k: int) -> ValidationReport:
             break
     # more vertices than incidences, which no k-regular input with k >= 1
     # has: a Counter keeps a huge declared n from allocating per vertex
-    deg = [0] * h.n if h.n <= sum(map(len, h.hyperedges)) else Counter()
+    deg = [0] * h.n if h.n <= len(flat) else Counter()
     for e, m in zip(h.hyperedges, h.multiplicities):
         for v in e:
             deg[v] += m

@@ -7,17 +7,24 @@ leftover single edges ride along as trivial ears at the tail.
 
 `odd_ear_decomposition` builds one constructively from a near-perfect
 matching, and `maximalize` runs the slicing loop until every odd edge lies on
-its own ear.  Both wrap functions on plain walks: `_ear_walks` builds the
-walks, and `_maximal_walks` slices them and checks the result with one
-`_scan` and `_assert_maximal`.  The solver calls these directly, so an odd
-solve checks one decomposition, the sliced one, and builds no `Ear`.
+its own ear.  Both wrap functions on plain walks over the host's sorted
+neighbour tuples: `_ear_walks` builds the nontrivial walks, and
+`_maximal_walks` slices them and checks the result with one `_scan` and
+`_assert_maximal`.  The solver calls these directly, so an odd solve checks
+one decomposition, the sliced one, and builds no `Ear`.
+
+"Is uv an edge" is `v in adj[u]`, and "is it on an ear yet" is a mark on
+its slot: the edge (u, v) with u < v owns position `off[u] +
+adj[u].index(v)` of one flat list, where `off` holds the running sums of
+the list lengths.  The walks of the solver are the nontrivial ears only;
+the edges they leave unmarked are the trivial ears.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import accumulate, chain, islice, takewhile
 from operator import attrgetter
 
 from .core import SimpleGraph, VertexId, canonical_edge
@@ -28,8 +35,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .matching import AlternatingTree, near_perfect_matching
-
-_vertices = attrgetter("vertices")
 
 
 @dataclass(frozen=True)
@@ -81,52 +86,47 @@ def validate_decomposition(d: EarDecomposition) -> list[str]:
     """All invariant violations of d (empty list means valid)."""
     if not d.ears:
         return ["decomposition has no ears"]
-    errs, labels, positions = _scan(d.host, [ear.vertices for ear in d.ears])
+    errs, labels, positions, marks = _scan(
+        d.host.adjacency, [ear.vertices for ear in d.ears]
+    )
+    # every edge has two slots, and its first one is marked when on an ear
+    if 2 * marks.count(True) != len(marks):
+        errs.append("ear edges do not partition the host edge set")
     if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
         errs.append("stored labels/positions disagree with the ears")
     return errs
 
 
-def _scan(host: SimpleGraph, walks):
-    """Every violation of `walks` as the ears of a decomposition of host,
-    and the index of the first walk on which each vertex occurs with its
-    position there (-1 for vertices on no walk), in one pass.
+def _slot_offsets(adj):
+    """off[u]: the flat position of the first slot of u's neighbour tuple."""
+    return list(accumulate(map(len, adj), initial=0))
+
+
+def _scan(adj, walks):
+    """Every violation of `walks` as ears on the graph with sorted neighbour
+    tuples `adj`, but for their partition of the edges; the index of the
+    first walk on which each vertex occurs with its position there (-1 for
+    vertices on no walk); and the slot marks of the edges on the walks, in
+    one pass.
 
     An ear with a vertex outside 0..n-1 is reported and skipped, so no lookup
     indexes with it.  Host edges, odd lengths, fresh and distinct interiors
     and coverage are all an odd ear decomposition is, so on the solve path
-    this is the only check of the traced paths (see `_ear_walks`).
-
-    The run of trivial ears at the tail is checked in bulk, with one set of
-    its edges.  It passes when the ears before it place every vertex, no
-    edge repeats within the run, none lies on an earlier ear and all are
-    host edges; the host's edges are canonical, so each ear is then (u, v)
-    with u < v.  Such a run adds no label and no violation.  When any of
-    these fails, the run is checked ear by ear like the ears before it, so
-    the violations and their order stay the same.
+    this is the only check of the traced paths (see `_ear_walks`).  Each
+    edge may lie on one walk; whether every edge lies on one is the
+    caller's question, and the solver's answer is that the unmarked ones
+    are its trivial ears.
     """
-    n = host.n
+    n = len(adj)
     labels = [-1] * n
     positions = [-1] * n
     errs = []
-    edge_set = host.edge_set
-    used = set()
+    off = _slot_offsets(adj)
+    marks = [False] * off[-1]
     placed = [False] * n
     flat = list(chain.from_iterable(walks))
     in_range = not flat or (min(flat) >= 0 and max(flat) < n)
-    tail = max(len(walks) - _trivial_run(reversed(walks)), 1)
-    bulk = 0  # edges of a tail run that passed in bulk; they skip `used`
     for i, w in enumerate(walks):
-        if i == tail and all(placed):
-            run = walks[i:]
-            edges = set(map(tuple, run))
-            if (
-                len(edges) == len(run)
-                and edges <= edge_set
-                and used.isdisjoint(edges)
-            ):
-                bulk = len(edges)
-                break
         if not in_range:
             bad = next((v for v in w if not 0 <= v < n), None)
             if bad is not None:
@@ -142,13 +142,16 @@ def _scan(host: SimpleGraph, walks):
                 labels[v] = i
                 positions[v] = j
             if j:
-                e = (u, v) if u < v else (v, u)
-                if u == v or e not in edge_set:
+                a, b = (u, v) if u < v else (v, u)
+                row = adj[a]
+                if b not in row:
                     errs.append(f"ear {i} uses non-edge ({u}, {v})")
-                elif e in used:
-                    errs.append(f"edge {e} appears on more than one ear")
                 else:
-                    used.add(e)
+                    slot = off[a] + row.index(b)
+                    if marks[slot]:
+                        errs.append(f"edge ({a}, {b}) appears on more than one ear")
+                    else:
+                        marks[slot] = True
             u = v
         if len(w) < 2:
             continue
@@ -173,10 +176,14 @@ def _scan(host: SimpleGraph, walks):
             placed[v] = True
     if not all(placed):
         errs.append("ears do not cover the vertex set")
-    # only distinct host edges ever enter `used`
-    if len(used) + bulk != len(edge_set):
-        errs.append("ear edges do not partition the host edge set")
-    return errs, labels, positions
+    return errs, labels, positions, marks
+
+
+def _unmarked_edges(adj, marks):
+    """The edges (u, v), u < v, whose slot is unmarked, in sorted order: the
+    trivial ears that walks with these marks leave."""
+    slots = ((u, v) for u, row in enumerate(adj) for v in row)
+    return [e for e, on in zip(slots, marks) if not on and e[0] < e[1]]
 
 
 def ear_label(d: EarDecomposition, v: VertexId) -> int:
@@ -186,15 +193,9 @@ def ear_label(d: EarDecomposition, v: VertexId) -> int:
     return d.labels[v]
 
 
-def _trivial_run(backwards) -> int:
-    """The number of two-vertex walks that `backwards`, walks listed from
-    the last one back, starts with; it stops at the first longer walk."""
-    return len(list(takewhile((2).__eq__, map(len, backwards))))
-
-
 def last_nontrivial_ear(d: EarDecomposition) -> int:
     """Largest index of an ear with more than one edge (the circuit counts)."""
-    back = _trivial_run(map(_vertices, reversed(d.ears)))
+    back = len(list(takewhile(attrgetter("trivial"), reversed(d.ears))))
     return max(len(d.ears) - 1 - back, 0)
 
 
@@ -237,11 +238,11 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
     back into the placed set, and closes with the lowest placed neighbor.
     Remaining edges become trivial ears.
     """
-    walks, trivial = _ear_walks(g)
-    walks += trivial
-    errs, labels, positions = _scan(g, walks)
+    walks = _ear_walks(g)
+    errs, labels, positions, marks = _scan(g.adjacency, walks)
     if errs:
         raise InternalError("constructed decomposition invalid: " + "; ".join(errs))
+    walks += _unmarked_edges(g.adjacency, marks)
     return EarDecomposition(
         host=g,
         ears=tuple(Ear(tuple(w)) for w in walks),
@@ -250,12 +251,17 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
     )
 
 
-def _ear_walks(g: SimpleGraph):
-    """The walks of `odd_ear_decomposition(g)`, unchecked: the nontrivial
-    ones as lists, in order, and the host edges they leave as the trivial
-    ears, in a dict used as an ordered set (in the host's edge order).
-    Slicing keeps their edges and interiors and an even ear's even middle
-    piece, so the caller's one `_scan` sees every fault of the traced paths."""
+def _ear_walks(g):
+    """The nontrivial walks of `odd_ear_decomposition(g)`, unchecked, as
+    lists in order; g needs only `n` and `adjacency`.  Slicing keeps their
+    edges and interiors and an even ear's even middle piece, so the caller's
+    one `_scan` sees every fault of the traced paths.
+
+    Each vertex joins the frontier heap once, when it first neighbours a
+    placed vertex; the unplaced vertices on the heap are then the same as
+    with a push per placed neighbour, and so is the minimum each ear starts
+    from.
+    """
     n = g.n
     if n % 2 == 0:
         raise NotFactorCritical(
@@ -273,16 +279,18 @@ def _ear_walks(g: SimpleGraph):
     if w is not None:
         raise NotFactorCritical("no perfect matching avoiding vertex", witness=w)
 
-    start = g.adjacency[0][0]
-    circuit = tree.even_path_to(start) + [0]
+    adj = g.adjacency
+    circuit = tree.even_path_to(adj[0][0]) + [0]
     walks = [circuit]
     placed = [False] * n
+    queued = [False] * n
     frontier: list[int] = []
 
     def place(v):
-        placed[v] = True
-        for y in g.adjacency[v]:
-            if not placed[y]:
+        placed[v] = queued[v] = True
+        for y in adj[v]:
+            if not queued[y]:
+                queued[y] = True
                 heapq.heappush(frontier, y)
 
     for v in circuit[:-1]:
@@ -296,18 +304,12 @@ def _ear_walks(g: SimpleGraph):
             raise InternalError("ran out of frontier before covering all vertices")
         v = heapq.heappop(frontier)
         suffix = tree.path_from_placed(v, placed)
-        close = min(y for y in g.adjacency[v] if placed[y])
+        close = min(y for y in adj[v] if placed[y])
         walks.append(suffix + [close])
         for x in suffix[1:]:
             place(x)
         remaining -= len(suffix) - 1
-
-    covered = {
-        (a, b) if a < b else (b, a) for walk in walks for a, b in zip(walk, walk[1:])
-    }
-    # the host's own edge tuples: unlike fresh lists, tuples of ints drop out
-    # of the cyclic collector's reach at its first pass
-    return walks, dict.fromkeys(e for e in g.edges if e not in covered)
+    return walks
 
 
 def maximalize(d: EarDecomposition) -> EarDecomposition:
@@ -315,16 +317,16 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
 
     d is checked first and InvariantViolation names what is broken.  Trivial
     ears are normalized to the tail (sorted and canonical).  The slicing and
-    the checks of its result are the solver's own, `_maximal_walks`.
+    the checks of its result are the solver's own, `_maximal_walks`; the
+    trivial ears are the edges its walks leave.
     """
     errs = validate_decomposition(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
+    adj = d.host.adjacency
     walks = [list(ear.vertices) for ear in d.ears if not ear.trivial]
-    trivial = dict.fromkeys(
-        canonical_edge(*ear.vertices) for ear in d.ears if ear.trivial
-    )
-    walks, labels, positions, _ = _maximal_walks(d.host, walks, trivial)
+    walks, labels, positions, marks = _maximal_walks(adj, walks)
+    walks += _unmarked_edges(adj, marks)
     return EarDecomposition(
         host=d.host,
         ears=tuple(Ear(tuple(w)) for w in walks),
@@ -333,36 +335,43 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     )
 
 
-def _maximal_walks(host: SimpleGraph, walks, trivial):
-    """The maximal decomposition that slicing makes of the nontrivial `walks`
-    (lists, in order) and the `trivial` edges (canonical, as the keys of a
-    dict), checked by one `_scan` and `_assert_maximal`.
+def _maximal_walks(adj, walks):
+    """The nontrivial ears of the maximal decomposition that slicing makes
+    of the nontrivial `walks` (lists, in order) on the graph with sorted
+    neighbour tuples `adj`, checked by one `_scan` and `_assert_maximal`.
 
-    Returns its walks, the labels and positions from that scan, and the
-    index k of its last nontrivial ear: walks 0..k are the sliced ones, and
-    the rest are the unused trivial edges in sorted order.  `trivial` loses
-    the edges that slicing puts on nontrivial ears.
+    Returns the sliced walks, the labels, positions and slot marks from
+    that scan; the last walk is the last nontrivial ear, and the unmarked
+    edges are the trivial ears.
     """
-    done = _slice(host.adjacency, walks, trivial)
-    walks = done + sorted(trivial)
-    errs, labels, positions = _scan(host, walks)
+    walks = _slice(adj, walks)
+    errs, labels, positions, marks = _scan(adj, walks)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    _assert_maximal(host, walks, labels, positions)
-    return walks, labels, positions, len(done) - 1
+    _assert_maximal(adj, walks, labels, positions)
+    return walks, labels, positions, marks
 
 
-def _slice(adj, walks, trivial) -> list:
+def _slice(adj, walks) -> list:
     """The slicing loop: the finished nontrivial walks, in order.
 
     The walks sit on a stack with the circuit on top.  Each round pops a
     walk, which is the circuit exactly when no walk has finished yet, and
     looks for its lowest off-ear odd edge.  With none the walk is finished;
-    otherwise the walk and the edge, taken out of `trivial`, become two odd
-    ears, pushed so that the one in the walk's place (the new circuit, or the
-    ear keeping the walk's ends) is popped next.  Each slice adds one
-    nontrivial ear, so the loop ends.
+    otherwise the walk and the edge, whose slot must still be unmarked (a
+    trivial ear), become two odd ears, pushed so that the one in the walk's
+    place (the new circuit, or the ear keeping the walk's ends) is popped
+    next.  Each slice adds one nontrivial ear, so the loop ends.
     """
+    off = _slot_offsets(adj)
+    marks = [False] * off[-1]
+    for walk in walks:
+        for u, v in zip(walk, islice(walk, 1, None)):
+            a, b = (u, v) if u < v else (v, u)
+            row = adj[a]
+            # a non-edge stays unmarked: the scan of the result reports it
+            if b in row:
+                marks[off[a] + row.index(b)] = True
     stack = walks[::-1]
     label = [-1] * len(adj)
     pos = [-1] * len(adj)
@@ -402,9 +411,10 @@ def _slice(adj, walks, trivial) -> list:
             continue
 
         a, b = best
-        if best not in trivial:
+        slot = off[a] + adj[a].index(b)
+        if marks[slot]:
             raise InternalError(f"off-ear odd edge {best} is not a trivial ear")
-        del trivial[best]
+        marks[slot] = True
         pa, pb = sorted((pos[a], pos[b]))
         if circuit:
             cycle = walk[:-1]
@@ -422,20 +432,21 @@ def _slice(adj, walks, trivial) -> list:
     return done
 
 
-def _assert_maximal(host: SimpleGraph, walks, labels, positions) -> None:
+def _assert_maximal(adj, walks, labels, positions) -> None:
     # is_odd_edge inlined; an odd edge is looked for at its ends' stored
     # positions on its ear, and along the whole walk only if it is not there
-    for e in host.edges:
-        u, v = e
+    for u, row in enumerate(adj):
         i = labels[u]
-        if i != labels[v]:
-            continue
-        w = walks[i]
-        p, q = positions[u], positions[v]
-        lo, hi = (p, q) if p < q else (q, p)
-        if i != 0 and (lo % 2 == 0 or (len(w) - 1 - hi) % 2 == 0):
-            continue
-        if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
-            continue
-        if e not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:
-            raise InternalError(f"odd edge {e} is off its ear after slicing")
+        p = positions[u]
+        for v in row:
+            if v < u or labels[v] != i:
+                continue
+            w = walks[i]
+            q = positions[v]
+            lo, hi = (p, q) if p < q else (q, p)
+            if i != 0 and (lo % 2 == 0 or (len(w) - 1 - hi) % 2 == 0):
+                continue
+            if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
+                continue
+            if (u, v) not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:
+                raise InternalError(f"odd edge ({u}, {v}) is off its ear after slicing")

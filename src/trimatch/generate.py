@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import eq
 
-from .core import Hypergraph, components, make_hypergraph, shadow_graph
+from .core import Hypergraph, _shadow_lists, components, make_hypergraph
 from .errors import GenerationFailed, PreconditionViolated
 from .matching import BipartiteGraph, make_bipartite
 
@@ -103,7 +103,7 @@ def random_triple_system(
         if any(map(eq, a, b)) or any(map(eq, a, c)) or any(map(eq, b, c)):
             continue
         h = make_hypergraph(n, zip(a, b, c), k=3)
-        if require_connected and len(components(shadow_graph(h)).blocks) > 1:
+        if require_connected and len(components(_shadow_lists(h)).blocks) > 1:
             continue
         return h
     raise GenerationFailed(

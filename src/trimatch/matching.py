@@ -5,6 +5,10 @@ contraction, perfect-matching queries, factor-criticality, bipartite matching
 by Hopcroft-Karp, and extraction of pairwise disjoint perfect matchings from
 regular bipartite graphs.
 
+The general-graph functions read only a graph's `n` and `adjacency`, so the
+solver hands them its shadow graph as the sorted neighbour tuples alone
+(`core._ListGraph`), with no edge tuples.
+
 Everything is deterministic for a fixed input ordering: vertices are scanned
 in increasing index, adjacency lists are sorted, the BFS queue is FIFO, and
 ties break toward the lowest index.  That determinism is what makes emitted
@@ -23,7 +27,7 @@ from .core import (
     SimpleGraph,
     VertexId,
     _component_blocks,
-    shadow_graph,
+    _shadow_lists,
     validate,
 )
 from .errors import (
@@ -336,10 +340,10 @@ class AlternatingTree:
         return self._outer[v]
 
     def first_non_outer(self) -> VertexId | None:
-        for v in range(self.graph.n):
-            if not self._outer[v]:
-                return v
-        return None
+        try:
+            return self._outer.index(False)
+        except ValueError:
+            return None
 
     def even_path_to(self, v: VertexId) -> list[VertexId]:
         """Even path root .. v: the root is exposed, so no partner stops it."""
@@ -381,9 +385,8 @@ def near_perfect_matching(g: SimpleGraph, root: VertexId) -> list[int] | None:
     active = [True] * g.n
     active[root] = False
     match = _max_matching_arrays(g.adjacency, active)
-    if sum(1 for v in range(g.n) if active[v] and match[v] == -1) != 0:
-        return None
-    return match
+    # the inactive root is never matched: it is the one exposed vertex
+    return match if match.count(-1) == 1 else None
 
 
 def is_factor_critical(g: SimpleGraph) -> bool:
@@ -499,17 +502,19 @@ def bipartite_degrees(bg: BipartiteGraph) -> tuple[list[int], list[int]]:
 
 def require_regular_bipartite(bg: BipartiteGraph) -> int:
     """The common degree k of a regular bipartite graph; NotRegular otherwise."""
-    deg_a, deg_b = bipartite_degrees(bg)
-    if not deg_a or not deg_b:
+    if not bg.adj_a or not bg.adj_b:
         raise NotRegular("empty side")
-    k = deg_a[0]
+    k = len(bg.adj_a[0])
+    if set(map(len, bg.adj_a)) == {k} == set(map(len, bg.adj_b)):
+        return k
+    # the first irregular vertex, for the message
+    deg_a, deg_b = bipartite_degrees(bg)
     for a, d in enumerate(deg_a):
         if d != k:
             raise NotRegular(f"A-vertex {a} has degree {d}, expected {k}")
     for b, d in enumerate(deg_b):
         if d != k:
             raise NotRegular(f"B-vertex {b} has degree {d}, expected {k}")
-    return k
 
 
 def extract_disjoint_perfect_matchings(
@@ -563,4 +568,4 @@ def component_bound_check(h: Hypergraph, removed) -> tuple[int, int]:
     for v in xs:
         _require_vertex(h.n, v)
         gone[v] = True
-    return len(_component_blocks(shadow_graph(h).adjacency, gone)), len(xs)
+    return len(_component_blocks(_shadow_lists(h).adjacency, gone)), len(xs)

@@ -22,14 +22,14 @@ from itertools import chain, combinations, filterfalse, groupby, islice, repeat
 
 from .core import (
     Hypergraph,
-    SimpleGraph,
     VertexId,
     _component_blocks,
+    _ListGraph,
+    _shadow_lists,
     canonical_edge,
     components,
     induced_hypergraph,
     make_hypergraph,
-    shadow_graph,
     validate,
 )
 from .ears import (
@@ -168,15 +168,16 @@ def matching_with_edge_avoiding(
 
     walks = [ear.vertices for ear in d.ears]
     pairs = _forced_edge_pairs(
-        g, walks, d.labels, d.positions, last_nontrivial_ear(d), ce, avoid
+        g.adjacency, walks, d.labels, d.positions, last_nontrivial_ear(d), ce, avoid
     )
     return Matching(pairs=pairs, host=g)
 
 
-def _forced_edge_pairs(g, walks, labels, positions, k, edge, avoid):
-    """The canonical, sorted pairs of a perfect matching of g - avoid that
-    contains `edge`, read off the ears up to k, the last nontrivial one (the
-    single edges after it give no pairs).
+def _forced_edge_pairs(adj, walks, labels, positions, k, edge, avoid):
+    """The canonical, sorted pairs of a perfect matching of the graph with
+    sorted neighbour tuples `adj`, minus `avoid`, that contains `edge`, read
+    off the ears up to k, the last nontrivial one (the single edges after it
+    give no pairs).
 
     `edge` must be an odd edge on ear k, and `avoid` must first appear on an
     earlier ear, or at an odd position after `edge` on ear k.  Ear k then
@@ -198,19 +199,22 @@ def _forced_edge_pairs(g, walks, labels, positions, k, edge, avoid):
     pairs.
     """
     pairs = _canon_pairs(_prefix_matching(walks, labels, positions, k + 1, avoid))
-    _check_near_perfect(pairs, g, avoid, edge)
+    _check_near_perfect(pairs, adj, avoid, edge)
     return pairs
 
 
-def _check_near_perfect(pairs, g: SimpleGraph, avoid, must_contain):
-    cov = []
+def _check_near_perfect(pairs, adj, avoid, must_contain):
+    covered = [False] * len(adj)
+    overlap = False
     for u, v in pairs:
-        if not g.has_edge(u, v):
+        if v not in adj[u]:
             raise InternalError(f"matching pair ({u}, {v}) is not an edge")
-        cov.extend((u, v))
-    if len(set(cov)) != len(cov):
+        overlap = overlap or covered[u] or covered[v]
+        covered[u] = covered[v] = True
+    if overlap:
         raise InternalError("matching pairs overlap")
-    if set(cov) != set(range(g.n)) - {avoid}:
+    # disjoint pairs cover 2 * len(pairs) vertices
+    if covered[avoid] or 2 * len(pairs) != len(adj) - 1:
         raise InternalError("matching does not cover exactly host minus one vertex")
     if must_contain not in pairs:
         raise InternalError("matching lost its forced edge")
@@ -223,15 +227,16 @@ def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
     factor-critical (NotFactorCritical carries a witness otherwise).
     """
     validate(h, 3).require_uniform()
-    cert = _odd_partition(h, shadow_graph(h))
+    cert = _odd_partition(h, _shadow_lists(h))
     _require_ok(verify_partition(h, cert))
     return cert
 
 
-def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
-    """The odd construction on the maximal odd ear decomposition of g, read
-    off its walks."""
-    walks, labels, positions, k = _maximal_walks(g, *_ear_walks(g))
+def _odd_partition(h: Hypergraph, g: _ListGraph) -> TriMatchingPartition:
+    """The odd construction on the maximal odd ear decomposition of h's
+    shadow graph g, read off its nontrivial walks."""
+    walks, labels, positions, _ = _maximal_walks(g.adjacency, _ear_walks(g))
+    k = len(walks) - 1
     a, b = walks[k][1:3]
     apex = None
     for he in h.hyperedges:
@@ -241,7 +246,7 @@ def _odd_partition(h: Hypergraph, g: SimpleGraph) -> TriMatchingPartition:
     if apex is None:
         raise InternalError("shadow edge not inside any hyperedge")
     ce = canonical_edge(a, b)
-    pairs = _forced_edge_pairs(g, walks, labels, positions, k, ce, apex)
+    pairs = _forced_edge_pairs(g.adjacency, walks, labels, positions, k, ce, apex)
     return TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
         pairs=tuple(p for p in pairs if p != ce),
@@ -304,9 +309,9 @@ def _incidence_partition(
 
 
 def _solve_connected(
-    h: Hypergraph, k: int, g: SimpleGraph | BipartiteGraph
+    h: Hypergraph, k: int, g: _ListGraph | BipartiteGraph
 ) -> TriMatchingPartition:
-    """Certificate for h, given its shadow graph g when k = 3 and its
+    """Certificate for h, given its shadow graph's lists g when k = 3 and its
     incidence graph g when k > 3, once callers have checked that h is
     connected, k-uniform and k-regular with k >= 3.  The one dispatch on k.
     Callers check the certificate once it is in the ids of the hypergraph
@@ -333,7 +338,8 @@ def _solve_connected(
 def _gated_blocks(h: Hypergraph, k: int):
     """The components of a k-uniform k-regular h with k >= 3 as sorted
     blocks in order of least vertex, and the graph its construction reads:
-    the shadow graph when k = 3, the incidence graph when k > 3.
+    the shadow graph's neighbour tuples when k = 3, the incidence graph when
+    k > 3.
 
     k is checked first: with k = 0 a huge declared count passes `validate`,
     and its shadow graph would hold one list per declared vertex.  The k > 3
@@ -344,7 +350,7 @@ def _gated_blocks(h: Hypergraph, k: int):
     if k < 3:
         raise PreconditionViolated("uniformity must be at least 3")
     if k == 3:
-        g = shadow_graph(h)
+        g = _shadow_lists(h)
         return components(g).blocks, g
     bg = _incidence_graph(h)
     n = h.n
@@ -410,7 +416,7 @@ def _component_certificates(h: Hypergraph, k: int):
     for block, (edges, mults) in zip(blocks, parts):
         own = replace(h, hyperedges=tuple(edges), multiplicities=tuple(mults))
         sub, old_ids = induced_hypergraph(own, block)
-        g = shadow_graph(sub) if k == 3 else _incidence_graph(sub)
+        g = _shadow_lists(sub) if k == 3 else _incidence_graph(sub)
         sub_cert = _solve_connected(sub, k, g)
         tri = (
             tuple(sorted(old_ids[v] for v in sub_cert.triangle))

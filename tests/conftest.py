@@ -1,10 +1,19 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 import trimatch.partition as partition_module
-from trimatch import Ear, EarDecomposition, make_bipartite, make_graph, make_hypergraph
+from trimatch import (
+    Ear,
+    EarDecomposition,
+    Hypergraph,
+    make_bipartite,
+    make_graph,
+    make_hypergraph,
+    random_triple_system,
+)
 from trimatch.ears import _scan
 
 FANO_LINES = [
@@ -41,6 +50,26 @@ def fano_incidence():
     """Point/line incidence bipartite graph of the Fano plane (A = lines)."""
     edges = [(a, v) for a, line in enumerate(FANO_LINES) for v in line]
     return make_bipartite(7, 7, edges)
+
+
+@functools.cache
+def seeded_odd_instances():
+    """{(n, seed): random_triple_system(n, seed, require_connected=True)}
+    for odd n 3..401 and seeds 1-3, drawn once per test session."""
+    return {
+        (n, seed): random_triple_system(n, seed, require_connected=True)
+        for n in range(3, 402, 2)
+        for seed in (1, 2, 3)
+    }
+
+
+def five_quads_with(hyperedges):
+    """The 4-regular five quads on 0..4, hand-built with `hyperedges` in
+    place of its first ones, bypassing `make_hypergraph`, which would sort
+    or refuse them."""
+    quads = [tuple(v for v in range(5) if v != skip) for skip in range(5)]
+    quads[:len(hyperedges)] = hyperedges
+    return Hypergraph(n=5, hyperedges=tuple(quads), multiplicities=(1,) * 5, k=4)
 
 
 def hypergraph_union(parts):
@@ -93,7 +122,7 @@ def assemble(host, walks):
     """The decomposition with these walks as its ears, each vertex labelled
     with the first walk it occurs on and its position there.  Nothing is
     checked, so broken walks give a broken value."""
-    _, labels, positions = _scan(host, walks)
+    _, labels, positions, _ = _scan(host.adjacency, walks)
     return EarDecomposition(
         host=host,
         ears=tuple(Ear(tuple(w)) for w in walks),

@@ -10,7 +10,8 @@ the hole, the ears after the last nontrivial one must add no pair: the
 matching of all the ears must equal that of the ears up to the last
 nontrivial one.  On each instance, the walks, labels, positions and last
 nontrivial ear that the solver reads off `ears._maximal_walks` must equal
-those of the maximal form.
+those of the maximal form, and the edges its walks leave unmarked must be
+the maximal form's trivial ears.
 
 The odd solve's output bytes are pinned: one SHA-256 over
 `format_partition(solve(h))` of each instance in turn, then of each of
@@ -40,7 +41,7 @@ from trimatch import (
     solve,
 )
 from trimatch.core import canonical_edge
-from trimatch.ears import _ear_walks, _maximal_walks
+from trimatch.ears import _ear_walks, _maximal_walks, _unmarked_edges
 from trimatch.formats import format_partition
 from trimatch.partition import _prefix_matching
 
@@ -66,17 +67,21 @@ def decompositions(n, seeds):
 
 
 def solve_path_fault(d):
-    """None when the solver's walks, labels, positions and last nontrivial
-    ear for d's host equal those of d, a maximal decomposition of it built
-    by the public functions; else what differs."""
+    """None when the solver's walks, labels, positions, last nontrivial ear
+    and unmarked edges for d's host equal those of d, a maximal
+    decomposition of it built by the public functions, with d's trivial
+    ears as the unmarked edges; else what differs."""
     g = d.host
-    walks, labels, positions, k = _maximal_walks(g, *_ear_walks(g))
-    if list(map(tuple, walks)) != walks_of(d):
+    walks, labels, positions, marks = _maximal_walks(g.adjacency, _ear_walks(g))
+    k = len(walks) - 1
+    if k != last_nontrivial_ear(d):
+        return "the last nontrivial ear differs"
+    if list(map(tuple, walks)) != walks_of(d)[: k + 1]:
         return "the walks differ"
     if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
         return "the labels or positions differ"
-    if k != last_nontrivial_ear(d):
-        return "the last nontrivial ear differs"
+    if _unmarked_edges(g.adjacency, marks) != walks_of(d)[k + 1 :]:
+        return "the trivial ears differ"
     return None
 
 
@@ -123,7 +128,8 @@ def apex_case(h, cert):
     """Where the apex of h's odd solve `cert` first appears: on the circuit,
     on an earlier ear than the chosen edge or on the edge's own ear."""
     g = shadow_graph(h)
-    walks, labels, _, k = _maximal_walks(g, *_ear_walks(g))
+    walks, labels, _, _ = _maximal_walks(g.adjacency, _ear_walks(g))
+    k = len(walks) - 1
     (apex,) = set(cert.triangle) - set(walks[k][1:3])
     if k == 0:
         return "circuit"

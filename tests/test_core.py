@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trimatch import (
     Hypergraph,
+    SimpleGraph,
     components,
     degree,
     hereditary_members,
@@ -17,8 +18,13 @@ from trimatch import (
     random_regular_bipartite,
     random_triple_system,
     shadow_graph,
+    solve_components,
+    solve_k_uniform,
     validate,
 )
+from trimatch.core import _shadow_lists
+
+from conftest import five_quads_with
 
 
 def test_shadow_of_triple_is_k3(triple):
@@ -158,6 +164,109 @@ def test_shadow_graph_rejects_hand_built_malformed_hyperedges(hyperedge):
     h = Hypergraph(n=4, hyperedges=((0, 1, 2), hyperedge), multiplicities=(1, 1), k=3)
     with pytest.raises(ValueError, match="not a sorted tuple of distinct vertices"):
         shadow_graph(h)
+
+
+# A copy of `shadow_graph` as it was when it built the adjacency itself; the
+# builder that it now wraps must give the same lists and the same errors.
+
+
+def old_shadow_graph(h):
+    n = h.n
+    near = [[] for _ in range(n)]
+    for e in h.hyperedges:
+        prev = -1
+        for v in e:
+            if not prev < v < n:
+                raise ValueError(
+                    f"hyperedge {e} is not a sorted tuple of distinct vertices"
+                    f" in [0, {n})"
+                )
+            near[v].extend(e)
+            prev = v
+    adjacency = []
+    for v, xs in enumerate(near):
+        ys = set(xs)
+        ys.discard(v)
+        adjacency.append(tuple(sorted(ys)))
+    edges = tuple((v, u) for v, a in enumerate(adjacency) for u in a if u > v)
+    return SimpleGraph(
+        n=n,
+        edges=edges,
+        adjacency=tuple(adjacency),
+        edge_set=frozenset(edges),
+    )
+
+
+def test_shadow_lists_are_the_old_shadow_graph_adjacency():
+    """On seeded instances and on hand-built ones (sorted tuples, repeated
+    hyperedges not folded, vertices on no hyperedge), the builder's lists
+    are the old shadow graph's adjacency, and `shadow_graph` is unchanged."""
+    rng = random.Random(29)
+    hs = [random_triple_system(n, seed) for n in range(3, 80) for seed in (1, 2)]
+    for k in (3, 4, 5):
+        hs.extend(make_hypergraph(bg.n_b, bg.adj_a, k=k)
+                  for bg in (random_regular_bipartite(n, k, n) for n in range(k, 30)))
+    for _ in range(100):
+        n = rng.randrange(1, 12)
+        k = rng.randrange(1, n + 1)
+        edges = [tuple(sorted(rng.sample(range(n), k))) for _ in range(rng.randrange(6))]
+        hs.append(Hypergraph(n=n, hyperedges=tuple(edges + edges[:2]),
+                             multiplicities=(1,) * (len(edges) + len(edges[:2])), k=k))
+    hs.append(Hypergraph(n=0, hyperedges=(), multiplicities=(), k=3))
+    for h in hs:
+        old = old_shadow_graph(h)
+        assert _shadow_lists(h) == (h.n, old.adjacency)
+        assert shadow_graph(h) == old
+
+
+@pytest.mark.parametrize(
+    "hyperedge", [(0, 2, 1), (0, 1, 1), (1, 2, 4), (-1, 0, 2), (3, 2), (0, 0)]
+)
+def test_shadow_lists_refuse_what_the_old_shadow_graph_refused(hyperedge):
+    """Unsorted, repeating a vertex, or leaving [0, n): the same ValueError,
+    message for message."""
+    h = Hypergraph(n=4, hyperedges=((0, 1, 2), hyperedge), multiplicities=(1, 1), k=3)
+    with pytest.raises(ValueError) as old:
+        old_shadow_graph(h)
+    with pytest.raises(ValueError) as new:
+        _shadow_lists(h)
+    assert str(new.value) == str(old.value)
+
+
+def four_triples_with(hyperedge):
+    """The four triples on 0..3, hand-built with `hyperedge` in place of
+    (0, 2, 3)."""
+    triples = [(0, 1, 2), (0, 1, 3), hyperedge, (1, 2, 3)]
+    return Hypergraph(n=4, hyperedges=tuple(triples), multiplicities=(1,) * 4, k=3)
+
+
+@pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
+@pytest.mark.parametrize("h, k, bad", [
+    (five_quads_with([(1, 2, 3, 5)]), 4, 5),
+    (five_quads_with([(-1, 2, 3, 4)]), 4, -1),
+    (four_triples_with((0, 2, 4)), 3, 4),
+    (four_triples_with((-1, 0, 2)), 3, -1),
+])
+def test_out_of_range_vertices_are_refused_by_validate(solver, h, k, bad):
+    """A hand-built hypergraph with a vertex outside [0, n) is refused with
+    a ValueError naming it, before any degree is counted: not an
+    IndexError, and a negative vertex is not counted from the end."""
+    message = rf"^vertex {bad} out of range \[0, {h.n}\)$"
+    with pytest.raises(ValueError, match=message):
+        validate(h, k)
+    with pytest.raises(ValueError, match=message):
+        solver(h, k)
+
+
+def test_validate_names_the_first_out_of_range_vertex_in_hyperedge_order():
+    h = Hypergraph(n=4, hyperedges=((0, 1, 2), (1, 9, -3), (-1, 2, 3)),
+                   multiplicities=(1, 1, 1), k=3)
+    with pytest.raises(ValueError, match=r"^vertex 9 out of range"):
+        validate(h, 3)
+    h = Hypergraph(n=4, hyperedges=((0, 1, 2), (-2, 1, 3), (1, 2, 7)),
+                   multiplicities=(1, 1, 1), k=3)
+    with pytest.raises(ValueError, match=r"^vertex -2 out of range"):
+        validate(h, 3)
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Odd ear decompositions: construction, odd-edge predicate, slicing."""
 
 import dataclasses
+import functools
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -16,6 +18,7 @@ from trimatch import (
     is_odd_edge,
     last_nontrivial_ear,
     make_graph,
+    make_hypergraph,
     maximalize,
     odd_ear_decomposition,
     random_triple_system,
@@ -25,11 +28,18 @@ from trimatch import (
     verify_partition,
 )
 import trimatch.ears as ears_module
-from trimatch.core import canonical_edge
-from trimatch.ears import _assert_maximal
-from trimatch.errors import InternalError, InvariantViolation, NotFactorCritical
+from trimatch.core import _shadow_lists, canonical_edge
+from trimatch.ears import _assert_maximal, _ear_walks, _scan, _unmarked_edges
+from trimatch.errors import (
+    InternalError,
+    InvariantViolation,
+    NotFactorCritical,
+    PreconditionViolated,
+)
+from trimatch.matching import AlternatingTree, near_perfect_matching
 
-from conftest import assemble, complete_graph, cycle_graph
+from conftest import assemble, complete_graph, cycle_graph, seeded_odd_instances
+from prefix_census import SAME_EAR_INSTANCES
 
 
 def nontrivial_count(d):
@@ -313,7 +323,9 @@ def old_validate_decomposition(d):
 
 def assert_maximal(d):
     """The maximality check on d's walks, labels and positions."""
-    _assert_maximal(d.host, [e.vertices for e in d.ears], d.labels, d.positions)
+    _assert_maximal(
+        d.host.adjacency, [e.vertices for e in d.ears], d.labels, d.positions
+    )
 
 
 def old_assert_maximal(d):
@@ -419,7 +431,7 @@ def mutants(d, rng):
 
 def tail_mutants(d, walks, build, rng):
     """Breakages confined to the run of trivial ears at the tail, which the
-    one-pass check otherwise takes in bulk."""
+    solver leaves unlisted."""
     t = last_nontrivial_ear(d) + 1
     tail = range(t, len(walks))
     if not tail:
@@ -457,27 +469,237 @@ def tail_mutants(d, walks, build, rng):
     return out
 
 
-def test_one_pass_checks_agree_with_the_old_checks():
+@functools.cache
+def mutant_cases():
+    """(d, maximalize(d), the mutants of both) for odd n 5..61, two seeds
+    each, with one rng drawn in that order."""
     rng = random.Random(5)
-    broken = caught = unsliced = 0
+    out = []
     for n in range(5, 62, 2):
         for s in range(2):
             g = shadow_graph(random_triple_system(n, seed=31 * n + s, require_connected=True))
             d = odd_ear_decomposition(g)
-            out = maximalize(d)
-            assert not validate_decomposition(d) and not validate_decomposition(out)
-            cases = mutants(d, rng) + mutants(out, rng)
-            for x in [d, out] + cases:
-                errs = outcome(validate_decomposition, x)
-                assert errs == old_validate_outcome(x)
-                assert outcome(assert_maximal, x) == outcome(old_assert_maximal, x)
-            broken += len(cases)
-            caught += sum(1 for x in cases if validate_decomposition(x))
-            unsliced += outcome(assert_maximal, d) is not None
+            sliced = maximalize(d)
+            out.append((d, sliced, mutants(d, rng) + mutants(sliced, rng)))
+    return out
+
+
+def test_one_pass_checks_agree_with_the_old_checks():
+    broken = caught = unsliced = 0
+    for d, out, cases in mutant_cases():
+        assert not validate_decomposition(d) and not validate_decomposition(out)
+        for x in [d, out] + cases:
+            errs = outcome(validate_decomposition, x)
+            assert errs == old_validate_outcome(x)
+            assert outcome(assert_maximal, x) == outcome(old_assert_maximal, x)
+        broken += len(cases)
+        caught += sum(1 for x in cases if validate_decomposition(x))
+        unsliced += outcome(assert_maximal, d) is not None
     # a few mutants are valid (a swap of equal vertices, an unchanged label)
     assert broken > 3000 and caught > 0.95 * broken
     # the unsliced decompositions that slicing would change fail the check
     assert unsliced > 20
+
+
+# Copies of the one-pass checks as they were on edge tuples: a set of the
+# host's edges, a set of the edges used so far, and the run of trivial ears
+# at the tail checked in bulk.  The slot marks must agree with them.
+
+
+def tuple_set_scan(host, walks):
+    n = host.n
+    labels = [-1] * n
+    positions = [-1] * n
+    errs = []
+    edge_set = host.edge_set
+    used = set()
+    placed = [False] * n
+    flat = list(itertools.chain.from_iterable(walks))
+    in_range = not flat or (min(flat) >= 0 and max(flat) < n)
+    trivial_run = len(list(itertools.takewhile((2).__eq__, map(len, reversed(walks)))))
+    tail = max(len(walks) - trivial_run, 1)
+    bulk = 0
+    for i, w in enumerate(walks):
+        if i == tail and all(placed):
+            run = walks[i:]
+            edges = set(map(tuple, run))
+            if (
+                len(edges) == len(run)
+                and edges <= edge_set
+                and used.isdisjoint(edges)
+            ):
+                bulk = len(edges)
+                break
+        if not in_range:
+            bad = next((v for v in w if not 0 <= v < n), None)
+            if bad is not None:
+                errs.append(f"ear {i} has vertex {bad} out of range [0, {n})")
+                continue
+        if len(w) < 2:
+            errs.append(f"ear {i} has no edges")
+        elif len(w) % 2 == 1:
+            errs.append(f"ear {i} has an even number of edges")
+        u = -1
+        for j, v in enumerate(w):
+            if labels[v] == -1:
+                labels[v] = i
+                positions[v] = j
+            if j:
+                e = (u, v) if u < v else (v, u)
+                if u == v or e not in edge_set:
+                    errs.append(f"ear {i} uses non-edge ({u}, {v})")
+                elif e in used:
+                    errs.append(f"edge {e} appears on more than one ear")
+                else:
+                    used.add(e)
+            u = v
+        if len(w) < 2:
+            continue
+        if i == 0:
+            if w[0] != w[-1]:
+                errs.append("the initial ear is not a closed circuit")
+            if len(w) < 4:
+                errs.append("the initial circuit has fewer than 3 edges")
+            new = w[:-1]
+            if len(set(new)) != len(new):
+                errs.append("the initial circuit repeats a vertex")
+        else:
+            if not (placed[w[0]] and placed[w[-1]]):
+                errs.append(f"ear {i} endpoints do not lie on earlier ears")
+            new = w[1:-1]
+            if new:
+                if len(set(new)) != len(new):
+                    errs.append(f"ear {i} repeats an interior vertex")
+                if any(map(placed.__getitem__, new)):
+                    errs.append(f"ear {i} interior revisits a placed vertex")
+        for v in new:
+            placed[v] = True
+    if not all(placed):
+        errs.append("ears do not cover the vertex set")
+    if len(used) + bulk != len(edge_set):
+        errs.append("ear edges do not partition the host edge set")
+    return errs, labels, positions
+
+
+def tuple_set_validate(d):
+    if not d.ears:
+        return ["decomposition has no ears"]
+    errs, labels, positions = tuple_set_scan(d.host, [ear.vertices for ear in d.ears])
+    if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
+        errs.append("stored labels/positions disagree with the ears")
+    return errs
+
+
+def tuple_set_assert_maximal(d):
+    host, walks = d.host, [e.vertices for e in d.ears]
+    labels, positions = d.labels, d.positions
+    for e in host.edges:
+        u, v = e
+        i = labels[u]
+        if i != labels[v]:
+            continue
+        w = walks[i]
+        p, q = positions[u], positions[v]
+        lo, hi = (p, q) if p < q else (q, p)
+        if i != 0 and (lo % 2 == 0 or (len(w) - 1 - hi) % 2 == 0):
+            continue
+        if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
+            continue
+        if e not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:
+            raise InternalError(f"odd edge {e} is off its ear after slicing")
+
+
+def test_slot_marks_check_as_the_edge_tuple_sets_did():
+    """Violations, labels, positions and the maximality check's outcome are
+    those of the tuple-set checks on every mutant; where the ears are
+    valid, the unmarked edges are the trivial ears."""
+    valid = 0
+    for d, out, cases in mutant_cases():
+        for x in [d, out] + cases:
+            assert outcome(validate_decomposition, x) == outcome(tuple_set_validate, x)
+            walks = [e.vertices for e in x.ears]
+            _, labels, positions, _ = _scan(x.host.adjacency, walks)
+            assert (labels, positions) == tuple_set_scan(x.host, walks)[1:]
+            assert outcome(assert_maximal, x) == outcome(tuple_set_assert_maximal, x)
+            if not validate_decomposition(x):
+                valid += 1
+                nontrivial = [w for w in walks if len(w) > 2]
+                marks = _scan(x.host.adjacency, nontrivial)[3]
+                trivial = sorted(canonical_edge(*w) for w in walks if len(w) == 2)
+                assert trivial == _unmarked_edges(x.host.adjacency, marks)
+    assert valid > 100
+
+
+# A copy of the ear walks as they were built with a heap push per placed
+# neighbour and the trivial ears as the host edges the walks leave; the
+# push-once frontier must give the same walks, and the unmarked edges the
+# same trivial ears.
+
+
+def push_per_neighbour_ear_walks(g):
+    n = g.n
+    if n % 2 == 0:
+        raise NotFactorCritical("graphs of even order are not factor-critical", witness=0)
+    if n == 1:
+        raise PreconditionViolated("an ear decomposition needs at least 3 vertices")
+    match = near_perfect_matching(g, 0)
+    if match is None:
+        raise NotFactorCritical("no perfect matching avoiding vertex", witness=0)
+    tree = AlternatingTree(g, match, 0)
+    w = tree.first_non_outer()
+    if w is not None:
+        raise NotFactorCritical("no perfect matching avoiding vertex", witness=w)
+
+    start = g.adjacency[0][0]
+    circuit = tree.even_path_to(start) + [0]
+    walks = [circuit]
+    placed = [False] * n
+    frontier = []
+
+    def place(v):
+        placed[v] = True
+        for y in g.adjacency[v]:
+            if not placed[y]:
+                heapq.heappush(frontier, y)
+
+    for v in circuit[:-1]:
+        place(v)
+    remaining = n - (len(circuit) - 1)
+
+    while remaining > 0:
+        while frontier and placed[frontier[0]]:
+            heapq.heappop(frontier)
+        if not frontier:
+            raise InternalError("ran out of frontier before covering all vertices")
+        v = heapq.heappop(frontier)
+        suffix = tree.path_from_placed(v, placed)
+        close = min(y for y in g.adjacency[v] if placed[y])
+        walks.append(suffix + [close])
+        for x in suffix[1:]:
+            place(x)
+        remaining -= len(suffix) - 1
+
+    covered = {
+        (a, b) if a < b else (b, a) for walk in walks for a, b in zip(walk, walk[1:])
+    }
+    return walks, dict.fromkeys(e for e in g.edges if e not in covered)
+
+
+def test_push_once_frontier_walks_like_a_push_per_neighbour():
+    """On odd n 3..401 with seeds 1-3, the seven same-ear seeds and the
+    triangle, as the solver reads its shadow graph."""
+    hs = list(seeded_odd_instances().values())
+    hs += [random_triple_system(n, seed, require_connected=True)
+           for n, seed in SAME_EAR_INSTANCES]
+    hs.append(make_hypergraph(3, [(0, 1, 2)] * 3, k=3))
+    for h in hs:
+        g = shadow_graph(h)
+        old_walks, old_trivial = push_per_neighbour_ear_walks(g)
+        walks = _ear_walks(_shadow_lists(h))
+        assert walks == old_walks, h.n
+        marks = _scan(g.adjacency, walks)[3]
+        assert _unmarked_edges(g.adjacency, marks) == list(old_trivial), h.n
+    assert len(hs) == 200 * 3 + 7 + 1
 
 
 # A copy of the slicing loop as it was before it ran on a stack of walks,
@@ -631,9 +853,9 @@ def count_checks(monkeypatch):
     calls = []
     scan = ears_module._scan
 
-    def spy(host, walks):
+    def spy(adj, walks):
         calls.append(len(walks))
-        return scan(host, walks)
+        return scan(adj, walks)
 
     monkeypatch.setattr(ears_module, "_scan", spy)
     return calls
@@ -646,10 +868,12 @@ def test_an_odd_solve_checks_one_decomposition(monkeypatch):
     calls = count_checks(monkeypatch)
     for n, seed in ODD_SOLVES:
         h = random_triple_system(n, seed, require_connected=True)
-        ears = len(maximalize(odd_ear_decomposition(shadow_graph(h))).ears)
+        d = maximalize(odd_ear_decomposition(shadow_graph(h)))
         calls.clear()
         solve(h)
-        assert calls == [ears], (n, seed)  # the sliced decomposition only
+        # the sliced decomposition only, as its nontrivial ears: the edges
+        # they leave are the trivial ones
+        assert calls == [last_nontrivial_ear(d) + 1], (n, seed)
 
 
 def test_an_odd_solve_builds_no_ear(monkeypatch):
@@ -682,7 +906,9 @@ def test_maximalize_checks_values_it_did_not_build(monkeypatch):
     for x in (d, by_hand, dataclasses.replace(d)):
         calls.clear()
         assert maximalize(x) == out
-        assert calls == [len(d.ears), len(out.ears)]  # the input, then the output
+        # the input, then the output's nontrivial ears, whose unmarked edges
+        # are its trivial ones
+        assert calls == [len(d.ears), last_nontrivial_ear(out) + 1]
     # and a broken one still raises
     w = d.ears[1].vertices
     ears = list(d.ears)
@@ -758,7 +984,7 @@ def test_a_traced_non_edge_is_an_internal_error(monkeypatch, tmp_path, capsys):
         # start the path at a placed vertex that is no neighbour of its second
         g = tree.graph
         y = next(
-            (y for y in range(g.n) if placed[y] and not g.has_edge(y, path[1])),
+            (y for y in range(g.n) if placed[y] and path[1] not in g.adjacency[y]),
             None,
         )
         return None if y is None else [y] + path[1:]

@@ -25,7 +25,12 @@ from trimatch import (
     random_triple_system,
     shadow_graph,
 )
-from trimatch.errors import InternalError, ParallelEdges, PreconditionViolated
+from trimatch.errors import (
+    InternalError,
+    NotRegular,
+    ParallelEdges,
+    PreconditionViolated,
+)
 import trimatch.matching as matching_module
 from trimatch.matching import (
     AlternatingTree,
@@ -35,7 +40,9 @@ from trimatch.matching import (
     _lca,
     _max_matching_arrays,
     _search,
+    bipartite_degrees,
     near_perfect_matching,
+    require_regular_bipartite,
 )
 
 from conftest import complete_graph, cycle_graph
@@ -549,6 +556,55 @@ def test_extract_requires_regularity():
     bad = make_bipartite(2, 2, [(0, 0), (0, 1), (1, 0)])
     with pytest.raises(Exception):
         extract_disjoint_perfect_matchings(bad, 1)
+
+
+def old_require_regular_bipartite(bg):
+    """`require_regular_bipartite` as it was, a loop over every degree."""
+    deg_a, deg_b = bipartite_degrees(bg)
+    if not deg_a or not deg_b:
+        raise NotRegular("empty side")
+    k = deg_a[0]
+    for a, d in enumerate(deg_a):
+        if d != k:
+            raise NotRegular(f"A-vertex {a} has degree {d}, expected {k}")
+    for b, d in enumerate(deg_b):
+        if d != k:
+            raise NotRegular(f"B-vertex {b} has degree {d}, expected {k}")
+    return k
+
+
+def test_regularity_check_agrees_with_the_old_loop():
+    """The bulk degree test returns the old degree on regular graphs and,
+    on irregular ones, raises the old message: the first irregular A-vertex,
+    else the first irregular B-vertex, else an empty side."""
+    rng = random.Random(41)
+    graphs = [make_bipartite(0, 0, []), make_bipartite(2, 0, []),
+              make_bipartite(0, 3, []), make_bipartite(2, 2, [])]
+    for _ in range(300):
+        n_a, n_b = rng.randrange(1, 8), rng.randrange(1, 8)
+        pairs = [(a, b) for a in range(n_a) for b in range(n_b)]
+        graphs.append(make_bipartite(n_a, n_b, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
+    for k in (1, 3, 4):
+        for n in range(max(k, 2), 12):
+            bg = random_regular_bipartite(n, k, n)
+            graphs.append(bg)
+            # one edge moved to another B-vertex: irregular on B only
+            a, b = bg.edges[rng.randrange(bg.m)]
+            free = [c for c in range(n) if c not in bg.adj_a[a]]
+            if free:
+                edges = [e for e in bg.edges if e != (a, b)] + [(a, free[0])]
+                graphs.append(make_bipartite(n, n, edges))
+    seen = set()
+    for bg in graphs:
+        outcomes = []
+        for check in (old_require_regular_bipartite, require_regular_bipartite):
+            try:
+                outcomes.append(check(bg))
+            except NotRegular as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], bg
+        seen.add(str(outcomes[0]).split(" ")[0])
+    assert seen >= {"1", "3", "4", "A-vertex", "B-vertex", "empty"}
 
 
 def test_extract_disjointness_across_matchings():

@@ -2,11 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from trimatch import (
-    Hypergraph,
     all_perfect_matchings,
     all_tri_partitions,
     components,
@@ -48,6 +48,7 @@ from trimatch.matching import (
 )
 from trimatch.partition import (
     LuSubgraph,
+    _check_near_perfect,
     _forced_edge_pairs,
     _incidence_graph,
     _kept_edges,
@@ -58,9 +59,11 @@ from conftest import (
     FANO_LINES,
     assemble,
     cycle_graph,
+    five_quads_with,
     hypergraph_union,
     partition_union_hypergraph,
     rotate_block_ids,
+    seeded_odd_instances,
 )
 from prefix_census import (
     SAME_EAR_INSTANCES,
@@ -591,11 +594,12 @@ def test_each_hypergraph_is_validated_built_and_split_once(
 ):
     """`lu` gates and splits its residual once; `solve --k` also gates its
     k = 4 input, and splits it on the incidence lists without a shadow
-    graph.  No component is gated again."""
+    graph.  No component is gated again.  The shadow graph is built as its
+    neighbour tuples, by `_shadow_lists`."""
     import trimatch.partition as partition_module
 
     calls = []
-    for name in ("validate", "shadow_graph", "components"):
+    for name in ("validate", "_shadow_lists", "components"):
         def spy(*args, _name=name, _real=getattr(partition_module, name)):
             calls.append(_name)
             return _real(*args)
@@ -608,7 +612,7 @@ def test_each_hypergraph_is_validated_built_and_split_once(
         h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
         solve_k_uniform(h, 4)
     # the one shadow graph, and its split, is the 3-uniform residual's
-    assert sorted(calls) == sorted(["validate"] * builds + ["shadow_graph", "components"])
+    assert sorted(calls) == sorted(["validate"] * builds + ["_shadow_lists", "components"])
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -661,15 +665,6 @@ def test_incidence_graph_equals_make_bipartite_of_the_copy_vertex_pairs(k):
         assert _incidence_graph(h) == old_incidence_graph(h)
 
 
-def five_quads_with(hyperedges):
-    """The 4-regular five quads on 0..4, hand-built with `hyperedges` in
-    place of its first ones, bypassing `make_hypergraph`, which would sort
-    or refuse them."""
-    quads = [tuple(v for v in range(5) if v != skip) for skip in range(5)]
-    quads[:len(hyperedges)] = hyperedges
-    return Hypergraph(n=5, hyperedges=tuple(quads), multiplicities=(1,) * 5, k=4)
-
-
 @pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
 @pytest.mark.parametrize("hyperedges", [
     [(1, 3, 2, 4)],  # unsorted
@@ -678,11 +673,17 @@ def five_quads_with(hyperedges):
 ])
 def test_k4_hand_built_malformed_hyperedges_are_refused(solver, hyperedges):
     """As `shadow_graph` refuses them at k = 3, the incidence graph refuses
-    hyperedges that are not sorted tuples of distinct vertices in [0, n),
-    though every degree is 4."""
+    hyperedges that are not sorted tuples of distinct vertices, though every
+    degree is 4.  A vertex outside [0, n) is refused before, by `validate`."""
     h = five_quads_with(hyperedges)
-    assert validate(h, 4).ok
-    with pytest.raises(ValueError, match="not a sorted tuple of distinct vertices"):
+    if min(map(min, hyperedges)) < 0:
+        with pytest.raises(ValueError, match=r"^vertex -1 out of range \[0, 5\)$"):
+            validate(h, 4)
+        message = "out of range"
+    else:
+        assert validate(h, 4).ok
+        message = "not a sorted tuple of distinct vertices"
+    with pytest.raises(ValueError, match=message):
         solver(h, 4)
 
 
@@ -750,7 +751,7 @@ def test_uniformity_below_3_is_refused_before_the_shadow_graph(monkeypatch, solv
     import trimatch.partition as partition_module
 
     built = []
-    monkeypatch.setattr(partition_module, "shadow_graph", built.append)
+    monkeypatch.setattr(partition_module, "_shadow_lists", built.append)
     with pytest.raises(PreconditionViolated, match="uniformity must be at least 3"):
         solver(h, k)
     assert built == []
@@ -1052,7 +1053,7 @@ def test_same_ear_apex_construction_on_closed_ear():
     # position 3 after it: the alternating edges before it keep the edge
     d = closed_ear_decomposition()
     walks = [ear.vertices for ear in d.ears]
-    pairs = _forced_edge_pairs(d.host, walks, d.labels, d.positions, 1, (3, 4), 5)
+    pairs = _forced_edge_pairs(d.host.adjacency, walks, d.labels, d.positions, 1, (3, 4), 5)
     assert pairs == ((0, 1), (2, 6), (3, 4))
 
 
@@ -1063,7 +1064,7 @@ def test_apex_at_an_even_position_on_the_edge_ear_loses_the_edge():
     d = closed_ear_decomposition()
     walks = [ear.vertices for ear in d.ears]
     with pytest.raises(InternalError, match="matching lost its forced edge"):
-        _forced_edge_pairs(d.host, walks, d.labels, d.positions, 1, (3, 4), 6)
+        _forced_edge_pairs(d.host.adjacency, walks, d.labels, d.positions, 1, (3, 4), 6)
 
 
 def test_forced_edge_matching_on_closed_ear():
@@ -1180,11 +1181,69 @@ def test_same_ear_apex_instances_end_to_end(monkeypatch):
 def test_the_solver_reads_the_maximal_decomposition_off_its_walks():
     """The walks, labels, positions and last nontrivial ear that an odd
     solve reads equal those of `maximalize(odd_ear_decomposition(g))`."""
-    instances = [(n, s) for n in range(3, 402, 2) for s in (1, 2, 3)]
-    for n, seed in instances + SAME_EAR_INSTANCES:
-        h = random_triple_system(n, seed=seed, require_connected=True)
+    instances = dict(seeded_odd_instances())
+    for n, seed in SAME_EAR_INSTANCES:
+        instances[n, seed] = random_triple_system(n, seed=seed, require_connected=True)
+    for (n, seed), h in instances.items():
         d = maximalize(odd_ear_decomposition(shadow_graph(h)))
         assert solve_path_fault(d) is None, (n, seed, solve_path_fault(d))
+
+
+def old_check_near_perfect(pairs, g, avoid, must_contain):
+    """`_check_near_perfect` as it was, on edge tuples and vertex sets."""
+    cov = []
+    for u, v in pairs:
+        if not g.has_edge(u, v):
+            raise InternalError(f"matching pair ({u}, {v}) is not an edge")
+        cov.extend((u, v))
+    if len(set(cov)) != len(cov):
+        raise InternalError("matching pairs overlap")
+    if set(cov) != set(range(g.n)) - {avoid}:
+        raise InternalError("matching does not cover exactly host minus one vertex")
+    if must_contain not in pairs:
+        raise InternalError("matching lost its forced edge")
+
+
+def test_near_perfect_check_on_the_lists_agrees_with_the_old_check():
+    """On the forced-edge matchings of odd solves and on broken copies of
+    them (a pair dropped, repeated, turned into a non-edge or moved onto
+    the avoided vertex; the forced edge dropped; another vertex avoided),
+    the check raises what the old one raised, or passes where it passed."""
+    rng = random.Random(13)
+    raised = Counter()
+    for n in range(5, 60, 2):
+        h = random_triple_system(n, seed=n, require_connected=True)
+        g = shadow_graph(h)
+        cert = solve(h)
+        a, b, apex = cert.triangle
+        edge = (a, b)
+        pairs = tuple(sorted(cert.pairs + (edge,)))
+        i = rng.randrange(len(pairs))
+        u, v = pairs[i]
+        cases = [
+            (pairs, apex),
+            (pairs[:i] + pairs[i + 1:], apex),
+            (pairs + pairs[i:i + 1], apex),
+            (tuple(p for p in pairs if p != edge), apex),
+            (pairs, u),
+        ]
+        for non_edge in itertools.combinations(range(n), 2):
+            if not g.has_edge(*non_edge):
+                cases.append((pairs[:i] + (non_edge,) + pairs[i + 1:], apex))
+                break
+        if apex in g.adjacency[v]:
+            cases.append((pairs[:i] + (tuple(sorted((apex, v))),) + pairs[i + 1:], apex))
+        for case, avoid in cases:
+            results = []
+            for check, graph in ((old_check_near_perfect, g),
+                                 (_check_near_perfect, g.adjacency)):
+                try:
+                    results.append(check(case, graph, avoid, edge))
+                except InternalError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (n, case, avoid)
+            raised[results[0]] += 1
+    assert len(raised) == 5, raised
 
 
 def test_circuit_cut_construction_on_triple(monkeypatch):
@@ -1209,9 +1268,9 @@ def test_circuit_case_on_c5_keeps_the_edge_or_is_refused(apex):
     walks = [ear.vertices for ear in d.ears]
     if apex == 3:
         with pytest.raises(InternalError, match="matching lost its forced edge"):
-            _forced_edge_pairs(g, walks, d.labels, d.positions, 0, (0, 1), apex)
+            _forced_edge_pairs(g.adjacency, walks, d.labels, d.positions, 0, (0, 1), apex)
     else:
-        pairs = _forced_edge_pairs(g, walks, d.labels, d.positions, 0, (0, 1), apex)
+        pairs = _forced_edge_pairs(g.adjacency, walks, d.labels, d.positions, 0, (0, 1), apex)
         assert pairs in all_perfect_matchings(g, avoid=apex)
         assert (0, 1) in pairs
 
