@@ -179,8 +179,11 @@ def make_graph(n, edges) -> SimpleGraph:
 
     Edges are checked in input order, each for a loop, then range.  The
     checks run over all edges at once; only when one fails does
-    `_first_edge_fault` walk them to raise the first fault.
+    `_first_edge_fault` walk them to raise the first fault.  A negative
+    vertex count raises ValueError.
     """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     edges = list(map(tuple, edges))
     ok = set(map(len, edges)) <= {2}
     if ok and edges:
@@ -290,8 +293,11 @@ def validate(h: Hypergraph, k: int) -> ValidationReport:
         for v in e:
             deg[v] += m
     # a Counter's scan stops at the first vertex on no hyperedge (degree 0),
-    # unless k is 0: then only the vertices that occur can be irregular
+    # unless k is 0: then only the vertices that occur can be irregular; a
+    # list is tested in bulk, and scanned only to name a bad vertex
     scan = sorted(deg) if k == 0 and isinstance(deg, Counter) else range(h.n)
+    if isinstance(deg, list) and deg.count(k) == h.n:
+        scan = ()
     bad_vertex = next((v for v in scan if deg[v] != k), None)
     return ValidationReport(
         k=k,

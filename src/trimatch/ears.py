@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, takewhile
+from itertools import accumulate, chain, takewhile
 from operator import attrgetter
 
 from .core import SimpleGraph, VertexId, canonical_edge
@@ -257,10 +257,10 @@ def _ear_walks(g):
     edges and interiors and an even ear's even middle piece, so the caller's
     one `_scan` sees every fault of the traced paths.
 
-    Each vertex joins the frontier heap once, when it first neighbours a
-    placed vertex; the unplaced vertices on the heap are then the same as
-    with a push per placed neighbour, and so is the minimum each ear starts
-    from.
+    Each vertex joins the frontier heap at most once, when it first
+    neighbours a placed vertex; the unplaced vertices on the heap are then
+    the same as with a push per placed neighbour, and so is the minimum each
+    ear starts from.
     """
     n = g.n
     if n % 2 == 0:
@@ -285,16 +285,18 @@ def _ear_walks(g):
     placed = [False] * n
     queued = [False] * n
     frontier: list[int] = []
+    push = heapq.heappush
 
-    def place(v):
-        placed[v] = queued[v] = True
-        for y in adj[v]:
-            if not queued[y]:
-                queued[y] = True
-                heapq.heappush(frontier, y)
+    def place(xs):
+        for x in xs:
+            placed[x] = queued[x] = True
+        for x in xs:
+            for y in adj[x]:
+                if not queued[y]:
+                    queued[y] = True
+                    push(frontier, y)
 
-    for v in circuit[:-1]:
-        place(v)
+    place(circuit[:-1])
     remaining = n - (len(circuit) - 1)
 
     while remaining > 0:
@@ -304,11 +306,11 @@ def _ear_walks(g):
             raise InternalError("ran out of frontier before covering all vertices")
         v = heapq.heappop(frontier)
         suffix = tree.path_from_placed(v, placed)
-        close = min(y for y in adj[v] if placed[y])
-        walks.append(suffix + [close])
-        for x in suffix[1:]:
-            place(x)
-        remaining -= len(suffix) - 1
+        # the neighbour tuple is sorted: its first placed entry is the least
+        suffix.append(next(filter(placed.__getitem__, adj[v])))
+        walks.append(suffix)
+        place(suffix[1:-1])
+        remaining -= len(suffix) - 2
     return walks
 
 
@@ -358,20 +360,12 @@ def _slice(adj, walks) -> list:
     The walks sit on a stack with the circuit on top.  Each round pops a
     walk, which is the circuit exactly when no walk has finished yet, and
     looks for its lowest off-ear odd edge.  With none the walk is finished;
-    otherwise the walk and the edge, whose slot must still be unmarked (a
-    trivial ear), become two odd ears, pushed so that the one in the walk's
-    place (the new circuit, or the ear keeping the walk's ends) is popped
-    next.  Each slice adds one nontrivial ear, so the loop ends.
+    otherwise the walk and the edge become two odd ears, pushed so that the
+    one in the walk's place (the new circuit, or the ear keeping the walk's
+    ends) is popped next.  Each slice splits a walk into two shorter ones,
+    so the loop ends.  A cut along an edge already on another walk leaves
+    it on two, which the `_scan` of the result reports.
     """
-    off = _slot_offsets(adj)
-    marks = [False] * off[-1]
-    for walk in walks:
-        for u, v in zip(walk, islice(walk, 1, None)):
-            a, b = (u, v) if u < v else (v, u)
-            row = adj[a]
-            # a non-edge stays unmarked: the scan of the result reports it
-            if b in row:
-                marks[off[a] + row.index(b)] = True
     stack = walks[::-1]
     label = [-1] * len(adj)
     pos = [-1] * len(adj)
@@ -411,10 +405,6 @@ def _slice(adj, walks) -> list:
             continue
 
         a, b = best
-        slot = off[a] + adj[a].index(b)
-        if marks[slot]:
-            raise InternalError(f"off-ear odd edge {best} is not a trivial ear")
-        marks[slot] = True
         pa, pb = sorted((pos[a], pos[b]))
         if circuit:
             cycle = walk[:-1]

@@ -28,6 +28,7 @@ from .errors import InternalError, ParseError
 from .matching import BipartiteGraph, make_bipartite
 
 _head = itemgetter(0)
+_PAIR = ("pair %d %d",)
 
 # certificate line kind -> (values per line, message when that is wrong)
 _CERTIFICATE_LINES = {
@@ -218,17 +219,17 @@ def format_partition(certs) -> str:
     """Certificate text for one partition or a componentwise list of them.
 
     All blocks (the triangles included) are emitted sorted by smallest
-    member.
+    member.  Each block is its vertices followed by its line's `%` template.
     """
     if not isinstance(certs, (list, tuple)):
         certs = [certs]
     blocks = []
     for cert in certs:
         if cert.triangle is not None:
-            blocks.append(("triangle", tuple(sorted(cert.triangle))))
-        blocks.extend(("pair", p) for p in cert.pairs)
-    blocks.sort(key=lambda kb: kb[1][0])
-    lines = [f"{kind} " + " ".join(map(str, block)) for kind, block in blocks]
+            blocks.append((*sorted(cert.triangle), "triangle %d %d %d"))
+        blocks.extend(p + _PAIR for p in cert.pairs)
+    blocks.sort(key=_head)
+    lines = [b[-1] % b[:-1] for b in blocks]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -79,8 +79,11 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
     `_first_bipartite_fault` walk them to raise the first fault.  The edges
     are sorted, with no set: sorted edges are distinct exactly when they
     strictly increase, and edges that increase already, as `format_bipartite`
-    writes them, sort in one linear pass.
+    writes them, sort in one linear pass.  A negative side size raises
+    ValueError.
     """
+    if n_a < 0 or n_b < 0:
+        raise ValueError("vertex count must be nonnegative")
     edges = list(map(tuple, edges))
     ok = set(map(len, edges)) <= {2}
     if ok:
@@ -191,12 +194,13 @@ def _search(adj, match, root, active, p, base, outer, touched):
     touched.append(root)
     members = {}
     queue = deque([root])
+    pop, push = queue.popleft, queue.append
     while queue:
-        v = queue.popleft()
+        v = pop()
+        # only an augmentation changes match; a contraction may change base[v]
+        mate = match[v]
         for to in adj[v]:
-            if not active[to]:
-                continue
-            if base[v] == base[to] or match[v] == to:
+            if to == mate or not active[to] or base[v] == base[to]:
                 continue
             if outer[to]:
                 # odd cycle: contract the blossom up to the common base
@@ -213,9 +217,10 @@ def _search(adj, match, root, active, p, base, outer, touched):
                         if not outer[i]:
                             fresh.append(i)
                     blossom.extend(group)
-                for i in sorted(fresh):
+                fresh.sort()
+                for i in fresh:
                     outer[i] = True
-                    queue.append(i)
+                    push(i)
             elif p[to] == -1:
                 p[to] = v
                 touched.append(to)
@@ -225,7 +230,7 @@ def _search(adj, match, root, active, p, base, outer, touched):
                 if not outer[w]:
                     outer[w] = True
                     touched.append(w)
-                    queue.append(w)
+                    push(w)
     return -1
 
 

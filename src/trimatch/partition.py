@@ -87,7 +87,7 @@ class VerificationReport:
 
 
 def _canon_pairs(pairs):
-    return tuple(sorted(canonical_edge(u, v) for u, v in pairs))
+    return tuple(sorted([(u, v) if u < v else (v, u) for u, v in pairs]))
 
 
 def _require_ok(report: VerificationReport) -> None:
@@ -107,8 +107,9 @@ def _prefix_matching(walks, labels, positions, k: int, avoid: VertexId):
     the circuit with a hole that starts at `avoid`.  The ear on which the
     hole first appears, at position t, gives the alternating edges around
     t, and the hole moves to the end those edges cover: walk[-1] for an odd
-    t, walk[0] for an even t.  Every other ear gives its odd edges.  The
-    circuit is closed, so the same rule covers it around the hole last.
+    t, walk[0] for an even t.  Every other ear gives its odd edges, which
+    pair positions 1, 3, ... with 2, 4, ...  The circuit is closed, so the
+    same rule covers it around the hole last.
     """
     pairs = []
     hole = avoid
@@ -119,15 +120,14 @@ def _prefix_matching(walks, labels, positions, k: int, avoid: VertexId):
             pairs.extend(_alternating_cover(walk, t))
             hole = walk[-1] if t % 2 else walk[0]
         else:
-            pairs.extend(_alternating_cover(walk, len(walk) - 1))
+            pairs.extend(zip(walk[1::2], walk[2::2]))
     return pairs
 
 
 def _alternating_cover(walk, t):
     """Edges (walk[i], walk[i + 1]) for i < t of t's parity and i > t of
     the other.  On a walk of odd length L they cover walk[1..L] (odd t) or
-    walk[0..L-1] (even t) except walk[t]; t = L gives the odd edges, which
-    cover the interior.
+    walk[0..L-1] (even t) except walk[t].
     """
     length = len(walk) - 1
     return [

@@ -82,6 +82,16 @@ def hypergraph_union(parts):
     return make_hypergraph(offset, edges, k=parts[0].k, multiplicities=mults)
 
 
+def relabelled(h, rng):
+    """h with its vertex ids dealt out at random."""
+    ids = list(range(h.n))
+    rng.shuffle(ids)
+    return make_hypergraph(
+        h.n, [[ids[v] for v in e] for e in h.hyperedges], k=h.k,
+        multiplicities=h.multiplicities,
+    )
+
+
 def partition_union_hypergraph(k, q, seed, repeat_first):
     """k-uniform k-regular hypergraph on k * q vertices: the k-sets of k
     random partitions of the vertices into k-sets, the first one taken

@@ -20,7 +20,12 @@ from trimatch import (
 )
 from trimatch.cli import main
 
-from conftest import hypergraph_union, partition_union_hypergraph, rotate_block_ids
+from conftest import (
+    hypergraph_union,
+    partition_union_hypergraph,
+    relabelled,
+    rotate_block_ids,
+)
 
 TRIPLE = "p hyp 3 3 3\ne 0 1 2\ne 0 1 2\ne 0 1 2\n"
 TWO_TRIPLES = (
@@ -377,16 +382,6 @@ def test_main_pauses_the_collector_and_restores_its_state(
     capsys.readouterr()
     assert code == expected
     assert seen == ([False] if expected == 0 else [])
-
-
-def relabelled(h, rng):
-    """h with its vertex ids dealt out at random."""
-    ids = list(range(h.n))
-    rng.shuffle(ids)
-    return make_hypergraph(
-        h.n, [[ids[v] for v in e] for e in h.hyperedges], k=h.k,
-        multiplicities=h.multiplicities,
-    )
 
 
 def solve_k_cases():

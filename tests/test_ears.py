@@ -29,7 +29,13 @@ from trimatch import (
 )
 import trimatch.ears as ears_module
 from trimatch.core import _shadow_lists, canonical_edge
-from trimatch.ears import _assert_maximal, _ear_walks, _scan, _unmarked_edges
+from trimatch.ears import (
+    _assert_maximal,
+    _ear_walks,
+    _maximal_walks,
+    _scan,
+    _unmarked_edges,
+)
 from trimatch.errors import (
     InternalError,
     InvariantViolation,
@@ -143,6 +149,18 @@ def test_maximalize_c5_with_chord():
     out = maximalize(assemble(g, [[0, 1, 2, 0], [0, 3, 4, 5, 6, 1], [3, 6]]))
     assert not validate_decomposition(out)
     assert [e.vertices for e in out.ears] == [(0, 1, 2, 0), (0, 3, 6, 1), (3, 4, 5, 6)]
+
+
+def test_a_slice_along_an_edge_on_another_walk_is_reported_by_the_scan():
+    """The slicer does not ask whether the edge it slices along is on a
+    walk yet: here the chord (0, 2) of the C5 is also a walk of its own, so
+    after the cut it lies on two walks, and the scan of the result names
+    it."""
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    with pytest.raises(
+        InternalError, match=r"edge \(0, 2\) appears on more than one ear"
+    ):
+        _maximal_walks(g.adjacency, [[0, 1, 2, 3, 4, 0], [0, 2]])
 
 
 def test_maximalize_keeps_canonical_trivial_ears_and_normalizes_the_rest():

@@ -1,8 +1,19 @@
 """Instance/certificate text formats: round trips and diagnostics."""
 
+import random
+
 import pytest
 
-from trimatch import make_bipartite, make_graph, make_hypergraph
+from trimatch import (
+    make_bipartite,
+    make_graph,
+    make_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
+    solve,
+    solve_components,
+    solve_k_uniform,
+)
 from trimatch.errors import ParseError
 from trimatch.formats import (
     format_bipartite,
@@ -15,6 +26,8 @@ from trimatch.formats import (
     parse_hypergraph,
 )
 from trimatch.partition import TriMatchingPartition
+
+from conftest import hypergraph_union, partition_union_hypergraph, relabelled
 
 
 def test_hypergraph_round_trip(fano):
@@ -96,3 +109,52 @@ def test_partition_formatting_sorted_by_smallest_member(triple):
 def test_partition_formatting_empty(triple):
     cert = TriMatchingPartition(triangle=None, pairs=(), host=triple)
     assert format_partition(cert) == ""
+
+
+def old_format_partition(certs):
+    """The certificate writer as it was before each block carried its `%`
+    template: one f-string and one join per block."""
+    if not isinstance(certs, (list, tuple)):
+        certs = [certs]
+    blocks = []
+    for cert in certs:
+        if cert.triangle is not None:
+            blocks.append(("triangle", tuple(sorted(cert.triangle))))
+        blocks.extend(("pair", p) for p in cert.pairs)
+    blocks.sort(key=lambda kb: kb[1][0])
+    lines = [f"{kind} " + " ".join(map(str, block)) for kind, block in blocks]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def writer_cases():
+    """Odd and even certificates, componentwise lists over unions with
+    interleaved ids at k = 3 and k = 4, `solve --k` certificates with a
+    triangle of a k > 3 hyperedge, and the empty list."""
+    rng = random.Random(5)
+    triples = [
+        random_triple_system(n, seed, require_connected=True)
+        for n in (3, 12, 13, 100, 101, 501)
+        for seed in (1, 2)
+    ]
+    for h in triples:
+        yield solve(h)
+    for size in (2, 3, 5):
+        yield solve_components(relabelled(hypergraph_union(rng.sample(triples, size)), rng))
+    for k in (4, 5):
+        parts = [partition_union_hypergraph(k, q, 10 * q + k, True) for q in (1, 3, 5)]
+        bg = random_regular_bipartite(9, k, k)
+        parts.append(make_hypergraph(bg.n_b, bg.adj_a, k=k))
+        for h in parts:
+            yield solve_k_uniform(h, k)
+        yield solve_components(relabelled(hypergraph_union(parts), rng), k)
+    yield []
+
+
+def test_certificate_writer_agrees_with_the_old_writer():
+    cases = list(writer_cases())
+    for certs in cases:
+        assert format_partition(certs) == old_format_partition(certs)
+    # the cases reach a k > 3 triangle, componentwise lists and no block at all
+    assert any(getattr(c, "triangle", None) and c.host.k > 3 for c in cases)
+    assert sum(isinstance(c, list) and len(c) > 1 for c in cases) == 5
+    assert format_partition([]) == ""

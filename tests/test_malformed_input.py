@@ -3,8 +3,10 @@ copies of their earlier forms, and the CLI's exit codes.
 
 The copies below are the line-by-line parsers and the item-by-item
 builders as they were before input was read in whole-text passes and
-checked in bulk.  Every parser and builder must give the same value as its
-copy, or raise the same exception class with the same message and line.
+checked in bulk, with one check added since to the graph builders: a
+negative vertex count.  Every parser and builder must give the same value
+as its copy, or raise the same exception class with the same message and
+line.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +152,8 @@ def old_make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergrap
 
 
 def old_make_graph(n, edges) -> SimpleGraph:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     canon = set()
     for u, v in edges:
         if u == v:
@@ -171,6 +176,8 @@ def old_make_graph(n, edges) -> SimpleGraph:
 
 
 def old_make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
+    if n_a < 0 or n_b < 0:
+        raise ValueError("vertex count must be nonnegative")
     seen = set()
     for a, b in edges:
         if not (0 <= a < n_a and 0 <= b < n_b):
@@ -533,3 +540,30 @@ def test_cli_exits_0_1_or_2_on_any_text(hyp_case, bip_case):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             assert code in (0, 1, 2), (argv, hyp, cert, bip, keeps)
+
+
+@pytest.mark.parametrize("text", ["p bip -1 -1 0\n", "p bip 2 -1 0\n"])
+def test_verify_lu_refuses_a_negative_side_size(tmp_path, text):
+    """With an empty certificate both once printed OK and exited 0."""
+    bip, cert = tmp_path / "g.bip", tmp_path / "empty.cert"
+    bip.write_text(text)
+    cert.write_text("")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--lu", str(bip), str(cert)])
+    assert (code, err.getvalue()) == (
+        2, "error: ParseError: vertex count must be nonnegative\n"
+    )
+
+
+def test_builders_refuse_a_negative_vertex_count():
+    for call in (
+        lambda: make_graph(-3, []),
+        lambda: make_bipartite(-1, 2, []),
+        lambda: make_bipartite(2, -1, []),
+    ):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            call()
+    assert outcome(formats.parse_graph, "p gr -3 0\n") == (
+        ParseError, "vertex count must be nonnegative", None
+    )

@@ -1,5 +1,6 @@
 """Constructive partitions, the bipartite subgraph map, and verification."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -39,7 +40,7 @@ from trimatch.errors import (
     NotUniform,
     PreconditionViolated,
 )
-from trimatch.formats import format_hypergraph
+from trimatch.formats import format_hypergraph, format_partition
 from trimatch.core import _component_blocks
 from trimatch.matching import (
     BipartiteGraph,
@@ -1321,6 +1322,23 @@ def test_solve_scales_to_mid_sizes():
         cert = solve(h)
         assert verify_partition(h, cert).ok
         assert (cert.triangle is None) == (n % 2 == 0)
+
+
+# SHA-256 over `format_partition(solve(h))` of
+# `random_triple_system(n, seed, require_connected=True)` for n in
+# LADDER_SIZES, then seed 1 to 4, in that order: the sizes the benchmark's
+# ladders solve
+LADDER_SIZES = (500, 501, 1000, 1001, 2000, 2001)
+LADDER_SHA256 = "ebb2d302b3b4d3919ee31244667c1858d7b8971d66c94a40399afe7e283c4e86"
+
+
+def test_solve_certificate_bytes_are_pinned_at_the_ladder_sizes():
+    digest = hashlib.sha256()
+    for n in LADDER_SIZES:
+        for seed in range(1, 5):
+            h = random_triple_system(n, seed, require_connected=True)
+            digest.update(format_partition(solve(h)).encode("ascii"))
+    assert digest.hexdigest() == LADDER_SHA256
 
 
 @pytest.mark.parametrize("enabled", [True, False])
