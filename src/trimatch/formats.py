@@ -10,12 +10,27 @@ A line whose first token starts with `c` is a comment; tokens are
 whitespace-separated, integers are whatever `int()` reads, and output is
 newline-terminated.  Writers emit blocks sorted by smallest member.
 
-A text is read in a few whole-text passes: one split into token lists,
-with blank and comment lines dropped; set operations over the line kinds
-and widths; one `int` pass over the flattened values, whose rows are cut
-by `zip`.  Only when a pass finds a fault does the line loop
-(`_tokenized`/`_ints`) walk the text again, to raise the first faulty
-line's ParseError with its line number.  It builds no value.
+An instance is read in a few whole-text passes, with no token list per
+line.  One `str.splitlines` pass gives the kept lines: leading whitespace
+stripped, blank lines and comment lines (whose stripped text starts with
+`c`) dropped.  One `str.split` of the text, re-joined first only when it
+has comment lines, gives the tokens.  Counts then stand in for the line
+checks: the first kept line is the `p` line, every other kept line
+starts with `e`, the tokens after the `p` line's are all `e` at stride
+1 + arity (1 + k for `hyp`), there are as many of those positions as kept
+lines after the `p` line, the stride divides the token count, and one
+`int` pass converts every other token.  These accept exactly the texts
+the line checks accept.  A token that starts with `e` but is not `e`
+fails `int`, so every kept line starts at a stride position; with as many
+lines as positions, each line is one row.  And `str.split` over the text
+gives the tokens of `splitlines` followed by a split of each line, since
+every line boundary is whitespace.  Ragged `hyp` rows, which `validate`
+reports, are split line by line.  A certificate is split into token lists
+per line (`_lines`); set operations over the line kinds and widths check
+it, and one `int` pass per kind converts it.  Only when a pass finds a
+fault does the line loop (`_tokenized`/`_ints`) walk the text again, to
+raise the first faulty line's ParseError with its line number.  It builds
+no value.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from operator import itemgetter
 
 from .core import Hypergraph, SimpleGraph, make_graph, make_hypergraph
 from .errors import InternalError, ParseError
-from .matching import BipartiteGraph, make_bipartite
+from .matching import BipartiteGraph, _bipartite_graph
 
 _head = itemgetter(0)
 _PAIR = ("pair %d %d",)
@@ -77,45 +92,63 @@ def _parse_problem(text, kind, fields, arity, build):
 
     `fields` names the problem-line values, one of them the `e`-line count
     `m`; `arity` is the number of integers per `e` line (0: any positive
-    number).  `build(rows, *values)` gets the `e` rows and the other values
-    in order, and its ValueError becomes a ParseError.
+    number).  `build(values, width, *others)` gets the `e` lines' values as
+    `_problem_values` gives them and the other problem-line values in
+    order, and its ValueError becomes a ParseError.
     """
-    header, rows = _problem_rows(text, kind, fields, arity)
+    header, values, width = _problem_values(text, kind, fields, arity)
     m = header.pop(fields.index("m"))
-    if len(rows) != m:
-        raise ParseError(f"problem line promises {m} e lines, found {len(rows)}")
+    found = len(values) // width if width else len(values)
+    if found != m:
+        raise ParseError(f"problem line promises {m} e lines, found {found}")
     try:
-        return build(rows, *header)
+        return build(values, width, *header)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _problem_rows(text, kind, fields, arity):
-    """The problem-line values and the `e` rows, as lists of ints and int
-    tuples.  The token lists are freed on return, before anything is built
-    from the rows."""
-    lines = _lines(text)
-    if not lines:
+def _problem_values(text, kind, fields, arity):
+    """The problem-line values as a list of ints, then the `e` lines'
+    values: one flat list of ints, `width` of them to a line, or, for
+    ragged `hyp` lines, which `validate` reports, one int tuple per line
+    and width 0.  A `hyp` line's width is the problem line's k, its last
+    value.  The kept lines are freed before the text is split into tokens.
+    """
+    kept = list(filter(None, map(str.lstrip, text.splitlines())))
+    heads = list(map(_head, kept))
+    uncommented = text
+    if "c" in heads:
+        kept = [line for line in kept if line[0] != "c"]
+        heads = list(map(_head, kept))
+        uncommented = "\n".join(kept)
+    if not kept:
         raise ParseError(f"missing `p {kind}` problem line")
-    head, body = lines[0], lines[1:]
-    widths = set(map(len, body))
+    head, lines = kept[0].split(), len(kept) - 1
+    del kept
     if (
         head[0] == "p"
         and len(head) == 2 + len(fields)
         and head[1] == kind
-        and {"e"}.issuperset(map(_head, body))
-        and (widths <= {1 + arity} if arity else 1 not in widths)
+        and heads.count("e") == lines
     ):
         try:
             header = list(map(int, head[2:]))
-            if len(widths) == 1:
-                tokens = list(chain.from_iterable(body))
-                # str.split leaves room for 12 tokens in each line's list:
-                # free the lists before the ints are made
-                del lines, body
-                return header, _rows(tokens, *widths)
-            # no e line, or ragged `hyp` rows, which `validate` reports
-            return header, [tuple(map(int, t[1:])) for t in body]
+            if not lines:
+                return header, [], 0
+            stride = 1 + (arity or header[-1])
+            tokens = uncommented.split()
+            del tokens[: len(head)]
+            if (
+                stride > 1
+                and len(tokens) == stride * lines
+                and tokens[::stride].count("e") == lines
+            ):
+                del tokens[::stride]
+                return header, list(map(int, tokens)), stride - 1
+            if not arity:
+                body = list(filter(None, map(str.split, uncommented.splitlines())))[1:]
+                if all(t[0] == "e" and len(t) > 1 for t in body):
+                    return header, [tuple(map(int, t[1:])) for t in body], 0
         except ValueError:
             pass  # the line loop names the line
     _problem_fault(text, kind, fields, arity)
@@ -144,23 +177,29 @@ def _problem_fault(text, kind, fields, arity):
     raise InternalError("the whole-text pass saw a fault the line loop did not")
 
 
+def _cut(values, width):
+    """Rows of `_problem_values`: int tuples of `width` values each."""
+    return list(zip(*[iter(values)] * width)) if width else values
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     return _parse_problem(
         text, "hyp", ("n", "m", "k"), 0,
-        lambda rows, n, k: make_hypergraph(n, rows, k=k),
+        lambda values, width, n, k: make_hypergraph(n, _cut(values, width), k=k),
     )
 
 
 def parse_graph(text: str) -> SimpleGraph:
     return _parse_problem(
-        text, "gr", ("n", "m"), 2, lambda rows, n: make_graph(n, rows)
+        text, "gr", ("n", "m"), 2,
+        lambda values, width, n: make_graph(n, _cut(values, width)),
     )
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     return _parse_problem(
         text, "bip", ("nA", "nB", "m"), 2,
-        lambda rows, n_a, n_b: make_bipartite(n_a, n_b, rows),
+        lambda values, width, n_a, n_b: _bipartite_graph(n_a, n_b, values),
     )
 
 

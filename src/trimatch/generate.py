@@ -18,7 +18,7 @@ from operator import eq
 
 from .core import Hypergraph, _shadow_lists, components, make_hypergraph
 from .errors import GenerationFailed, PreconditionViolated
-from .matching import BipartiteGraph, make_bipartite
+from .matching import BipartiteGraph, _hopcroft_karp, make_bipartite
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -117,6 +117,8 @@ def random_regular_bipartite(n_side: int, k: int, seed: int) -> BipartiteGraph:
     Union of k random perfect matchings; each matching is redrawn until the
     union stays simple.  (Redrawing whole k-tuples instead would need about
     e^(k(k-1)/2) rounds, which blows the rejection cap already at k = 5.)
+    A matching still clashing after REJECTION_CAP redraws, as happens when
+    k is close to n_side, is taken from the complement instead.
     """
     if not n_side >= k >= 1:
         raise PreconditionViolated("need side size >= degree >= 1")
@@ -126,12 +128,23 @@ def random_regular_bipartite(n_side: int, k: int, seed: int) -> BipartiteGraph:
         for _ in range(REJECTION_CAP):
             cand = _permutation(rng, n_side)
             if not any(any(map(eq, cand, perm)) for perm in perms):
-                perms.append(cand)
                 break
         else:
-            raise GenerationFailed(
-                f"no simple draw within {REJECTION_CAP} rounds "
-                f"(n={n_side}, k={k}, seed={seed})"
-            )
+            cand = _complement_matching(rng, n_side, perms)
+        perms.append(cand)
     edges = [(i, perm[i]) for perm in perms for i in range(n_side)]
     return make_bipartite(n_side, n_side, edges)
+
+
+def _complement_matching(rng: SplitMix64, n_side: int, perms) -> list[int]:
+    """A perfect matching of K(n_side, n_side) that avoids the j < n_side
+    perfect matchings `perms`, as the partner of each A-vertex.
+
+    What `perms` leaves is (n_side - j)-regular bipartite, so it has a
+    perfect matching (König); Hopcroft-Karp finds one, scanning A in an
+    order drawn from `rng` and each A-vertex's free partners in a second
+    drawn order.
+    """
+    order_a, order_b = _permutation(rng, n_side), _permutation(rng, n_side)
+    adj = [[b for b in order_b if b not in used] for used in map(set, zip(*perms))]
+    return _hopcroft_karp(adj, n_side, order_a)

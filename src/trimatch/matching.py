@@ -74,32 +74,43 @@ class BipartiteGraph:
 def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
     """Build a BipartiteGraph; duplicate (a, b) pairs raise ParallelEdges.
 
-    Edges are checked in input order, each for range, then repeats.  The
-    checks run over all edges at once; only when one fails does
-    `_first_bipartite_fault` walk them to raise the first fault.  The edges
-    are sorted, with no set: sorted edges are distinct exactly when they
-    strictly increase, and edges that increase already, as `format_bipartite`
-    writes them, sort in one linear pass.  A negative side size raises
-    ValueError.
+    Edges are checked in input order, each for range, then repeats, and a
+    negative side size raises ValueError.  Edges of two endpoints are
+    flattened into one (a, b, a, b, ...) list for `_bipartite_graph`;
+    any other width leaves through `_first_bipartite_fault`.
     """
-    if n_a < 0 or n_b < 0:
-        raise ValueError("vertex count must be nonnegative")
     edges = list(map(tuple, edges))
-    ok = set(map(len, edges)) <= {2}
-    if ok:
+    if set(map(len, edges)) <= {2}:
+        return _bipartite_graph(n_a, n_b, list(chain.from_iterable(edges)))
+    _first_bipartite_fault(n_a, n_b, edges)
+
+
+def _bipartite_graph(n_a, n_b, flat) -> BipartiteGraph:
+    """The BipartiteGraph of the edges (flat[0], flat[1]), (flat[2],
+    flat[3]), ...: `make_bipartite`'s builder, which `parse_bipartite` calls
+    on the integers of a `bip` text.
+
+    The checks run over all edges at once: the side sizes, range by min/max
+    over the A and B columns, and repeats with no set, since sorted edges
+    are distinct exactly when they strictly increase.  Edges that increase
+    already, as `format_bipartite` writes them, are not sorted.  Only when a
+    check fails does `_first_bipartite_fault` walk the edges in input order
+    to raise the first fault.  Both sides' lists are filled in one pass in
+    sorted edge order, so every list comes out increasing.
+    """
+    side_a, side_b = flat[::2], flat[1::2]
+    edges = list(zip(side_a, side_b))
+    ok = n_a >= 0 and n_b >= 0 and (
+        not edges
+        or min(side_a) >= 0 and max(side_a) < n_a
+        and min(side_b) >= 0 and max(side_b) < n_b
+    )
+    ordered = edges
+    if ok and not all(map(operator.lt, edges, islice(edges, 1, None))):
         ordered = sorted(edges)
         ok = all(map(operator.lt, ordered, islice(ordered, 1, None)))
-    if ok and edges:
-        flat = list(chain.from_iterable(edges))
-        side_a, side_b = flat[::2], flat[1::2]
-        ok = (
-            min(side_a) >= 0 and max(side_a) < n_a
-            and min(side_b) >= 0 and max(side_b) < n_b
-        )
     if not ok:
         _first_bipartite_fault(n_a, n_b, edges)
-    ordered = tuple(ordered)
-    # filled in sorted edge order, so every list comes out increasing
     adj_a = [[] for _ in range(n_a)]
     adj_b = [[] for _ in range(n_b)]
     for a, b in ordered:
@@ -108,14 +119,17 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
     return BipartiteGraph(
         n_a=n_a,
         n_b=n_b,
-        edges=ordered,
+        edges=tuple(ordered),
         adj_a=tuple(map(tuple, adj_a)),
         adj_b=tuple(map(tuple, adj_b)),
     )
 
 
 def _first_bipartite_fault(n_a, n_b, edges):
-    """Raise the error of the first faulty edge in input order."""
+    """Raise the error of a negative side size, else of the first faulty
+    edge in input order."""
+    if n_a < 0 or n_b < 0:
+        raise ValueError("vertex count must be nonnegative")
     seen = set()
     for a, b in edges:
         if not (0 <= a < n_a and 0 <= b < n_b):

@@ -90,6 +90,30 @@ def test_bipartite_valid_and_deterministic():
         )
 
 
+def is_simple_regular(bg, n_side, k):
+    return (
+        bg.n_a == bg.n_b == n_side
+        and len(set(bg.edges)) == bg.m == n_side * k
+        and {len(adj) for adj in bg.adj_a + bg.adj_b} == {k}
+    )
+
+
+@pytest.mark.parametrize("n_side, k, seed", [(8, 8, 1), (8, 7, 2), (7, 6, 762)])
+def test_bipartite_dense_requests_once_called_infeasible(n_side, k, seed):
+    """Each raised GenerationFailed when a matching's redraws hit the cap."""
+    bg = random_regular_bipartite(n_side, k, seed)
+    assert is_simple_regular(bg, n_side, k)
+    assert bg == random_regular_bipartite(n_side, k, seed)
+
+
+def test_bipartite_every_degree_up_to_the_side_size():
+    for n_side in range(1, 9):
+        for k in range(1, n_side + 1):
+            for seed in range(20):
+                bg = random_regular_bipartite(n_side, k, seed)
+                assert is_simple_regular(bg, n_side, k), (n_side, k, seed)
+
+
 def test_bipartite_precondition():
     with pytest.raises(PreconditionViolated):
         random_regular_bipartite(2, 3, seed=0)

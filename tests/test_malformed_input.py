@@ -12,6 +12,7 @@ line.
 import contextlib
 import io
 import os
+import random
 import tempfile
 
 import pytest
@@ -269,7 +270,14 @@ def real_cases():
     cases.append((formats.format_hypergraph(k4), formats.format_partition(solve_k_uniform(k4, 4))))
     bg = random_regular_bipartite(5, 4, 1)
     cases.append((formats.format_bipartite(bg), formats.format_lu(lu_subgraph(bg, 4))))
-    return [(a.splitlines(), b.splitlines()) for a, b in cases]
+    cases = [(a.splitlines(), b.splitlines()) for a, b in cases]
+    # the n = 7 hyp case and the bip case again, with a comment line and a
+    # blank line after the problem line, and each line ending in "\r" so
+    # that the newline drawn after it mostly makes CRLF
+    for lines, cert in (cases[2], cases[-1]):
+        lines = [lines[0], "c a comment", "", *lines[1:]]
+        cases.append(([line + "\r" for line in lines], cert))
+    return cases
 
 
 REAL = real_cases()
@@ -277,22 +285,29 @@ REAL = real_cases()
 
 @st.composite
 def edited(draw, lines):
-    """`lines` with up to three lines inserted, replaced or deleted, or
-    tokens replaced, as text."""
+    """`lines` with up to three lines inserted, replaced, deleted, joined
+    onto the next line or split at a token gap, or tokens replaced, as
+    text.  A join or a split keeps every token in place: only a check that
+    reads lines, not the token stream, sees it."""
     lines = list(lines)
     for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
         i = draw(st.integers(0, len(lines)))
-        edit = draw(st.sampled_from(("insert", "replace", "delete", "token")))
+        edit = draw(st.sampled_from(("insert", "replace", "delete", "token", "join", "split")))
         if edit == "insert" or not lines:
             lines.insert(i, draw(token_lines()))
             continue
         i = min(i, len(lines) - 1)
+        tokens = lines[i].split()
         if edit == "replace":
             lines[i] = draw(token_lines())
         elif edit == "delete":
             del lines[i]
-        elif lines[i].split():
-            tokens = lines[i].split()
+        elif edit == "join":
+            lines[i : i + 2] = [draw(GAP).join(lines[i : i + 2])]
+        elif edit == "split" and len(tokens) > 1:
+            j = draw(st.integers(1, len(tokens) - 1))
+            lines[i : i + 1] = [" ".join(tokens[:j]), " ".join(tokens[j:])]
+        elif edit == "token" and tokens:
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(VALUE)
             lines[i] = " ".join(tokens)
     return "".join(line + draw(NEWLINE) for line in lines)
@@ -323,6 +338,19 @@ PARSERS = (
 def check_parsers(text):
     for parse, old_parse in PARSERS:
         assert outcome(parse, text) == outcome(old_parse, text), (parse, text)
+
+
+# every line boundary of `str.splitlines`, the ones NEWLINE leaves out too
+LINE_ENDS = st.sampled_from(("\x1c", "\x1d", "\x1e", "\u2029"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(GAP, NEWLINE, LINE_ENDS, st.sampled_from(("e", "17", "c")))))
+def test_a_whole_text_split_gives_the_tokens_of_its_lines(parts):
+    """The instance parsers split the whole text once; this holds because
+    every line boundary is whitespace to `str.split`."""
+    text = "".join(parts)
+    assert text.split() == [t for line in text.splitlines() for t in line.split()]
 
 
 def test_parsers_agree_with_the_old_parsers_on_valid_files():
@@ -464,6 +492,12 @@ def boundary_texts():
         "p bip 3 3 2\ne 0 1\ne 0 1\n",
         "p bip 4 2 2\ne 0 1\ne 3 2\n",
         "p bip 2 4 2\ne 0 1\ne 2 3\n",
+        # line faults that a flat token stream hides: a row split across
+        # lines, and a line head that starts with `e` but is not `e`
+        "p bip 3 3 2\ne 0\n1 e 1 2\n",
+        "p gr 3 2\ne 0 1 e\n1 2\n",
+        "p bip 3 3 2\ne 0 1\ne2 1 2\n",
+        "p hyp 4 2 3\ne 0\n1 2 e 1 2 3\n",
         # header faults
         "p bip 3 3\ne 0 1\n",
         "p bip 3 3 x\ne 0 1\n",
@@ -512,6 +546,20 @@ def test_parsers_agree_with_the_old_parsers_on_large_files():
         assert parse(text) == old_parse(text)
     assert formats.parse_hypergraph(formats.format_hypergraph(h)) == h
     assert formats.parse_bipartite(formats.format_bipartite(bg)) == bg
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("nb", [500, 1000, 2000])
+def test_bipartite_graphs_agree_with_the_old_builders_at_the_benchmark_sizes(nb, k):
+    bg = random_regular_bipartite(nb, k, 7 * nb + k)
+    text = formats.format_bipartite(bg)
+    new, old = formats.parse_bipartite(text), old_parse_bipartite(text)
+    # field for field: the dataclass compares edges, adj_a and adj_b
+    assert new == old
+    shuffled = list(bg.edges)
+    random.Random(nb + k).shuffle(shuffled)
+    for edges in (shuffled, bg.edges[::-1]):
+        assert make_bipartite(nb, nb, edges) == old_make_bipartite(nb, nb, edges)
 
 
 CLI_CALLS = (

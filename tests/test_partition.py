@@ -40,7 +40,13 @@ from trimatch.errors import (
     NotUniform,
     PreconditionViolated,
 )
-from trimatch.formats import format_hypergraph, format_partition
+from trimatch.formats import (
+    format_bipartite,
+    format_hypergraph,
+    format_lu,
+    format_partition,
+    parse_bipartite,
+)
 from trimatch.core import _component_blocks
 from trimatch.matching import (
     BipartiteGraph,
@@ -1339,6 +1345,22 @@ def test_solve_certificate_bytes_are_pinned_at_the_ladder_sizes():
             h = random_triple_system(n, seed, require_connected=True)
             digest.update(format_partition(solve(h)).encode("ascii"))
     assert digest.hexdigest() == LADDER_SHA256
+
+
+# SHA-256 over `format_lu(lu_subgraph(bg, k))` of the parsed text of
+# `random_regular_bipartite(nb, k, 10 * nb + k)` for k in (4, 5), then nb in
+# LU_SIDES, in that order: the sizes the benchmark's bip-lu workload reads
+LU_SIDES = (*range(500, 1001, 50), 2000)
+LU_SHA256 = "4d726bcc614ad6ad484ea36bf3ba3c602d00ecd4c9db1932e4d03f23ce820a17"
+
+
+def test_lu_certificate_bytes_are_pinned_at_the_benchmark_sizes():
+    digest = hashlib.sha256()
+    for k in (4, 5):
+        for nb in LU_SIDES:
+            text = format_bipartite(random_regular_bipartite(nb, k, 10 * nb + k))
+            digest.update(format_lu(lu_subgraph(parse_bipartite(text), k)).encode("ascii"))
+    assert digest.hexdigest() == LU_SHA256
 
 
 @pytest.mark.parametrize("enabled", [True, False])
