@@ -199,7 +199,9 @@ def parse_graph(text: str) -> SimpleGraph:
 def parse_bipartite(text: str) -> BipartiteGraph:
     return _parse_problem(
         text, "bip", ("nA", "nB", "m"), 2,
-        lambda values, width, n_a, n_b: _bipartite_graph(n_a, n_b, values),
+        lambda values, width, n_a, n_b: _bipartite_graph(
+            n_a, n_b, values[::2], values[1::2]
+        ),
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 from .core import (
     Hypergraph,
@@ -75,20 +75,23 @@ def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:
     """Build a BipartiteGraph; duplicate (a, b) pairs raise ParallelEdges.
 
     Edges are checked in input order, each for range, then repeats, and a
-    negative side size raises ValueError.  Edges of two endpoints are
-    flattened into one (a, b, a, b, ...) list for `_bipartite_graph`;
-    any other width leaves through `_first_bipartite_fault`.
+    negative side size raises ValueError.  Edges of two endpoints go to
+    `_bipartite_graph` as they are, with their A and B columns; any other
+    width leaves through `_first_bipartite_fault`.
     """
     edges = list(map(tuple, edges))
     if set(map(len, edges)) <= {2}:
-        return _bipartite_graph(n_a, n_b, list(chain.from_iterable(edges)))
+        side_a = [a for a, _ in edges]
+        side_b = [b for _, b in edges]
+        return _bipartite_graph(n_a, n_b, side_a, side_b, edges)
     _first_bipartite_fault(n_a, n_b, edges)
 
 
-def _bipartite_graph(n_a, n_b, flat) -> BipartiteGraph:
-    """The BipartiteGraph of the edges (flat[0], flat[1]), (flat[2],
-    flat[3]), ...: `make_bipartite`'s builder, which `parse_bipartite` calls
-    on the integers of a `bip` text.
+def _bipartite_graph(n_a, n_b, side_a, side_b, edges=None) -> BipartiteGraph:
+    """The BipartiteGraph of the edges (side_a[i], side_b[i]): the builder
+    of `make_bipartite`, which holds the edge tuples and passes them, and of
+    `parse_bipartite`, which holds the columns of a `bip` text and leaves
+    the tuples to be zipped here.
 
     The checks run over all edges at once: the side sizes, range by min/max
     over the A and B columns, and repeats with no set, since sorted edges
@@ -98,8 +101,8 @@ def _bipartite_graph(n_a, n_b, flat) -> BipartiteGraph:
     to raise the first fault.  Both sides' lists are filled in one pass in
     sorted edge order, so every list comes out increasing.
     """
-    side_a, side_b = flat[::2], flat[1::2]
-    edges = list(zip(side_a, side_b))
+    if edges is None:
+        edges = list(zip(side_a, side_b))
     ok = n_a >= 0 and n_b >= 0 and (
         not edges
         or min(side_a) >= 0 and max(side_a) < n_a
@@ -152,61 +155,50 @@ def _first_bipartite_fault(n_a, n_b, edges):
 # contraction rewires p[] precisely so that this walk stays a simple path.
 #
 # base[v] always holds the exact base of v's outermost blossom.  A contraction
-# touches only the blossom it forms (Gabow 1976, J. ACM 23): `members` keeps,
-# for each base of a nontrivial blossom, the list of vertices with that base,
-# and the bases _mark_blossom flags are the blossoms and inner singletons on
-# the two tree paths up to the new base `cur` (both walks stop at `cur`'s
-# blossom, so `cur` itself is never flagged).  Their members are relabelled
+# touches only the blossom it forms (Gabow 1976, J. ACM 23): `blossoms[b]`
+# lists the vertices with base b when b is the base of a nontrivial blossom
+# and is None otherwise.  The common base `cur` is the first base on `to`'s
+# tree path that the walk up from `v` has stamped.  The bases flagged next
+# are the blossoms and inner singletons on the two tree paths up to `cur`
+# (both walks stop at `cur`'s blossom, so `cur` itself is never flagged);
+# each is flagged once, under a second stamp.  Their members are relabelled
 # to `cur` and appended to its list; no other vertex's base changes.  Every
 # vertex of a nontrivial blossom is already outer, so the vertices that turn
 # outer are exactly the flagged inner singletons.  They join the queue in
 # increasing index, the order in which a scan over all n vertices would meet
-# them, so the search order, the p[] it leaves and with them the certificate
-# bytes do not depend on how the blossom is found.
+# them.  So the order of `flagged` reaches only the order inside a member
+# list, which nothing reads in order, and the search order, the p[] it
+# leaves and with them the certificate bytes do not depend on how the
+# blossom is found.
 #
-# The caller owns p/base/outer, clean on entry (p all -1, base the identity,
-# outer all False), and a `touched` list.  _search appends to it the root,
-# every `to` whose p it sets and every `w` it makes outer; p is only ever set
-# on those vertices, and every blossom member is one of them, so resetting
-# the touched entries cleans the arrays for the next root in time
-# proportional to the search, not to n.
+# The caller owns p/base/outer/mark/blossoms, clean on entry (p all -1, base
+# the identity, outer all False, mark all 0, blossoms all None), and a
+# `touched` list.  _search appends to it the root, every `to` whose p it sets
+# and every `w` it makes outer.  p is only ever set on those vertices, every
+# blossom member is one of them, and every stamped or listed entry is a base,
+# so resetting the touched entries cleans all five arrays for the next root
+# in time proportional to the search, not to n.  Each search stamps from 1
+# again.  A contraction makes no set, dict or default list: `flagged` and
+# `fresh` are made once per search and cleared, and the only list it may
+# make is the member list of a base that had none.
+#
+# A vertex left out of the matching is its own mate and its own p for the
+# whole of `_max_matching_arrays`: the greedy start and the root loop see it
+# matched, and every search sees it as already reached, so no edge scan tests
+# a mask.  It is never touched, so no reset clears it.
 
 
-def _lca(match, p, base, a, b):
-    mark = set()
-    v = a
-    while True:
-        v = base[v]
-        mark.add(v)
-        if match[v] == -1:
-            break
-        v = p[match[v]]
-    v = b
-    while True:
-        v = base[v]
-        if v in mark:
-            return v
-        v = p[match[v]]
-
-
-def _mark_blossom(match, p, base, flagged, v, b, child):
-    while base[v] != b:
-        flagged.add(base[v])
-        flagged.add(base[match[v]])
-        p[v] = child
-        child = match[v]
-        v = p[match[v]]
-
-
-def _search(adj, match, root, active, p, base, outer, touched):
-    """Alternating BFS from exposed `root` over `active` vertices.
+def _search(adj, match, root, p, base, outer, touched, mark, blossoms):
+    """Alternating BFS from exposed `root`.
 
     Returns the exposed end of an augmenting path, or -1 when none exists;
-    the search itself is left in p, base and outer.
+    the search itself is left in p, base, outer, mark and blossoms.
     """
     outer[root] = True
     touched.append(root)
-    members = {}
+    stamp = 0
+    flagged = []
+    fresh = []
     queue = deque([root])
     pop, push = queue.popleft, queue.append
     while queue:
@@ -214,27 +206,64 @@ def _search(adj, match, root, active, p, base, outer, touched):
         # only an augmentation changes match; a contraction may change base[v]
         mate = match[v]
         for to in adj[v]:
-            if to == mate or not active[to] or base[v] == base[to]:
+            if to == mate or base[v] == base[to]:
                 continue
             if outer[to]:
                 # odd cycle: contract the blossom up to the common base
-                cur = _lca(match, p, base, v, to)
-                flagged = set()
-                _mark_blossom(match, p, base, flagged, v, cur, to)
-                _mark_blossom(match, p, base, flagged, to, cur, v)
-                blossom = members.setdefault(cur, [cur])
-                fresh = []
+                stamp += 1
+                x = v
+                while True:
+                    x = base[x]
+                    mark[x] = stamp
+                    m = match[x]
+                    if m == -1:
+                        break
+                    x = p[m]
+                cur = base[to]
+                while mark[cur] != stamp:
+                    cur = base[p[match[cur]]]
+                stamp += 1
+                x, child, last = v, to, False
+                while True:
+                    while True:
+                        b = base[x]
+                        if b == cur:
+                            break
+                        if mark[b] != stamp:
+                            mark[b] = stamp
+                            flagged.append(b)
+                        m = match[x]
+                        b = base[m]
+                        if mark[b] != stamp:
+                            mark[b] = stamp
+                            flagged.append(b)
+                        p[x] = child
+                        child = m
+                        x = p[m]
+                    if last:
+                        break
+                    x, child, last = to, v, True
+                group = blossoms[cur]
+                if group is None:
+                    group = blossoms[cur] = [cur]
                 for b in flagged:
-                    group = members.pop(b, [b])
-                    for i in group:
-                        base[i] = cur
-                        if not outer[i]:
-                            fresh.append(i)
-                    blossom.extend(group)
+                    inner = blossoms[b]
+                    if inner is None:
+                        base[b] = cur
+                        group.append(b)
+                        if not outer[b]:
+                            fresh.append(b)
+                    else:
+                        blossoms[b] = None
+                        for i in inner:
+                            base[i] = cur
+                        group.extend(inner)
+                flagged.clear()
                 fresh.sort()
                 for i in fresh:
                     outer[i] = True
                     push(i)
+                fresh.clear()
             elif p[to] == -1:
                 p[to] = v
                 touched.append(to)
@@ -258,12 +287,11 @@ def _augment(match, p, end):
         v = nxt
 
 
-def _greedy_init(adj, active, match):
-    n = len(adj)
-    for v in range(n):
-        if active[v] and match[v] == -1:
-            for u in adj[v]:
-                if active[u] and match[u] == -1:
+def _greedy_init(adj, match):
+    for v, nbrs in enumerate(adj):
+        if match[v] == -1:
+            for u in nbrs:
+                if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
@@ -272,22 +300,34 @@ def _greedy_init(adj, active, match):
 def _max_matching_arrays(adj, active) -> list[int]:
     n = len(adj)
     match = [-1] * n
-    _greedy_init(adj, active, match)
-    # one set of search arrays, reset after each root to its clean state
     p = [-1] * n
+    # inactive vertices are sentinels, their own mate and p until the end
+    inactive = [v for v in range(n) if not active[v]]
+    for v in inactive:
+        match[v] = p[v] = v
+    _greedy_init(adj, match)
+    # one set of search arrays, reset after each root to its clean state
     base = list(range(n))
     outer = [False] * n
+    mark = [0] * n
+    blossoms = [None] * n
     touched = []
     for root in range(n):
-        if active[root] and match[root] == -1:
-            end = _search(adj, match, root, active, p, base, outer, touched)
+        if match[root] == -1:
+            end = _search(
+                adj, match, root, p, base, outer, touched, mark, blossoms
+            )
             if end != -1:
                 _augment(match, p, end)
             for v in touched:
                 p[v] = -1
                 base[v] = v
                 outer[v] = False
+                mark[v] = 0
+                blossoms[v] = None
             touched.clear()
+    for v in inactive:
+        match[v] = p[v] = -1
     return match
 
 
@@ -343,7 +383,8 @@ class AlternatingTree:
         p = [-1] * n
         outer = [False] * n
         end = _search(
-            g.adjacency, match, root, [True] * n, p, list(range(n)), outer, []
+            g.adjacency, match, root, p, list(range(n)), outer, [], [0] * n,
+            [None] * n,
         )
         if end != -1:
             raise InternalError(

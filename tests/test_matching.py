@@ -1,8 +1,11 @@
 """Matching engine against brute force, plus the bipartite toolbox."""
 
+import contextlib
 import functools
+import hashlib
 import itertools
 import random
+import signal
 from collections import deque
 
 import pytest
@@ -36,8 +39,6 @@ from trimatch.matching import (
     AlternatingTree,
     _augment,
     _hopcroft_karp,
-    _greedy_init,
-    _lca,
     _max_matching_arrays,
     _search,
     bipartite_degrees,
@@ -223,6 +224,112 @@ def test_trace_from_placed_is_the_root_path_cut_at_its_last_placed_vertex():
     assert traced > 15000 and cut > traced // 2
 
 
+# The engine before stamped marks, member lists by base and inactive
+# sentinels: per-contraction sets and a dict of member lists made per search,
+# and an `active` mask tested on every scanned edge.  Kept as the reference
+# that `_max_matching_arrays` must equal, array for array.
+
+
+def _lca(match, p, base, a, b):
+    mark = set()
+    v = a
+    while True:
+        v = base[v]
+        mark.add(v)
+        if match[v] == -1:
+            break
+        v = p[match[v]]
+    v = b
+    while True:
+        v = base[v]
+        if v in mark:
+            return v
+        v = p[match[v]]
+
+
+def _mark_blossom(match, p, base, flagged, v, b, child):
+    while base[v] != b:
+        flagged.add(base[v])
+        flagged.add(base[match[v]])
+        p[v] = child
+        child = match[v]
+        v = p[match[v]]
+
+
+def _old_search(adj, match, root, active, p, base, outer, touched):
+    outer[root] = True
+    touched.append(root)
+    members = {}
+    queue = deque([root])
+    pop, push = queue.popleft, queue.append
+    while queue:
+        v = pop()
+        mate = match[v]
+        for to in adj[v]:
+            if to == mate or not active[to] or base[v] == base[to]:
+                continue
+            if outer[to]:
+                cur = _lca(match, p, base, v, to)
+                flagged = set()
+                _mark_blossom(match, p, base, flagged, v, cur, to)
+                _mark_blossom(match, p, base, flagged, to, cur, v)
+                blossom = members.setdefault(cur, [cur])
+                fresh = []
+                for b in flagged:
+                    group = members.pop(b, [b])
+                    for i in group:
+                        base[i] = cur
+                        if not outer[i]:
+                            fresh.append(i)
+                    blossom.extend(group)
+                fresh.sort()
+                for i in fresh:
+                    outer[i] = True
+                    push(i)
+            elif p[to] == -1:
+                p[to] = v
+                touched.append(to)
+                if match[to] == -1:
+                    return to
+                w = match[to]
+                if not outer[w]:
+                    outer[w] = True
+                    touched.append(w)
+                    push(w)
+    return -1
+
+
+def _old_greedy_init(adj, active, match):
+    for v in range(len(adj)):
+        if active[v] and match[v] == -1:
+            for u in adj[v]:
+                if active[u] and match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+
+
+def _old_max_matching_arrays(adj, active):
+    n = len(adj)
+    match = [-1] * n
+    _old_greedy_init(adj, active, match)
+    p = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    touched = []
+    for root in range(n):
+        if active[root] and match[root] == -1:
+            end = _old_search(adj, match, root, active, p, base, outer, touched)
+            if end != -1:
+                _augment(match, p, end)
+            for v in touched:
+                p[v] = -1
+                base[v] = v
+                outer[v] = False
+            touched.clear()
+    return match
+
+
 def _reference_mark_blossom(match, p, base, flag, v, b, child):
     while base[v] != b:
         flag[base[v]] = True
@@ -272,10 +379,20 @@ def _reference_search(adj, match, root, active):
 
 
 def fresh_search(adj, match, root, active):
-    """`_search` on clean arrays of its own, returned as the reference does."""
+    """`_search` on clean arrays of its own, returned as the reference does.
+
+    Inactive vertices go in as `_max_matching_arrays` hands them over, as
+    their own mate and p; the search must leave both as they were."""
     n = len(adj)
-    p, base, outer = [-1] * n, list(range(n)), [False] * n
-    end = _search(adj, match, root, active, p, base, outer, [])
+    inactive = [v for v in range(n) if not active[v]]
+    match, p = list(match), [-1] * n
+    for v in inactive:
+        match[v] = p[v] = v
+    base, outer = list(range(n)), [False] * n
+    end = _search(adj, match, root, p, base, outer, [], [0] * n, [None] * n)
+    for v in inactive:
+        assert match[v] == p[v] == v
+        p[v] = -1
     return end, p, base, outer
 
 
@@ -284,7 +401,7 @@ def assert_search_matches_reference(adj, active):
     every exposed root with both contractions and require equal results."""
     n = len(adj)
     match = [-1] * n
-    _greedy_init(adj, active, match)
+    _old_greedy_init(adj, active, match)
     searches = 0
     for root in range(n):
         if not active[root] or match[root] != -1:
@@ -344,7 +461,7 @@ def fresh_array_matching(adj, active):
     final match."""
     n = len(adj)
     match = [-1] * n
-    _greedy_init(adj, active, match)
+    _old_greedy_init(adj, active, match)
     ends = []
     for root in range(n):
         if active[root] and match[root] == -1:
@@ -355,26 +472,37 @@ def fresh_array_matching(adj, active):
     return ends, match
 
 
-def assert_clean(p, base, outer):
+def assert_clean(p, base, outer, mark, blossoms, inactive=()):
+    """The search arrays as a search must find them: each inactive vertex
+    its own p, everything else reset."""
     n = len(p)
-    assert p == [-1] * n
+    clean_p = [-1] * n
+    for v in inactive:
+        clean_p[v] = v
+    assert p == clean_p
     assert base == list(range(n))
     assert outer == [False] * n
+    assert mark == [0] * n
+    assert blossoms == [None] * n
 
 
 def shared_array_matching(monkeypatch, adj, active):
     """`_max_matching_arrays` with each search's end recorded, asserting that
-    every search gets the same arrays and finds them reset."""
+    every search gets the same arrays and finds them reset, with every
+    inactive vertex its own mate and p, and that the last reset leaves them
+    clean and every inactive vertex unmatched."""
     ends = []
     seen = []
     search = matching_module._search
+    inactive = [v for v in range(len(adj)) if not active[v]]
 
-    def recording(adj, match, root, active, p, base, outer, touched):
-        assert_clean(p, base, outer)
+    def recording(adj, match, root, p, base, outer, touched, mark, blossoms):
+        assert_clean(p, base, outer, mark, blossoms, inactive)
+        assert all(match[v] == v for v in inactive)
         assert not touched
-        seen.append((p, base, outer))
+        seen.append((p, base, outer, mark, blossoms))
         assert all(a is b for a, b in zip(seen[0], seen[-1]))
-        end = search(adj, match, root, active, p, base, outer, touched)
+        end = search(adj, match, root, p, base, outer, touched, mark, blossoms)
         ends.append(end)
         return end
 
@@ -385,7 +513,37 @@ def shared_array_matching(monkeypatch, adj, active):
         monkeypatch.undo()
     if seen:
         assert_clean(*seen[-1])  # the reset after the last root
+    assert all(match[v] == -1 for v in inactive)
     return ends, match
+
+
+def inactive_vertex_cases():
+    """(adjacency, active): an inactive vertex that is isolated or adjacent
+    to every other vertex, and every graph and mask on one and three
+    vertices."""
+    rng = random.Random(23)
+    cases = [(((),), [False]), (((),), [True])]
+    pairs = list(itertools.combinations(range(3), 2))
+    for chosen in itertools.product((False, True), repeat=3):
+        adj = make_graph(3, list(itertools.compress(pairs, chosen))).adjacency
+        for active in itertools.product((False, True), repeat=3):
+            cases.append((adj, list(active)))
+    for _ in range(100):
+        n = rng.randint(2, 30)
+        density = rng.uniform(0.1, 0.6)
+        edges = [
+            e for e in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        extra = rng.randrange(n + 1)
+        # the new vertex `extra` goes in isolated, then adjacent to all
+        shift = [v + (v >= extra) for v in range(n)]
+        moved = [(shift[a], shift[b]) for a, b in edges]
+        hub = moved + [(min(v, extra), max(v, extra)) for v in shift]
+        for graph_edges in (moved, hub):
+            adj = make_graph(n + 1, graph_edges).adjacency
+            active = [v != extra and rng.random() < 0.9 for v in range(n + 1)]
+            cases.append((adj, active))
+    return cases
 
 
 def test_shared_array_search_matches_fresh_arrays(monkeypatch):
@@ -404,6 +562,7 @@ def test_shared_array_search_matches_fresh_arrays(monkeypatch):
         ]
         active = [rng.random() < 0.9 for _ in range(n)]
         cases.append((make_graph(n, edges).adjacency, active))
+    cases += inactive_vertex_cases()
     searches = augmentations = 0
     for adj, active in cases:
         ends, match = shared_array_matching(monkeypatch, adj, active)
@@ -412,6 +571,83 @@ def test_shared_array_search_matches_fresh_arrays(monkeypatch):
         augmentations += sum(1 for end in ends if end != -1)
     # both outcomes occur often: augmenting paths and exhausted searches
     assert augmentations > 500 and searches - augmentations > 500
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`: a search whose
+    stamps or lists are stale can walk a p[] cycle for ever, and this turns
+    that into a failure.  No limit where there is no interval timer."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_max_matching_arrays_matches_the_old_masked_engine():
+    """The random masks of the search tests and sparser ones, and one vertex
+    left out of triple-system shadows, as `near_perfect_matching` does."""
+    rng = random.Random(17)
+    cases = []
+    for _ in range(500):
+        n = rng.randint(5, 40)
+        density = rng.uniform(0.08, 0.6)
+        edges = [
+            e for e in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        keep = rng.choice((0.5, 0.9))
+        active = [rng.random() < keep for _ in range(n)]
+        cases.append((make_graph(n, edges).adjacency, active))
+    for n in range(5, 402, 4):
+        adj = random_shadow(n, 2).adjacency
+        for left_out in (0, n // 2, n - 1):
+            cases.append((adj, [v != left_out for v in range(n)]))
+    cases += inactive_vertex_cases()
+    assert sum(active.count(False) for _, active in cases) > 2500
+    with time_limit(60):
+        for adj, active in cases:
+            assert _max_matching_arrays(adj, active) == _old_max_matching_arrays(
+                adj, active
+            )
+
+
+# SHA-256 over the blossom engine's own output, one comma-separated line per
+# array: for odd n in (501, 1001, 2001), then seed 1 to 4, the match array
+# of `near_perfect_matching(g, 0)` and `AlternatingTree(g, match, 0)`'s p and
+# outer arrays; then for even n in (500, 1000, 2000), seed 1 to 4, the
+# flattened `maximum_matching(g).pairs`; g is the shadow graph of
+# `random_triple_system(n, seed, require_connected=True)`.  Certificates see
+# p only through the paths they trace, so this pins every entry.
+ENGINE_SHA256 = "6fff5bedf8d8fe35099f0e1cc43e876323e76c5dd0e5943ccd7f97a4eaa46f79"
+
+
+def test_engine_arrays_are_pinned_at_the_ladder_sizes():
+    def line(seq):
+        return (",".join(map(str, map(int, seq))) + "\n").encode("ascii")
+
+    digest = hashlib.sha256()
+    for n in (501, 1001, 2001):
+        for seed in range(1, 5):
+            g = random_shadow(n, seed)
+            match = near_perfect_matching(g, 0)
+            tree = AlternatingTree(g, match, 0)
+            for seq in (match, tree._p, tree._outer):
+                digest.update(line(seq))
+    for n in (500, 1000, 2000):
+        for seed in range(1, 5):
+            pairs = maximum_matching(random_shadow(n, seed)).pairs
+            digest.update(line(itertools.chain.from_iterable(pairs)))
+    assert digest.hexdigest() == ENGINE_SHA256
 
 
 def test_bipartite_perfect_matching_examples():

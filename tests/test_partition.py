@@ -1134,7 +1134,9 @@ def test_interleaved_trivial_ear_on_a_value_built_by_hand():
         assert (5, 6) in m.pairs
 
 
-def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
+def matching_calls(monkeypatch, cases):
+    """For each (n, seed), the sorted blossom matchings ("blossom") and tree
+    searches ("tree") that a solve of that instance runs."""
     import trimatch.matching as matching_module
 
     calls = []
@@ -1151,11 +1153,24 @@ def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
 
     monkeypatch.setattr(matching_module, "_max_matching_arrays", blossom_spy)
     monkeypatch.setattr(matching_module.AlternatingTree, "__init__", tree_spy)
-    for n, seed in ((101, 1), (33, 9)):  # apex on an earlier ear, on the same ear
+    out = []
+    for n, seed in cases:
         calls.clear()
         h = random_triple_system(n, seed=seed, require_connected=True)
         assert verify_partition(h, solve(h)).ok
-        assert sorted(calls) == ["blossom", "tree"], (n, seed)
+        out.append(sorted(calls))
+    return out
+
+
+def test_odd_solve_runs_one_blossom_matching_and_one_search(monkeypatch):
+    # apex on an earlier ear, on the same ear
+    assert matching_calls(monkeypatch, ((101, 1), (33, 9))) == [
+        ["blossom", "tree"]
+    ] * 2
+
+
+def test_even_solve_runs_one_blossom_matching_and_no_search(monkeypatch):
+    assert matching_calls(monkeypatch, ((100, 1), (500, 2))) == [["blossom"]] * 2
 
 
 def forced_edge_spy(monkeypatch):
