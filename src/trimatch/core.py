@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvariantViolation, NotRegular, NotUniform
+from .errors import NotRegular, NotUniform
 
 VertexId = int
 
@@ -353,28 +353,3 @@ def hereditary_members(h: Hypergraph, size: int) -> list[tuple[VertexId, ...]]:
         members.update(itertools.combinations(e, size))
     return sorted(members)
 
-
-def induced_hypergraph(h: Hypergraph, block) -> tuple[Hypergraph, list[VertexId]]:
-    """Sub-hypergraph induced by a component block, reindexed to 0..|block|-1.
-
-    Returns the sub-hypergraph and the list mapping new ids back to old ones.
-    Hyperedges must not straddle the block boundary; a straddling hyperedge
-    means `block` is not a union of components.
-    """
-    old_ids = sorted(block)
-    new_of = {old: new for new, old in enumerate(old_ids)}
-    edges = []
-    mults = []
-    inside = set(old_ids)
-    for e, m in zip(h.hyperedges, h.multiplicities):
-        hit = sum(1 for v in e if v in inside)
-        if hit == 0:
-            continue
-        if hit != len(e):
-            raise InvariantViolation(
-                f"hyperedge {e} straddles the component boundary"
-            )
-        edges.append(tuple(new_of[v] for v in e))
-        mults.append(m)
-    sub = make_hypergraph(len(old_ids), edges, k=h.k, multiplicities=mults)
-    return sub, old_ids

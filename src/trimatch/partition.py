@@ -17,7 +17,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations, filterfalse, groupby, islice, repeat
 
 from .core import (
@@ -28,7 +28,6 @@ from .core import (
     _shadow_lists,
     canonical_edge,
     components,
-    induced_hypergraph,
     make_hypergraph,
     validate,
 )
@@ -402,31 +401,38 @@ def _component_certificates(h: Hypergraph, k: int):
     if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
         return [_solve_connected(h, k, g)]
-    # hand each block only its own hyperedges, so that no block scans all of h
+    # a block's ids are its sorted members, so the map into them and the map
+    # back, block[v], are monotone: relabelled hyperedges, neighbour tuples,
+    # triangles and pairs stay sorted, folded and in range, and nothing is
+    # built or checked again.  Each block gets only its own hyperedges.
     block_of = [0] * h.n
+    new_id = [0] * h.n
     for i, block in enumerate(blocks):
-        for v in block:
+        for j, v in enumerate(block):
             block_of[v] = i
+            new_id[v] = j
+    relabel = new_id.__getitem__
     parts = [([], []) for _ in blocks]
     for e, m in zip(h.hyperedges, h.multiplicities):
         edges, mults = parts[block_of[e[0]]]
-        edges.append(e)
+        edges.append(tuple(map(relabel, e)))
         mults.append(m)
     certs = []
     for block, (edges, mults) in zip(blocks, parts):
-        own = replace(h, hyperedges=tuple(edges), multiplicities=tuple(mults))
-        sub, old_ids = induced_hypergraph(own, block)
-        g = _shadow_lists(sub) if k == 3 else _incidence_graph(sub)
-        sub_cert = _solve_connected(sub, k, g)
-        tri = (
-            tuple(sorted(old_ids[v] for v in sub_cert.triangle))
-            if sub_cert.triangle is not None
-            else None
-        )
-        pairs = _canon_pairs(
-            (old_ids[u], old_ids[v]) for u, v in sub_cert.pairs
-        )
-        certs.append(TriMatchingPartition(triangle=tri, pairs=pairs, host=h))
+        sub = Hypergraph(len(block), tuple(edges), tuple(mults), h.k)
+        if k == 3:
+            sub_g = _ListGraph(
+                len(block), tuple(tuple(map(relabel, g.adjacency[v])) for v in block)
+            )
+        else:
+            sub_g = _incidence_graph(sub)
+        sub_cert = _solve_connected(sub, k, sub_g)
+        tri = sub_cert.triangle
+        certs.append(TriMatchingPartition(
+            triangle=None if tri is None else tuple(map(block.__getitem__, tri)),
+            pairs=tuple((block[u], block[v]) for u, v in sub_cert.pairs),
+            host=h,
+        ))
     return certs
 
 

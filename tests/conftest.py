@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -108,16 +109,26 @@ def partition_union_hypergraph(k, q, seed, repeat_first):
     return make_hypergraph(k * q, [e for part in rounds for e in part], k=k)
 
 
-def rotate_block_ids(monkeypatch):
-    """Make `solve_components` map each block's certificate back to the
-    input with wrong ids: the block's own, rotated by one."""
-    induced = partition_module.induced_hypergraph
+def rotate_block_ids(monkeypatch, n):
+    """Make `solve_components` on an input with n vertices map each block's
+    certificate back to the input with wrong ids: the block's own, rotated
+    by one inside the block."""
+    solve_connected = partition_module._solve_connected
 
-    def rotated(own, block):
-        sub, old_ids = induced(own, block)
-        return sub, old_ids[1:] + old_ids[:1]
+    def rotated(sub, k, g):
+        cert = solve_connected(sub, k, g)
+        if sub.n == n:
+            return cert
 
-    monkeypatch.setattr(partition_module, "induced_hypergraph", rotated)
+        def turn(ids):
+            return tuple((v + 1) % sub.n for v in ids)
+
+        triangle = None if cert.triangle is None else turn(cert.triangle)
+        return dataclasses.replace(
+            cert, triangle=triangle, pairs=tuple(map(turn, cert.pairs))
+        )
+
+    monkeypatch.setattr(partition_module, "_solve_connected", rotated)
 
 
 def cycle_graph(n):

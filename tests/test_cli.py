@@ -82,7 +82,7 @@ def test_solve_components_with_wrong_block_ids_is_an_internal_error(
 ):
     h = hypergraph_union([random_triple_system(9, 1), random_triple_system(10, 2)])
     f = write(tmp_path, "two.hyp", formats.format_hypergraph(h))
-    rotate_block_ids(monkeypatch)
+    rotate_block_ids(monkeypatch, h.n)
     code, out, err = run(capsys, "solve", f, "--components")
     assert code == 3 and out == ""
     assert err.startswith("error: InternalError: constructed certificate failed")
@@ -419,3 +419,32 @@ def test_solve_k_certificate_bytes_are_pinned(tmp_path, capsys):
         assert code == 0, (i, err)
         digest.update(out.encode("ascii"))
     assert digest.hexdigest() == SOLVE_K_SHA256
+
+
+def solve_components_k3_cases():
+    """3-uniform 3-regular unions for `solve --components`: connected
+    triple systems of both parities and partition unions with repeated
+    hyperedges, side by side or with the ids dealt out at random, so that
+    odd and even components interleave."""
+    rng = random.Random(2025)
+    parts = [random_triple_system(n, n, require_connected=True) for n in range(3, 31)]
+    parts += [partition_union_hypergraph(3, q, 300 + q, True) for q in (1, 2, 3, 5, 8)]
+    for seed in range(30):
+        union = hypergraph_union(rng.sample(parts, 2 + seed % 4))
+        yield union if seed % 3 == 0 else relabelled(union, rng)
+
+
+# SHA-256 over the `solve --components` output of every case of
+# `solve_components_k3_cases`, in order
+SOLVE_COMPONENTS_K3_SHA256 = "6f35e9a33edf60ed4098bc3785156db3ca0548280485d2ac64513c798482345f"
+
+
+def test_solve_components_certificate_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for i, h in enumerate(solve_components_k3_cases()):
+        assert len(components(shadow_graph(h)).blocks) > 1
+        f = write(tmp_path, f"u{i}.hyp", formats.format_hypergraph(h))
+        code, out, err = run(capsys, "solve", "--components", f)
+        assert code == 0, (i, err)
+        digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == SOLVE_COMPONENTS_K3_SHA256

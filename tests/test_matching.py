@@ -396,6 +396,28 @@ def fresh_search(adj, match, root, active):
     return end, p, base, outer
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`: a search whose
+    stamps or lists are stale can walk a p[] cycle for ever, and this turns
+    that into a failure.  No limit where there is no interval timer.  Also
+    a decorator, which limits the whole test."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_search_matches_reference(adj, active):
     """Run the maximum-matching loop; before each augmentation, search from
     every exposed root with both contractions and require equal results."""
@@ -418,6 +440,7 @@ def assert_search_matches_reference(adj, active):
     return searches
 
 
+@time_limit(60)
 def test_search_matches_full_scan_reference_on_triple_systems():
     searches = 0
     for n in range(4, 301, 3):
@@ -431,6 +454,7 @@ def test_search_matches_full_scan_reference_on_triple_systems():
     assert searches > 1000
 
 
+@time_limit(60)
 def test_search_matches_full_scan_reference_on_dense_graphs():
     rng = random.Random(7)
     for _ in range(600):
@@ -444,6 +468,7 @@ def test_search_matches_full_scan_reference_on_dense_graphs():
         assert_search_matches_reference(g.adjacency, active)
 
 
+@time_limit(60)
 def test_alternating_tree_search_matches_full_scan_reference():
     for n in range(5, 302, 2):
         g = random_shadow(n, n)
@@ -546,6 +571,7 @@ def inactive_vertex_cases():
     return cases
 
 
+@time_limit(60)
 def test_shared_array_search_matches_fresh_arrays(monkeypatch):
     cases = []
     for n in range(4, 302, 3):
@@ -571,27 +597,6 @@ def test_shared_array_search_matches_fresh_arrays(monkeypatch):
         augmentations += sum(1 for end in ends if end != -1)
     # both outcomes occur often: augmenting paths and exhausted searches
     assert augmentations > 500 and searches - augmentations > 500
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after `seconds`: a search whose
-    stamps or lists are stale can walk a p[] cycle for ever, and this turns
-    that into a failure.  No limit where there is no interval timer."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_max_matching_arrays_matches_the_old_masked_engine():
@@ -631,6 +636,7 @@ def test_max_matching_arrays_matches_the_old_masked_engine():
 ENGINE_SHA256 = "6fff5bedf8d8fe35099f0e1cc43e876323e76c5dd0e5943ccd7f97a4eaa46f79"
 
 
+@time_limit(60)
 def test_engine_arrays_are_pinned_at_the_ladder_sizes():
     def line(seq):
         return (",".join(map(str, map(int, seq))) + "\n").encode("ascii")

@@ -35,6 +35,7 @@ from trimatch.ears import Ear, EarDecomposition, validate_decomposition
 from trimatch.errors import (
     Disconnected,
     InternalError,
+    InvariantViolation,
     NotFactorCritical,
     NotRegular,
     NotUniform,
@@ -47,7 +48,7 @@ from trimatch.formats import (
     format_partition,
     parse_bipartite,
 )
-from trimatch.core import _component_blocks
+from trimatch.core import _component_blocks, _shadow_lists
 from trimatch.matching import (
     BipartiteGraph,
     extract_disjoint_perfect_matchings,
@@ -69,6 +70,7 @@ from conftest import (
     five_quads_with,
     hypergraph_union,
     partition_union_hypergraph,
+    relabelled,
     rotate_block_ids,
     seeded_odd_instances,
 )
@@ -198,35 +200,111 @@ def test_solve_components_mixed(four_triples):
 
 
 def test_solve_components_hands_each_block_only_its_hyperedges(monkeypatch):
-    """Splitting costs one pass over the hyperedges, not one per block."""
+    """Splitting costs one pass over the hyperedges, not one per block: each
+    block is solved on its own hyperedges alone, and together, with
+    multiplicity and mapped back, they are h's."""
     import trimatch.partition as partition_module
 
     parts = [random_triple_system(n, n, require_connected=True) for n in (5, 8, 3, 11, 6)]
     h = hypergraph_union(parts)
-    seen = []
-    induced = partition_module.induced_hypergraph
+    blocks = components(shadow_graph(h)).blocks
+    subs = []
+    solve_connected = partition_module._solve_connected
 
-    def spy(own, block):
-        seen.extend(own.hyperedges)
-        return induced(own, block)
+    def spy(sub, k, g):
+        subs.append(sub)
+        return solve_connected(sub, k, g)
 
-    monkeypatch.setattr(partition_module, "induced_hypergraph", spy)
+    monkeypatch.setattr(partition_module, "_solve_connected", spy)
     certs = solve_components(h)
     assert len(certs) == len(parts) and verify_partition(h, certs).ok
-    assert sorted(seen) == sorted(h.hyperedges)
+    assert [sub.n for sub in subs] == list(map(len, blocks))
+    assert sum(sub.total_multiplicity for sub in subs) == h.total_multiplicity
+    seen = Counter()
+    for block, sub in zip(blocks, subs):
+        for e, m in zip(sub.hyperedges, sub.multiplicities):
+            seen[tuple(block[v] for v in e)] += m
+    assert seen == Counter(dict(zip(h.hyperedges, h.multiplicities)))
 
 
 def test_solve_components_checks_its_certificates_in_the_input_ids(monkeypatch):
     """Each block's certificate is right in the block's own ids; mapped back
     with wrong ids, the list fails the check against the input."""
     h = hypergraph_union([random_triple_system(9, 1), random_triple_system(10, 2)])
-    rotate_block_ids(monkeypatch)
+    rotate_block_ids(monkeypatch, h.n)
     with pytest.raises(InternalError, match="is not inside any hyperedge"):
         solve_components(h)
 
 
 def test_solve_components_connected_agrees(fano):
     assert solve_components(fano) == [solve(fano)]
+
+
+def old_induced_hypergraph(h, block):
+    """The sub-hypergraph induced by a component block, reindexed to
+    0..|block|-1, and the list mapping new ids back, as `solve_components`
+    built each block before it relabelled the whole graph's structures."""
+    old_ids = sorted(block)
+    new_of = {old: new for new, old in enumerate(old_ids)}
+    edges = []
+    mults = []
+    inside = set(old_ids)
+    for e, m in zip(h.hyperedges, h.multiplicities):
+        hit = sum(1 for v in e if v in inside)
+        if hit == 0:
+            continue
+        if hit != len(e):
+            raise InvariantViolation(
+                f"hyperedge {e} straddles the component boundary"
+            )
+        edges.append(tuple(new_of[v] for v in e))
+        mults.append(m)
+    sub = make_hypergraph(len(old_ids), edges, k=h.k, multiplicities=mults)
+    return sub, old_ids
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_each_block_is_the_whole_graphs_structures_relabelled(monkeypatch, k):
+    """Each block's sub-hypergraph, and its shadow lists (k = 3) or
+    incidence graph (k > 3), equal a rebuild of the block through the old
+    `induced_hypergraph` and fresh `_shadow_lists` or `_incidence_graph`, on
+    unions whose components interleave their ids and repeat hyperedges."""
+    import trimatch.partition as partition_module
+
+    seen = []
+    solve_connected = partition_module._solve_connected
+
+    def spy(sub, sub_k, g):
+        # at k > 3 the residuals of `lu_subgraph` are solved at k = 3 too
+        if sub_k == k:
+            seen.append((sub, g))
+        return solve_connected(sub, sub_k, g)
+
+    monkeypatch.setattr(partition_module, "_solve_connected", spy)
+    rng = random.Random(40 + k)
+    for trial in range(30):
+        parts = []
+        for _ in range(rng.randint(2, 5)):
+            if rng.random() < 0.5:
+                parts.append(partition_union_hypergraph(
+                    k, rng.randint(1, 6), rng.randrange(999), rng.random() < 0.5
+                ))
+            elif k == 3:
+                n = rng.randint(3, 40)
+                parts.append(random_triple_system(n, n, require_connected=True))
+            else:
+                bg = random_regular_bipartite(rng.randint(k, k + 12), k, trial)
+                parts.append(make_hypergraph(bg.n_b, bg.adj_a, k=k))
+        h = relabelled(hypergraph_union(parts), rng)
+        seen.clear()
+        assert verify_partition(h, solve_components(h, k)).ok
+        blocks = components(shadow_graph(h)).blocks
+        assert len(seen) == len(blocks) > 1, trial
+        for block, (sub, g) in zip(blocks, seen):
+            ref, old_ids = old_induced_hypergraph(h, block)
+            assert old_ids == list(block)
+            assert sub == ref
+            assert g == (_shadow_lists(ref) if k == 3 else _incidence_graph(ref))
 
 
 def test_lu_k33():
@@ -595,14 +673,18 @@ def test_kept_blocks_of_a_wrong_shape_are_an_internal_error(
     )
 
 
-@pytest.mark.parametrize("solver, builds", [("lu", 1), ("solve_k_uniform", 2)])
+@pytest.mark.parametrize(
+    "solver, builds",
+    [("lu", 1), ("solve_k_uniform", 2), ("solve_components", 1)],
+)
 def test_each_hypergraph_is_validated_built_and_split_once(
     monkeypatch, solver, builds
 ):
     """`lu` gates and splits its residual once; `solve --k` also gates its
     k = 4 input, and splits it on the incidence lists without a shadow
-    graph.  No component is gated again.  The shadow graph is built as its
-    neighbour tuples, by `_shadow_lists`."""
+    graph; `solve --components` gates and splits a union of four components
+    once.  No component is gated or built again.  The shadow graph is built
+    as its neighbour tuples, by `_shadow_lists`."""
     import trimatch.partition as partition_module
 
     calls = []
@@ -615,10 +697,13 @@ def test_each_hypergraph_is_validated_built_and_split_once(
     bg = random_regular_bipartite(40, 4, 3)
     if solver == "lu":
         lu_subgraph(bg, 4)
+    elif solver == "solve_components":
+        parts = [random_triple_system(n, n, require_connected=True) for n in (5, 8, 3, 11)]
+        assert len(solve_components(hypergraph_union(parts))) == 4
     else:
         h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
         solve_k_uniform(h, 4)
-    # the one shadow graph, and its split, is the 3-uniform residual's
+    # the one shadow graph, and its split, is the 3-uniform residual's or input's
     assert sorted(calls) == sorted(["validate"] * builds + ["_shadow_lists", "components"])
 
 
