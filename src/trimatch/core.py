@@ -121,9 +121,17 @@ def make_hypergraph(n, hyperedges, k=None, multiplicities=None) -> Hypergraph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     hyperedges = list(map(tuple, hyperedges))
+    return _fold_hyperedges(
+        n, hyperedges, list(itertools.chain.from_iterable(hyperedges)), k,
+        multiplicities,
+    )
+
+
+def _fold_hyperedges(n, hyperedges, flat, k, multiplicities=None) -> Hypergraph:
+    """`make_hypergraph`'s checks and fold, given a nonnegative n, the
+    hyperedges as a list of tuples and `flat`, their vertices in order."""
     if multiplicities is not None and len(multiplicities) != len(hyperedges):
         raise ValueError("multiplicities do not match hyperedges")
-    flat = list(itertools.chain.from_iterable(hyperedges))
     widths = set(map(len, hyperedges))
     width = widths.pop() if len(widths) == 1 else 0
     if width and all(
@@ -282,10 +290,8 @@ def validate(h: Hypergraph, k: int) -> ValidationReport:
         v = next(v for v in flat if not 0 <= v < h.n)
         raise ValueError(f"vertex {v} out of range [0, {h.n})")
     bad_edge = None
-    for i, e in enumerate(h.hyperedges):
-        if len(e) != k:
-            bad_edge = i
-            break
+    if not set(map(len, h.hyperedges)) <= {k}:
+        bad_edge = next(i for i, e in enumerate(h.hyperedges) if len(e) != k)
     # more vertices than incidences, which no k-regular input with k >= 1
     # has: a Counter keeps a huge declared n from allocating per vertex
     deg = [0] * h.n if h.n <= len(flat) else Counter()

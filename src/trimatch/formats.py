@@ -10,40 +10,90 @@ A line whose first token starts with `c` is a comment; tokens are
 whitespace-separated, integers are whatever `int()` reads, and output is
 newline-terminated.  Writers emit blocks sorted by smallest member.
 
-An instance is read in a few whole-text passes, with no token list per
-line.  One `str.splitlines` pass gives the kept lines: leading whitespace
-stripped, blank lines and comment lines (whose stripped text starts with
-`c`) dropped.  One `str.split` of the text, re-joined first only when it
-has comment lines, gives the tokens.  Counts then stand in for the line
-checks: the first kept line is the `p` line, every other kept line
-starts with `e`, the tokens after the `p` line's are all `e` at stride
-1 + arity (1 + k for `hyp`), there are as many of those positions as kept
-lines after the `p` line, the stride divides the token count, and one
-`int` pass converts every other token.  These accept exactly the texts
-the line checks accept.  A token that starts with `e` but is not `e`
-fails `int`, so every kept line starts at a stride position; with as many
-lines as positions, each line is one row.  And `str.split` over the text
-gives the tokens of `splitlines` followed by a split of each line, since
-every line boundary is whitespace.  Ragged `hyp` rows, which `validate`
-reports, are split line by line.  A certificate is split into token lists
-per line (`_lines`); set operations over the line kinds and widths check
-it, and one `int` pass per kind converts it.  Only when a pass finds a
-fault does the line loop (`_tokenized`/`_ints`) walk the text again, to
-raise the first faulty line's ParseError with its line number.  It builds
-no value.
+Text is read in one of three tiers, which give the same values and
+raise the same ParseError on every input.
+
+1. The JSON pass, for text in the writers' form: a `p` line equal to its
+   tokens joined by single spaces (no other whitespace, and none of the
+   line breaks that only `str.splitlines` sees), then lines that are a row
+   keyword (`e`; `triangle`, `pair`, `keep`), one space and integers one
+   space apart, or empty, each ended by `\n` or `\r\n`.  Two
+   `str.replace` calls make the rows one JSON array of arrays (a
+   certificate row starts with a kind code, and a stable sort by it keeps
+   each kind in line order) and one `json.loads` reads every integer.  A
+   text takes it only if it has none of `,` (JSON reads `1,2` as two
+   integers), `[`, `]`, `{`, `}` and `"` (nesting and strings) or a tab;
+   once the keywords are gone, none of `t`, `f`, `n`, `N`, `I` (the
+   literals `true`, `false`, `null`, `NaN`, `Infinity`), `e`, `E` and `.`
+   (floats, and an `e` that began no line); no line break beside a comma
+   or a row's opening bracket (JSON allows whitespace there, so `e 1 \r2 3`
+   would read as one row); `json.loads` raises no ValueError, as it does
+   for an integer past `sys.get_int_max_str_digits()`, which `int` refuses
+   too; and every row has the format's width.  Only `-?(0|[1-9][0-9]*)`
+   tokens pass, and `int` reads each to the same value.
+2. The whole-text pass, for every other text.  One `str.splitlines` pass
+   gives the kept lines: leading whitespace stripped, blank lines and
+   comment lines (whose stripped text starts with `c`) dropped.  One
+   `str.split` of the text, re-joined first only when it has comment
+   lines, gives the tokens.  Counts then stand in for the line checks: the
+   first kept line is the `p` line, every other kept line starts with `e`,
+   the tokens after the `p` line's are all `e` at stride 1 + arity (1 + k
+   for `hyp`), there are as many of those positions as kept lines after
+   the `p` line, the stride divides the token count, and one `int` pass
+   converts every other token.  These accept exactly the texts the line
+   checks accept.  A token that starts with `e` but is not `e` fails
+   `int`, so every kept line starts at a stride position; with as many
+   lines as positions, each line is one row.  And `str.split` over the
+   text gives the tokens of `splitlines` followed by a split of each line,
+   since every line boundary is whitespace.  Ragged `hyp` rows, which
+   `validate` reports, are split line by line.  A certificate is split
+   into token lists per line (`_lines`); set operations over the line
+   kinds and widths check it, and one `int` pass per kind converts it.
+3. The line loop (`_tokenized`/`_ints`), only when the whole-text pass
+   finds a fault: it walks the text again to raise the first faulty
+   line's ParseError with its line number, and builds no value.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .core import Hypergraph, SimpleGraph, make_graph, make_hypergraph
+from .core import (
+    Hypergraph,
+    SimpleGraph,
+    _fold_hyperedges,
+    make_graph,
+    make_hypergraph,
+)
 from .errors import InternalError, ParseError
 from .matching import BipartiteGraph, _bipartite_graph
 
 _head = itemgetter(0)
-_PAIR = ("pair %d %d",)
+_PAIR_LINE = "pair %d %d\n"
+_TRIANGLE_LINE = "triangle %d %d %d\n"
+
+# Characters JSON reads other than `str.split` does: `,` splits `1,2` into
+# two integers, `[`, `]`, `{`, `}` and `"` nest or quote, and a tab is
+# whitespace, which JSON allows around a comma.
+_NOT_JSON_ROWS = (",", "[", "]", "{", "}", '"', "\t")
+# What JSON reads as a literal or a float once the row keywords are gone:
+# `true`, `false`, `null`, `NaN`, `Infinity`, `1e3`, `1E3`, `1.0`, and
+# an `e` that began no line.
+_NOT_JSON_INTEGERS = ("t", "f", "n", "N", "I", "E", "e", ".")
+# A line break beside a comma or after a row's opening bracket: JSON
+# reads it as whitespace inside a row, so `e 1 \r2 3` or `keep 2\n 1`
+# would be one row.
+_BREAK_IN_ROW = (",\n", ",\r", "[\n", "[\r", "\n,", "\r,")
+# row keyword after a line break -> the start of a JSON row
+_E_ROWS = (("\ne ", "],["),)
+# the certificate's rows start with a kind code: 0, 1 and 2 sort as the
+# triangles, pairs and keeps are returned
+_CERTIFICATE_ROWS = (
+    ("\ntriangle ", "],[0,"), ("\npair ", "],[1,"), ("\nkeep ", "],[2,"),
+)
 
 # certificate line kind -> (values per line, message when that is wrong)
 _CERTIFICATE_LINES = {
@@ -52,6 +102,37 @@ _CERTIFICATE_LINES = {
     "keep": (2, "keep needs 2 endpoints"),
 }
 _CERTIFICATE_TOKENS = {kind: 1 + w for kind, (w, _) in _CERTIFICATE_LINES.items()}
+
+
+def _json_rows(body, keywords):
+    """The rows of `body`, a text that starts with a line break, as lists of
+    ints read by one `json.loads`; None unless `body` is in writer form.
+
+    Writer form: every line is a row keyword of `keywords`, one space and
+    integers one space apart, or is empty, and every row ends with `\n` or
+    `\r\n`.  Each keyword after a line break becomes the start of a row
+    and every space a comma.  The checks leave JSON only
+    `-?(0|[1-9][0-9]*)` tokens, each a line's token that `int` reads to
+    the same value, and only line breaks at a row's end as whitespace.
+    """
+    if not body.endswith("\n") or any(map(body.__contains__, _NOT_JSON_ROWS)):
+        return None
+    for keyword, row in keywords:
+        body = body.replace(keyword, row)
+    if not body.startswith("],[") or any(map(body.__contains__, _NOT_JSON_INTEGERS)):
+        return None
+    rows = body[2:].replace(" ", ",")
+    # in the writers' own text the last line break is the only one left,
+    # and a search for each pair of characters scans all of it
+    if rows.find("\n") == len(rows) - 1 and "\r" not in rows:
+        if rows[-2] in ",[":
+            return None
+    elif any(map(rows.__contains__, _BREAK_IN_ROW)):
+        return None
+    try:
+        return json.loads("[" + rows + "]]")
+    except ValueError:  # no JSON, or an integer too long for `int` as well
+        return None
 
 
 def _lines(text):
@@ -112,8 +193,44 @@ def _problem_values(text, kind, fields, arity):
     values: one flat list of ints, `width` of them to a line, or, for
     ragged `hyp` lines, which `validate` reports, one int tuple per line
     and width 0.  A `hyp` line's width is the problem line's k, its last
-    value.  The kept lines are freed before the text is split into tokens.
+    value.
     """
+    return _json_values(text, kind, fields, arity) or _split_values(
+        text, kind, fields, arity
+    )
+
+
+def _json_values(text, kind, fields, arity):
+    """`_problem_values` of a text in writer form, else None: a
+    single-spaced `p` line, then `e` rows of `_json_rows`, all `width`
+    wide.  The `p` line must equal its tokens joined by single spaces,
+    which no other line break or whitespace inside it does."""
+    end = text.find("\n")
+    line = text[:end].removesuffix("\r")
+    head = line.split()
+    if (
+        end < 0
+        or line != " ".join(head)
+        or len(head) != 2 + len(fields)
+        or head[0] != "p"
+        or head[1] != kind
+    ):
+        return None
+    try:
+        header = list(map(int, head[2:]))
+    except ValueError:
+        return None
+    width = arity or header[-1]
+    rows = _json_rows(text[end:], _E_ROWS)
+    if rows is None or set(map(len, rows)) != {width}:
+        return None
+    return header, list(chain.from_iterable(rows)), width
+
+
+def _split_values(text, kind, fields, arity):
+    """`_problem_values` in whole-text passes over the tokens; the line
+    loop raises the first faulty line's ParseError.  The kept lines are
+    freed before the text is split into tokens."""
     kept = list(filter(None, map(str.lstrip, text.splitlines())))
     heads = list(map(_head, kept))
     uncommented = text
@@ -182,11 +299,16 @@ def _cut(values, width):
     return list(zip(*[iter(values)] * width)) if width else values
 
 
+def _hypergraph(values, width, n, k):
+    """Rows of one width go to `make_hypergraph`'s checks and fold with the
+    flat list they were cut from."""
+    if not width or n < 0:
+        return make_hypergraph(n, _cut(values, width), k=k)
+    return _fold_hyperedges(n, _cut(values, width), values, k)
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
-    return _parse_problem(
-        text, "hyp", ("n", "m", "k"), 0,
-        lambda values, width, n, k: make_hypergraph(n, _cut(values, width), k=k),
-    )
+    return _parse_problem(text, "hyp", ("n", "m", "k"), 0, _hypergraph)
 
 
 def parse_graph(text: str) -> SimpleGraph:
@@ -208,6 +330,31 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 def parse_certificate(text: str) -> tuple[list, list, list]:
     """Raw (triangles, pairs, keeps) from a certificate file, each in line
     order."""
+    return _json_certificate(text) or _split_certificate(text)
+
+
+def _json_certificate(text):
+    """`parse_certificate` of a text in writer form, else None."""
+    rows = _json_rows("\n" + text, _CERTIFICATE_ROWS)
+    if rows is None:
+        return None
+    # a stable sort keeps each kind's rows in line order; every row starts
+    # with its kind code, so [1] and [2] fall between the kinds
+    rows.sort(key=_head)
+    a, b = bisect_left(rows, [1]), bisect_left(rows, [2])
+    try:
+        return (
+            [(u, v, w) for _, u, v, w in rows[:a]],
+            [(u, v) for _, u, v in rows[a:b]],
+            [(u, v) for _, u, v in rows[b:]],
+        )
+    except ValueError:  # a row of the wrong width
+        return None
+
+
+def _split_certificate(text):
+    """`parse_certificate` over token lists per line; the line loop raises
+    the first faulty line's ParseError."""
     lines = _lines(text)
     if set(zip(map(_head, lines), map(len, lines))) <= _CERTIFICATE_TOKENS.items():
         try:
@@ -260,23 +407,37 @@ def format_partition(certs) -> str:
     """Certificate text for one partition or a componentwise list of them.
 
     All blocks (the triangles included) are emitted sorted by smallest
-    member.  Each block is its vertices followed by its line's `%` template.
+    member.  One certificate whose pairs already come in that order, as the
+    solver gives them, is written with one `%` template over its vertices,
+    the triangle line placed before the first pair with a larger or equal
+    head, where a stable sort puts it.  Otherwise each block is its
+    vertices followed by its line's `%` template, and the blocks are
+    sorted.
     """
     if not isinstance(certs, (list, tuple)):
         certs = [certs]
+    if len(certs) == 1 and set(map(len, certs[0].pairs)) <= {2}:
+        triangle, m = certs[0].triangle, len(certs[0].pairs)
+        values = tuple(chain.from_iterable(certs[0].pairs))
+        heads = values[::2]
+        if list(heads) == sorted(heads) and (triangle is None or len(triangle) == 3):
+            if triangle is None:
+                return _PAIR_LINE * m % values
+            triangle = tuple(sorted(triangle))
+            i = bisect_left(heads, triangle[0])
+            template = _PAIR_LINE * i + _TRIANGLE_LINE + _PAIR_LINE * (m - i)
+            return template % (values[: 2 * i] + triangle + values[2 * i :])
     blocks = []
     for cert in certs:
         if cert.triangle is not None:
-            blocks.append((*sorted(cert.triangle), "triangle %d %d %d"))
-        blocks.extend(p + _PAIR for p in cert.pairs)
+            blocks.append((*sorted(cert.triangle), _TRIANGLE_LINE))
+        blocks.extend(p + (_PAIR_LINE,) for p in cert.pairs)
     blocks.sort(key=_head)
-    lines = [b[-1] % b[:-1] for b in blocks]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(b[-1] % b[:-1] for b in blocks)
 
 
 def format_lu(lu) -> str:
-    lines = [f"keep {a} {b}" for a, b in lu.kept]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "keep %d %d\n" * len(lu.kept) % tuple(chain.from_iterable(lu.kept))
 
 
 def partition_json_object(cert) -> dict:

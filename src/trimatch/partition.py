@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, combinations, filterfalse, groupby, islice, repeat
+from operator import lt
 
 from .core import (
     Hypergraph,
@@ -577,7 +578,7 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
         triangles, pairs = map(list, cert)
 
     n = h.n
-    flat = [v for block in chain(triangles, pairs) for v in block]
+    flat = list(chain.from_iterable(chain(triangles, pairs)))
     if flat and (min(flat) < 0 or max(flat) >= n):
         v = next(v for v in flat if not 0 <= v < n)
         raise ValueError(f"certificate vertex {v} out of range [0, {n})")
@@ -592,7 +593,16 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
 
     # indexes of the verifier's own, built without solver code: of the
     # hyperedges' 2-subsets, only the certificate's own pairs are kept
-    need = {(u, v) if u < v else (v, u) for u, v in pairs}
+    ordered = False
+    if set(map(len, pairs)) <= {2}:
+        # the pairs' vertices close `flat`
+        start = len(flat) - 2 * len(pairs)
+        us, vs = flat[start::2], flat[start + 1 :: 2]
+        ordered = all(map(lt, us, vs))
+    if ordered:
+        need = set(zip(us, vs))
+    else:
+        need = {(u, v) if u < v else (v, u) for u, v in pairs}
     within = need.intersection(
         chain.from_iterable(map(combinations, h.hyperedges, repeat(2)))
     )
@@ -631,9 +641,12 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
             violations.append(
                 f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
             )
-    for u, v in pairs:
-        if u == v or ((u, v) if u < v else (v, u)) not in within:
-            violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
+    # with every pair ordered, none is a loop, and only a pair that is not
+    # inside a hyperedge leaves `within` short of `need`
+    if not ordered or len(within) != len(need):
+        for u, v in pairs:
+            if u == v or ((u, v) if u < v else (v, u)) not in within:
+                violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
 
     # at most one triangle per shadow component
     if len(triangles) >= 2:

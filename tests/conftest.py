@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import trimatch
 import trimatch.partition as partition_module
 from trimatch import (
     Ear,
@@ -13,9 +14,16 @@ from trimatch import (
     make_bipartite,
     make_graph,
     make_hypergraph,
-    random_triple_system,
 )
 from trimatch.ears import _scan
+
+# The generators, memoized for the test session: tests draw many instances
+# with the same arguments again, and each instance is frozen, so every
+# caller may share it.  test_generate.py spies on the generators' rounds
+# and test_acceptance.py times them with the solver, so both call the
+# generators themselves.
+random_triple_system = functools.cache(trimatch.random_triple_system)
+random_regular_bipartite = functools.cache(trimatch.random_regular_bipartite)
 
 FANO_LINES = [
     (0, 1, 2),

@@ -14,8 +14,6 @@ from trimatch import (
     components,
     formats,
     make_hypergraph,
-    random_regular_bipartite,
-    random_triple_system,
     shadow_graph,
 )
 from trimatch.cli import main
@@ -23,6 +21,8 @@ from trimatch.cli import main
 from conftest import (
     hypergraph_union,
     partition_union_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
     relabelled,
     rotate_block_ids,
 )

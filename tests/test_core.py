@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +16,14 @@ from trimatch import (
     hereditary_members,
     make_graph,
     make_hypergraph,
-    random_regular_bipartite,
-    random_triple_system,
     shadow_graph,
     solve_components,
     solve_k_uniform,
     validate,
 )
-from trimatch.core import _shadow_lists
+from trimatch.core import ValidationReport, _shadow_lists
 
-from conftest import five_quads_with
+from conftest import five_quads_with, random_regular_bipartite, random_triple_system
 
 
 def test_shadow_of_triple_is_k3(triple):
@@ -330,3 +329,65 @@ def test_degree_sum_identity(h):
 def test_validate_consistent_with_degree(h):
     rep = validate(h, 3)
     assert rep.regular == all(degree(h, v) == 3 for v in range(h.n))
+
+
+# A copy of `validate` as it was before it tested uniformity in bulk: one
+# length test per hyperedge.
+
+
+def loop_validate(h, k) -> ValidationReport:
+    flat = list(itertools.chain.from_iterable(h.hyperedges))
+    if flat and (min(flat) < 0 or max(flat) >= h.n):
+        v = next(v for v in flat if not 0 <= v < h.n)
+        raise ValueError(f"vertex {v} out of range [0, {h.n})")
+    bad_edge = None
+    for i, e in enumerate(h.hyperedges):
+        if len(e) != k:
+            bad_edge = i
+            break
+    # more vertices than incidences, which no k-regular input with k >= 1
+    # has: a Counter keeps a huge declared n from allocating per vertex
+    deg = [0] * h.n if h.n <= len(flat) else Counter()
+    for e, m in zip(h.hyperedges, h.multiplicities):
+        for v in e:
+            deg[v] += m
+    # a Counter's scan stops at the first vertex on no hyperedge (degree 0),
+    # unless k is 0: then only the vertices that occur can be irregular; a
+    # list is tested in bulk, and scanned only to name a bad vertex
+    scan = sorted(deg) if k == 0 and isinstance(deg, Counter) else range(h.n)
+    if isinstance(deg, list) and deg.count(k) == h.n:
+        scan = ()
+    bad_vertex = next((v for v in scan if deg[v] != k), None)
+    return ValidationReport(
+        k=k,
+        uniform=bad_edge is None,
+        regular=bad_vertex is None,
+        first_nonuniform_hyperedge=bad_edge,
+        first_irregular_vertex=bad_vertex,
+    )
+
+
+def outcome(call, *args):
+    """What a call returns, or the class and message of its ValueError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.lists(st.lists(st.integers(0, 6), min_size=0, max_size=4), max_size=8),
+    st.lists(st.integers(-1, 3), max_size=8),
+    st.integers(-1, 4),
+)
+def test_validate_agrees_with_the_loop_form(n, edges, mults, k):
+    """Hyperedges of mixed sizes and multiplicities, some repeating a vertex
+    or outside [0, n), built without `make_hypergraph`'s checks: the same
+    report, or the same ValueError."""
+    mults = (mults + [1] * len(edges))[: len(edges)]
+    h = Hypergraph(n=n, hyperedges=tuple(map(tuple, edges)),
+                   multiplicities=tuple(mults), k=k)
+    assert outcome(validate, h, k) == outcome(loop_validate, h, k)
+

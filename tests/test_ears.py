@@ -21,7 +21,6 @@ from trimatch import (
     make_hypergraph,
     maximalize,
     odd_ear_decomposition,
-    random_triple_system,
     shadow_graph,
     solve,
     validate_decomposition,
@@ -44,7 +43,13 @@ from trimatch.errors import (
 )
 from trimatch.matching import AlternatingTree, near_perfect_matching
 
-from conftest import assemble, complete_graph, cycle_graph, seeded_odd_instances
+from conftest import (
+    assemble,
+    complete_graph,
+    cycle_graph,
+    random_triple_system,
+    seeded_odd_instances,
+)
 from prefix_census import SAME_EAR_INSTANCES
 
 

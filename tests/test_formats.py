@@ -8,8 +8,6 @@ from trimatch import (
     make_bipartite,
     make_graph,
     make_hypergraph,
-    random_regular_bipartite,
-    random_triple_system,
     solve,
     solve_components,
     solve_k_uniform,
@@ -27,7 +25,13 @@ from trimatch.formats import (
 )
 from trimatch.partition import TriMatchingPartition
 
-from conftest import hypergraph_union, partition_union_hypergraph, relabelled
+from conftest import (
+    hypergraph_union,
+    partition_union_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
+    relabelled,
+)
 
 
 def test_hypergraph_round_trip(fano):
@@ -148,6 +152,26 @@ def writer_cases():
             yield solve_k_uniform(h, k)
         yield solve_components(relabelled(hypergraph_union(parts), rng), k)
     yield []
+
+
+def test_one_template_writer_places_blocks_as_the_sort_did(triple):
+    """Hand-built certificates around the triangle's place: first, last,
+    between pairs, alone, sharing its head with pairs (which no valid
+    partition does, so only the stable sort decides the order), and with
+    pairs out of order, which take the sort."""
+    for triangle, pairs in (
+        ((9, 7, 8), ((0, 1), (2, 3))),
+        ((0, 5, 6), ((1, 2), (3, 4))),
+        ((6, 2, 3), ((0, 1), (4, 5), (7, 8))),
+        ((2, 1, 0), ()),
+        ((2, 5, 3), ((0, 1), (2, 4), (2, 6))),
+        ((5, 2, 3), ((2, 4), (3, 6))),
+        ((4, 3, 5), ((6, 7), (0, 1))),
+        (None, ((6, 7), (0, 1), (2, 3))),
+    ):
+        cert = TriMatchingPartition(triangle=triangle, pairs=pairs, host=triple)
+        for certs in (cert, [cert], (cert,)):
+            assert format_partition(certs) == old_format_partition(certs)
 
 
 def test_certificate_writer_agrees_with_the_old_writer():

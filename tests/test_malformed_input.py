@@ -26,8 +26,6 @@ from trimatch import (
     make_bipartite,
     make_graph,
     make_hypergraph,
-    random_regular_bipartite,
-    random_triple_system,
     shadow_graph,
     solve,
     solve_k_uniform,
@@ -35,6 +33,8 @@ from trimatch import (
 from trimatch.core import Hypergraph, SimpleGraph, canonical_edge
 from trimatch.errors import ParallelEdges, ParseError
 from trimatch.matching import BipartiteGraph
+
+from conftest import random_regular_bipartite, random_triple_system
 
 
 def old_tokenized(text):
@@ -217,6 +217,11 @@ def outcome(call, *args):
 
 HUGE = ("99999999999999999999", str(2**64), "-18446744073709551617")
 ODD_INTS = ("+2", "1_0", "-0", "007", "\u0663")  # int() reads them all
+# tokens JSON reads other than `int` does, and an integer past the digit
+# limit of both
+JSON_TOKENS = (
+    "1,2", "true", "null", "NaN", "Infinity", "-0", "[1]", '"1"', "1E3", "9" * 5000,
+)
 JUNK = ("x", "cat", "e1", "0x1", "1e3", "1.0", "--", "#", "triangles", "hyp")
 SMALL = st.integers(-2, 9).map(str)
 # Declared `gr` and `bip` vertex counts stay small: those builders allocate
@@ -224,7 +229,7 @@ SMALL = st.integers(-2, 9).map(str)
 # than test parsing.  Nothing is built per `hyp` vertex, so its counts, like
 # every other value, may be huge.
 COUNT = st.one_of(SMALL, st.sampled_from(ODD_INTS[:4] + JUNK))
-VALUE = st.one_of(SMALL, st.sampled_from(HUGE + ODD_INTS + JUNK))
+VALUE = st.one_of(SMALL, st.sampled_from(HUGE + ODD_INTS + JUNK + JSON_TOKENS))
 # str.split whitespace; \x0b, \x0c, \x85 and \u2028 also end a line for
 # str.splitlines
 GAP = st.sampled_from((" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\x85", "\xa0", "\u2028"))
@@ -313,6 +318,62 @@ def edited(draw, lines):
     return "".join(line + draw(NEWLINE) for line in lines)
 
 
+# what a character edit of writer-form text inserts
+PIECES = st.one_of(
+    GAP, NEWLINE, st.sampled_from(("\x1c", "\x1d", "\x1e", "\u2029")),
+    st.sampled_from(("e", "c", "p", "-", "0", "7", "pair", "keep ", "\ne ", "\npair ")),
+    st.sampled_from(JSON_TOKENS[:-1]),
+)
+
+
+@st.composite
+def writer_texts(draw):
+    """Lines written as `_format_problem`, `format_partition` and
+    `format_lu` write them, most rows of the right width, then up to three
+    character edits: an insertion, deletion or replacement anywhere, CRLF
+    line ends, or a blank line.  Unedited and harmlessly edited texts reach
+    the JSON pass; the other edits probe its edges."""
+    value = st.one_of(st.integers(-1, 9), st.sampled_from((2**64, -(10**20))))
+    kind = draw(st.sampled_from(("hyp", "gr", "bip", "cert")))
+    if kind == "cert":
+        width = {"triangle": 3, "pair": 2, "keep": 2}
+        lines = []
+        for word in draw(st.lists(st.sampled_from(sorted(width)), max_size=6)):
+            w = width[word] + draw(st.sampled_from((0, 0, 0, -1, 1)))
+            row = tuple(draw(st.lists(value, min_size=w, max_size=w)))
+            lines.append((word + " %d" * w) % row)
+    else:
+        arity = draw(st.integers(1, 4)) if kind == "hyp" else 2
+        rows = draw(st.lists(
+            st.lists(value, min_size=arity, max_size=arity).map(tuple), max_size=6
+        ))
+        if rows and draw(st.booleans()):
+            # one row of another width
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + (0,)
+        m = len(rows) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+        sizes = {"hyp": (8, m, arity), "gr": (8, m), "bip": (5, 5, m)}[kind]
+        lines = [" ".join(map(str, ("p", kind, *sizes)))]
+        lines.extend(("e" + " %d" * len(row)) % row for row in rows)
+    text = "\n".join(lines) + "\n"
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        edit = draw(st.sampled_from(("insert", "delete", "replace", "crlf", "blank")))
+        i = draw(st.integers(0, len(text)))
+        if edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "blank":
+            j = text.find("\n", i)
+            if j >= 0:
+                text = text[: j + 1] + "\n" + text[j + 1 :]
+        elif edit == "insert":
+            text = text[:i] + draw(PIECES) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + draw(PIECES) + text[i + 1 :]
+    return text
+
+
 def pairs_of_texts():
     """An instance text and a certificate text: an edited valid pair, or
     lines drawn from the token alphabet."""
@@ -363,6 +424,40 @@ def test_parsers_agree_with_the_old_parsers_on_valid_files():
 @given(texts())
 def test_parsers_agree_with_the_old_parsers(text):
     check_parsers(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(writer_texts())
+def test_parsers_agree_with_the_old_parsers_on_writer_form_texts(text):
+    check_parsers(text)
+
+
+def test_every_writer_output_takes_the_json_pass(monkeypatch):
+    """The whole-text passes never run on what the writers emit, so a
+    silent fallback cannot take the JSON pass's saving away."""
+    h = random_triple_system(2001, 3, require_connected=True)
+    even = random_triple_system(2000, 3, require_connected=True)
+    k4 = make_hypergraph(9, list(random_regular_bipartite(9, 4, 2).adj_a), k=4)
+    bg = random_regular_bipartite(500, 5, 1)
+    cases = [
+        (formats.format_hypergraph(h), formats.parse_hypergraph),
+        (formats.format_hypergraph(k4), formats.parse_hypergraph),
+        (formats.format_graph(shadow_graph(h)), formats.parse_graph),
+        (formats.format_bipartite(bg), formats.parse_bipartite),
+        (formats.format_partition(solve(h)), formats.parse_certificate),
+        (formats.format_partition(solve(even)), formats.parse_certificate),
+        (formats.format_partition(solve_k_uniform(k4, 4)), formats.parse_certificate),
+        (formats.format_lu(lu_subgraph(bg, 5)), formats.parse_certificate),
+    ]
+    old = dict(PARSERS)
+    expected = [old[parse](text) for text, parse in cases]
+
+    def refuse(*args):
+        raise AssertionError("a writer's output left the JSON pass")
+
+    monkeypatch.setattr(formats, "_split_values", refuse)
+    monkeypatch.setattr(formats, "_split_certificate", refuse)
+    assert [parse(text) for text, parse in cases] == expected
 
 
 def with_multiplicities(edges):
@@ -516,6 +611,32 @@ def boundary_texts():
         "triangle 0 1 2\npair 3 4\npair\nkeep 7 8\n",
         "c x\npair 0 1\ncat\n\ntriangle 2 3 4\r\nkeep 5 6\n",
         "pair 0 1\ne 2 3\n",
+        # writer form but for one character: a line break inside the `p`
+        # line that only `str.splitlines` sees, and a space beside a line
+        # break, which JSON would read as whitespace inside a row
+        "p hyp 3\x0b1 3\ne 0 1 2\n",
+        "p hyp 3 1 3\x1c\ne 0 1 2\n",
+        "p hyp 4 2 3\ne 1 \r2 3\ne 0 1 2\n",
+        "p hyp 4 1 3\ne \n0 1 2\n",
+        "p hyp 3 1 0\ne \n",
+        "p hyp 3 1 3\ne 0 \t\n1 2\n",
+        "p hyp 3 2 0\ne \ne \r\n",
+        "p hyp 4 2 3\ne 0 1 2\n e 1 2 3\n",
+        "p gr 3 1\ne 0 \n1\n",
+        "p gr 3 2\ne 0 1\r\n e 1 2\r\n",
+        "p bip 2 2 1\ne 0\r 1\n",
+        "p bip 2 2 2\ne 0 1 \ne 1 0\n",
+        "keep 2\n 1\n",
+        "pair 0 1 \r\npair 2 3\r\n",
+        "triangle \n1 2 3\n",
+        "pair 0\n 1\ntriangle 2 3 4\n",
+        # JSON's own tokens in writer-form lines
+        "p hyp 3 1 3\ne 0 1,2\n",
+        "p gr 3 1\ne 0 true\n",
+        "pair 0 -0\npair NaN 1\n",
+        "p bip 2 2 1\ne 1E3 0\n",
+        "p gr 3 1\ne 0 1e0\n",
+        "pair 0 1\nkeep 2 " + "9" * 5000 + "\n",
     ]
     return texts
 

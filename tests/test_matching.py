@@ -24,8 +24,6 @@ from trimatch import (
     maximum_matching,
     perfect_matching,
     perfect_matching_avoiding,
-    random_regular_bipartite,
-    random_triple_system,
     shadow_graph,
 )
 from trimatch.errors import (
@@ -46,7 +44,12 @@ from trimatch.matching import (
     require_regular_bipartite,
 )
 
-from conftest import complete_graph, cycle_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    random_regular_bipartite,
+    random_triple_system,
+)
 
 
 def brute_max_size(g):

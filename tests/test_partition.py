@@ -20,8 +20,6 @@ from trimatch import (
     matching_with_edge_avoiding,
     maximalize,
     odd_ear_decomposition,
-    random_regular_bipartite,
-    random_triple_system,
     shadow_graph,
     solve,
     solve_components,
@@ -70,6 +68,8 @@ from conftest import (
     five_quads_with,
     hypergraph_union,
     partition_union_hypergraph,
+    random_regular_bipartite,
+    random_triple_system,
     relabelled,
     rotate_block_ids,
     seeded_odd_instances,

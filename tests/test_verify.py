@@ -1,27 +1,26 @@
 """The certificate verifiers against copies of their linear-pass forebears.
 
 `verify_partition` and `verify_lu` run their per-component rule only when
-it can fail.  The copies below are the verifiers as they were before that
-change; on solver certificates and broken variants of them the verifiers
-must return the same violations, message for message, or raise the same
-ValueError.
+it can fail, and `verify_partition` checks its pairs in bulk.  The copies
+below are the verifiers as they were before each change; on solver
+certificates and broken variants of them the verifiers must return the
+same violations, message for message, or raise the same ValueError.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, filterfalse, islice, repeat
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trimatch.partition as partition_module
 from trimatch import (
+    Hypergraph,
     LuSubgraph,
     TriMatchingPartition,
     lu_subgraph,
     make_bipartite,
     make_hypergraph,
-    random_regular_bipartite,
-    random_triple_system,
     solve,
     solve_components,
     verify_lu,
@@ -30,7 +29,7 @@ from trimatch import (
 from trimatch.core import canonical_edge
 from trimatch.partition import VerificationReport
 
-from conftest import hypergraph_union
+from conftest import hypergraph_union, random_regular_bipartite, random_triple_system
 from rotation_census import lu_with_rotations
 
 
@@ -147,6 +146,96 @@ def old_component_ids(n, groups):
             parent[find(v)] = find(group[0])
     ids = {}
     return [ids.setdefault(find(v), len(ids)) for v in range(n)]
+
+
+# A copy of `verify_partition` as it was before its pair index and pair
+# check ran in bulk: one canonical pair per certificate pair, and one
+# lookup per pair.
+
+
+def loop_verify_partition(h, cert) -> VerificationReport:
+    if isinstance(cert, TriMatchingPartition):
+        cert = [cert]
+    if isinstance(cert, (list, tuple)) and all(
+        isinstance(c, TriMatchingPartition) for c in cert
+    ):
+        triangles = [c.triangle for c in cert if c.triangle is not None]
+        pairs = [p for c in cert for p in c.pairs]
+    else:
+        triangles, pairs = map(list, cert)
+
+    n = h.n
+    flat = [v for block in chain(triangles, pairs) for v in block]
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        v = next(v for v in flat if not 0 <= v < n)
+        raise ValueError(f"certificate vertex {v} out of range [0, {n})")
+    violations = []
+    seen = set(flat)
+    if len(seen) != len(flat):
+        violations.append("blocks are not disjoint")
+    if len(seen) != n:
+        # stops at the fifth, so a huge declared n costs no pass over range(n)
+        missing = list(islice((v for v in range(n) if v not in seen), 5))
+        violations.append(f"blocks do not cover the vertex set (missing {missing})")
+
+    # indexes of the verifier's own, built without solver code: of the
+    # hyperedges' 2-subsets, only the certificate's own pairs are kept
+    need = {(u, v) if u < v else (v, u) for u, v in pairs}
+    within = need.intersection(
+        chain.from_iterable(map(combinations, h.hyperedges, repeat(2)))
+    )
+    if triangles and h.k == 3:
+        # hyperedges are stored as sorted tuples
+        hyperedge_set = set(h.hyperedges)
+    elif triangles:
+        # the verifier's own index of the triangles by least vertex, matched
+        # in one pass over the hyperedges through those vertices that stops
+        # once every triangle lies inside one
+        waiting = {}
+        for tri in map(frozenset, triangles):
+            if len(tri) == 3:
+                waiting.setdefault(min(tri), set()).add(tri)
+        inside = set()
+        for e in filterfalse(waiting.keys().isdisjoint, h.hyperedges):
+            e = set(e)
+            for v in waiting.keys() & e:
+                found = {tri for tri in waiting[v] if tri <= e}
+                inside |= found
+                waiting[v] -= found
+                if not waiting[v]:
+                    del waiting[v]
+            if not waiting:
+                break
+    for tri in triangles:
+        tset = set(tri)
+        if len(tset) != 3:
+            violations.append(f"triangle {tri} does not have 3 distinct vertices")
+            continue
+        if h.k == 3:
+            key = tuple(sorted(tri))
+            if key not in hyperedge_set:
+                violations.append(f"triangle {key} is not a hyperedge")
+        elif tset not in inside:
+            violations.append(
+                f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
+            )
+    for u, v in pairs:
+        if u == v or ((u, v) if u < v else (v, u)) not in within:
+            violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
+
+    # at most one triangle per shadow component
+    if len(triangles) >= 2:
+        comp_of = partition_module._component_ids(n, h.hyperedges)
+        per_comp: dict[int, int] = {}
+        for tri in triangles:
+            cids = {comp_of(v) for v in tri}
+            if len(cids) == 1:
+                cid = cids.pop()
+                per_comp[cid] = per_comp.get(cid, 0) + 1
+        for cid, cnt in per_comp.items():
+            if cnt > 1:
+                violations.append(f"component {cid} carries {cnt} triangles")
+    return VerificationReport(violations=tuple(violations))
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,6 +397,64 @@ def test_verify_partition_agrees_with_the_old_verifier(h, data):
     pairs = [p for c in certs for p in c.pairs]
     raw = mutate_partition(data, h, triangles, pairs)
     assert outcome(verify_partition, h, raw) == outcome(old_verify_partition, h, raw)
+    assert outcome(verify_partition, h, raw) == outcome(loop_verify_partition, h, raw)
+
+
+def tamper_pairs(data, h, pairs):
+    """A few drawn pair edits, each at a drawn place in the list: a pair
+    turned around, made a loop, widened or narrowed, moved, repeated, or a
+    new pair of two drawn vertices, in order half the time, which few
+    hyperedges hold; or the whole list shuffled."""
+    vertex = st.integers(0, h.n - 1)
+    for _ in range(data.draw(st.integers(1, 5))):
+        op = data.draw(st.sampled_from(
+            ("reverse", "loop", "width", "move", "repeat", "new", "shuffle")
+        ))
+        if op == "new" or not pairs:
+            u, v = data.draw(vertex), data.draw(vertex)
+            if data.draw(st.booleans()):
+                u, v = min(u, v), max(u, v)
+            pairs.insert(data.draw(st.integers(0, len(pairs))), (u, v))
+            continue
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        if op == "reverse":
+            pairs[i] = pairs[i][::-1]
+        elif op == "loop":
+            pairs[i] = (pairs[i][0], pairs[i][0])
+        elif op == "width":
+            pairs[i] = data.draw(st.sampled_from((pairs[i][:1], pairs[i] + (0,))))
+        elif op == "move":
+            pairs.insert(data.draw(st.integers(0, len(pairs) - 1)), pairs.pop(i))
+        elif op == "repeat":
+            pairs.insert(data.draw(st.integers(0, len(pairs))), pairs[i])
+        else:
+            data.draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    return pairs
+
+
+def test_a_loop_pair_is_named_where_a_hyperedge_repeats_its_vertex():
+    """A hand-built hyperedge with a repeated vertex puts the loop pair in
+    the pair index, so a pair list out of order is always checked pair by
+    pair."""
+    h = Hypergraph(n=3, hyperedges=((0, 0, 1), (0, 1, 2)), multiplicities=(1, 1), k=3)
+    raw = ([], [(0, 0), (2, 1)])
+    assert outcome(verify_partition, h, raw) == outcome(loop_verify_partition, h, raw)
+    assert verify_partition(h, raw).violations == (
+        "blocks are not disjoint", "pair (0, 0) is not inside any hyperedge"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraph_instances(), st.data())
+def test_verify_partition_names_tampered_pairs_as_the_loop_did(h, data):
+    """Bad pairs in several places and orders, among pairs that are in
+    order or not: the violations come in line order, as the per-pair loop
+    gave them."""
+    certs = solve_components(h, h.k)
+    assert outcome(verify_partition, h, certs) == outcome(loop_verify_partition, h, certs)
+    triangles = [c.triangle for c in certs if c.triangle is not None]
+    raw = (triangles, tamper_pairs(data, h, [p for c in certs for p in c.pairs]))
+    assert outcome(verify_partition, h, raw) == outcome(loop_verify_partition, h, raw)
 
 
 def mutate_kept(data, bg, kept):
