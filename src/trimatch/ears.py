@@ -9,9 +9,10 @@ leftover single edges ride along as trivial ears at the tail.
 matching, and `maximalize` runs the slicing loop until every odd edge lies on
 its own ear.  Both wrap functions on plain walks over the host's sorted
 neighbour tuples: `_ear_walks` builds the nontrivial walks, and
-`_maximal_walks` slices them and checks the result with one `_scan` and
-`_assert_maximal`.  The solver calls these directly, so an odd solve checks
-one decomposition, the sliced one, and builds no `Ear`.
+`_maximal_walks` slices them and checks the result with one `_scan`; the
+result is maximal by `_slice`'s stopping rule, which nothing checks a
+second time.  The solver calls these directly, so an odd solve checks one
+decomposition, the sliced one, and builds no `Ear`.
 
 "Is uv an edge" is `v in adj[u]`, and "is it on an ear yet" is a mark on
 its slot: the edge (u, v) with u < v owns position `off[u] +
@@ -340,7 +341,8 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
 def _maximal_walks(adj, walks):
     """The nontrivial ears of the maximal decomposition that slicing makes
     of the nontrivial `walks` (lists, in order) on the graph with sorted
-    neighbour tuples `adj`, checked by one `_scan` and `_assert_maximal`.
+    neighbour tuples `adj`, checked by one `_scan`; `_slice` says why they
+    are maximal.
 
     Returns the sliced walks, the labels, positions and slot marks from
     that scan; the last walk is the last nontrivial ear, and the unmarked
@@ -350,7 +352,6 @@ def _maximal_walks(adj, walks):
     errs, labels, positions, marks = _scan(adj, walks)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    _assert_maximal(adj, walks, labels, positions)
     return walks, labels, positions, marks
 
 
@@ -365,6 +366,17 @@ def _slice(adj, walks) -> list:
     ends) is popped next.  Each slice splits a walk into two shorter ones,
     so the loop ends.  A cut along an edge already on another walk leaves
     it on two, which the `_scan` of the result reports.
+
+    The result is maximal.  A popped walk's ends lie on finished walks, so
+    the vertices it labels (the circuit's, or the interior) are the ones new
+    on it, at their positions on it; the finished walks are the ears in
+    order, and no later round relabels those vertices.  Once the `_scan` of
+    the result finds the walks an ear decomposition, these are its
+    first-ear labels and positions.  An odd edge has both ends first on one
+    ear, at odd distances from that ear's ends unless that ear is the
+    circuit, so the round that finished the ear looked at the edge, and a
+    walk finishes only when each edge it looks at joins consecutive
+    vertices of the walk, that is, lies on it.
     """
     stack = walks[::-1]
     label = [-1] * len(adj)
@@ -420,23 +432,3 @@ def _slice(adj, walks) -> list:
         # the first piece is popped next: it may still carry off-ear odd edges
         stack += (second, first)
     return done
-
-
-def _assert_maximal(adj, walks, labels, positions) -> None:
-    # is_odd_edge inlined; an odd edge is looked for at its ends' stored
-    # positions on its ear, and along the whole walk only if it is not there
-    for u, row in enumerate(adj):
-        i = labels[u]
-        p = positions[u]
-        for v in row:
-            if v < u or labels[v] != i:
-                continue
-            w = walks[i]
-            q = positions[v]
-            lo, hi = (p, q) if p < q else (q, p)
-            if i != 0 and (lo % 2 == 0 or (len(w) - 1 - hi) % 2 == 0):
-                continue
-            if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
-                continue
-            if (u, v) not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:
-                raise InternalError(f"odd edge ({u}, {v}) is off its ear after slicing")

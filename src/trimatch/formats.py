@@ -10,8 +10,8 @@ A line whose first token starts with `c` is a comment; tokens are
 whitespace-separated, integers are whatever `int()` reads, and output is
 newline-terminated.  Writers emit blocks sorted by smallest member.
 
-Text is read in one of three tiers, which give the same values and
-raise the same ParseError on every input.
+Text is read in one of two tiers, which give the same values and raise
+the same ParseError on every input.
 
 1. The JSON pass, for text in the writers' form: a `p` line equal to its
    tokens joined by single spaces (no other whitespace, and none of the
@@ -31,34 +31,17 @@ raise the same ParseError on every input.
    for an integer past `sys.get_int_max_str_digits()`, which `int` refuses
    too; and every row has the format's width.  Only `-?(0|[1-9][0-9]*)`
    tokens pass, and `int` reads each to the same value.
-2. The whole-text pass, for every other text.  One `str.splitlines` pass
-   gives the kept lines: leading whitespace stripped, blank lines and
-   comment lines (whose stripped text starts with `c`) dropped.  One
-   `str.split` of the text, re-joined first only when it has comment
-   lines, gives the tokens.  Counts then stand in for the line checks: the
-   first kept line is the `p` line, every other kept line starts with `e`,
-   the tokens after the `p` line's are all `e` at stride 1 + arity (1 + k
-   for `hyp`), there are as many of those positions as kept lines after
-   the `p` line, the stride divides the token count, and one `int` pass
-   converts every other token.  These accept exactly the texts the line
-   checks accept.  A token that starts with `e` but is not `e` fails
-   `int`, so every kept line starts at a stride position; with as many
-   lines as positions, each line is one row.  And `str.split` over the
-   text gives the tokens of `splitlines` followed by a split of each line,
-   since every line boundary is whitespace.  Ragged `hyp` rows, which
-   `validate` reports, are split line by line.  A certificate is split
-   into token lists per line (`_lines`); set operations over the line
-   kinds and widths check it, and one `int` pass per kind converts it.
-3. The line loop (`_tokenized`/`_ints`), only when the whole-text pass
-   finds a fault: it walks the text again to raise the first faulty
-   line's ParseError with its line number, and builds no value.
+2. The line loop (`_problem_lines`, `_certificate_lines`), for every text
+   the JSON pass refuses: it walks the `str.splitlines` lines that are
+   neither blank nor a comment, builds the values row by row, and raises
+   the first faulty line's ParseError with its line number.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import chain, groupby
+from itertools import chain
 from operator import itemgetter
 
 from .core import (
@@ -68,7 +51,7 @@ from .core import (
     make_graph,
     make_hypergraph,
 )
-from .errors import InternalError, ParseError
+from .errors import ParseError
 from .matching import BipartiteGraph, _bipartite_graph
 
 _head = itemgetter(0)
@@ -95,13 +78,13 @@ _CERTIFICATE_ROWS = (
     ("\ntriangle ", "],[0,"), ("\npair ", "],[1,"), ("\nkeep ", "],[2,"),
 )
 
-# certificate line kind -> (values per line, message when that is wrong)
-_CERTIFICATE_LINES = {
+# certificate line kind -> (values per line, message when that is wrong),
+# in the order `parse_certificate` returns the kinds
+_CERTIFICATE_KINDS = {
     "triangle": (3, "triangle needs 3 vertices"),
     "pair": (2, "pair needs 2 vertices"),
     "keep": (2, "keep needs 2 endpoints"),
 }
-_CERTIFICATE_TOKENS = {kind: 1 + w for kind, (w, _) in _CERTIFICATE_LINES.items()}
 
 
 def _json_rows(body, keywords):
@@ -133,22 +116,6 @@ def _json_rows(body, keywords):
         return json.loads("[" + rows + "]]")
     except ValueError:  # no JSON, or an integer too long for `int` as well
         return None
-
-
-def _lines(text):
-    """Token lists of the lines that are neither blank nor a comment."""
-    lines = list(filter(None, map(str.split, text.splitlines())))
-    if any(head[0] == "c" for head in set(map(_head, lines))):
-        lines = [t for t in lines if t[0][0] != "c"]
-    return lines
-
-
-def _rows(tokens, width):
-    """Integer tuples of `width`-token lines, given as one flat token list,
-    without each line's first token; ValueError on a token `int` does not
-    read."""
-    del tokens[::width]
-    return list(zip(*[map(int, tokens)] * (width - 1)))
 
 
 def _tokenized(text):
@@ -195,7 +162,7 @@ def _problem_values(text, kind, fields, arity):
     and width 0.  A `hyp` line's width is the problem line's k, its last
     value.
     """
-    return _json_values(text, kind, fields, arity) or _split_values(
+    return _json_values(text, kind, fields, arity) or _problem_lines(
         text, kind, fields, arity
     )
 
@@ -227,71 +194,34 @@ def _json_values(text, kind, fields, arity):
     return header, list(chain.from_iterable(rows)), width
 
 
-def _split_values(text, kind, fields, arity):
-    """`_problem_values` in whole-text passes over the tokens; the line
-    loop raises the first faulty line's ParseError.  The kept lines are
-    freed before the text is split into tokens."""
-    kept = list(filter(None, map(str.lstrip, text.splitlines())))
-    heads = list(map(_head, kept))
-    uncommented = text
-    if "c" in heads:
-        kept = [line for line in kept if line[0] != "c"]
-        heads = list(map(_head, kept))
-        uncommented = "\n".join(kept)
-    if not kept:
-        raise ParseError(f"missing `p {kind}` problem line")
-    head, lines = kept[0].split(), len(kept) - 1
-    del kept
-    if (
-        head[0] == "p"
-        and len(head) == 2 + len(fields)
-        and head[1] == kind
-        and heads.count("e") == lines
-    ):
-        try:
-            header = list(map(int, head[2:]))
-            if not lines:
-                return header, [], 0
-            stride = 1 + (arity or header[-1])
-            tokens = uncommented.split()
-            del tokens[: len(head)]
-            if (
-                stride > 1
-                and len(tokens) == stride * lines
-                and tokens[::stride].count("e") == lines
-            ):
-                del tokens[::stride]
-                return header, list(map(int, tokens)), stride - 1
-            if not arity:
-                body = list(filter(None, map(str.split, uncommented.splitlines())))[1:]
-                if all(t[0] == "e" and len(t) > 1 for t in body):
-                    return header, [tuple(map(int, t[1:])) for t in body], 0
-        except ValueError:
-            pass  # the line loop names the line
-    _problem_fault(text, kind, fields, arity)
-
-
-def _problem_fault(text, kind, fields, arity):
-    """The line loop: raise the ParseError of the first faulty line."""
-    header = False
+def _problem_lines(text, kind, fields, arity):
+    """`_problem_values` by the line loop, which raises the first faulty
+    line's ParseError."""
+    header = None
+    rows = []
     for lineno, tokens in _tokenized(text):
         if tokens[0] == "p":
-            if header:
+            if header is not None:
                 raise ParseError("duplicate problem line", line=lineno)
             if len(tokens) != 2 + len(fields) or tokens[1] != kind:
                 usage = " ".join(f"<{f}>" for f in fields)
                 raise ParseError(f"expected `p {kind} {usage}`", line=lineno)
-            _ints(tokens[2:], lineno)
-            header = True
+            header = _ints(tokens[2:], lineno)
         elif tokens[0] == "e":
-            if not header:
+            if header is None:
                 raise ParseError("e line before problem line", line=lineno)
-            width = len(_ints(tokens[1:], lineno))
-            if width != arity if arity else not width:
-                raise ParseError(f"e line has {width} vertices", line=lineno)
+            row = _ints(tokens[1:], lineno)
+            if len(row) != arity if arity else not row:
+                raise ParseError(f"e line has {len(row)} vertices", line=lineno)
+            rows.append(row)
         else:
             raise ParseError(f"unknown line type {tokens[0]!r}", line=lineno)
-    raise InternalError("the whole-text pass saw a fault the line loop did not")
+    if header is None:
+        raise ParseError(f"missing `p {kind}` problem line")
+    width = arity or header[-1]
+    if all(len(row) == width for row in rows):
+        return header, list(chain.from_iterable(rows)), width
+    return header, list(map(tuple, rows)), 0
 
 
 def _cut(values, width):
@@ -330,7 +260,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 def parse_certificate(text: str) -> tuple[list, list, list]:
     """Raw (triangles, pairs, keeps) from a certificate file, each in line
     order."""
-    return _json_certificate(text) or _split_certificate(text)
+    return _json_certificate(text) or _certificate_lines(text)
 
 
 def _json_certificate(text):
@@ -352,34 +282,19 @@ def _json_certificate(text):
         return None
 
 
-def _split_certificate(text):
-    """`parse_certificate` over token lists per line; the line loop raises
-    the first faulty line's ParseError."""
-    lines = _lines(text)
-    if set(zip(map(_head, lines), map(len, lines))) <= _CERTIFICATE_TOKENS.items():
-        try:
-            # a stable sort keeps each kind's lines in order
-            rows = {
-                kind: _rows(list(chain.from_iterable(group)), _CERTIFICATE_TOKENS[kind])
-                for kind, group in groupby(sorted(lines, key=_head), _head)
-            }
-        except ValueError:
-            pass  # the line loop names the line
-        else:
-            return rows.get("triangle", []), rows.get("pair", []), rows.get("keep", [])
-    _certificate_fault(text)
-
-
-def _certificate_fault(text):
-    """The line loop: raise the ParseError of the first faulty line."""
+def _certificate_lines(text):
+    """`parse_certificate` by the line loop, which raises the first faulty
+    line's ParseError."""
+    rows = {kind: [] for kind in _CERTIFICATE_KINDS}
     for lineno, tokens in _tokenized(text):
-        kind, width = tokens[0], len(_ints(tokens[1:], lineno))
-        if kind not in _CERTIFICATE_LINES:
+        kind, row = tokens[0], tuple(_ints(tokens[1:], lineno))
+        if kind not in _CERTIFICATE_KINDS:
             raise ParseError(f"unknown certificate line {kind!r}", line=lineno)
-        expected, message = _CERTIFICATE_LINES[kind]
-        if width != expected:
+        expected, message = _CERTIFICATE_KINDS[kind]
+        if len(row) != expected:
             raise ParseError(message, line=lineno)
-    raise InternalError("the whole-text pass saw a fault the line loop did not")
+        rows[kind].append(row)
+    return tuple(rows.values())
 
 
 def _format_problem(kind, values, rows) -> str:

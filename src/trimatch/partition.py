@@ -188,7 +188,8 @@ def _forced_edge_pairs(adj, walks, labels, positions, k, edge, avoid):
     `avoid` at the third vertex of a hyperedge through it, the apex.  An
     apex first seen on ear k sits elsewhere on it, at a position t >= 3, and
     t is odd: an even t would make the apex and walk[1], both in that
-    hyperedge, an odd edge off the ear, which `_assert_maximal` rejects.
+    hyperedge, an odd edge off the ear, and `_slice` finishes no walk that
+    has one (its stopping rule).
     The circuit is the last nontrivial ear only at n = 3.  Every chord of
     the circuit is odd, so slicing cuts it off, and a maximal decomposition
     whose only nontrivial ear is the circuit is a chordless cycle through

@@ -158,3 +158,12 @@ def assemble(host, walks):
         labels=tuple(labels),
         positions=tuple(positions),
     )
+
+
+def hand_edited(text):
+    """`text` as an editor might leave it: CRLF line ends, a comment line
+    and a blank line after its first line, and every space doubled.  None
+    of these is the writers' form, so the text takes the line loop."""
+    first, *rest = text.splitlines()
+    lines = [first, "c a comment", "", *rest]
+    return "".join(line + "\r\n" for line in lines).replace(" ", "  ")

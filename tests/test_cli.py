@@ -19,6 +19,7 @@ from trimatch import (
 from trimatch.cli import main
 
 from conftest import (
+    hand_edited,
     hypergraph_union,
     partition_union_hypergraph,
     random_regular_bipartite,
@@ -131,6 +132,19 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", instance, cert)
     assert code == 0
     assert out.strip() == "OK"
+
+
+def test_hand_edited_files_read_as_their_writer_form(tmp_path, capsys):
+    """CRLF line ends, a comment line, a blank line and doubled spaces send
+    both files through the line loop, which reads what the JSON pass does."""
+    text = formats.format_hypergraph(random_triple_system(2001, 3, require_connected=True))
+    instance = write(tmp_path, "i.hyp", text)
+    edited = write(tmp_path, "edited.hyp", hand_edited(text))
+    code, cert, _ = run(capsys, "solve", instance)
+    assert code == 0
+    assert run(capsys, "solve", edited) == (0, cert, "")
+    edited_cert = write(tmp_path, "edited.cert", hand_edited(cert))
+    assert run(capsys, "verify", edited, edited_cert) == (0, "OK\n", "")
 
 
 def test_verify_tampered_certificate(tmp_path, capsys):

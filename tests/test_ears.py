@@ -27,9 +27,9 @@ from trimatch import (
     verify_partition,
 )
 import trimatch.ears as ears_module
+import trimatch.partition as partition_module
 from trimatch.core import _shadow_lists, canonical_edge
 from trimatch.ears import (
-    _assert_maximal,
     _ear_walks,
     _maximal_walks,
     _scan,
@@ -344,18 +344,63 @@ def old_validate_decomposition(d):
     return errs
 
 
-def assert_maximal(d):
-    """The maximality check on d's walks, labels and positions."""
-    _assert_maximal(
-        d.host.adjacency, [e.vertices for e in d.ears], d.labels, d.positions
-    )
-
-
 def old_assert_maximal(d):
+    """The maximality check as the solver once ran it: every odd edge of d
+    lies on its ear."""
     on_ear = [set(e.edge_walk()) for e in d.ears]
     for e in d.host.edges:
         if is_odd_edge(d, e) and e not in on_ear[d.labels[e[0]]]:
             raise InternalError(f"odd edge {e} is off its ear after slicing")
+
+
+def slicing_instances():
+    """Odd n 3..401 with seeds 1-3, the seven same-ear seeds and one
+    instance each at odd n 501, 1001 and 2001."""
+    hs = list(seeded_odd_instances().values())
+    hs += [random_triple_system(n, seed, require_connected=True)
+           for n, seed in SAME_EAR_INSTANCES]
+    hs += [random_triple_system(n, 3, require_connected=True) for n in (501, 1001, 2001)]
+    return hs
+
+
+def test_the_solvers_sliced_walks_are_maximal(monkeypatch):
+    """Nothing in the solver checks maximality after `_slice`; the walks an
+    odd solve reads, with the edges they leave as trivial ears, pass the
+    old check."""
+    seen = []
+
+    def spy(adj, walks):
+        out = _maximal_walks(adj, walks)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(partition_module, "_maximal_walks", spy)
+    for h in slicing_instances():
+        seen.clear()
+        solve(h)
+        (walks, labels, positions, marks), = seen
+        g = shadow_graph(h)
+        d = EarDecomposition(
+            host=g,
+            ears=tuple(map(Ear, map(tuple, walks + _unmarked_edges(g.adjacency, marks)))),
+            labels=tuple(labels),
+            positions=tuple(positions),
+        )
+        assert not validate_decomposition(d), h.n
+        assert old_assert_maximal(d) is None, h.n
+
+
+def test_an_unsliced_solve_is_refused_or_verifies(monkeypatch):
+    """With `_slice` returning its walks as they came, each solve ends in
+    InternalError or in a certificate that verifies: no unchecked
+    decomposition reaches the output."""
+    monkeypatch.setattr(ears_module, "_slice", lambda adj, walks: walks)
+    for h in slicing_instances():
+        try:
+            cert = solve(h)
+        except InternalError:
+            continue
+        assert verify_partition(h, cert).ok, h.n
 
 
 def outcome(check, d):
@@ -388,17 +433,6 @@ def old_validate_outcome(d):
         k -= 1
     report = f"ear {len(d.ears) - 1} has vertex {bad[0]} out of range [0, {n})"
     return errs[:k] + [report] + errs[k:]
-
-
-def test_assert_maximal_reads_no_stored_position_from_the_back():
-    """A stored position of -1 must not index the walk from its end: 0 and
-    1 are the two ends of the ear 0-5-6-1, but (0, 1) is not on it."""
-    d = c5_plus_ear()
-    x = dataclasses.replace(
-        d, labels=(1, 1) + d.labels[2:], positions=(0, -1) + d.positions[2:]
-    )
-    expected = (InternalError, "odd edge (0, 1) is off its ear after slicing")
-    assert outcome(assert_maximal, x) == outcome(old_assert_maximal, x) == expected
 
 
 def mutants(d, rng):
@@ -514,10 +548,10 @@ def test_one_pass_checks_agree_with_the_old_checks():
         for x in [d, out] + cases:
             errs = outcome(validate_decomposition, x)
             assert errs == old_validate_outcome(x)
-            assert outcome(assert_maximal, x) == outcome(old_assert_maximal, x)
+        assert old_assert_maximal(out) is None
         broken += len(cases)
         caught += sum(1 for x in cases if validate_decomposition(x))
-        unsliced += outcome(assert_maximal, d) is not None
+        unsliced += outcome(old_assert_maximal, d) is not None
     # a few mutants are valid (a swap of equal vertices, an unchanged label)
     assert broken > 3000 and caught > 0.95 * broken
     # the unsliced decompositions that slicing would change fail the check
@@ -613,29 +647,10 @@ def tuple_set_validate(d):
     return errs
 
 
-def tuple_set_assert_maximal(d):
-    host, walks = d.host, [e.vertices for e in d.ears]
-    labels, positions = d.labels, d.positions
-    for e in host.edges:
-        u, v = e
-        i = labels[u]
-        if i != labels[v]:
-            continue
-        w = walks[i]
-        p, q = positions[u], positions[v]
-        lo, hi = (p, q) if p < q else (q, p)
-        if i != 0 and (lo % 2 == 0 or (len(w) - 1 - hi) % 2 == 0):
-            continue
-        if hi == lo + 1 and lo >= 0 and hi < len(w) and w[p] == u and w[q] == v:
-            continue
-        if e not in {(a, b) if a < b else (b, a) for a, b in zip(w, w[1:])}:
-            raise InternalError(f"odd edge {e} is off its ear after slicing")
-
-
 def test_slot_marks_check_as_the_edge_tuple_sets_did():
-    """Violations, labels, positions and the maximality check's outcome are
-    those of the tuple-set checks on every mutant; where the ears are
-    valid, the unmarked edges are the trivial ears."""
+    """Violations, labels and positions are those of the tuple-set checks
+    on every mutant; where the ears are valid, the unmarked edges are the
+    trivial ears."""
     valid = 0
     for d, out, cases in mutant_cases():
         for x in [d, out] + cases:
@@ -643,7 +658,6 @@ def test_slot_marks_check_as_the_edge_tuple_sets_did():
             walks = [e.vertices for e in x.ears]
             _, labels, positions, _ = _scan(x.host.adjacency, walks)
             assert (labels, positions) == tuple_set_scan(x.host, walks)[1:]
-            assert outcome(assert_maximal, x) == outcome(tuple_set_assert_maximal, x)
             if not validate_decomposition(x):
                 valid += 1
                 nontrivial = [w for w in walks if len(w) > 2]
@@ -823,7 +837,7 @@ def old_maximalize(d, shapes):
     errs = validate_decomposition(out)
     if errs:
         raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    assert_maximal(out)
+    old_assert_maximal(out)
     return out
 
 

@@ -2,11 +2,11 @@
 copies of their earlier forms, and the CLI's exit codes.
 
 The copies below are the line-by-line parsers and the item-by-item
-builders as they were before input was read in whole-text passes and
-checked in bulk, with one check added since to the graph builders: a
-negative vertex count.  Every parser and builder must give the same value
-as its copy, or raise the same exception class with the same message and
-line.
+builders as they were before writer-form text was read by one JSON pass
+and rows were checked in bulk, with one check added since to the graph
+builders: a negative vertex count.  Every parser and builder must give the
+same value as its copy, or raise the same exception class with the same
+message and line.
 """
 
 import contextlib
@@ -34,7 +34,7 @@ from trimatch.core import Hypergraph, SimpleGraph, canonical_edge
 from trimatch.errors import ParallelEdges, ParseError
 from trimatch.matching import BipartiteGraph
 
-from conftest import random_regular_bipartite, random_triple_system
+from conftest import hand_edited, random_regular_bipartite, random_triple_system
 
 
 def old_tokenized(text):
@@ -401,19 +401,6 @@ def check_parsers(text):
         assert outcome(parse, text) == outcome(old_parse, text), (parse, text)
 
 
-# every line boundary of `str.splitlines`, the ones NEWLINE leaves out too
-LINE_ENDS = st.sampled_from(("\x1c", "\x1d", "\x1e", "\u2029"))
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(st.one_of(GAP, NEWLINE, LINE_ENDS, st.sampled_from(("e", "17", "c")))))
-def test_a_whole_text_split_gives_the_tokens_of_its_lines(parts):
-    """The instance parsers split the whole text once; this holds because
-    every line boundary is whitespace to `str.split`."""
-    text = "".join(parts)
-    assert text.split() == [t for line in text.splitlines() for t in line.split()]
-
-
 def test_parsers_agree_with_the_old_parsers_on_valid_files():
     for case in REAL:
         for lines in case:
@@ -433,8 +420,8 @@ def test_parsers_agree_with_the_old_parsers_on_writer_form_texts(text):
 
 
 def test_every_writer_output_takes_the_json_pass(monkeypatch):
-    """The whole-text passes never run on what the writers emit, so a
-    silent fallback cannot take the JSON pass's saving away."""
+    """The line loops never run on what the writers emit, so a silent
+    fallback cannot take the JSON pass's saving away."""
     h = random_triple_system(2001, 3, require_connected=True)
     even = random_triple_system(2000, 3, require_connected=True)
     k4 = make_hypergraph(9, list(random_regular_bipartite(9, 4, 2).adj_a), k=4)
@@ -455,8 +442,8 @@ def test_every_writer_output_takes_the_json_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("a writer's output left the JSON pass")
 
-    monkeypatch.setattr(formats, "_split_values", refuse)
-    monkeypatch.setattr(formats, "_split_certificate", refuse)
+    monkeypatch.setattr(formats, "_problem_lines", refuse)
+    monkeypatch.setattr(formats, "_certificate_lines", refuse)
     assert [parse(text) for text, parse in cases] == expected
 
 
@@ -552,7 +539,8 @@ def test_make_bipartite_agrees_with_the_old_builder(case):
 
 
 def boundary_texts():
-    """Hand-written texts at the edges of the whole-text pass."""
+    """Hand-written texts at the edges of the JSON pass and of the line
+    loop that reads every text it refuses."""
     good = ["e %d %d %d" % (i, i + 1, i + 2) for i in range(1000)]
     good_pairs = ["e %d %d" % (i, i + 1) for i in range(1000)]
     texts = [
@@ -655,6 +643,19 @@ def test_parsers_agree_with_the_old_parsers_on_boundary_texts():
         )
 
 
+def hand_edits(text):
+    """`text` with CRLF line ends, with a comment line, with a blank line
+    and with doubled spaces, each alone, then with all four."""
+    lines = text.splitlines()
+    return [
+        "".join(line + "\r\n" for line in lines),
+        "\n".join([lines[0], "c a comment", *lines[1:]]) + "\n",
+        "\n".join([lines[0], "", *lines[1:]]) + "\n",
+        text.replace(" ", "  "),
+        hand_edited(text),
+    ]
+
+
 def test_parsers_agree_with_the_old_parsers_on_large_files():
     h = random_triple_system(2001, 3, require_connected=True)
     bg = random_regular_bipartite(2000, 5, 3)
@@ -664,7 +665,10 @@ def test_parsers_agree_with_the_old_parsers_on_large_files():
         (formats.format_bipartite(bg), formats.parse_bipartite, old_parse_bipartite),
         (formats.format_lu(lu_subgraph(bg, 5)), formats.parse_certificate, old_parse_certificate),
     ):
-        assert parse(text) == old_parse(text)
+        expected = old_parse(text)
+        assert parse(text) == expected
+        for edited in hand_edits(text):
+            assert parse(edited) == old_parse(edited) == expected
     assert formats.parse_hypergraph(formats.format_hypergraph(h)) == h
     assert formats.parse_bipartite(formats.format_bipartite(bg)) == bg
 
