@@ -247,9 +247,15 @@ def shadow_graph(h: Hypergraph) -> SimpleGraph:
 def _shadow_lists(h: Hypergraph) -> _ListGraph:
     """The shadow graph of h as its sorted neighbour tuples alone.
 
-    Refuses a malformed hyperedge as `shadow_graph` does.  Neighbours are
-    gathered per vertex and each short list is sorted, so no sort runs over
-    all pairs.
+    Refuses a malformed hyperedge as `shadow_graph` does.  Built by
+    transposition in two passes.  The first gathers, per vertex, the members
+    of its hyperedges, itself and repeats included.  The second walks the
+    vertices v in increasing order and appends v to the list of each member
+    it gathered; since the shadow graph is symmetric, u gathered v exactly
+    when v gathered u, so each list receives its neighbours in increasing
+    order and needs no sort.  A last-seen stamp per list skips a repeat (a
+    pair inside two hyperedges, or a hyperedge repeated unfolded) and, set
+    before v's walk, v itself.
     """
     n = h.n
     near = [[] for _ in range(n)]
@@ -263,12 +269,16 @@ def _shadow_lists(h: Hypergraph) -> _ListGraph:
                 )
             near[v].extend(e)
             prev = v
-    adjacency = []
+    adjacency = [[] for _ in range(n)]
+    # stamp[u] == v once v is on u's list, or when u is v
+    stamp = [-1] * n
     for v, xs in enumerate(near):
-        ys = set(xs)
-        ys.discard(v)
-        adjacency.append(tuple(sorted(ys)))
-    return _ListGraph(n, tuple(adjacency))
+        stamp[v] = v
+        for u in xs:
+            if stamp[u] != v:
+                stamp[u] = v
+                adjacency[u].append(v)
+    return _ListGraph(n, tuple(map(tuple, adjacency)))
 
 
 def degree(h: Hypergraph, v: VertexId) -> int:

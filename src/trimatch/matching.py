@@ -338,10 +338,9 @@ def _require_vertex(n, v):
 
 
 def _pairs_of(match) -> tuple[tuple[int, int], ...]:
-    # inactive vertices are never matched, so the array alone gives the pairs
-    return tuple(
-        sorted((v, match[v]) for v in range(len(match)) if match[v] > v)
-    )
+    # inactive vertices are never matched, so the array alone gives the
+    # pairs; walked in order of their smaller end, they come out sorted
+    return tuple((v, m) for v, m in enumerate(match) if m > v)
 
 
 def maximum_matching(g: SimpleGraph) -> Matching:

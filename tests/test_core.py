@@ -199,7 +199,14 @@ def old_shadow_graph(h):
 def test_shadow_lists_are_the_old_shadow_graph_adjacency():
     """On seeded instances and on hand-built ones (sorted tuples, repeated
     hyperedges not folded, vertices on no hyperedge), the builder's lists
-    are the old shadow graph's adjacency, and `shadow_graph` is unchanged."""
+    are the old shadow graph's adjacency, and `shadow_graph` is unchanged.
+
+    Among them: pairs inside two or more hyperedges (all four triples on
+    four vertices, the cyclic triples on five), repeats unfolded and folded
+    into multiplicities above 1, widths 1, 2 and 4 to 6, n = 0 and n = 1,
+    and seeded triple systems up to n = 16001, so that a list is checked
+    where its vertices repeat, where it would hold its own vertex, and in
+    order."""
     rng = random.Random(29)
     hs = [random_triple_system(n, seed) for n in range(3, 80) for seed in (1, 2)]
     for k in (3, 4, 5):
@@ -211,7 +218,22 @@ def test_shadow_lists_are_the_old_shadow_graph_adjacency():
         edges = [tuple(sorted(rng.sample(range(n), k))) for _ in range(rng.randrange(6))]
         hs.append(Hypergraph(n=n, hyperedges=tuple(edges + edges[:2]),
                              multiplicities=(1,) * (len(edges) + len(edges[:2])), k=k))
+    hs.append(make_hypergraph(4, itertools.combinations(range(4), 3), k=3))
+    hs.append(make_hypergraph(5, [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)]))
+    unfolded = ((0, 1, 2), (1, 2, 3), (0, 1, 2), (0, 1, 2), (2, 3, 5))
+    hs.append(Hypergraph(n=7, hyperedges=unfolded, multiplicities=(1,) * 5, k=3))
+    hs.append(make_hypergraph(7, unfolded, multiplicities=(2, 1, 3, 1, 4)))
+    for k in (1, 2, 4, 5, 6):
+        # the top k vertices lie on no hyperedge
+        edges = [tuple(sorted(rng.sample(range(2 * k), k))) for _ in range(2 * k)]
+        hs.append(Hypergraph(n=3 * k, hyperedges=tuple(edges + edges[::2]),
+                             multiplicities=(1,) * (len(edges) + len(edges[::2])), k=k))
+        hs.append(make_hypergraph(3 * k, edges, k=k))
     hs.append(Hypergraph(n=0, hyperedges=(), multiplicities=(), k=3))
+    hs.append(Hypergraph(n=1, hyperedges=(), multiplicities=(), k=3))
+    hs.append(Hypergraph(n=1, hyperedges=((0,), (0,)), multiplicities=(2, 1), k=1))
+    hs.extend(random_triple_system(n, 1, require_connected=True)
+              for n in (2000, 2001, 16001))
     for h in hs:
         old = old_shadow_graph(h)
         assert _shadow_lists(h) == (h.n, old.adjacency)

@@ -38,6 +38,7 @@ from trimatch.matching import (
     _augment,
     _hopcroft_karp,
     _max_matching_arrays,
+    _pairs_of,
     _search,
     bipartite_degrees,
     near_perfect_matching,
@@ -624,8 +625,11 @@ def test_max_matching_arrays_matches_the_old_masked_engine():
     assert sum(active.count(False) for _, active in cases) > 2500
     with time_limit(60):
         for adj, active in cases:
-            assert _max_matching_arrays(adj, active) == _old_max_matching_arrays(
-                adj, active
+            match = _max_matching_arrays(adj, active)
+            assert match == _old_max_matching_arrays(adj, active)
+            # the pairs as they were read off before, with a sort
+            assert _pairs_of(match) == tuple(
+                sorted((v, match[v]) for v in range(len(match)) if match[v] > v)
             )
 
 
