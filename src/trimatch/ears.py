@@ -14,11 +14,11 @@ result is maximal by `_slice`'s stopping rule, which nothing checks a
 second time.  The solver calls these directly, so an odd solve checks one
 decomposition, the sliced one, and builds no `Ear`.
 
-"Is uv an edge" is `v in adj[u]`, and "is it on an ear yet" is a mark on
-its slot: the edge (u, v) with u < v owns position `off[u] +
-adj[u].index(v)` of one flat list, where `off` holds the running sums of
-the list lengths.  The walks of the solver are the nontrivial ears only;
-the edges they leave unmarked are the trivial ears.
+"Is uv an edge" is whether `adj[u].index(v)` finds it, and "is it on an
+ear yet" is a mark on its slot: the edge (u, v) with u < v owns position
+`off[u] + adj[u].index(v)` of one flat list, where `off` holds the running
+sums of the list lengths.  The walks of the solver are the nontrivial ears
+only; the edges they leave unmarked are the trivial ears.
 """
 
 from __future__ import annotations
@@ -144,11 +144,11 @@ def _scan(adj, walks):
                 positions[v] = j
             if j:
                 a, b = (u, v) if u < v else (v, u)
-                row = adj[a]
-                if b not in row:
+                try:
+                    slot = off[a] + adj[a].index(b)
+                except ValueError:
                     errs.append(f"ear {i} uses non-edge ({u}, {v})")
                 else:
-                    slot = off[a] + row.index(b)
                     if marks[slot]:
                         errs.append(f"edge ({a}, {b}) appears on more than one ear")
                     else:
@@ -255,8 +255,13 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
 def _ear_walks(g):
     """The nontrivial walks of `odd_ear_decomposition(g)`, unchecked, as
     lists in order; g needs only `n` and `adjacency`.  Slicing keeps their
-    edges and interiors and an even ear's even middle piece, so the caller's
-    one `_scan` sees every fault of the traced paths.
+    edges and interiors, and one of the two pieces of an even walk is even,
+    so the caller's one `_scan` sees every fault of the traced paths.
+
+    This is where an odd instance's connectivity is decided.  The search
+    from vertex 0 marks every vertex outer exactly when g is factor-critical
+    (Gallai's lemma), so a disconnected g fails before any walk is built:
+    either G - 0 has no perfect matching, or some vertex is not outer.
 
     Each vertex joins the frontier heap at most once, when it first
     neighbours a placed vertex; the unplaced vertices on the heap are then
@@ -367,6 +372,16 @@ def _slice(adj, walks) -> list:
     so the loop ends.  A cut along an edge already on another walk leaves
     it on two, which the `_scan` of the result reports.
 
+    Every chord of the circuit is odd, so the circuit's round looks from
+    each of its vertices.  On a later walk of odd length L an edge between
+    new vertices at positions p < q is odd when p and L - q are odd, that is
+    p odd and q even, and off the walk when q > p + 1, so q >= p + 3 and
+    p <= L - 4: the round looks only from positions 1, 3, ..., L - 4, at
+    neighbours at even positions from p + 3 on, and meets each such edge
+    once, from its odd end.  A walk of length 3 has none.  The positions
+    compared and cut at are the stored ones, so a faulty walk that repeats
+    a vertex is still cut into two shorter pieces.
+
     The result is maximal.  A popped walk's ends lie on finished walks, so
     the vertices it labels (the circuit's, or the interior) are the ones new
     on it, at their positions on it; the finished walks are the ears in
@@ -393,25 +408,27 @@ def _slice(adj, walks) -> list:
             label[v] = wid
             pos[v] = p
         best = None
-        for w in intro:
-            pw = pos[w]
-            for y in adj[w]:
-                if y <= w or label[y] != wid:
-                    continue
-                py = pos[y]
-                if circuit:
-                    diff = (py - pw) % length
-                    if diff == 1 or diff == length - 1:
+        if circuit:
+            for w in intro:
+                pw = pos[w]
+                for y in adj[w]:
+                    if y <= w or label[y] != wid:
                         continue
-                else:
-                    lo, hi = (pw, py) if pw < py else (py, pw)
-                    if hi - lo == 1:
-                        continue
-                    if lo % 2 == 0 or (length - hi) % 2 == 0:
-                        continue
-                e = (w, y)
-                if best is None or e < best:
-                    best = e
+                    diff = (pos[y] - pw) % length
+                    if diff != 1 and diff != length - 1:
+                        e = (w, y)
+                        if best is None or e < best:
+                            best = e
+        else:
+            for w in walk[1 : length - 3 : 2]:
+                pw = pos[w]
+                for y in adj[w]:
+                    if label[y] == wid:
+                        py = pos[y]
+                        if py % 2 == 0 and py > pw + 2:
+                            e = (w, y) if w < y else (y, w)
+                            if best is None or e < best:
+                                best = e
         if best is None:
             done.append(walk)
             continue

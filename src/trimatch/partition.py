@@ -314,9 +314,10 @@ def _solve_connected(
 ) -> TriMatchingPartition:
     """Certificate for h, given its shadow graph's lists g when k = 3 and its
     incidence graph g when k > 3, once callers have checked that h is
-    connected, k-uniform and k-regular with k >= 3.  The one dispatch on k.
-    Callers check the certificate once it is in the ids of the hypergraph
-    they return it for."""
+    k-uniform and k-regular with k >= 3, and connected unless k = 3 and n
+    is odd: there a disconnected h raises InternalError, from the failed
+    construction.  The one dispatch on k.  Callers check the certificate
+    once it is in the ids of the hypergraph they return it for."""
     if k > 3:
         cert = _incidence_partition(h, k, g)
     elif h.n % 2 == 0:
@@ -336,29 +337,41 @@ def _solve_connected(
     return cert
 
 
-def _gated_blocks(h: Hypergraph, k: int):
-    """The components of a k-uniform k-regular h with k >= 3 as sorted
-    blocks in order of least vertex, and the graph its construction reads:
-    the shadow graph's neighbour tuples when k = 3, the incidence graph when
-    k > 3.
+def _gated_graph(h: Hypergraph, k: int):
+    """The graph the construction of a k-uniform k-regular h with k >= 3
+    reads, once h passes that gate: the shadow graph's neighbour tuples when
+    k = 3, the incidence graph when k > 3.
 
     k is checked first: with k = 0 a huge declared count passes `validate`,
-    and its shadow graph would hold one list per declared vertex.  The k > 3
-    blocks come from the incidence graph, with vertex v as node v and
-    A-vertex a as node n + a, so no shadow graph is built.
+    and its shadow graph would hold one list per declared vertex.
     """
     validate(h, k).require()
     if k < 3:
         raise PreconditionViolated("uniformity must be at least 3")
     if k == 3:
-        g = _shadow_lists(h)
-        return components(g).blocks, g
-    bg = _incidence_graph(h)
+        return _shadow_lists(h)
+    return _incidence_graph(h)
+
+
+def _blocks(h: Hypergraph, k: int, g):
+    """The components of h as sorted blocks in order of least vertex, from
+    the graph g that `_gated_graph(h, k)` gave.  The k > 3 blocks come from
+    the incidence graph, with vertex v as node v and A-vertex a as node
+    n + a, so no shadow graph is built."""
+    if k == 3:
+        return components(g).blocks
     n = h.n
     blocks = _component_blocks(
-        [[n + a for a in nbrs] for nbrs in bg.adj_b] + list(bg.adj_a)
+        [[n + a for a in nbrs] for nbrs in g.adj_b] + list(g.adj_a)
     )
-    return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks), bg
+    return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks)
+
+
+def _require_connected(h: Hypergraph, k: int, g) -> None:
+    if len(_blocks(h, k, g)) > 1:
+        raise Disconnected(
+            "the hypergraph is disconnected; solve each component separately"
+        )
 
 
 def solve(h: Hypergraph) -> TriMatchingPartition:
@@ -378,13 +391,24 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     Valid for connected k-uniform k-regular hypergraphs with k >= 3; for
     k > 3 routed through the bipartite construction on the vertex/hyperedge
     incidence graph.
+
+    Connectivity is checked by a component search up front, except for
+    k = 3 and odd n.  There the alternating tree of `_ear_walks` decides it:
+    a disconnected shadow graph is not factor-critical, so the construction
+    fails, and only then are the components searched, to tell Disconnected
+    from an internal error.  A disconnected even instance may still have a
+    perfect matching, so the even case keeps the search.
     """
-    blocks, g = _gated_blocks(h, k)
-    if len(blocks) > 1:
-        raise Disconnected(
-            "the hypergraph is disconnected; solve each component separately"
-        )
-    cert = _solve_connected(h, k, g)
+    g = _gated_graph(h, k)
+    odd = k == 3 and h.n % 2 == 1
+    if not odd:
+        _require_connected(h, k, g)
+    try:
+        cert = _solve_connected(h, k, g)
+    except InternalError:
+        if odd:
+            _require_connected(h, k, g)
+        raise
     _require_ok(verify_partition(h, cert))
     return cert
 
@@ -399,7 +423,8 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
 
 def _component_certificates(h: Hypergraph, k: int):
     """The unchecked certificate of each component of h, in h's ids."""
-    blocks, g = _gated_blocks(h, k)
+    g = _gated_graph(h, k)
+    blocks = _blocks(h, k, g)
     if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
         return [_solve_connected(h, k, g)]

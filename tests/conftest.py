@@ -91,6 +91,31 @@ def hypergraph_union(parts):
     return make_hypergraph(offset, edges, k=parts[0].k, multiplicities=mults)
 
 
+DISCONNECTED = "the hypergraph is disconnected; solve each component separately"
+
+
+def disconnected_odd_unions():
+    """{shape: a disconnected 3-uniform 3-regular hypergraph with an odd
+    vertex count}.  Vertex 0 lies in a factor-critical odd component beside
+    even ones, in an even component, in one of three odd components, in a
+    tripled triple, or wherever a shuffle of the ids puts it."""
+    def connected(n, seed):
+        return random_triple_system(n, seed, require_connected=True)
+
+    tripled = make_hypergraph(3, [(0, 1, 2)] * 3, k=3)
+    four = make_hypergraph(4, list(itertools.combinations(range(4), 3)), k=3)
+    shapes = {
+        "odd-beside-even": [connected(21, 1), connected(10, 2), connected(8, 3)],
+        "even-first": [connected(10, 2), connected(21, 1)],
+        "three-odd": [connected(5, 1), connected(7, 2), connected(9, 3)],
+        "tripled-triple": [tripled, four],
+        "tripled-triple-last": [connected(10, 2), tripled],
+    }
+    out = {shape: hypergraph_union(parts) for shape, parts in shapes.items()}
+    out["shuffled"] = relabelled(out["odd-beside-even"], random.Random(4))
+    return out
+
+
 def relabelled(h, rng):
     """h with its vertex ids dealt out at random."""
     ids = list(range(h.n))

@@ -17,8 +17,11 @@ from trimatch import (
     shadow_graph,
 )
 from trimatch.cli import main
+from trimatch.errors import NotFactorCritical
 
 from conftest import (
+    DISCONNECTED,
+    disconnected_odd_unions,
     hand_edited,
     hypergraph_union,
     partition_union_hypergraph,
@@ -76,6 +79,31 @@ def test_solve_disconnected_needs_components(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", f, "--components")
     assert code == 0
     assert out == "triangle 0 1 2\ntriangle 3 4 5\n"
+
+
+@pytest.mark.parametrize("shape", sorted(disconnected_odd_unions()))
+def test_solve_refuses_a_disconnected_odd_instance(tmp_path, capsys, shape):
+    h = disconnected_odd_unions()[shape]
+    f = write(tmp_path, "u.hyp", formats.format_hypergraph(h))
+    code, out, err = run(capsys, "solve", f)
+    assert (code, out) == (2, "")
+    assert err == f"error: Disconnected: {DISCONNECTED}\n"
+
+
+def test_a_failed_odd_construction_on_a_connected_instance_exits_3(
+    tmp_path, capsys, monkeypatch
+):
+    import trimatch.partition as partition_module
+
+    def refuse(g):
+        raise NotFactorCritical("no perfect matching avoiding vertex", witness=0)
+
+    monkeypatch.setattr(partition_module, "_ear_walks", refuse)
+    h = random_triple_system(101, 1, require_connected=True)
+    f = write(tmp_path, "odd.hyp", formats.format_hypergraph(h))
+    code, out, err = run(capsys, "solve", f)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: InternalError: shadow graph not factor-critical")
 
 
 def test_solve_components_with_wrong_block_ids_is_an_internal_error(

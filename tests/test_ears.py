@@ -8,6 +8,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimatch import (
     Ear,
@@ -526,6 +528,35 @@ def tail_mutants(d, walks, build, rng):
     return out
 
 
+def non_edge_mutants(d):
+    """Copies of d whose circuit, and whose last nontrivial ear, take a
+    non-edge at their first, a middle and their last step: the vertex at
+    that step's end replaced by one that is not adjacent to the vertex
+    before it, or by that vertex itself."""
+    walks = [list(e.vertices) for e in d.ears]
+    adj = d.host.adjacency
+    n = d.host.n
+    out = []
+    for i in sorted({0, last_nontrivial_ear(d)}):
+        m = len(walks[i]) - 1
+        for j, before in ((0, 1), (m // 2 + 1, m // 2), (m, m - 1)):
+            u = walks[i][before]
+            far = next((x for x in range(n) if x != u and x not in adj[u]), None)
+            for x in (u, far):
+                if x is None:
+                    continue
+                ws = [list(w) for w in walks]
+                ws[i][j] = x
+                labels, positions = _first_seen(n, ws)
+                out.append(EarDecomposition(
+                    host=d.host,
+                    ears=tuple(Ear(tuple(w)) for w in ws),
+                    labels=labels,
+                    positions=positions,
+                ))
+    return out
+
+
 @functools.cache
 def mutant_cases():
     """(d, maximalize(d), the mutants of both) for odd n 5..61, two seeds
@@ -542,13 +573,18 @@ def mutant_cases():
 
 
 def test_one_pass_checks_agree_with_the_old_checks():
-    broken = caught = unsliced = 0
+    broken = caught = unsliced = non_edges = 0
     for d, out, cases in mutant_cases():
         assert not validate_decomposition(d) and not validate_decomposition(out)
         for x in [d, out] + cases:
             errs = outcome(validate_decomposition, x)
             assert errs == old_validate_outcome(x)
         assert old_assert_maximal(out) is None
+        for x in non_edge_mutants(d) + non_edge_mutants(out):
+            errs = validate_decomposition(x)
+            assert errs == old_validate_outcome(x)
+            assert any("uses non-edge" in e for e in errs)
+            non_edges += 1
         broken += len(cases)
         caught += sum(1 for x in cases if validate_decomposition(x))
         unsliced += outcome(old_assert_maximal, d) is not None
@@ -556,6 +592,7 @@ def test_one_pass_checks_agree_with_the_old_checks():
     assert broken > 3000 and caught > 0.95 * broken
     # the unsliced decompositions that slicing would change fail the check
     assert unsliced > 20
+    assert non_edges > 500
 
 
 # Copies of the one-pass checks as they were on edge tuples: a set of the
@@ -879,6 +916,150 @@ def test_stack_of_walks_slices_like_the_token_tables():
     # every split shape is reached often
     for shape in ("ear split", "even-span circuit split", "odd-span circuit split"):
         assert shapes[shape] >= 20, shapes
+
+
+# `_slice` as it was before it looked for chords only from odd positions:
+# each round looked from every new vertex at every neighbour, and kept the
+# edges with an odd lower end at odd distance from the walk's far end.
+
+
+def old_slice(adj, walks):
+    stack = walks[::-1]
+    label = [-1] * len(adj)
+    pos = [-1] * len(adj)
+    done = []
+    wid = 0
+    while stack:
+        walk = stack.pop()
+        wid += 1
+        circuit = not done
+        length = len(walk) - 1
+        intro = walk[:-1] if circuit else walk[1:-1]
+        for p, v in enumerate(intro, 0 if circuit else 1):
+            label[v] = wid
+            pos[v] = p
+        best = None
+        for w in intro:
+            pw = pos[w]
+            for y in adj[w]:
+                if y <= w or label[y] != wid:
+                    continue
+                py = pos[y]
+                if circuit:
+                    diff = (py - pw) % length
+                    if diff == 1 or diff == length - 1:
+                        continue
+                else:
+                    lo, hi = (pw, py) if pw < py else (py, pw)
+                    if hi - lo == 1:
+                        continue
+                    if lo % 2 == 0 or (length - hi) % 2 == 0:
+                        continue
+                e = (w, y)
+                if best is None or e < best:
+                    best = e
+        if best is None:
+            done.append(walk)
+            continue
+        a, b = best
+        pa, pb = sorted((pos[a], pos[b]))
+        if circuit:
+            cycle = walk[:-1]
+            if (pb - pa) % 2 == 0:
+                first = cycle[pa : pb + 1] + [cycle[pa]]
+                second = cycle[pb:] + cycle[: pa + 1]
+            else:
+                first = cycle[pb:] + cycle[: pa + 1] + [cycle[pb]]
+                second = cycle[pa : pb + 1]
+        else:
+            first = walk[: pa + 1] + walk[pb:]
+            second = walk[pa : pb + 1]
+        stack += (second, first)
+    return done
+
+
+def slices_alike(n, edges, walks):
+    """Both slicers on `walks` over the graph on 0..n-1 with `edges` (each
+    pair once, either order); True when they slice at all."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    new = ears_module._slice(adj, [list(w) for w in walks])
+    assert new == old_slice(adj, [list(w) for w in walks]), walks
+    return len(new) > len(walks)
+
+
+def test_odd_position_slicer_slices_like_the_old_one_on_solver_walks():
+    sliced = 0
+    for h in slicing_instances():
+        g = _shadow_lists(h)
+        walks = _ear_walks(g)
+        new = ears_module._slice(g.adjacency, [list(w) for w in walks])
+        assert new == old_slice(g.adjacency, walks), h.n
+        sliced += len(new) > len(walks)
+    assert sliced > 450
+
+
+def walk_edges(walks):
+    return [(w[i], w[i + 1]) for w in walks for i in range(len(w) - 1)]
+
+
+@pytest.mark.parametrize("shape", ["circuit", "open", "closed"])
+def test_odd_position_slicer_on_every_planted_gap(shape):
+    """One walk of odd length L, the circuit or an ear on a triangle, its
+    vertices numbered up or down along it, and one edge planted between
+    every pair of its positions at gaps 1-6 (the walk's ends included)."""
+    sliced = 0
+    for length in range(3, 16, 2):
+        for down in (False, True):
+            if shape == "circuit":
+                ids = list(range(length))
+                walk = ids[::-1] if down else ids
+                walks = [walk + [walk[0]]]
+            else:
+                ids = list(range(3, length + 2))
+                inner = ids[::-1] if down else ids
+                walks = [[0, 1, 2, 0], [0, *inner, 0 if shape == "closed" else 1]]
+            walk = walks[-1]
+            n = max(walk) + 1
+            for gap in range(1, 7):
+                for p in range(len(walk) - gap):
+                    u, v = walk[p], walk[p + gap]
+                    edges = set(map(frozenset, walk_edges(walks)))
+                    if u == v or {u, v} in edges:
+                        continue
+                    edges.add(frozenset((u, v)))
+                    sliced += slices_alike(n, [tuple(e) for e in edges], walks)
+    assert sliced >= 72
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_odd_position_slicer_on_random_walks_with_planted_edges(data):
+    """A random odd circuit and odd open or closed ears on it, extra edges
+    planted anywhere, and the ids dealt out at random."""
+    c = data.draw(st.sampled_from([3, 5, 7, 9]))
+    walks = [list(range(c)) + [0]]
+    n = c
+    for _ in range(data.draw(st.integers(0, 4))):
+        length = data.draw(st.sampled_from([3, 5, 7, 9, 11]))
+        a = data.draw(st.integers(0, n - 1))
+        b = a if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1))
+        walks.append([a, *range(n, n + length - 1), b])
+        n += length - 1
+    edges = set(map(frozenset, walk_edges(walks)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in data.draw(st.lists(pairs, max_size=12)):
+        if u != v:
+            edges.add(frozenset((u, v)))
+    ids = data.draw(st.permutations(range(n)))
+    slices_alike(
+        n,
+        [tuple(ids[v] for v in e) for e in edges],
+        [[ids[v] for v in w] for w in walks],
+    )
 
 
 # An odd solve checks one decomposition, the sliced one, on its walks; the

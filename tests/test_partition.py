@@ -29,7 +29,7 @@ from trimatch import (
     verify_lu,
     verify_partition,
 )
-from trimatch.ears import Ear, EarDecomposition, validate_decomposition
+from trimatch.ears import Ear, EarDecomposition, _ear_walks, validate_decomposition
 from trimatch.errors import (
     Disconnected,
     InternalError,
@@ -62,9 +62,11 @@ from trimatch.partition import (
 )
 
 from conftest import (
+    DISCONNECTED,
     FANO_LINES,
     assemble,
     cycle_graph,
+    disconnected_odd_unions,
     five_quads_with,
     hypergraph_union,
     partition_union_hypergraph,
@@ -675,7 +677,13 @@ def test_kept_blocks_of_a_wrong_shape_are_an_internal_error(
 
 @pytest.mark.parametrize(
     "solver, builds",
-    [("lu", 1), ("solve_k_uniform", 2), ("solve_components", 1)],
+    [
+        ("lu", 1),
+        ("solve_k_uniform", 2),
+        ("solve_components", 1),
+        ("solve", 1),
+        ("solve_disconnected", 1),
+    ],
 )
 def test_each_hypergraph_is_validated_built_and_split_once(
     monkeypatch, solver, builds
@@ -684,7 +692,9 @@ def test_each_hypergraph_is_validated_built_and_split_once(
     k = 4 input, and splits it on the incidence lists without a shadow
     graph; `solve --components` gates and splits a union of four components
     once.  No component is gated or built again.  The shadow graph is built
-    as its neighbour tuples, by `_shadow_lists`."""
+    as its neighbour tuples, by `_shadow_lists`.  An odd `solve` searches no
+    components when its construction succeeds, and once when it fails on a
+    disconnected input."""
     import trimatch.partition as partition_module
 
     calls = []
@@ -700,11 +710,33 @@ def test_each_hypergraph_is_validated_built_and_split_once(
     elif solver == "solve_components":
         parts = [random_triple_system(n, n, require_connected=True) for n in (5, 8, 3, 11)]
         assert len(solve_components(hypergraph_union(parts))) == 4
+    elif solver == "solve":
+        solve(random_triple_system(101, 1, require_connected=True))
+    elif solver == "solve_disconnected":
+        with pytest.raises(Disconnected):
+            solve(disconnected_odd_unions()["odd-beside-even"])
     else:
         h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
         solve_k_uniform(h, 4)
     # the one shadow graph, and its split, is the 3-uniform residual's or input's
-    assert sorted(calls) == sorted(["validate"] * builds + ["_shadow_lists", "components"])
+    searches = 0 if solver == "solve" else 1
+    assert sorted(calls) == sorted(
+        ["validate"] * builds + ["_shadow_lists"] + ["components"] * searches
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(disconnected_odd_unions()))
+def test_a_disconnected_odd_instance_is_refused_as_disconnected(shape):
+    """The construction fails on it before any walk is built, and the
+    component search that follows names the fault."""
+    h = disconnected_odd_unions()[shape]
+    assert h.n % 2 == 1 and len(components(shadow_graph(h)).blocks) > 1
+    with pytest.raises(NotFactorCritical):
+        _ear_walks(_shadow_lists(h))
+    for call in (solve, lambda h: solve_k_uniform(h, 3)):
+        with pytest.raises(Disconnected) as info:
+            call(h)
+        assert str(info.value) == DISCONNECTED
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -715,7 +747,7 @@ def test_k_above_3_blocks_are_the_shadow_components(k):
     import random
 
     from trimatch import components
-    from trimatch.partition import _gated_blocks
+    from trimatch.partition import _blocks, _gated_graph
 
     rng = random.Random(k)
     for trial in range(20):
@@ -727,7 +759,8 @@ def test_k_above_3_blocks_are_the_shadow_components(k):
         h = make_hypergraph(
             union.n_b, [[ids[b] for b in nbrs] for nbrs in union.adj_a], k=k
         )
-        blocks, g = _gated_blocks(h, k)
+        g = _gated_graph(h, k)
+        blocks = _blocks(h, k, g)
         assert g == _incidence_graph(h)
         assert blocks == components(shadow_graph(h)).blocks, trial
 
