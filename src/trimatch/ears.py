@@ -8,17 +8,19 @@ leftover single edges ride along as trivial ears at the tail.
 `odd_ear_decomposition` builds one constructively from a near-perfect
 matching, and `maximalize` runs the slicing loop until every odd edge lies on
 its own ear.  Both wrap functions on plain walks over the host's sorted
-neighbour tuples: `_ear_walks` builds the nontrivial walks, and
-`_maximal_walks` slices them and checks the result with one `_scan`; the
-result is maximal by `_slice`'s stopping rule, which nothing checks a
-second time.  The solver calls these directly, so an odd solve checks one
-decomposition, the sliced one, and builds no `Ear`.
+neighbour tuples: `_ear_walks` builds the nontrivial walks, and `_slice`
+slices them and gives each vertex's first-ear label and position; the
+result is maximal by `_slice`'s stopping rule.  The public functions check
+each value they take or return with one `_scan`.  The solver calls
+`_ear_walks` and `_slice` directly, builds no `Ear` and checks no
+decomposition: the verifier's check of the certificate it reads off the
+walks is the one check of an odd solve.
 
-"Is uv an edge" is whether `adj[u].index(v)` finds it, and "is it on an
-ear yet" is a mark on its slot: the edge (u, v) with u < v owns position
-`off[u] + adj[u].index(v)` of one flat list, where `off` holds the running
-sums of the list lengths.  The walks of the solver are the nontrivial ears
-only; the edges they leave unmarked are the trivial ears.
+In `_scan`, "is uv an edge" is whether `adj[u].index(v)` finds it, and "is
+it on an ear yet" is a mark on its slot: the edge (u, v) with u < v owns
+position `off[u] + adj[u].index(v)` of one flat list, where `off` holds the
+running sums of the list lengths.  The walks are the nontrivial ears only;
+the edges they leave unmarked are the trivial ears.
 """
 
 from __future__ import annotations
@@ -112,11 +114,10 @@ def _scan(adj, walks):
 
     An ear with a vertex outside 0..n-1 is reported and skipped, so no lookup
     indexes with it.  Host edges, odd lengths, fresh and distinct interiors
-    and coverage are all an odd ear decomposition is, so on the solve path
-    this is the only check of the traced paths (see `_ear_walks`).  Each
-    edge may lie on one walk; whether every edge lies on one is the
-    caller's question, and the solver's answer is that the unmarked ones
-    are its trivial ears.
+    and coverage are all an odd ear decomposition is.  Each edge may lie on
+    one walk; whether every edge lies on one is the caller's question, and
+    the public functions' answer is that the unmarked ones are the trivial
+    ears.
     """
     n = len(adj)
     labels = [-1] * n
@@ -254,9 +255,11 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
 
 def _ear_walks(g):
     """The nontrivial walks of `odd_ear_decomposition(g)`, unchecked, as
-    lists in order; g needs only `n` and `adjacency`.  Slicing keeps their
-    edges and interiors, and one of the two pieces of an even walk is even,
-    so the caller's one `_scan` sees every fault of the traced paths.
+    lists in order; g needs only `n` and `adjacency`.  They are an odd ear
+    decomposition by Lovász's construction: each traced path is an even
+    alternating path from a new vertex into the placed set, closed by one
+    host edge to a placed vertex, so its edges are host edges, its interior
+    is new and its length is odd.
 
     This is where an odd instance's connectivity is decided.  The search
     from vertex 0 marks every vertex outer exactly when g is factor-critical
@@ -324,16 +327,18 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     """Slice until every odd edge lies on its own ear.
 
     d is checked first and InvariantViolation names what is broken.  Trivial
-    ears are normalized to the tail (sorted and canonical).  The slicing and
-    the checks of its result are the solver's own, `_maximal_walks`; the
-    trivial ears are the edges its walks leave.
+    ears are normalized to the tail (sorted and canonical).  The slicing is
+    the solver's own, `_slice`, and one `_scan` checks its result; the
+    trivial ears are the edges the sliced walks leave.
     """
     errs = validate_decomposition(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
     adj = d.host.adjacency
-    walks = [list(ear.vertices) for ear in d.ears if not ear.trivial]
-    walks, labels, positions, marks = _maximal_walks(adj, walks)
+    walks, _, _ = _slice(adj, [list(ear.vertices) for ear in d.ears if not ear.trivial])
+    errs, labels, positions, marks = _scan(adj, walks)
+    if errs:
+        raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
     walks += _unmarked_edges(adj, marks)
     return EarDecomposition(
         host=d.host,
@@ -343,25 +348,11 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     )
 
 
-def _maximal_walks(adj, walks):
-    """The nontrivial ears of the maximal decomposition that slicing makes
-    of the nontrivial `walks` (lists, in order) on the graph with sorted
-    neighbour tuples `adj`, checked by one `_scan`; `_slice` says why they
-    are maximal.
-
-    Returns the sliced walks, the labels, positions and slot marks from
-    that scan; the last walk is the last nontrivial ear, and the unmarked
-    edges are the trivial ears.
-    """
-    walks = _slice(adj, walks)
-    errs, labels, positions, marks = _scan(adj, walks)
-    if errs:
-        raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    return walks, labels, positions, marks
-
-
-def _slice(adj, walks) -> list:
-    """The slicing loop: the finished nontrivial walks, in order.
+def _slice(adj, walks):
+    """The slicing loop on the nontrivial `walks` (lists, in order) over the
+    graph with sorted neighbour tuples `adj`: the finished walks in order,
+    with each vertex's first-ear label and position on them (-1 for a
+    vertex on no finished walk).
 
     The walks sit on a stack with the circuit on top.  Each round pops a
     walk, which is the circuit exactly when no walk has finished yet, and
@@ -369,8 +360,8 @@ def _slice(adj, walks) -> list:
     otherwise the walk and the edge become two odd ears, pushed so that the
     one in the walk's place (the new circuit, or the ear keeping the walk's
     ends) is popped next.  Each slice splits a walk into two shorter ones,
-    so the loop ends.  A cut along an edge already on another walk leaves
-    it on two, which the `_scan` of the result reports.
+    so the loop ends; a piece that is not shorter raises InternalError.
+    A cut along an edge already on another walk leaves it on two.
 
     Every chord of the circuit is odd, so the circuit's round looks from
     each of its vertices.  On a later walk of odd length L an edge between
@@ -385,22 +376,25 @@ def _slice(adj, walks) -> list:
     The result is maximal.  A popped walk's ends lie on finished walks, so
     the vertices it labels (the circuit's, or the interior) are the ones new
     on it, at their positions on it; the finished walks are the ears in
-    order, and no later round relabels those vertices.  Once the `_scan` of
-    the result finds the walks an ear decomposition, these are its
-    first-ear labels and positions.  An odd edge has both ends first on one
-    ear, at odd distances from that ear's ends unless that ear is the
-    circuit, so the round that finished the ear looked at the edge, and a
-    walk finishes only when each edge it looks at joins consecutive
-    vertices of the walk, that is, lies on it.
+    order, and no later round relabels those vertices, so each round's
+    number, taken in the order the walks finish, gives the first-ear labels
+    and positions.  An odd edge has both ends first on one ear, at odd
+    distances from that ear's ends unless that ear is the circuit, so the
+    round that finished the ear looked at the edge, and a walk finishes only
+    when each edge it looks at joins consecutive vertices of the walk, that
+    is, lies on it.
     """
     stack = walks[::-1]
-    label = [-1] * len(adj)
+    # label[v]: the round that last placed v, 0 for none; rank[r]: the
+    # index of round r's walk among the finished ones, -1 while it is not
+    label = [0] * len(adj)
     pos = [-1] * len(adj)
+    rank = [-1]
     done: list = []
-    wid = 0
     while stack:
         walk = stack.pop()
-        wid += 1
+        wid = len(rank)
+        rank.append(-1)
         circuit = not done
         length = len(walk) - 1
         intro = walk[:-1] if circuit else walk[1:-1]
@@ -430,6 +424,7 @@ def _slice(adj, walks) -> list:
                             if best is None or e < best:
                                 best = e
         if best is None:
+            rank[wid] = len(done)
             done.append(walk)
             continue
 
@@ -446,6 +441,9 @@ def _slice(adj, walks) -> list:
         else:
             first = walk[: pa + 1] + walk[pb:]
             second = walk[pa : pb + 1]
+        if len(first) >= len(walk) or len(second) >= len(walk):
+            raise InternalError(f"slicing along {best} does not shorten its walk")
         # the first piece is popped next: it may still carry off-ear odd edges
         stack += (second, first)
-    return done
+    labels = list(map(rank.__getitem__, label))
+    return done, labels, pos

@@ -415,7 +415,7 @@ class AlternatingTree:
 
         Walks from v toward the root and stops at the first placed vertex, so
         the work covers only the part that is returned.  Raises InternalError
-        when no vertex of the path is placed.  Unchecked: see `ears._scan`.
+        when no vertex of the path is placed.  Unchecked: see `ears._ear_walks`.
         """
         if not self._outer[v]:
             raise PreconditionViolated(f"vertex {v} is not evenly reachable")

@@ -35,7 +35,7 @@ from .core import (
 from .ears import (
     EarDecomposition,
     _ear_walks,
-    _maximal_walks,
+    _slice,
     is_odd_edge,
     last_nontrivial_ear,
 )
@@ -142,8 +142,9 @@ def matching_with_edge_avoiding(
     """Perfect matching of host - avoid containing `edge`.
 
     Requires: edge is an odd edge lying on its (nontrivial) ear, and `avoid`
-    first appears on a strictly earlier ear.  Read off the ears by
-    `_prefix_matching`, in which the edge's ear gives its odd edges.
+    first appears on a strictly earlier ear.  Read off the ears up to the
+    last nontrivial one by `_prefix_matching`, in which the edge's ear gives
+    its odd edges, and checked, since d need not be the solver's.
     """
     a, b = edge
     g = d.host
@@ -167,41 +168,10 @@ def matching_with_edge_avoiding(
         )
 
     walks = [ear.vertices for ear in d.ears]
-    pairs = _forced_edge_pairs(
-        g.adjacency, walks, d.labels, d.positions, last_nontrivial_ear(d), ce, avoid
-    )
+    last = last_nontrivial_ear(d) + 1
+    pairs = _canon_pairs(_prefix_matching(walks, d.labels, d.positions, last, avoid))
+    _check_near_perfect(pairs, g.adjacency, avoid, ce)
     return Matching(pairs=pairs, host=g)
-
-
-def _forced_edge_pairs(adj, walks, labels, positions, k, edge, avoid):
-    """The canonical, sorted pairs of a perfect matching of the graph with
-    sorted neighbour tuples `adj`, minus `avoid`, that contains `edge`, read
-    off the ears up to k, the last nontrivial one (the single edges after it
-    give no pairs).
-
-    `edge` must be an odd edge on ear k, and `avoid` must first appear on an
-    earlier ear, or at an odd position after `edge` on ear k.  Ear k then
-    gives its odd edges, or the alternating edges before `avoid`, which are
-    odd ones too; either way `edge` is kept.
-
-    The odd construction takes `edge` at positions 1 and 2 of ear k and
-    `avoid` at the third vertex of a hyperedge through it, the apex.  An
-    apex first seen on ear k sits elsewhere on it, at a position t >= 3, and
-    t is odd: an even t would make the apex and walk[1], both in that
-    hyperedge, an odd edge off the ear, and `_slice` finishes no walk that
-    has one (its stopping rule).
-    The circuit is the last nontrivial ear only at n = 3.  Every chord of
-    the circuit is odd, so slicing cuts it off, and a maximal decomposition
-    whose only nontrivial ear is the circuit is a chordless cycle through
-    every vertex.  Every shadow edge lies in a hyperedge, so that cycle
-    contains a triangle and is one.  There the apex is walk[0], and a hole
-    at position 0 leaves the circuit's odd edges, which are just `edge`.
-    Should any of these arguments fail, `_check_near_perfect` stops the
-    pairs.
-    """
-    pairs = _canon_pairs(_prefix_matching(walks, labels, positions, k + 1, avoid))
-    _check_near_perfect(pairs, adj, avoid, edge)
-    return pairs
 
 
 def _check_near_perfect(pairs, adj, avoid, must_contain):
@@ -235,9 +205,32 @@ def triangle_partition(h: Hypergraph) -> TriMatchingPartition:
 
 def _odd_partition(h: Hypergraph, g: _ListGraph) -> TriMatchingPartition:
     """The odd construction on the maximal odd ear decomposition of h's
-    shadow graph g, read off its nontrivial walks."""
-    walks, labels, positions, _ = _maximal_walks(g.adjacency, _ear_walks(g))
+    shadow graph g, read off its nontrivial walks, unchecked: the caller's
+    `verify_partition` is the one check of the certificate.
+
+    The chosen edge sits at positions 1 and 2 of ear k, the last nontrivial
+    one, and the hole starts at the apex, the third vertex of a hyperedge
+    through the edge.  `_prefix_matching` of the ears up to k then keeps
+    the edge: ear k gives its odd edges when the apex first appears on an
+    earlier ear, and the alternating edges before the apex, which are odd
+    ones too, when it first appears on ear k at an odd position.  It does:
+    an apex first seen on ear k sits elsewhere on it, at a position t >= 3,
+    and t is odd, since an even t would make the apex and walk[1], both in
+    that hyperedge, an odd edge off the ear, and `_slice` finishes no walk
+    that has one (its stopping rule).  The single edges after ear k give no
+    pairs.
+
+    The circuit is the last nontrivial ear only at n = 3.  Every chord of
+    the circuit is odd, so slicing cuts it off, and a maximal decomposition
+    whose only nontrivial ear is the circuit is a chordless cycle through
+    every vertex.  Every shadow edge lies in a hyperedge, so that cycle
+    contains a triangle and is one.  There the apex is walk[0], and a hole
+    at position 0 leaves the circuit's odd edges, which are just the edge.
+    """
+    walks, labels, positions = _slice(g.adjacency, _ear_walks(g))
     k = len(walks) - 1
+    if len(walks[k]) < 3:
+        raise InternalError("the last nontrivial ear has fewer than 2 edges")
     a, b = walks[k][1:3]
     apex = None
     for he in h.hyperedges:
@@ -247,7 +240,7 @@ def _odd_partition(h: Hypergraph, g: _ListGraph) -> TriMatchingPartition:
     if apex is None:
         raise InternalError("shadow edge not inside any hyperedge")
     ce = canonical_edge(a, b)
-    pairs = _forced_edge_pairs(g.adjacency, walks, labels, positions, k, ce, apex)
+    pairs = _canon_pairs(_prefix_matching(walks, labels, positions, k + 1, apex))
     return TriMatchingPartition(
         triangle=tuple(sorted((a, b, apex))),
         pairs=tuple(p for p in pairs if p != ce),

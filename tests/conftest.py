@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -192,3 +194,26 @@ def hand_edited(text):
     first, *rest = text.splitlines()
     lines = [first, "c a comment", "", *rest]
     return "".join(line + "\r\n" for line in lines).replace(" ", "  ")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`: a search whose
+    stamps or lists are stale can walk a p[] cycle for ever, and a slicer
+    whose cuts do not shorten its walks can fill memory; this turns either
+    into a failure.  No limit where there is no interval timer.  Also
+    a decorator, which limits the whole test."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -9,9 +9,9 @@ perfect matching of the prefix's edges minus the hole.  For every vertex as
 the hole, the ears after the last nontrivial one must add no pair: the
 matching of all the ears must equal that of the ears up to the last
 nontrivial one.  On each instance, the walks, labels, positions and last
-nontrivial ear that the solver reads off `ears._maximal_walks` must equal
-those of the maximal form, and the edges its walks leave unmarked must be
-the maximal form's trivial ears.
+nontrivial ear that the solver reads off `ears._slice`, labels and
+positions as `_slice` gives them, must equal those of the maximal form, and
+the edges its walks leave unmarked must be the maximal form's trivial ears.
 
 The odd solve's output bytes are pinned: one SHA-256 over
 `format_partition(solve(h))` of each instance in turn, then of each of
@@ -41,7 +41,7 @@ from trimatch import (
     solve,
 )
 from trimatch.core import canonical_edge
-from trimatch.ears import _ear_walks, _maximal_walks, _unmarked_edges
+from trimatch.ears import _ear_walks, _scan, _slice, _unmarked_edges
 from trimatch.formats import format_partition
 from trimatch.partition import _prefix_matching
 
@@ -72,7 +72,7 @@ def solve_path_fault(d):
     decomposition of it built by the public functions, with d's trivial
     ears as the unmarked edges; else what differs."""
     g = d.host
-    walks, labels, positions, marks = _maximal_walks(g.adjacency, _ear_walks(g))
+    walks, labels, positions = _slice(g.adjacency, _ear_walks(g))
     k = len(walks) - 1
     if k != last_nontrivial_ear(d):
         return "the last nontrivial ear differs"
@@ -80,6 +80,7 @@ def solve_path_fault(d):
         return "the walks differ"
     if (tuple(labels), tuple(positions)) != (d.labels, d.positions):
         return "the labels or positions differ"
+    marks = _scan(g.adjacency, walks)[3]
     if _unmarked_edges(g.adjacency, marks) != walks_of(d)[k + 1 :]:
         return "the trivial ears differ"
     return None
@@ -128,7 +129,7 @@ def apex_case(h, cert):
     """Where the apex of h's odd solve `cert` first appears: on the circuit,
     on an earlier ear than the chosen edge or on the edge's own ear."""
     g = shadow_graph(h)
-    walks, labels, _, _ = _maximal_walks(g.adjacency, _ear_walks(g))
+    walks, labels, _ = _slice(g.adjacency, _ear_walks(g))
     k = len(walks) - 1
     (apex,) = set(cert.triangle) - set(walks[k][1:3])
     if k == 0:

@@ -33,8 +33,8 @@ import trimatch.partition as partition_module
 from trimatch.core import _shadow_lists, canonical_edge
 from trimatch.ears import (
     _ear_walks,
-    _maximal_walks,
     _scan,
+    _slice,
     _unmarked_edges,
 )
 from trimatch.errors import (
@@ -51,6 +51,7 @@ from conftest import (
     cycle_graph,
     random_triple_system,
     seeded_odd_instances,
+    time_limit,
 )
 from prefix_census import SAME_EAR_INSTANCES
 
@@ -158,16 +159,15 @@ def test_maximalize_c5_with_chord():
     assert [e.vertices for e in out.ears] == [(0, 1, 2, 0), (0, 3, 6, 1), (3, 4, 5, 6)]
 
 
+@time_limit(60)
 def test_a_slice_along_an_edge_on_another_walk_is_reported_by_the_scan():
     """The slicer does not ask whether the edge it slices along is on a
     walk yet: here the chord (0, 2) of the C5 is also a walk of its own, so
     after the cut it lies on two walks, and the scan of the result names
     it."""
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    with pytest.raises(
-        InternalError, match=r"edge \(0, 2\) appears on more than one ear"
-    ):
-        _maximal_walks(g.adjacency, [[0, 1, 2, 3, 4, 0], [0, 2]])
+    walks, _, _ = _slice(g.adjacency, [[0, 1, 2, 3, 4, 0], [0, 2]])
+    assert "edge (0, 2) appears on more than one ear" in _scan(g.adjacency, walks)[0]
 
 
 def test_maximalize_keeps_canonical_trivial_ears_and_normalizes_the_rest():
@@ -365,23 +365,26 @@ def slicing_instances():
     return hs
 
 
+@time_limit(120)
 def test_the_solvers_sliced_walks_are_maximal(monkeypatch):
-    """Nothing in the solver checks maximality after `_slice`; the walks an
-    odd solve reads, with the edges they leave as trivial ears, pass the
-    old check."""
+    """Nothing in the solver checks the walks, labels and positions that
+    `_slice` gives; those an odd solve reads, with the edges the walks
+    leave as trivial ears, are a valid decomposition that passes the old
+    maximality check."""
     seen = []
 
     def spy(adj, walks):
-        out = _maximal_walks(adj, walks)
+        out = _slice(adj, walks)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(partition_module, "_maximal_walks", spy)
+    monkeypatch.setattr(partition_module, "_slice", spy)
     for h in slicing_instances():
         seen.clear()
         solve(h)
-        (walks, labels, positions, marks), = seen
+        (walks, labels, positions), = seen
         g = shadow_graph(h)
+        marks = _scan(g.adjacency, walks)[3]
         d = EarDecomposition(
             host=g,
             ears=tuple(map(Ear, map(tuple, walks + _unmarked_edges(g.adjacency, marks)))),
@@ -392,11 +395,19 @@ def test_the_solvers_sliced_walks_are_maximal(monkeypatch):
         assert old_assert_maximal(d) is None, h.n
 
 
+def as_sliced(adj, walks):
+    """`walks` as they came, with the first-ear labels and positions that
+    `_slice` would give them: a stand-in for a slicer that cuts nothing."""
+    _, labels, positions, _ = _scan(adj, walks)
+    return walks, labels, positions
+
+
+@time_limit(120)
 def test_an_unsliced_solve_is_refused_or_verifies(monkeypatch):
     """With `_slice` returning its walks as they came, each solve ends in
     InternalError or in a certificate that verifies: no unchecked
     decomposition reaches the output."""
-    monkeypatch.setattr(ears_module, "_slice", lambda adj, walks: walks)
+    monkeypatch.setattr(partition_module, "_slice", as_sliced)
     for h in slicing_instances():
         try:
             cert = solve(h)
@@ -906,6 +917,7 @@ def reference_decompositions():
         yield assemble(g, [list(range(n)) + [0]] + [list(c) for c in chords])
 
 
+@time_limit(120)
 def test_stack_of_walks_slices_like_the_token_tables():
     shapes = Counter()
     count = 0
@@ -986,18 +998,21 @@ def slices_alike(n, edges, walks):
         nbrs[u].add(v)
         nbrs[v].add(u)
     adj = tuple(tuple(sorted(s)) for s in nbrs)
-    new = ears_module._slice(adj, [list(w) for w in walks])
+    new, labels, positions = _slice(adj, [list(w) for w in walks])
     assert new == old_slice(adj, [list(w) for w in walks]), walks
+    assert (labels, positions) == tuple(_scan(adj, new)[1:3]), walks
     return len(new) > len(walks)
 
 
+@time_limit(120)
 def test_odd_position_slicer_slices_like_the_old_one_on_solver_walks():
     sliced = 0
     for h in slicing_instances():
         g = _shadow_lists(h)
         walks = _ear_walks(g)
-        new = ears_module._slice(g.adjacency, [list(w) for w in walks])
+        new, labels, positions = _slice(g.adjacency, [list(w) for w in walks])
         assert new == old_slice(g.adjacency, walks), h.n
+        assert (labels, positions) == tuple(_scan(g.adjacency, new)[1:3]), h.n
         sliced += len(new) > len(walks)
     assert sliced > 450
 
@@ -1006,6 +1021,7 @@ def walk_edges(walks):
     return [(w[i], w[i + 1]) for w in walks for i in range(len(w) - 1)]
 
 
+@time_limit(120)
 @pytest.mark.parametrize("shape", ["circuit", "open", "closed"])
 def test_odd_position_slicer_on_every_planted_gap(shape):
     """One walk of odd length L, the circuit or an ear on a triangle, its
@@ -1035,6 +1051,7 @@ def test_odd_position_slicer_on_every_planted_gap(shape):
     assert sliced >= 72
 
 
+@time_limit(120)
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_odd_position_slicer_on_random_walks_with_planted_edges(data):
@@ -1062,8 +1079,9 @@ def test_odd_position_slicer_on_random_walks_with_planted_edges(data):
     )
 
 
-# An odd solve checks one decomposition, the sliced one, on its walks; the
-# public functions check each value they take or return.
+# An odd solve checks no decomposition and no matching: the verifier's check
+# of its certificate is the one check.  The public functions check each
+# value they take or return.
 
 
 def count_checks(monkeypatch):
@@ -1082,16 +1100,23 @@ def count_checks(monkeypatch):
 ODD_SOLVES = [(n, seed) for n in (3, 5, 7, 9, 21, 55, 101) for seed in (1, 2, 3)]
 
 
-def test_an_odd_solve_checks_one_decomposition(monkeypatch):
+def test_an_odd_solve_runs_no_scan_and_no_near_perfect_check(monkeypatch):
     calls = count_checks(monkeypatch)
+    check = partition_module._check_near_perfect
+
+    def spy(*args):
+        calls.append("near-perfect")
+        return check(*args)
+
+    monkeypatch.setattr(partition_module, "_check_near_perfect", spy)
     for n, seed in ODD_SOLVES:
         h = random_triple_system(n, seed, require_connected=True)
-        d = maximalize(odd_ear_decomposition(shadow_graph(h)))
-        calls.clear()
-        solve(h)
-        # the sliced decomposition only, as its nontrivial ears: the edges
-        # they leave are the trivial ones
-        assert calls == [last_nontrivial_ear(d) + 1], (n, seed)
+        assert verify_partition(h, solve(h)).ok
+    assert calls == []
+    # the spies do see the public functions check
+    d = maximalize(odd_ear_decomposition(complete_graph(5)))
+    partition_module.matching_with_edge_avoiding(d, (3, 4), 0)
+    assert len(calls) == 4 and calls[-1] == "near-perfect"
 
 
 def test_an_odd_solve_builds_no_ear(monkeypatch):
@@ -1163,19 +1188,27 @@ def test_maximalize_refuses_each_broken_value_with_its_violations():
     assert broken > 300
 
 
-# Faults that only the one decomposition check stands against on the solve
-# path: each is put into the traced paths, and `trimatch solve` must exit 3
-# with an InternalError naming it.
+# Faults in the traced paths, which nothing checks before the certificate:
+# `trimatch solve` must exit 3 with the verifier's InternalError.
+
+VERIFIER_FAULT = "error: InternalError: constructed certificate failed verification: "
+
+
+def cli_solve(tmp_path, capsys, h):
+    """Exit code and stderr of `trimatch solve` on h."""
+    from trimatch import formats
+    from trimatch.cli import main
+
+    f = tmp_path / "in.hyp"
+    f.write_text(formats.format_hypergraph(h))
+    code = main(["solve", str(f)])
+    return code, capsys.readouterr().err
 
 
 def solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault):
     """Exit code and stderr of `trimatch solve` on an odd instance, with
     `fault(tree, v, placed, path)` rewriting the first traced ear path it
     does not return as None.  The circuit's trace is left alone."""
-    from trimatch import formats
-    from trimatch.cli import main
-    from trimatch.matching import AlternatingTree
-
     trace = AlternatingTree.path_from_placed
     done = []
 
@@ -1190,27 +1223,30 @@ def solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault):
         return bad
 
     monkeypatch.setattr(AlternatingTree, "path_from_placed", faulty)
-    f = tmp_path / "odd.hyp"
-    f.write_text(formats.format_hypergraph(random_triple_system(101, 1, require_connected=True)))
-    code = main(["solve", str(f)])
+    out = cli_solve(tmp_path, capsys, random_triple_system(101, 1, require_connected=True))
     assert done
-    return code, capsys.readouterr().err
+    return out
 
 
 def test_a_traced_non_edge_is_an_internal_error(monkeypatch, tmp_path, capsys):
     def fault(tree, v, placed, path):
-        # start the path at a placed vertex that is no neighbour of its second
-        g = tree.graph
-        y = next(
-            (y for y in range(g.n) if placed[y] and path[1] not in g.adjacency[y]),
-            None,
-        )
-        return None if y is None else [y] + path[1:]
+        # swap the second and third new vertices: the first and the third,
+        # no neighbours, become the pair at positions 1 and 2, on an ear with
+        # no odd edge off it along which the slicer could cut the pair away
+        adj = tree.graph.adjacency
+        if len(path) < 5 or path[3] in adj[path[1]]:
+            return None
+        bad = [path[0], path[1], path[3], path[2], *path[4:]]
+        length = len(bad)  # with the vertex that closes the ear
+        odd = range(1, length - 3, 2)
+        if any(bad[q] in adj[bad[p]] for p in odd for q in range(p + 3, length, 2)):
+            return None
+        return bad
 
     code, err = solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault)
     assert code == 3
-    assert err.startswith("error: InternalError: sliced decomposition invalid: ")
-    assert "uses non-edge" in err
+    assert err.startswith(VERIFIER_FAULT) and err.count("\n") == 1
+    assert "is not inside any hyperedge" in err
 
 
 def test_a_traced_repeated_vertex_is_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -1220,8 +1256,8 @@ def test_a_traced_repeated_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
 
     code, err = solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault)
     assert code == 3
-    assert err.startswith("error: InternalError: sliced decomposition invalid: ")
-    assert "repeats an interior vertex" in err
+    assert err.startswith(VERIFIER_FAULT) and err.count("\n") == 1
+    assert "blocks are not disjoint" in err
 
 
 def test_an_even_traced_ear_is_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -1233,5 +1269,103 @@ def test_an_even_traced_ear_is_an_internal_error(monkeypatch, tmp_path, capsys):
 
     code, err = solve_with_traced_paths(monkeypatch, tmp_path, capsys, fault)
     assert code == 3
-    assert err.startswith("error: InternalError: sliced decomposition invalid: ")
-    assert "has an even number of edges" in err
+    assert err.startswith(VERIFIER_FAULT) and err.count("\n") == 1
+    assert "blocks are not disjoint" in err
+
+
+# Faults in the walks, labels and positions that `_slice` hands the solver,
+# which checks none of them.  The instance is the affine plane of order 3
+# without one parallel class: 3-uniform and 3-regular on 9 points, with the
+# shadow graph K9 minus the triangles {0, 5, 7}, {1, 3, 8} and {2, 4, 6}.
+# The solver's own walks on it are [0, 2, 1, 0], [0, 4, 3, 0], [0, 6, 5, 1]
+# and [0, 8, 7, 1].  Each list below stands in for them, with the first-ear
+# labels and positions of its walks, next to what `_scan` says of it.
+
+NINE_LINES = [
+    (0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
+    (0, 4, 8), (1, 5, 6), (2, 3, 7),
+]
+FAULTY_WALKS = {
+    # the non-edge (4, 6) is an odd edge of ear 2, so a pair
+    "non-edge": (
+        [[0, 2, 1, 0], [0, 3, 7, 1], [0, 4, 6, 0], [2, 5, 8, 2]],
+        "ear 2 uses non-edge (4, 6)",
+    ),
+    # the hole starts at 6 and walks through the repeated 6 and 5
+    "repeated vertex": (
+        [[0, 2, 1, 0], [0, 4, 3, 0], [0, 6, 5, 6, 5, 1], [0, 8, 7, 1]],
+        "ear 2 repeats an interior vertex",
+    ),
+    # with distinct new interiors, even ears come in twos
+    "even ears": (
+        [[0, 2, 1, 0], [0, 4, 3, 5, 1], [1, 6, 8, 7, 2]],
+        "ear 1 has an even number of edges",
+    ),
+    # 7 and 8 are on no walk
+    "uncovered vertex": (
+        [[0, 2, 1, 0], [0, 4, 3, 0], [0, 6, 5, 1]],
+        "ears do not cover the vertex set",
+    ),
+    # a valid decomposition, not a maximal one: the apex 6 of the edge
+    # (7, 8) sits at the even position 4 of its ear, so the alternating
+    # edges before it leave the edge out
+    "dropped forced edge": ([[0, 2, 1, 0], [0, 4, 3, 0], [1, 7, 8, 5, 6, 0]], None),
+    # the last walk is a single edge, which has no positions 1 and 2
+    "short last walk": (
+        [[0, 2, 1, 0], [0, 4, 3, 0], [0, 6, 5, 1], [0, 8, 7, 1], [7, 8]],
+        "edge (7, 8) appears on more than one ear",
+    ),
+}
+
+
+def nine():
+    return make_hypergraph(9, NINE_LINES, k=3)
+
+
+def test_the_nine_point_instance_solves_on_its_own_walks(tmp_path, capsys):
+    h = nine()
+    g = _shadow_lists(h)
+    assert _ear_walks(g) == [[0, 2, 1, 0], [0, 4, 3, 0], [0, 6, 5, 1], [0, 8, 7, 1]]
+    assert verify_partition(h, solve(h)).ok
+    assert cli_solve(tmp_path, capsys, h) == (0, "")
+
+
+@time_limit(10)
+@pytest.mark.parametrize("fault", FAULTY_WALKS)
+def test_faulty_sliced_walks_are_an_internal_error(monkeypatch, tmp_path, capsys, fault):
+    walks, says = FAULTY_WALKS[fault]
+    h = nine()
+    adj = _shadow_lists(h).adjacency
+    errs = _scan(adj, walks)[0]
+    if says is None:
+        assert errs == []
+    else:
+        assert says in errs
+    monkeypatch.setattr(
+        partition_module, "_slice", lambda adj, _: as_sliced(adj, [list(w) for w in walks])
+    )
+    with pytest.raises(InternalError):
+        solve(h)
+    code, err = cli_solve(tmp_path, capsys, h)
+    assert code == 3
+    assert err.startswith("error: InternalError: ") and err.count("\n") == 1
+
+
+@time_limit(10)
+def test_the_slicer_labels_a_vertex_on_no_walk_minus_one(monkeypatch, tmp_path, capsys):
+    """The circuit 0-1-2-3-4 has the chords (0, 2), (0, 3) and (1, 4), so
+    rounds end cut and their numbers go unused; 7 and 8 are on no walk, and
+    neither a wrapped nor a stale label reaches them."""
+    h = nine()
+    adj = _shadow_lists(h).adjacency
+    traced = [[0, 1, 2, 3, 4, 0], [0, 6, 5, 1]]
+    walks, labels, positions = _slice(adj, [list(w) for w in traced])
+    assert len(walks) > len(traced)
+    assert labels[7] == labels[8] == positions[7] == positions[8] == -1
+    assert (labels, positions) == tuple(_scan(adj, walks)[1:3])
+    monkeypatch.setattr(partition_module, "_ear_walks", lambda g: [list(w) for w in traced])
+    with pytest.raises(InternalError):
+        solve(h)
+    code, err = cli_solve(tmp_path, capsys, h)
+    assert code == 3
+    assert err.startswith("error: InternalError: ") and err.count("\n") == 1

@@ -1,11 +1,9 @@
 """Matching engine against brute force, plus the bipartite toolbox."""
 
-import contextlib
 import functools
 import hashlib
 import itertools
 import random
-import signal
 from collections import deque
 
 import pytest
@@ -50,6 +48,7 @@ from conftest import (
     cycle_graph,
     random_regular_bipartite,
     random_triple_system,
+    time_limit,
 )
 
 
@@ -398,28 +397,6 @@ def fresh_search(adj, match, root, active):
         assert match[v] == p[v] == v
         p[v] = -1
     return end, p, base, outer
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after `seconds`: a search whose
-    stamps or lists are stale can walk a p[] cycle for ever, and this turns
-    that into a failure.  No limit where there is no interval timer.  Also
-    a decorator, which limits the whole test."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_search_matches_reference(adj, active):

@@ -54,10 +54,11 @@ from trimatch.matching import (
 )
 from trimatch.partition import (
     LuSubgraph,
+    _canon_pairs,
     _check_near_perfect,
-    _forced_edge_pairs,
     _incidence_graph,
     _kept_edges,
+    _prefix_matching,
     _require_ok,
 )
 
@@ -1173,13 +1174,21 @@ def trivial_ear_inside_decomposition():
     return d
 
 
+def forced_edge_pairs(d, k, edge, avoid):
+    """The canonical pairs that the odd construction reads off d's ears up
+    to k with the hole at `avoid`, checked as a perfect matching of the host
+    minus `avoid` that keeps `edge`."""
+    walks = [ear.vertices for ear in d.ears]
+    pairs = _canon_pairs(_prefix_matching(walks, d.labels, d.positions, k + 1, avoid))
+    _check_near_perfect(pairs, d.host.adjacency, avoid, edge)
+    return pairs
+
+
 def test_same_ear_apex_construction_on_closed_ear():
     # apex 5 shares the closed ear with the chosen edge (3, 4), at the odd
     # position 3 after it: the alternating edges before it keep the edge
     d = closed_ear_decomposition()
-    walks = [ear.vertices for ear in d.ears]
-    pairs = _forced_edge_pairs(d.host.adjacency, walks, d.labels, d.positions, 1, (3, 4), 5)
-    assert pairs == ((0, 1), (2, 6), (3, 4))
+    assert forced_edge_pairs(d, 1, (3, 4), 5) == ((0, 1), (2, 6), (3, 4))
 
 
 def test_apex_at_an_even_position_on_the_edge_ear_loses_the_edge():
@@ -1187,9 +1196,8 @@ def test_apex_at_an_even_position_on_the_edge_ear_loses_the_edge():
     decomposition that is not maximal allows: the alternating edges before
     it are even ones, and the check stops the matching."""
     d = closed_ear_decomposition()
-    walks = [ear.vertices for ear in d.ears]
     with pytest.raises(InternalError, match="matching lost its forced edge"):
-        _forced_edge_pairs(d.host.adjacency, walks, d.labels, d.positions, 1, (3, 4), 6)
+        forced_edge_pairs(d, 1, (3, 4), 6)
 
 
 def test_forced_edge_matching_on_closed_ear():
@@ -1292,17 +1300,18 @@ def test_even_solve_runs_one_blossom_matching_and_no_search(monkeypatch):
 
 
 def forced_edge_spy(monkeypatch):
-    """The (k, apex on ear k) of each `_forced_edge_pairs` call from now on."""
+    """The (k, apex on ear k) of each `_prefix_matching` call from now on
+    that reads the ears up to k, with the hole starting at the apex."""
     import trimatch.partition as partition_module
 
     hits = []
-    original = partition_module._forced_edge_pairs
+    original = partition_module._prefix_matching
 
-    def spy(g, walks, labels, positions, k, edge, apex):
-        hits.append((k, labels[apex] == k))
-        return original(g, walks, labels, positions, k, edge, apex)
+    def spy(walks, labels, positions, k, apex):
+        hits.append((k - 1, labels[apex] == k - 1))
+        return original(walks, labels, positions, k, apex)
 
-    monkeypatch.setattr(partition_module, "_forced_edge_pairs", spy)
+    monkeypatch.setattr(partition_module, "_prefix_matching", spy)
     return hits
 
 
@@ -1405,12 +1414,11 @@ def test_circuit_case_on_c5_keeps_the_edge_or_is_refused(apex):
     g = cycle_graph(5)
     d = assemble(g, [[0, 1, 2, 3, 4, 0]])
     assert not validate_decomposition(d)
-    walks = [ear.vertices for ear in d.ears]
     if apex == 3:
         with pytest.raises(InternalError, match="matching lost its forced edge"):
-            _forced_edge_pairs(g.adjacency, walks, d.labels, d.positions, 0, (0, 1), apex)
+            forced_edge_pairs(d, 0, (0, 1), apex)
     else:
-        pairs = _forced_edge_pairs(g.adjacency, walks, d.labels, d.positions, 0, (0, 1), apex)
+        pairs = forced_edge_pairs(d, 0, (0, 1), apex)
         assert pairs in all_perfect_matchings(g, avoid=apex)
         assert (0, 1) in pairs
 
