@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, combinations, filterfalse, groupby, islice, repeat
-from operator import lt
 
 from .core import (
     Hypergraph,
@@ -581,6 +580,15 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
     file.  A vertex outside [0, n) raises ValueError naming the first one in
     block order; every other fault is a violation.
 
+    When the blocks are disjoint and cover V and every pair has two
+    vertices, `_mate_pass` reads the pairs, and at k = 3 the triangles, off
+    a mate array in one pass over the hyperedges.  The array's n slots are
+    then the certificate's own n vertices, so a huge declared n allocates
+    nothing.  If the pass finds every pair inside a hyperedge, none is at
+    fault and no pair is looked at alone.  Otherwise the pairs are
+    intersected with the hyperedges' 2-subsets and each bad one is named
+    in certificate order.
+
     The rule "at most one triangle per shadow component" can only fail with
     two or more triangles, so its component search, a union-find over every
     hyperedge that costs more than all other checks together, runs
@@ -610,24 +618,13 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
         missing = list(islice((v for v in range(n) if v not in seen), 5))
         violations.append(f"blocks do not cover the vertex set (missing {missing})")
 
-    # indexes of the verifier's own, built without solver code: of the
-    # hyperedges' 2-subsets, only the certificate's own pairs are kept
-    ordered = False
-    if set(map(len, pairs)) <= {2}:
-        # the pairs' vertices close `flat`
-        start = len(flat) - 2 * len(pairs)
-        us, vs = flat[start::2], flat[start + 1 :: 2]
-        ordered = all(map(lt, us, vs))
-    if ordered:
-        need = set(zip(us, vs))
-    else:
-        need = {(u, v) if u < v else (v, u) for u, v in pairs}
-    within = need.intersection(
-        chain.from_iterable(map(combinations, h.hyperedges, repeat(2)))
-    )
+    passed = None
+    if len(seen) == len(flat) == n and set(map(len, pairs)) <= {2}:
+        passed = _mate_pass(h, triangles, pairs)
     if triangles and h.k == 3:
-        # hyperedges are stored as sorted tuples
-        hyperedge_set = set(h.hyperedges)
+        # hyperedges are stored as sorted tuples; the pass kept those that
+        # are triangles
+        hyperedge_set = set(h.hyperedges) if passed is None else passed[1]
     elif triangles:
         # the verifier's own index of the triangles by least vertex, matched
         # in one pass over the hyperedges through those vertices that stops
@@ -660,12 +657,8 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
             violations.append(
                 f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
             )
-    # with every pair ordered, none is a loop, and only a pair that is not
-    # inside a hyperedge leaves `within` short of `need`
-    if not ordered or len(within) != len(need):
-        for u, v in pairs:
-            if u == v or ((u, v) if u < v else (v, u)) not in within:
-                violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
+    if passed is None or passed[0] != len(pairs):
+        violations.extend(_pairs_outside(h, pairs))
 
     # at most one triangle per shadow component
     if len(triangles) >= 2:
@@ -680,6 +673,72 @@ def verify_partition(h: Hypergraph, cert) -> VerificationReport:
             if cnt > 1:
                 violations.append(f"component {cid} carries {cnt} triangles")
     return VerificationReport(violations=tuple(violations))
+
+
+def _mate_pass(h: Hypergraph, triangles, pairs):
+    """How many certificate pairs lie inside a hyperedge, and at k = 3 the
+    set of sorted triangles that are hyperedges, from one pass over the
+    hyperedges; None if the pass cannot read one.
+
+    The blocks are disjoint and cover [0, h.n), so `mate` holds each pair
+    vertex's partner and each triangle vertex its sorted triangle.  A pair
+    lies inside a hyperedge, as for `_pairs_outside`, when its smaller
+    vertex comes before its larger one there, which on sorted hyperedges
+    is membership.  A pair found is marked at its smaller vertex in `hit`,
+    so a pair inside two hyperedges counts once and cannot make up for one
+    never found.  A hyperedge vertex at or above n raises IndexError, and
+    at k = 3 a hyperedge of another width raises ValueError on unpacking;
+    either sends the caller to the 2-subsets.  A negative one would index
+    from the end, so no match is taken at one.
+    """
+    n = h.n
+    mate = [None] * n
+    for u, v in pairs:
+        mate[u] = v
+        mate[v] = u
+    for tri in triangles:
+        key = tuple(sorted(tri))
+        for v in tri:
+            mate[v] = key
+    hit = [0] * n
+    triangles_inside = set()
+    try:
+        if h.k == 3:
+            # three vertices hold at most one pair of disjoint ones
+            for a, b, c in h.hyperedges:
+                m = mate[a]
+                if (m == b or m == c) and m > a >= 0:
+                    hit[a] = 1
+                elif mate[b] == c and c > b >= 0:
+                    hit[b] = 1
+                elif m.__class__ is tuple and m == (a, b, c):
+                    triangles_inside.add(m)
+        else:
+            for e in h.hyperedges:
+                for a in e:
+                    m = mate[a]
+                    if m in e and m > a >= 0 and m in e[e.index(a) + 1 :]:
+                        hit[a] = 1
+    except (IndexError, ValueError):
+        return None
+    return hit.count(1), triangles_inside
+
+
+def _pairs_outside(h: Hypergraph, pairs):
+    """A violation for each pair, in certificate order, that is a loop or
+    lies inside no hyperedge, found by intersecting the pairs, keyed
+    (smaller, larger), with the hyperedges' 2-subsets."""
+    # an index of the verifier's own, built without solver code: of the
+    # hyperedges' 2-subsets, only the certificate's own pairs are kept
+    need = {(u, v) if u < v else (v, u) for u, v in pairs}
+    within = need.intersection(
+        chain.from_iterable(map(combinations, h.hyperedges, repeat(2)))
+    )
+    return [
+        f"pair ({u}, {v}) is not inside any hyperedge"
+        for u, v in pairs
+        if u == v or ((u, v) if u < v else (v, u)) not in within
+    ]
 
 
 def verify_lu(bg: BipartiteGraph, cert) -> VerificationReport:

@@ -208,6 +208,17 @@ def test_huge_declared_vertex_count(tmp_path, capsys):
         "triangle (3, 4, 5) is not a hyperedge\n",
         "",
     )
+    # disjoint blocks that do not cover V: the mate array, n slots, is
+    # built only when the blocks are as many vertices as V
+    cert = write(tmp_path, "pairs.cert", "pair 1 0\ntriangle 2 3 4\npair 5 6\n")
+    assert run(capsys, "verify", instance, cert) == (
+        1,
+        "blocks do not cover the vertex set (missing [7, 8, 9, 10, 11])\n"
+        "triangle (2, 3, 4) is not a hyperedge\n"
+        "pair (1, 0) is not inside any hyperedge\n"
+        "pair (5, 6) is not inside any hyperedge\n",
+        "",
+    )
 
 
 @pytest.mark.parametrize("components", [[], ["--components"]])

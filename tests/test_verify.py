@@ -1,15 +1,18 @@
 """The certificate verifiers against copies of their linear-pass forebears.
 
 `verify_partition` and `verify_lu` run their per-component rule only when
-it can fail, and `verify_partition` checks its pairs in bulk.  The copies
-below are the verifiers as they were before each change; on solver
-certificates and broken variants of them the verifiers must return the
-same violations, message for message, or raise the same ValueError.
+it can fail, and `verify_partition` reads its pairs off a mate array in one
+pass over the hyperedges.  The copies below are the verifiers as they were
+before each change; on solver certificates, broken variants of them and
+hand-built hypergraphs the verifiers must return the same violations,
+message for message, or raise the same ValueError.
 """
 
 from collections import Counter
 from itertools import chain, combinations, filterfalse, islice, repeat
+from operator import lt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -238,6 +241,108 @@ def loop_verify_partition(h, cert) -> VerificationReport:
     return VerificationReport(violations=tuple(violations))
 
 
+# A copy of `verify_partition` as it was before its pairs were read off a
+# mate array: the pairs intersected with every hyperedge 2-subset, and at
+# k = 3 the triangles looked up in a set of all hyperedges.
+
+
+def set_verify_partition(h, cert) -> VerificationReport:
+    if isinstance(cert, TriMatchingPartition):
+        cert = [cert]
+    if isinstance(cert, (list, tuple)) and all(
+        isinstance(c, TriMatchingPartition) for c in cert
+    ):
+        triangles = [c.triangle for c in cert if c.triangle is not None]
+        pairs = [p for c in cert for p in c.pairs]
+    else:
+        triangles, pairs = map(list, cert)
+
+    n = h.n
+    flat = list(chain.from_iterable(chain(triangles, pairs)))
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        v = next(v for v in flat if not 0 <= v < n)
+        raise ValueError(f"certificate vertex {v} out of range [0, {n})")
+    violations = []
+    seen = set(flat)
+    if len(seen) != len(flat):
+        violations.append("blocks are not disjoint")
+    if len(seen) != n:
+        # stops at the fifth, so a huge declared n costs no pass over range(n)
+        missing = list(islice((v for v in range(n) if v not in seen), 5))
+        violations.append(f"blocks do not cover the vertex set (missing {missing})")
+
+    # indexes of the verifier's own, built without solver code: of the
+    # hyperedges' 2-subsets, only the certificate's own pairs are kept
+    ordered = False
+    if set(map(len, pairs)) <= {2}:
+        # the pairs' vertices close `flat`
+        start = len(flat) - 2 * len(pairs)
+        us, vs = flat[start::2], flat[start + 1 :: 2]
+        ordered = all(map(lt, us, vs))
+    if ordered:
+        need = set(zip(us, vs))
+    else:
+        need = {(u, v) if u < v else (v, u) for u, v in pairs}
+    within = need.intersection(
+        chain.from_iterable(map(combinations, h.hyperedges, repeat(2)))
+    )
+    if triangles and h.k == 3:
+        # hyperedges are stored as sorted tuples
+        hyperedge_set = set(h.hyperedges)
+    elif triangles:
+        # the verifier's own index of the triangles by least vertex, matched
+        # in one pass over the hyperedges through those vertices that stops
+        # once every triangle lies inside one
+        waiting = {}
+        for tri in map(frozenset, triangles):
+            if len(tri) == 3:
+                waiting.setdefault(min(tri), set()).add(tri)
+        inside = set()
+        for e in filterfalse(waiting.keys().isdisjoint, h.hyperedges):
+            e = set(e)
+            for v in waiting.keys() & e:
+                found = {tri for tri in waiting[v] if tri <= e}
+                inside |= found
+                waiting[v] -= found
+                if not waiting[v]:
+                    del waiting[v]
+            if not waiting:
+                break
+    for tri in triangles:
+        tset = set(tri)
+        if len(tset) != 3:
+            violations.append(f"triangle {tri} does not have 3 distinct vertices")
+            continue
+        if h.k == 3:
+            key = tuple(sorted(tri))
+            if key not in hyperedge_set:
+                violations.append(f"triangle {key} is not a hyperedge")
+        elif tset not in inside:
+            violations.append(
+                f"triangle {tuple(sorted(tri))} is not inside any hyperedge"
+            )
+    # with every pair ordered, none is a loop, and only a pair that is not
+    # inside a hyperedge leaves `within` short of `need`
+    if not ordered or len(within) != len(need):
+        for u, v in pairs:
+            if u == v or ((u, v) if u < v else (v, u)) not in within:
+                violations.append(f"pair ({u}, {v}) is not inside any hyperedge")
+
+    # at most one triangle per shadow component
+    if len(triangles) >= 2:
+        comp_of = partition_module._component_ids(n, h.hyperedges)
+        per_comp: dict[int, int] = {}
+        for tri in triangles:
+            cids = {comp_of(v) for v in tri}
+            if len(cids) == 1:
+                cid = cids.pop()
+                per_comp[cid] = per_comp.get(cid, 0) + 1
+        for cid, cnt in per_comp.items():
+            if cnt > 1:
+                violations.append(f"component {cid} carries {cnt} triangles")
+    return VerificationReport(violations=tuple(violations))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 12).flatmap(
@@ -390,6 +495,7 @@ def test_verify_partition_agrees_with_the_old_verifier(h, data):
     certs = solve_components(h, h.k)
     for cert in (certs, certs[0], tuple(certs)):
         assert outcome(verify_partition, h, cert) == outcome(old_verify_partition, h, cert)
+        assert outcome(verify_partition, h, cert) == outcome(set_verify_partition, h, cert)
     assert verify_partition(h, certs).ok
     if data is None:  # a pinned example: its certificates alone
         return
@@ -398,6 +504,7 @@ def test_verify_partition_agrees_with_the_old_verifier(h, data):
     raw = mutate_partition(data, h, triangles, pairs)
     assert outcome(verify_partition, h, raw) == outcome(old_verify_partition, h, raw)
     assert outcome(verify_partition, h, raw) == outcome(loop_verify_partition, h, raw)
+    assert outcome(verify_partition, h, raw) == outcome(set_verify_partition, h, raw)
 
 
 def tamper_pairs(data, h, pairs):
@@ -444,6 +551,255 @@ def test_a_loop_pair_is_named_where_a_hyperedge_repeats_its_vertex():
     )
 
 
+# ---------------------------------------------------------------------------
+# The mate-array pass on hand-built certificates
+# ---------------------------------------------------------------------------
+
+
+REFERENCES = (set_verify_partition, loop_verify_partition, old_verify_partition)
+
+
+def hand_built(n, hyperedges, k):
+    """A Hypergraph as given: tuples unsorted, vertices repeated or out of
+    range, widths mixed."""
+    return Hypergraph(
+        n=n, hyperedges=tuple(hyperedges), multiplicities=(1,) * len(hyperedges), k=k
+    )
+
+
+UNSORTED = hand_built(6, [(2, 0, 1), (5, 3, 4), (2, 5, 0)], 3)
+
+# (h, (triangles, pairs), what `_mate_pass` returns, the violations, the
+# reference verifiers that agree): `old_verify_partition` compares
+# triangles as sets, and its n-long union-find indexes every hyperedge
+# vertex, so it is left out where a triangle is an unsorted hyperedge or a
+# hyperedge vertex reaches n
+MATE_PASS_CASES = {
+    # a pair found twice must not make up for a pair found never
+    "pair in two hyperedges, another in none": (
+        make_hypergraph(6, [(0, 1, 2), (0, 1, 3), (2, 4, 5)], k=3),
+        ([], [(0, 1), (2, 3), (4, 5)]),
+        (2, set()),
+        ("pair (2, 3) is not inside any hyperedge",),
+        REFERENCES,
+    ),
+    "pair in two hyperedges, another in none, k=4": (
+        make_hypergraph(6, [(0, 1, 2, 3), (0, 1, 2, 4)], k=4),
+        ([], [(5, 4), (1, 0), (3, 2)]),
+        (2, set()),
+        ("pair (5, 4) is not inside any hyperedge",),
+        REFERENCES,
+    ),
+    "unsorted hyperedges": (
+        UNSORTED, ([], [(1, 0), (4, 3), (2, 5)]), (3, set()), (), REFERENCES,
+    ),
+    # as a 2-subset drawn in tuple order, a pair lies inside a hyperedge
+    # only where its smaller vertex comes first: (1, 2) and (0, 5) do not
+    "unsorted hyperedges, pairs out of tuple order": (
+        UNSORTED,
+        ([], [(1, 2), (0, 5), (3, 4)]),
+        (1, set()),
+        ("pair (1, 2) is not inside any hyperedge",
+         "pair (0, 5) is not inside any hyperedge"),
+        REFERENCES,
+    ),
+    "unsorted hyperedges, pairs out of tuple order, k=4": (
+        hand_built(6, [(3, 0, 1, 2), (5, 4, 1, 0)], 4),
+        ([], [(0, 1), (3, 2), (4, 5)]),
+        (1, set()),
+        ("pair (3, 2) is not inside any hyperedge",
+         "pair (4, 5) is not inside any hyperedge"),
+        REFERENCES,
+    ),
+    "a triangle as an unsorted hyperedge": (
+        hand_built(5, [(2, 1, 0), (3, 4, 0)], 3),
+        ([(0, 1, 2)], [(3, 4)]),
+        (1, set()),
+        ("triangle (0, 1, 2) is not a hyperedge",),
+        REFERENCES[:2],
+    ),
+    "a triangle as a sorted hyperedge": (
+        hand_built(5, [(0, 1, 2), (3, 4, 0)], 3),
+        ([(2, 0, 1)], [(3, 4)]),
+        (1, {(0, 1, 2)}),
+        (),
+        REFERENCES,
+    ),
+    "repeated hyperedge vertices": (
+        hand_built(4, [(0, 0, 1), (3, 2, 3)], 3),
+        ([], [(1, 0), (2, 3)]), (2, set()), (), REFERENCES,
+    ),
+    "a hyperedge vertex at or above n": (
+        hand_built(4, [(7, 0, 1), (2, 3, 9)], 3),
+        ([], [(0, 1), (2, 3)]), None, (), REFERENCES[:2],
+    ),
+    "a hyperedge vertex at or above n, pairs in none": (
+        hand_built(4, [(7, 0, 1), (0, 1, 9), (2, 3, 9)], 3),
+        ([], [(0, 2), (1, 3)]),
+        None,
+        ("pair (0, 2) is not inside any hyperedge",
+         "pair (1, 3) is not inside any hyperedge"),
+        REFERENCES[:2],
+    ),
+    # -1 would read vertex 3's partner, 0, and find the pair (0, 3) in
+    # hyperedges that do not hold 3
+    "a negative hyperedge vertex": (
+        hand_built(4, [(-1, 0, 1), (1, -1, 0), (1, 2, 3)], 3),
+        ([], [(0, 3), (1, 2)]),
+        (1, set()),
+        ("pair (0, 3) is not inside any hyperedge",),
+        REFERENCES,
+    ),
+    "a negative hyperedge vertex, k=4": (
+        hand_built(4, [(-1, 0, 1, 2)], 4),
+        ([], [(0, 3), (1, 2)]),
+        (1, set()),
+        ("pair (0, 3) is not inside any hyperedge",),
+        REFERENCES,
+    ),
+    "non-uniform hyperedges": (
+        make_hypergraph(6, [(0, 1), (2, 3, 4, 5)], k=3),
+        ([], [(0, 1), (2, 3), (4, 5)]), None, (), REFERENCES,
+    ),
+    "non-uniform hyperedges, pairs in none": (
+        make_hypergraph(6, [(0, 1), (2, 3, 4, 5)], k=3),
+        ([], [(0, 2), (1, 3), (4, 5)]),
+        None,
+        ("pair (0, 2) is not inside any hyperedge",
+         "pair (1, 3) is not inside any hyperedge"),
+        REFERENCES,
+    ),
+    "non-uniform hyperedges, k=4": (
+        make_hypergraph(6, [(0, 1), (2, 3, 4), (1, 3, 4, 5)], k=4),
+        ([], [(1, 0), (2, 3), (5, 4)]), (3, set()), (), REFERENCES,
+    ),
+    "n=0, an empty certificate": (
+        hand_built(0, [], 3), ([], []), (0, set()), (), REFERENCES,
+    ),
+    "n=3, a triangle alone": (
+        make_hypergraph(3, [(0, 1, 2)], k=3),
+        ([(2, 0, 1)], []), (0, {(0, 1, 2)}), (), REFERENCES,
+    ),
+    "n=3, a triangle and no hyperedge": (
+        hand_built(3, [], 3),
+        ([(0, 1, 2)], []),
+        (0, set()),
+        ("triangle (0, 1, 2) is not a hyperedge",),
+        REFERENCES,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MATE_PASS_CASES)
+def test_hand_built_certificates_reach_the_mate_pass(case):
+    """Each certificate's blocks are disjoint and cover V, so the pass runs;
+    where it counts short or cannot read a hyperedge, the 2-subsets name
+    the bad pairs.  Either way the violations are the references'."""
+    h, raw, passed, violations, references = MATE_PASS_CASES[case]
+    assert partition_module._mate_pass(h, *raw) == passed
+    assert outcome(verify_partition, h, raw) == violations
+    for check in references:
+        assert outcome(check, h, raw) == violations, check.__name__
+
+
+@st.composite
+def hand_built_partitions(draw):
+    """A hand-built hypergraph and a certificate whose blocks are disjoint
+    and, but for one vertex when the count does not work out, cover V.
+    Some hyperedges hold a block in drawn tuple order; the others are drawn
+    vertices, some of them below 0 or at or above n, and their widths are
+    k or drawn."""
+    n = draw(st.integers(0, 10))
+    k = draw(st.sampled_from((2, 3, 4)))
+    order = draw(st.permutations(range(n)))
+    t = draw(st.integers(0, n // 3))
+    triangles = [tuple(order[3 * i : 3 * i + 3]) for i in range(t)]
+    rest = order[3 * t :]
+    pairs = [tuple(rest[i : i + 2]) for i in range(0, len(rest) - 1, 2)]
+    vertex = st.one_of(st.integers(0, max(n - 1, 0)), st.integers(-2, n + 1))
+    width = st.just(k) if draw(st.booleans()) else st.integers(1, 5)
+    hyperedges = draw(st.lists(width.flatmap(
+        lambda w: st.lists(vertex, min_size=w, max_size=w)), max_size=8))
+    for block in draw(st.lists(st.sampled_from(triangles + pairs), max_size=8)
+                      if triangles or pairs else st.just([])):
+        e = list(block) + draw(st.lists(vertex, max_size=max(0, k - len(block))))
+        hyperedges.insert(
+            draw(st.integers(0, len(hyperedges))),
+            sorted(e) if draw(st.booleans()) else draw(st.permutations(e)),
+        )
+    h = hand_built(n, [tuple(e) for e in hyperedges], k)
+    return h, (triangles, pairs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hand_built_partitions())
+def test_the_mate_pass_agrees_on_hand_built_hypergraphs(case):
+    """Unsorted tuples, repeated and out-of-range vertices and mixed widths:
+    the verdict is the references' wherever the pass runs."""
+    h, raw = case
+    expected = outcome(set_verify_partition, h, raw)
+    assert outcome(verify_partition, h, raw) == expected
+    assert outcome(loop_verify_partition, h, raw) == expected
+
+
+def test_several_triangles_are_found_in_the_pass():
+    """A `solve_components` certificate with one triangle per odd
+    component: the pass finds every pair and every triangle; moved
+    triangles and pairs are named as the references name them."""
+    h = hypergraph_union([
+        random_triple_system(n, seed, require_connected=True)
+        for seed, n in enumerate((7, 9, 8, 11, 5, 10))
+    ])
+    certs = solve_components(h)
+    triangles = [c.triangle for c in certs if c.triangle is not None]
+    pairs = [p for c in certs for p in c.pairs]
+    assert len(triangles) == 4
+    assert partition_module._mate_pass(h, triangles, pairs) == (
+        len(pairs), set(triangles)
+    )
+    assert outcome(verify_partition, h, certs) == ()
+    for check in REFERENCES:
+        assert outcome(check, h, certs) == ()
+    # each triangle trades its last vertex for a pair's first: the blocks
+    # still cover V, so the pass runs, and it finds none of the triangles
+    for i, tri in enumerate(triangles):
+        j = 7 * i % len(pairs)
+        (u, v), w = pairs[j], tri[2]
+        triangles[i], pairs[j] = (*tri[:2], u), (w, v)
+    assert partition_module._mate_pass(h, triangles, pairs)[1] == set()
+    raw = (triangles, pairs)
+    expected = outcome(set_verify_partition, h, raw)
+    assert sum(s.endswith("is not a hyperedge") for s in expected) == 4
+    assert outcome(verify_partition, h, raw) == expected
+    for check in REFERENCES[1:]:
+        assert outcome(check, h, raw) == expected
+
+
+def test_a_solver_certificate_is_checked_in_one_pass(monkeypatch):
+    """On a certificate that passes, the 2-subsets are never built."""
+    solved = [
+        (h, solve_components(h, h.k))
+        for h in (
+            random_triple_system(20, 3, require_connected=True),
+            random_triple_system(21, 3, require_connected=True),
+            k4_hypergraph(11, 2),
+            K4_UNION,
+        )
+    ]
+    calls = []
+    real = partition_module._mate_pass
+
+    def spy(h, triangles, pairs):
+        calls.append(h.k)
+        return real(h, triangles, pairs)
+
+    monkeypatch.setattr(partition_module, "_mate_pass", spy)
+    monkeypatch.setattr(partition_module, "_pairs_outside", None)
+    for h, certs in solved:
+        assert verify_partition(h, certs).ok
+    assert calls == [3, 3, 4, 4]
+
+
 @settings(max_examples=300, deadline=None)
 @given(hypergraph_instances(), st.data())
 def test_verify_partition_names_tampered_pairs_as_the_loop_did(h, data):
@@ -452,9 +808,11 @@ def test_verify_partition_names_tampered_pairs_as_the_loop_did(h, data):
     gave them."""
     certs = solve_components(h, h.k)
     assert outcome(verify_partition, h, certs) == outcome(loop_verify_partition, h, certs)
+    assert outcome(verify_partition, h, certs) == outcome(set_verify_partition, h, certs)
     triangles = [c.triangle for c in certs if c.triangle is not None]
     raw = (triangles, tamper_pairs(data, h, [p for c in certs for p in c.pairs]))
     assert outcome(verify_partition, h, raw) == outcome(loop_verify_partition, h, raw)
+    assert outcome(verify_partition, h, raw) == outcome(set_verify_partition, h, raw)
 
 
 def mutate_kept(data, bg, kept):
