@@ -576,36 +576,40 @@ def require_regular_bipartite(bg: BipartiteGraph) -> int:
             raise NotRegular(f"B-vertex {b} has degree {d}, expected {k}")
 
 
-def extract_disjoint_perfect_matchings(
-    bg: BipartiteGraph, t: int, _rotation: int = 0
-) -> list[Matching]:
+def _peel(adj, n_b, t, order):
+    """t edge-disjoint perfect matchings of the bipartite graph with A-side
+    lists `adj`, as match arrays, and the A-side lists they leave.
+
+    Each `_hopcroft_karp` pass scans A in `order`, on `adj` first and then
+    on a copy without the edges matched last, which stays sorted.  It
+    matches only along the lists and injectively, and each match array is
+    checked perfect, so every A-list and every B-vertex loses exactly one
+    entry per pass: a k-regular graph leaves a (k-t)-regular residual.
+    """
+    matches = []
+    for _ in range(t):
+        match_a = _hopcroft_karp(adj, n_b, order)
+        if -1 in match_a:
+            raise InternalError("regular bipartite graph lost its perfect matching")
+        matches.append(match_a)
+        adj = [[b for b in nbrs if b != m] for nbrs, m in zip(adj, match_a)]
+    return matches, adj
+
+
+def extract_disjoint_perfect_matchings(bg: BipartiteGraph, t: int) -> list[Matching]:
     """t pairwise edge-disjoint perfect matchings of a regular bipartite graph.
 
-    After removing them the graph is (k-t)-regular.  `_rotation` rotates the
-    A-side order in which the matcher scans for its greedy start and its
-    search roots; the default order is part of the output contract, the
-    rotation is an internal knob.
+    After removing them the graph is (k-t)-regular (see `_peel`).  The
+    matcher scans A in increasing order for its greedy start and its search
+    roots; that order is part of the output contract.
     """
     k = require_regular_bipartite(bg)
     if t < 0 or t > k:
         raise PreconditionViolated(f"cannot extract {t} matchings from degree {k}")
     if bg.n_a != bg.n_b:
         raise NotRegular("regular bipartite graph must have equal sides")
-    # the first matching reads the host's sorted lists as they are; each
-    # later one a copy without the edges matched last, which stays sorted
-    adj = bg.adj_a
-    out = []
-    order = [(i + _rotation) % bg.n_a for i in range(bg.n_a)]
-    for _ in range(t):
-        if out:
-            adj = [[b for b in nbrs if b != m] for nbrs, m in zip(adj, match_a)]
-        match_a = _hopcroft_karp(adj, bg.n_b, order)
-        if -1 in match_a:
-            raise InternalError(
-                "regular bipartite graph lost its perfect matching"
-            )
-        out.append(Matching(pairs=tuple(enumerate(match_a)), host=bg))
-    return out
+    matches, _ = _peel(bg.adj_a, bg.n_b, t, range(bg.n_a))
+    return [Matching(pairs=tuple(enumerate(m)), host=bg) for m in matches]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .errors import (
 from .matching import (
     BipartiteGraph,
     Matching,
-    extract_disjoint_perfect_matchings,
+    _peel,
     make_bipartite,
     perfect_matching,
     require_regular_bipartite,
@@ -408,14 +408,14 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
 def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
     """Per-component certificates (one triangle per odd component), checked
     together against h."""
-    certs = _component_certificates(h, k)
+    certs = _component_certificates(h, k, _gated_graph(h, k))
     _require_ok(verify_partition(h, certs))
     return certs
 
 
-def _component_certificates(h: Hypergraph, k: int):
-    """The unchecked certificate of each component of h, in h's ids."""
-    g = _gated_graph(h, k)
+def _component_certificates(h: Hypergraph, k: int, g):
+    """The unchecked certificate of each component of h, in h's ids, given
+    the graph g that `_gated_graph(h, k)` would give."""
     blocks = _blocks(h, k, g)
     if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
@@ -458,40 +458,32 @@ def _component_certificates(h: Hypergraph, k: int):
 def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
     """Kept edges of one pass at one extraction rotation, sorted.
 
-    Deletes t disjoint perfect matchings (none when t = 0): the residual is
-    the host's adjacency with each matched edge taken out of its A-vertex's
-    sorted list.  Reads it as a 3-uniform 3-regular hypergraph on B (one
+    `_peel` deletes t disjoint perfect matchings (none when t = 0), scanning
+    A from `rotation` on, and hands back the residual, 3-regular by
+    construction.  Reads it as a 3-uniform 3-regular hypergraph on B (one
     hyperedge per A-vertex), solves it componentwise, and gives each block
     the 2 or 3 edges of the first A-vertex through block[0] whose slot
     contains it.  Blocks are disjoint and have at least 2 vertices, so a
     3-vertex slot contains at most one of them and no A-vertex is chosen
     twice.
 
-    The residual certificates get no check of their own.  A block inside
-    no slot stops at the lookup, and `verify_lu` on the kept edges sees the
-    rest: overlapping or missing blocks as B-degrees other than 1, and two
-    triangles in one residual component, which lies inside one input
-    component, as two degree-3 A-vertices there.
+    The residual gets no degree check, and its certificates no check of
+    their own.  A block inside no slot stops at the lookup, and `verify_lu`
+    on the kept edges sees the rest: overlapping or missing blocks as
+    B-degrees other than 1, and two triangles in one residual component,
+    which lies inside one input component, as two degree-3 A-vertices there.
     """
-    adj = [list(nbrs) for nbrs in bg.adj_a]
-    if t > 0:
-        for m in extract_disjoint_perfect_matchings(bg, t, _rotation=rotation):
-            try:
-                for a, b in m.pairs:
-                    adj[a].remove(b)
-            except ValueError:
-                # a matched pair that is no edge, or was matched twice
-                raise InternalError("residual is not 3-regular on the A side")
-    slots = list(map(tuple, adj))
-    if set(map(len, slots)) - {3}:
-        raise InternalError("residual is not 3-regular on the A side")
+    n_a = bg.n_a
+    _, residual = _peel(bg.adj_a, bg.n_b, t, [(i + rotation) % n_a for i in range(n_a)])
+    slots = list(map(tuple, residual))
     slots_at = [[] for _ in range(bg.n_b)]
     for a, nbrs in enumerate(slots):
         for b in nbrs:
             slots_at[b].append(a)
 
+    h3 = make_hypergraph(bg.n_b, slots, k=3)
     kept = []
-    for cert in _component_certificates(make_hypergraph(bg.n_b, slots, k=3), 3):
+    for cert in _component_certificates(h3, 3, _shadow_lists(h3)):
         tri = () if cert.triangle is None else (cert.triangle,)
         for block in chain(tri, cert.pairs):
             # every slot listed at block[0] contains it: test only the rest
@@ -511,9 +503,10 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
     Each pass of `_kept_edges` puts exactly one 3-block on every residual
     component with odd |B|, so `verify_lu` rejects a pass only when the
     extraction split some input component into two such residual
-    components.  Rotated scan orders are tried in turn (with k = 3 nothing
-    is extracted, so there is one pass), and the first pass that `verify_lu`
-    accepts wins.
+    components.  Passes whose matchers scan A from rotation 0, 1, ... are
+    tried in turn (with k = 3 nothing is extracted, so there is one pass),
+    and the first pass that `verify_lu` accepts wins.  Regularity is checked
+    here once: each pass's residual is regular by construction.
 
     Hopcroft-Karp matches each component of a disconnected graph as it
     would match it alone, so rotation 0 of the whole graph is rotation 0 of

@@ -18,6 +18,13 @@ from trimatch import (
     make_hypergraph,
 )
 from trimatch.ears import _scan
+from trimatch.errors import InternalError, NotRegular, PreconditionViolated
+from trimatch.matching import (
+    BipartiteGraph,
+    Matching,
+    _hopcroft_karp,
+    require_regular_bipartite,
+)
 
 # The generators, memoized for the test session: tests draw many instances
 # with the same arguments again, and each instance is frozen, so every
@@ -185,6 +192,43 @@ def assemble(host, walks):
         labels=tuple(labels),
         positions=tuple(positions),
     )
+
+
+# `extract_disjoint_perfect_matchings` as it was while it took a rotation
+# and `lu` read its residual from the Matching objects, verbatim but for the
+# `old_` prefix on its name: the reference for `_peel` at every rotation.
+
+
+def old_extract_disjoint_perfect_matchings(
+    bg: BipartiteGraph, t: int, _rotation: int = 0
+) -> list[Matching]:
+    """t pairwise edge-disjoint perfect matchings of a regular bipartite graph.
+
+    After removing them the graph is (k-t)-regular.  `_rotation` rotates the
+    A-side order in which the matcher scans for its greedy start and its
+    search roots; the default order is part of the output contract, the
+    rotation is an internal knob.
+    """
+    k = require_regular_bipartite(bg)
+    if t < 0 or t > k:
+        raise PreconditionViolated(f"cannot extract {t} matchings from degree {k}")
+    if bg.n_a != bg.n_b:
+        raise NotRegular("regular bipartite graph must have equal sides")
+    # the first matching reads the host's sorted lists as they are; each
+    # later one a copy without the edges matched last, which stays sorted
+    adj = bg.adj_a
+    out = []
+    order = [(i + _rotation) % bg.n_a for i in range(bg.n_a)]
+    for _ in range(t):
+        if out:
+            adj = [[b for b in nbrs if b != m] for nbrs, m in zip(adj, match_a)]
+        match_a = _hopcroft_karp(adj, bg.n_b, order)
+        if -1 in match_a:
+            raise InternalError(
+                "regular bipartite graph lost its perfect matching"
+            )
+        out.append(Matching(pairs=tuple(enumerate(match_a)), host=bg))
+    return out
 
 
 def hand_edited(text):

@@ -3,7 +3,8 @@
 Runs `lu_subgraph(bg, 4)` on every labelled 4-regular bipartite graph with
 6 + 6 vertices: 67,950 graphs, each the complement of a 6x6 0/1 matrix with
 row and column sums 2.  Prints how many graphs `lu_subgraph` settles at each
-extraction rotation, then runs `lu` on each graph that needed a rotation
+extraction rotation, read by a spy on `partition._kept_edges`, which runs
+one pass per rotation, then runs `lu` on each graph that needed a rotation
 past 0 joined with a copy of itself, and prints how many of those unions
 fit no rotation of the whole graph and are solved one component at a time.
 Exits non-zero if `lu` fails on any graph (every rotation fails `verify_lu`),
@@ -77,19 +78,20 @@ def disjoint_union(*graphs):
 
 
 def lu_with_rotations(bg, k=4):
-    """`lu_subgraph(bg, k)` and the extraction rotations it tried, in order."""
-    original = partition.extract_disjoint_perfect_matchings
+    """`lu_subgraph(bg, k)` and the extraction rotations it tried, in order,
+    as a spy on `_kept_edges` sees them: one pass per rotation."""
+    original = partition._kept_edges
     rotations = []
 
-    def spy(graph, t, _rotation=0):
-        rotations.append(_rotation)
-        return original(graph, t, _rotation=_rotation)
+    def spy(graph, t, rotation):
+        rotations.append(rotation)
+        return original(graph, t, rotation)
 
-    partition.extract_disjoint_perfect_matchings = spy
+    partition._kept_edges = spy
     try:
         return partition.lu_subgraph(bg, k), rotations
     finally:
-        partition.extract_disjoint_perfect_matchings = original
+        partition._kept_edges = original
 
 
 def lu_calls(bg, k=4):

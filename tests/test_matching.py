@@ -37,6 +37,7 @@ from trimatch.matching import (
     _hopcroft_karp,
     _max_matching_arrays,
     _pairs_of,
+    _peel,
     _search,
     bipartite_degrees,
     near_perfect_matching,
@@ -46,6 +47,7 @@ from trimatch.matching import (
 from conftest import (
     complete_graph,
     cycle_graph,
+    old_extract_disjoint_perfect_matchings,
     random_regular_bipartite,
     random_triple_system,
     time_limit,
@@ -718,15 +720,41 @@ def regular_bipartite_graphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(regular_bipartite_graphs(), st.data())
 def test_every_rotation_extracts_disjoint_perfect_matchings(bg, data):
+    """`_peel` at every rotation of the A-order gives t disjoint perfect
+    matchings, those of the old extractor at that rotation."""
     t = data.draw(st.integers(min_value=0, max_value=len(bg.adj_a[0])))
     for rotation in range(bg.n_a):
-        ms = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
+        order = [(i + rotation) % bg.n_a for i in range(bg.n_a)]
+        matches, _ = _peel(bg.adj_a, bg.n_b, t, order)
+        ms = [tuple(enumerate(m)) for m in matches]
+        old = old_extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
+        assert ms == [m.pairs for m in old]
         assert len(ms) == t
-        union = [p for m in ms for p in m.pairs]
+        union = [p for pairs in ms for p in pairs]
         assert len(set(union)) == len(union) and set(union) <= set(bg.edges)
-        for m in ms:
-            assert [a for a, _ in m.pairs] == list(range(bg.n_a))
-            assert sorted(b for _, b in m.pairs) == list(range(bg.n_b))
+        for pairs in ms:
+            assert [a for a, _ in pairs] == list(range(bg.n_a))
+            assert sorted(b for _, b in pairs) == list(range(bg.n_b))
+
+
+def test_peel_refuses_a_pass_that_is_not_perfect(monkeypatch):
+    """The residual is regular only because every pass is perfect: a pass
+    that leaves an A-vertex unmatched is an internal error, in `_peel` and
+    so in `lu`, not a residual with one list too long."""
+    from trimatch.partition import lu_subgraph
+
+    real = matching_module._hopcroft_karp
+
+    def short(adj, n_b, order):
+        match_a = real(adj, n_b, order)
+        match_a[0] = -1
+        return match_a
+
+    monkeypatch.setattr(matching_module, "_hopcroft_karp", short)
+    bg = random_regular_bipartite(7, 5, 1)
+    for run in (lambda: _peel(bg.adj_a, bg.n_b, 1, range(7)), lambda: lu_subgraph(bg, 5)):
+        with pytest.raises(InternalError, match="lost its perfect matching"):
+            run()
 
 
 def test_extraction_builds_no_intermediate_graph(monkeypatch):

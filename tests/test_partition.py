@@ -49,6 +49,7 @@ from trimatch.formats import (
 from trimatch.core import _component_blocks, _shadow_lists
 from trimatch.matching import (
     BipartiteGraph,
+    _peel,
     extract_disjoint_perfect_matchings,
     require_regular_bipartite,
 )
@@ -70,6 +71,7 @@ from conftest import (
     disconnected_odd_unions,
     five_quads_with,
     hypergraph_union,
+    old_extract_disjoint_perfect_matchings,
     partition_union_hypergraph,
     random_regular_bipartite,
     random_triple_system,
@@ -338,29 +340,41 @@ def test_lu_fano_plus_matching(fano_incidence):
     assert verify_lu(bg, lu).ok
 
 
+def peeled(adj, pair_lists):
+    """What `_peel` hands back for matchings with these (a, b) pairs: their
+    match arrays, and the A-side lists `adj` without the matched edges.  A
+    pair that is no edge, or is matched twice, raises ValueError."""
+    residual = [list(nbrs) for nbrs in adj]
+    matches = []
+    for pairs in pair_lists:
+        match_a = [-1] * len(adj)
+        for a, b in pairs:
+            match_a[a] = b
+            residual[a].remove(b)
+        matches.append(match_a)
+    return matches, residual
+
+
 def test_lu_retries_residual_splitting_extraction(monkeypatch):
     """If the first extraction would split the residual into two odd
     components, the next rotation is tried."""
     import trimatch.partition as partition_module
-    from trimatch.matching import Matching
 
     # 4-regular: two K3,3 blocks joined by the diagonal crossing matching
     edges = [(a, b) for a in range(3) for b in (3, 4, 5)]
     edges += [(a, b) for a in range(3, 6) for b in (0, 1, 2)]
     edges += [(i, i) for i in range(6)]
     bg = make_bipartite(6, 6, edges)
-    crossing = Matching(pairs=tuple((i, i) for i in range(6)), host=bg)
-    block_internal = Matching(
-        pairs=tuple([(a, a + 3) for a in range(3)] + [(a, a - 3) for a in range(3, 6)]),
-        host=bg,
-    )
+    crossing = [(i, i) for i in range(6)]
+    block_internal = [(a, a + 3) for a in range(3)] + [(a, a - 3) for a in range(3, 6)]
     calls = []
 
-    def fake_extract(graph, t, _rotation=0):
-        calls.append(_rotation)
-        return [crossing] if _rotation == 0 else [block_internal]
+    def fake_peel(adj, n_b, t, order):
+        # a rotation's order starts at the rotation
+        calls.append(order[0])
+        return peeled(adj, [crossing] if order[0] == 0 else [block_internal])
 
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
     lu = lu_subgraph(bg, 4)
     assert calls[:2] == [0, 1]  # rotation 0 rejected, rotation 1 accepted
     assert verify_lu(bg, lu).ok
@@ -407,14 +421,14 @@ def test_lu_disjoint_blocks_keep_first_extraction(monkeypatch):
 
     block = [(a, b) for a in range(5) for b in range(5) if a != b]
     bg = make_bipartite(10, 10, block + [(a + 5, b + 5) for a, b in block])
-    original = partition_module.extract_disjoint_perfect_matchings
+    original = partition_module._peel
     calls = []
 
-    def spy(graph, t, _rotation=0):
-        calls.append(_rotation)
-        return original(graph, t, _rotation=_rotation)
+    def spy(adj, n_b, t, order):
+        calls.append(order[0])
+        return original(adj, n_b, t, order)
 
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", spy)
+    monkeypatch.setattr(partition_module, "_peel", spy)
     lu = lu_subgraph(bg, 4)
     assert calls == [0]
     assert verify_lu(bg, lu).ok
@@ -425,7 +439,6 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
     """An extraction that always splits the residual into two odd components
     ends in InternalError after min(n_a, 24) rotations."""
     import trimatch.partition as partition_module
-    from trimatch.matching import Matching
 
     # 4-regular: two 3-regular m+m circulant blocks joined by a crossing
     # perfect matching; removing the crossing leaves both blocks, |B| odd
@@ -434,11 +447,11 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
     bg = make_bipartite(2 * m, 2 * m, edges + crossing)
     calls = []
 
-    def fake_extract(graph, t, _rotation=0):
-        calls.append(_rotation)
-        return [Matching(pairs=tuple(crossing), host=graph)]
+    def fake_peel(adj, n_b, t, order):
+        calls.append(order[0])
+        return peeled(adj, [crossing])
 
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
     tried = min(2 * m, 24)
     with pytest.raises(InternalError, match=f"rotations 0..{tried - 1} ") as err:
         lu_subgraph(bg, 4)
@@ -451,7 +464,6 @@ def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
     component is extracted alone; one whose every own rotation splits ends
     in InternalError with that component as the witness."""
     import trimatch.partition as partition_module
-    from trimatch.matching import Matching
 
     # the splitting 3 + 3 circulant pair of the test above, then K4,4
     m = 3
@@ -460,20 +472,20 @@ def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
     first = make_bipartite(2 * m, 2 * m, edges + crossing)
     k44 = [(2 * m + a, 2 * m + b) for a in range(4) for b in range(4)]
     bg = make_bipartite(2 * m + 4, 2 * m + 4, edges + crossing + k44)
-    original = partition_module.extract_disjoint_perfect_matchings
+    original = partition_module._peel
     calls = []
 
-    def fake_extract(graph, t, _rotation=0):
-        calls.append((graph.n_a, _rotation))
-        if graph.n_a == bg.n_a:
+    def fake_peel(adj, n_b, t, order):
+        calls.append((len(adj), order[0]))
+        if len(adj) == bg.n_a:
             pairs = crossing + [(2 * m + i, 2 * m + i) for i in range(4)]
-        elif graph.n_a == first.n_a:
+        elif len(adj) == first.n_a:
             pairs = crossing
         else:
-            return original(graph, t, _rotation=_rotation)
-        return [Matching(pairs=tuple(pairs), host=graph)]
+            return original(adj, n_b, t, order)
+        return peeled(adj, [pairs])
 
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
     with pytest.raises(InternalError, match=f"rotations 0..{2 * m - 1} ") as err:
         lu_subgraph(bg, 4)
     assert calls == [(bg.n_a, 0)] + [(first.n_a, r) for r in range(first.n_a)]
@@ -485,7 +497,6 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     whole graph, to give the blocks solved one by one, and no residual is
     searched: `verify_lu` alone accepts a rotation."""
     import trimatch.partition as partition_module
-    from trimatch.matching import Matching
 
     # the splitting 3 + 3 circulant pair of the tests above, then K4,4
     m = 3
@@ -493,23 +504,22 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     crossing = [(a, (a + m) % (2 * m)) for a in range(2 * m)]
     k44 = [(2 * m + a, 2 * m + b) for a in range(4) for b in range(4)]
     bg = make_bipartite(2 * m + 4, 2 * m + 4, edges + crossing + k44)
-    extract = partition_module.extract_disjoint_perfect_matchings
+    peel = partition_module._peel
     search = partition_module._component_blocks
     n_a = bg.n_a
     full = [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(map(list, bg.adj_b))
     searches = []
 
-    def fake_extract(graph, t, _rotation=0):
-        if graph.n_a == bg.n_a:
-            pairs = crossing + [(2 * m + i, 2 * m + i) for i in range(4)]
-            return [Matching(pairs=tuple(pairs), host=graph)]
-        return extract(graph, t, _rotation=_rotation)
+    def fake_peel(adj, n_b, t, order):
+        if len(adj) == bg.n_a:
+            return peeled(adj, [crossing + [(2 * m + i, 2 * m + i) for i in range(4)]])
+        return peel(adj, n_b, t, order)
 
     def spy(adj, *args):
         searches.append([list(a) for a in adj] == full)
         return search(adj, *args)
 
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
     monkeypatch.setattr(partition_module, "_component_blocks", spy)
     lu = lu_subgraph(bg, 4)
     assert verify_lu(bg, lu).ok
@@ -520,7 +530,6 @@ def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
     """The per-component kept edges go back to the input's own ids, sorted,
     when the components' ids interleave."""
     import trimatch.partition as partition_module
-    from trimatch.matching import Matching
 
     # the splitting 3 + 3 circulant pair of the tests above and K4,4, with
     # the pair on ids 0, 2, 4, 6, 8, 9 and K4,4 on ids 1, 3, 5, 7 of each side
@@ -534,42 +543,19 @@ def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
                         + [(at_k44[a], at_k44[b]) for a, b in k44.edges])
     splitting = [(at_first[a], at_first[b]) for a, b in crossing]
     splitting += [(at_k44[i], at_k44[i]) for i in range(4)]
-    extract = partition_module.extract_disjoint_perfect_matchings
+    peel = partition_module._peel
 
-    def fake_extract(graph, t, _rotation=0):
-        if graph.n_a == bg.n_a:
-            return [Matching(pairs=tuple(splitting), host=graph)]
-        return extract(graph, t, _rotation=_rotation)
+    def fake_peel(adj, n_b, t, order):
+        if len(adj) == bg.n_a:
+            return peeled(adj, [splitting])
+        return peel(adj, n_b, t, order)
 
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
     expected = sorted(
         [(at_first[a], at_first[b]) for a, b in lu_subgraph(first, 4).kept]
         + [(at_k44[a], at_k44[b]) for a, b in lu_subgraph(k44, 4).kept]
     )
     assert lu_subgraph(bg, 4).kept == tuple(expected)
-
-
-@pytest.mark.parametrize("fault", ["non-edge", "repeat"])
-def test_lu_reports_a_broken_extraction_as_an_internal_error(monkeypatch, fault):
-    """A matched pair that is no edge of the graph, or one matched twice,
-    is the solver's fault, not the input's: it raises InternalError."""
-    import trimatch.partition as partition_module
-    from trimatch.matching import Matching
-
-    bg = random_regular_bipartite(6, 5, 1)
-    first = next(iter(partition_module.extract_disjoint_perfect_matchings(bg, 1)))
-    missing = next(b for b in range(6) if b not in bg.adj_a[0])
-    if fault == "non-edge":
-        pairs = [((0, missing),) + first.pairs[1:], first.pairs]
-    else:
-        pairs = [first.pairs, first.pairs]
-
-    def fake_extract(graph, t, _rotation=0):
-        return [Matching(pairs=p, host=graph) for p in pairs[:t]]
-
-    monkeypatch.setattr(partition_module, "extract_disjoint_perfect_matchings", fake_extract)
-    with pytest.raises(InternalError, match="residual is not 3-regular"):
-        lu_subgraph(bg, 5)
 
 
 def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
@@ -638,6 +624,114 @@ def test_rotation_0_of_a_union_is_rotation_0_of_each_component(k):
         assert _kept_edges(bg, k - 3, 0) == tuple(sorted(kept))
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_any_order_peels_a_union_as_it_peels_each_component(k):
+    """Hopcroft-Karp matches each component of a union as it would match it
+    alone, under any A-order and not only rotation 0: `_peel` of the union
+    in a random order gives, on each component, the match arrays and the
+    residual lists of that component's `_peel` in the order the union's
+    order induces on it, in the union's ids, which interleave."""
+    rng = random.Random(50 + k)
+    for seed in range(30):
+        parts = [
+            random_regular_bipartite(rng.randrange(k, 13), k, 40 * seed + i)
+            for i in range(1 + seed % 4)
+        ]
+        bg, at_a, at_b = union_with_ids(parts, rng)
+        order = list(range(bg.n_a))
+        rng.shuffle(order)
+        t = rng.randrange(k + 1)
+        matches, residual = _peel(bg.adj_a, bg.n_b, t, order)
+        for part, ids_a, ids_b in zip(parts, at_a, at_b):
+            local = {a: i for i, a in enumerate(ids_a)}
+            part_matches, part_residual = _peel(
+                part.adj_a, part.n_b, t, [local[a] for a in order if a in local]
+            )
+            for match_a, part_match in zip(matches, part_matches, strict=True):
+                assert [match_a[a] for a in ids_a] == [ids_b[b] for b in part_match]
+            assert [list(residual[a]) for a in ids_a] == [
+                [ids_b[b] for b in nbrs] for nbrs in part_residual
+            ]
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_peel_is_the_extraction_at_every_rotation_and_leaves_a_regular_residual(k):
+    """The construction check behind `_kept_edges`, which has no run-time
+    check of its residual: on seeded k-regular graphs, at every t <= k and
+    every rotation r < min(n, 24), `_peel` gives t perfect, pairwise
+    edge-disjoint matchings, equal to the old extractor's at rotation r,
+    and a residual of sorted A-lists with k - t entries each, the host's
+    lists without the matched edges, that is (k - t)-regular on B too.
+    Each t is peeled alone, and its matchings compared with the first t of
+    the old extractor at t = k."""
+    for n in list(range(k, 41)) + [97, 200]:
+        for seed in (1, 2):
+            bg = random_regular_bipartite(n, k, seed)
+            edges = set(bg.edges)
+            for r in range(min(n, 24)):
+                order = [(i + r) % n for i in range(n)]
+                old = old_extract_disjoint_perfect_matchings(bg, k, _rotation=r)
+                for t in range(k + 1):
+                    matches, residual = _peel(bg.adj_a, bg.n_b, t, order)
+                    pairs = [tuple(enumerate(m)) for m in matches]
+                    assert pairs == [m.pairs for m in old[:t]]
+                    union = {p for ps in pairs for p in ps}
+                    assert len(union) == t * n and union <= edges
+                    for m in matches:
+                        assert sorted(m) == list(range(n))
+                    assert all(
+                        len(nbrs) == k - t and list(nbrs) == sorted(nbrs) for nbrs in residual
+                    )
+                    left = {(a, b) for a, nbrs in enumerate(residual) for b in nbrs}
+                    assert left == edges - union
+                    deg_b = [0] * n
+                    for nbrs in residual:
+                        for b in nbrs:
+                            deg_b[b] += 1
+                    assert deg_b == [k - t] * n
+
+
+def test_lu_checks_regularity_once_per_call(monkeypatch):
+    """`lu_subgraph` checks its input's regularity once, whatever rotations
+    it tries: each pass's residual is regular by construction.  The
+    per-component fallback calls `lu_subgraph` again on each component, and
+    each of those calls checks its component once."""
+    import trimatch.matching as matching_module
+    import trimatch.partition as partition_module
+
+    checks, runs, tried = [], [], []
+    for module in (partition_module, matching_module):
+        def check(graph, _real=module.require_regular_bipartite):
+            checks.append(graph.n_a)
+            return _real(graph)
+
+        monkeypatch.setattr(module, "require_regular_bipartite", check)
+    lu, kept = partition_module.lu_subgraph, partition_module._kept_edges
+
+    def lu_spy(graph, k):
+        runs.append(graph.n_a)
+        return lu(graph, k)
+
+    def kept_spy(graph, t, rotation):
+        tried.append(rotation)
+        return kept(graph, t, rotation)
+
+    monkeypatch.setattr(partition_module, "lu_subgraph", lu_spy)
+    monkeypatch.setattr(partition_module, "_kept_edges", kept_spy)
+    split = rotation_0_split(ROTATION_0_SPLITS[0])
+    for bg, rotations, sizes in [
+        (random_regular_bipartite(40, 5, 1), [0], [40]),
+        (split, [0, 1], [6]),
+        # rotation 0 of the union, then each component at rotations 0, 1
+        (disjoint_union(split, split), [0, 0, 1, 0, 1], [12, 6, 6]),
+    ]:
+        for seen in (checks, runs, tried):
+            seen.clear()
+        assert verify_lu(bg, lu_spy(bg, len(bg.adj_a[0]))).ok
+        assert tried == rotations
+        assert runs == sizes and checks == sizes
+
+
 # The complements of the edges of a 6-cycle: a 4-uniform 4-regular
 # hypergraph on 6 vertices
 C6_COMPLEMENTS = "p hyp 6 6 4\n" + "".join(
@@ -677,7 +771,7 @@ def test_kept_blocks_of_a_wrong_shape_are_an_internal_error(
 
 
 @pytest.mark.parametrize(
-    "solver, builds",
+    "solver, hypergraphs",
     [
         ("lu", 1),
         ("solve_k_uniform", 2),
@@ -687,10 +781,11 @@ def test_kept_blocks_of_a_wrong_shape_are_an_internal_error(
     ],
 )
 def test_each_hypergraph_is_validated_built_and_split_once(
-    monkeypatch, solver, builds
+    monkeypatch, solver, hypergraphs
 ):
-    """`lu` gates and splits its residual once; `solve --k` also gates its
-    k = 4 input, and splits it on the incidence lists without a shadow
+    """`lu` builds and splits its residual once, and does not gate it, since
+    it is 3-uniform and 3-regular by construction; `solve --k` also gates
+    its k = 4 input, and splits it on the incidence lists without a shadow
     graph; `solve --components` gates and splits a union of four components
     once.  No component is gated or built again.  The shadow graph is built
     as its neighbour tuples, by `_shadow_lists`.  An odd `solve` searches no
@@ -699,10 +794,10 @@ def test_each_hypergraph_is_validated_built_and_split_once(
     import trimatch.partition as partition_module
 
     calls = []
-    for name in ("validate", "_shadow_lists", "components"):
-        def spy(*args, _name=name, _real=getattr(partition_module, name)):
+    for name in ("validate", "make_hypergraph", "_shadow_lists", "components"):
+        def spy(*args, _name=name, _real=getattr(partition_module, name), **kw):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kw)
 
         monkeypatch.setattr(partition_module, name, spy)
     bg = random_regular_bipartite(40, 4, 3)
@@ -719,10 +814,15 @@ def test_each_hypergraph_is_validated_built_and_split_once(
     else:
         h = make_hypergraph(bg.n_b, [bg.adj_a[a] for a in range(bg.n_a)], k=4)
         solve_k_uniform(h, 4)
-    # the one shadow graph, and its split, is the 3-uniform residual's or input's
+    # the one shadow graph, and its split, is the 3-uniform residual's or
+    # input's; each hypergraph is either an input, gated, or a residual, built
+    residuals = 1 if solver in ("lu", "solve_k_uniform") else 0
     searches = 0 if solver == "solve" else 1
     assert sorted(calls) == sorted(
-        ["validate"] * builds + ["_shadow_lists"] + ["components"] * searches
+        ["validate"] * (hypergraphs - residuals)
+        + ["make_hypergraph"] * residuals
+        + ["_shadow_lists"]
+        + ["components"] * searches
     )
 
 
@@ -830,8 +930,8 @@ def test_faked_residual_certificates_are_an_internal_error(
 
     certificates = partition_module._component_certificates
 
-    def fake(h, k):
-        cert, *rest = certificates(h, k)
+    def fake(h, k, g):
+        cert, *rest = certificates(h, k, g)
         pairs = list(cert.pairs)
         if fault == "overlap":
             pairs[1] = pairs[0]
@@ -957,7 +1057,7 @@ def old_extract_keeping_odd_count(bg: BipartiteGraph, t: int) -> set:
     target = sum(sum(v >= n_a for v in block) % 2 for block in blocks)
     rotations = min(bg.n_a, 24)
     for rotation in range(rotations):
-        attempt = extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
+        attempt = old_extract_disjoint_perfect_matchings(bg, t, _rotation=rotation)
         pairs = {p for m in attempt for p in m.pairs}
         if old_residual_odd_components(bg, pairs) == target:
             return pairs
