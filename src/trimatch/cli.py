@@ -29,7 +29,6 @@ from .errors import (
     TrimatchError,
 )
 from .generate import random_regular_bipartite, random_triple_system
-from .matching import require_regular_bipartite
 from .oracle import OracleBudget, all_tri_partitions
 from .partition import (
     lu_subgraph,
@@ -105,7 +104,9 @@ def cmd_gen(args) -> int:
 
 def cmd_lu(args) -> int:
     bg = formats.parse_bipartite(_read(args.file))
-    k = args.k if args.k is not None else require_regular_bipartite(bg)
+    # without --k, lu_subgraph's one regularity check names the first
+    # irregular vertex, or the empty side
+    k = args.k if args.k is not None else len(bg.adj_a[0]) if bg.adj_a else 0
     lu = lu_subgraph(bg, k)
     sys.stdout.write(formats.format_lu(lu))
     return EXIT_OK

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations, filterfalse, groupby, islice, repeat
+from itertools import chain, combinations, filterfalse, islice, repeat
 
 from .core import (
     Hypergraph,
@@ -247,15 +247,14 @@ def _odd_partition(h: Hypergraph, g: _ListGraph) -> TriMatchingPartition:
     )
 
 
-def _incidence_graph(h: Hypergraph) -> BipartiteGraph:
-    """The incidence graph of h: one A-vertex per hyperedge copy, in
-    hyperedge order, adjacent to the hyperedge's vertices on B.
+def _incidence_graph(h: Hypergraph):
+    """The A-side and B-side lists of h's incidence graph: one A-vertex per
+    hyperedge copy, in hyperedge order, adjacent to its vertices on B.
 
     Each hyperedge must be a sorted tuple of distinct vertices in [0, n),
     as `make_hypergraph` builds it; ValueError otherwise.  The hyperedge
-    tuples are then the A-side lists, one pass in A order gives increasing
-    B-side lists, and the edges come out increasing: `make_bipartite` of the
-    (copy, vertex) pairs, with no sort.
+    tuples are then the A-side lists, and one pass in A order gives
+    increasing B-side lists.  No edge tuples are built.
     """
     n = h.n
     adj_a = tuple(chain.from_iterable(map(repeat, h.hyperedges, h.multiplicities)))
@@ -270,48 +269,28 @@ def _incidence_graph(h: Hypergraph) -> BipartiteGraph:
                 )
             adj_b[v].append(a)
             prev = v
-    return BipartiteGraph(
-        n_a=len(adj_a),
-        n_b=n,
-        edges=tuple((a, v) for a, e in enumerate(adj_a) for v in e),
-        adj_a=adj_a,
-        adj_b=tuple(map(tuple, adj_b)),
-    )
+    return adj_a, tuple(map(tuple, adj_b))
 
 
-def _incidence_partition(
-    h: Hypergraph, k: int, bg: BipartiteGraph
-) -> TriMatchingPartition:
-    """The kept edges of h's incidence graph bg, read back as hyperedge
-    2-subsets plus at most one 3-subset, as `verify_lu` left them; others
-    fail `verify_partition` as missing."""
-    lu = lu_subgraph(bg, k)
-
-    triangle = None
-    pairs = []
-    # kept edges are sorted, so each A-vertex's block comes out sorted
-    for _, kept in groupby(lu.kept, key=lambda e: e[0]):
-        block = tuple(b for _, b in kept)
-        if len(block) == 3:
-            triangle = block
-        elif len(block) == 2:
-            pairs.append(block)
-    return TriMatchingPartition(
-        triangle=triangle, pairs=_canon_pairs(pairs), host=h
-    )
-
-
-def _solve_connected(
-    h: Hypergraph, k: int, g: _ListGraph | BipartiteGraph
-) -> TriMatchingPartition:
+def _solve_connected(h: Hypergraph, k: int, g) -> TriMatchingPartition:
     """Certificate for h, given its shadow graph's lists g when k = 3 and its
-    incidence graph g when k > 3, once callers have checked that h is
+    incidence lists g when k > 3, once callers have checked that h is
     k-uniform and k-regular with k >= 3, and connected unless k = 3 and n
     is odd: there a disconnected h raises InternalError, from the failed
     construction.  The one dispatch on k.  Callers check the certificate
-    once it is in the ids of the hypergraph they return it for."""
+    once it is in the ids of the hypergraph they return it for.  At k > 3
+    the blocks are the incidence graph's residual certificates as they are,
+    with no slot looked up: each lies in the slot, the rest of a hyperedge
+    copy, that `lu` would keep for it.  A block of any other shape is left
+    out, so that the verifier finds its vertices uncovered."""
     if k > 3:
-        cert = _incidence_partition(h, k, g)
+        _, certs = _fitting_residual(g[0], h.n, k, witness=g[0])
+        blocks = [b for c in certs for b in (c.triangle, *c.pairs) if b]
+        cert = TriMatchingPartition(
+            triangle=next((b for b in blocks if len(b) == 3), None),
+            pairs=_canon_pairs(b for b in blocks if len(b) == 2),
+            host=h,
+        )
     elif h.n % 2 == 0:
         pm = perfect_matching(g)
         if pm is None:
@@ -332,7 +311,7 @@ def _solve_connected(
 def _gated_graph(h: Hypergraph, k: int):
     """The graph the construction of a k-uniform k-regular h with k >= 3
     reads, once h passes that gate: the shadow graph's neighbour tuples when
-    k = 3, the incidence graph when k > 3.
+    k = 3, the incidence graph's lists when k > 3.
 
     k is checked first: with k = 0 a huge declared count passes `validate`,
     and its shadow graph would hold one list per declared vertex.
@@ -353,9 +332,8 @@ def _blocks(h: Hypergraph, k: int, g):
     if k == 3:
         return components(g).blocks
     n = h.n
-    blocks = _component_blocks(
-        [[n + a for a in nbrs] for nbrs in g.adj_b] + list(g.adj_a)
-    )
+    adj_a, adj_b = g
+    blocks = _component_blocks([[n + a for a in nbrs] for nbrs in adj_b] + list(adj_a))
     return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks)
 
 
@@ -455,35 +433,71 @@ def _component_certificates(h: Hypergraph, k: int, g):
     return certs
 
 
-def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
-    """Kept edges of one pass at one extraction rotation, sorted.
-
-    `_peel` deletes t disjoint perfect matchings (none when t = 0), scanning
-    A from `rotation` on, and hands back the residual, 3-regular by
-    construction.  Reads it as a 3-uniform 3-regular hypergraph on B (one
-    hyperedge per A-vertex), solves it componentwise, and gives each block
-    the 2 or 3 edges of the first A-vertex through block[0] whose slot
-    contains it.  Blocks are disjoint and have at least 2 vertices, so a
-    3-vertex slot contains at most one of them and no A-vertex is chosen
-    twice.
-
-    The residual gets no degree check, and its certificates no check of
-    their own.  A block inside no slot stops at the lookup, and `verify_lu`
-    on the kept edges sees the rest: overlapping or missing blocks as
-    B-degrees other than 1, and two triangles in one residual component,
-    which lies inside one input component, as two degree-3 A-vertices there.
+def _residual_certificates(adj, n_b, t, rotation):
+    """The slots of one extraction rotation and their unchecked component
+    certificates.  `_peel` deletes t disjoint perfect matchings (none when
+    t = 0) from the bipartite graph with A-side lists `adj`, scanning A from
+    `rotation` on, and hands back the residual, 3-regular by construction.
+    Read as a 3-uniform hypergraph on B, one hyperedge (slot) per A-vertex,
+    it is solved one component at a time: each component with odd |B| gets
+    one triangle, each even one none.
     """
-    n_a = bg.n_a
-    _, residual = _peel(bg.adj_a, bg.n_b, t, [(i + rotation) % n_a for i in range(n_a)])
+    n_a = len(adj)
+    _, residual = _peel(adj, n_b, t, [(i + rotation) % n_a for i in range(n_a)])
     slots = list(map(tuple, residual))
-    slots_at = [[] for _ in range(bg.n_b)]
+    h3 = make_hypergraph(n_b, slots, k=3)
+    return slots, _component_certificates(h3, 3, _shadow_lists(h3))
+
+
+def _fitting_residual(adj, n_b, k, witness, component_of=None):
+    """Slots and certificates of the first extraction rotation, of 0, 1, ...
+    below min(|A|, 24) (only 0 at k = 3), whose certificates hold at most
+    one triangle per component of the input, k-regular with A-side lists
+    `adj`.  That is what `verify_lu` decides on the kept edges: a residual
+    component lies inside an input component and has a triangle exactly
+    when its |B| is odd, so two degree-3 A-vertices share an input
+    component exactly when two triangles do.
+
+    `component_of` gives each B-vertex's input component, and is None for
+    an input known to be connected.  It runs once, when rotation 0 has two
+    or more triangles; if two share a component and there are several,
+    None is returned, for each component to be solved alone.  When no
+    rotation fits, an InternalError names them and carries `witness`.
+    """
+    rotations = min(len(adj), 24) if k > 3 else 1
+    for rotation in range(rotations):
+        slots, certs = _residual_certificates(adj, n_b, k - 3, rotation)
+        apexes = [c.triangle[0] for c in certs if c.triangle is not None]
+        if len(apexes) <= 1:
+            return slots, certs
+        if component_of is not None:
+            comp = component_of()
+            if len({comp[v] for v in apexes}) == len(apexes):
+                return slots, certs
+            if max(comp.values()):
+                return None
+            component_of = None
+    raise InternalError(
+        f"extraction rotations 0..{rotations - 1} all leave two odd residual"
+        " components in one input component",
+        witness=witness,
+    )
+
+
+def _kept_edges(slots, certs):
+    """The 2 or 3 kept edges of each certificate block, unsorted: those of
+    the first A-vertex through block[0] whose slot contains the block.
+    Blocks are disjoint and have at least 2 vertices, so a 3-vertex slot
+    contains at most one of them and no A-vertex is chosen twice.  A block
+    inside no slot stops here; overlapping or missing ones leave B-degrees
+    other than 1 for `verify_lu`.
+    """
+    slots_at = [[] for _ in slots]  # a regular graph has |B| = |A|
     for a, nbrs in enumerate(slots):
         for b in nbrs:
             slots_at[b].append(a)
-
-    h3 = make_hypergraph(bg.n_b, slots, k=3)
     kept = []
-    for cert in _component_certificates(h3, 3, _shadow_lists(h3)):
+    for cert in certs:
         tri = () if cert.triangle is None else (cert.triangle,)
         for block in chain(tri, cert.pairs):
             # every slot listed at block[0] contains it: test only the rest
@@ -494,70 +508,54 @@ def _kept_edges(bg: BipartiteGraph, t: int, rotation: int):
             else:
                 raise InternalError(f"no A-vertex carries block {block}")
             kept.extend((a, x) for x in block)
-    return tuple(sorted(kept))
+    return kept
 
 
 def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
-    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3.
+    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3:
+    the slots of the fitting rotation that carry the residual's blocks.
 
-    Each pass of `_kept_edges` puts exactly one 3-block on every residual
-    component with odd |B|, so `verify_lu` rejects a pass only when the
-    extraction split some input component into two such residual
-    components.  Passes whose matchers scan A from rotation 0, 1, ... are
-    tried in turn (with k = 3 nothing is extracted, so there is one pass),
-    and the first pass that `verify_lu` accepts wins.  Regularity is checked
-    here once: each pass's residual is regular by construction.
-
-    Hopcroft-Karp matches each component of a disconnected graph as it
-    would match it alone, so rotation 0 of the whole graph is rotation 0 of
-    every component.  When it fails on a disconnected input, each component
-    is solved alone, with rotations of its own, and the kept edges are
-    combined; the components are searched only then.  When a connected
-    graph fits no rotation, an InternalError names them and carries the
-    graph's edges as its witness.
+    Regularity is checked once, naming the first irregular vertex or an
+    empty side, and `verify_lu` checks the final kept edges once, whatever
+    rotations and per-component passes they took.
     """
     deg_k = require_regular_bipartite(bg)
     if deg_k != k:
         raise NotRegular(f"graph is {deg_k}-regular, expected {k}-regular")
     if k < 3:
         raise PreconditionViolated("degree must be at least 3")
+    lu = LuSubgraph(kept=tuple(sorted(_lu_kept(bg, k))), host=bg)
+    _require_ok(verify_lu(bg, lu))
+    return lu
 
+
+def _lu_kept(bg: BipartiteGraph, k: int):
+    """Unsorted, unchecked kept edges of bg, k-regular with k >= 3.  When
+    rotation 0 puts two triangles in one of several input components, each
+    component is solved alone, with rotations and a witness of its own.
+    """
     n_a = bg.n_a
-    rotations = min(n_a, 24) if k > 3 else 1
-    for rotation in range(rotations):
-        lu = LuSubgraph(kept=_kept_edges(bg, k - 3, rotation), host=bg)
-        report = verify_lu(bg, lu)
-        if report.ok:
-            return lu
-        if rotation == 0:
-            if k == 3:
-                _require_ok(report)
-            blocks = _component_blocks(
-                [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
-            )
-            if len(blocks) > 1:
-                break
-    else:  # connected, and no rotation fits
-        raise InternalError(
-            f"extraction rotations 0..{rotations - 1} all fail verification: "
-            + "; ".join(report.violations),
-            witness=bg.edges,
-        )
+    blocks = []
+
+    def component_of():
+        blocks.extend(_component_blocks(
+            [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
+        ))
+        return {v - n_a: i for i, block in enumerate(blocks) for v in block if v >= n_a}
+
+    fit = _fitting_residual(bg.adj_a, bg.n_b, k, bg.edges, component_of)
+    if fit is not None:
+        return _kept_edges(*fit)
     kept = []
     for block in blocks:
         a_ids = sorted(v for v in block if v < n_a)
         b_ids = sorted(v - n_a for v in block if v >= n_a)
         b_new = {b: j for j, b in enumerate(b_ids)}
-        sub = make_bipartite(
-            len(a_ids),
-            len(b_ids),
-            [(i, b_new[b]) for i, a in enumerate(a_ids) for b in bg.adj_a[a]],
-        )
+        edges = [(i, b_new[b]) for i, a in enumerate(a_ids) for b in bg.adj_a[a]]
+        sub = make_bipartite(len(a_ids), len(b_ids), edges)
         # through the module-level name, so a wrapper sees each component
-        kept.extend((a_ids[a], b_ids[b]) for a, b in lu_subgraph(sub, k).kept)
-    lu = LuSubgraph(kept=tuple(sorted(kept)), host=bg)
-    _require_ok(verify_lu(bg, lu))
-    return lu
+        kept.extend((a_ids[a], b_ids[b]) for a, b in _lu_kept(sub, k))
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,31 @@
-"""Exhaustive check of the extraction-rotation retry behind `lu`.
+"""Exhaustive check of the extraction-rotation choice behind `lu` and
+`solve --k`.
 
-Runs `lu_subgraph(bg, 4)` on every labelled 4-regular bipartite graph with
-6 + 6 vertices: 67,950 graphs, each the complement of a 6x6 0/1 matrix with
-row and column sums 2.  Prints how many graphs `lu_subgraph` settles at each
-extraction rotation, read by a spy on `partition._kept_edges`, which runs
-one pass per rotation, then runs `lu` on each graph that needed a rotation
-past 0 joined with a copy of itself, and prints how many of those unions
-fit no rotation of the whole graph and are solved one component at a time.
-Exits non-zero if `lu` fails on any graph (every rotation fails `verify_lu`),
-if either count differs from the pinned one (67,869 graphs at rotation
-0, 81 at rotation 1, and all 81 unions solved per component), or if the
-SHA-256 of all 67,950 `lu` certificates, as `format_lu` writes them and
-in enumeration order, differs from the pinned one.  It takes about 20 s on
-one core, so it runs as its own CI step rather than in the pytest suite:
+Runs on every labelled 4-regular bipartite graph with 6 + 6 vertices:
+67,950 graphs, each the complement of a 6x6 0/1 matrix with row and column
+sums 2.  For each graph it
+
+- runs `lu_subgraph(bg, 4)` and counts the extraction rotation it settles
+  at, read by a spy on `partition._residual_certificates`, which peels
+  once per rotation;
+- runs `solve_k_uniform(h, 4)` on the hypergraph view of the graph, one
+  hyperedge per A-vertex (17,550 of the views fold a repeated hyperedge),
+  and counts its rotation the same way;
+- checks the triangle rule at rotations 0 and 1: `verify_lu` accepts the
+  kept edges of a rotation exactly when its residual certificates hold at
+  most one triangle.
+
+Then it runs `lu` on each graph that needed a rotation past 0 joined with
+a copy of itself, and counts how many of those unions fit no rotation of
+the whole graph and are solved one component at a time.  Exits non-zero
+if `lu` or `solve --k` fails on any graph, if the triangle rule and
+`verify_lu` disagree anywhere, or if a count differs from the pinned one:
+67,869 graphs at rotation 0 and 81 at rotation 1 for both commands, and
+all 81 unions solved per component.  It also pins the SHA-256 of all
+67,950 `lu` certificates as `format_lu` writes them, and of all 67,950
+view certificates as `format_partition` writes them, in enumeration
+order.  It takes about 35 s on one core, so it runs as its own CI step
+rather than in the pytest suite:
 
     PYTHONPATH=src python tests/rotation_census.py
 """
@@ -25,14 +38,16 @@ from collections import Counter
 from itertools import combinations
 
 import trimatch.partition as partition
-from trimatch import make_bipartite
+from trimatch import make_bipartite, make_hypergraph, solve_k_uniform, verify_lu
 from trimatch.errors import InternalError
-from trimatch.formats import format_lu
+from trimatch.formats import format_lu, format_partition
 
 SIDE = 6
 EXPECTED_ROTATIONS = {0: 67869, 1: 81}
 EXPECTED_FALLBACKS = 81
 EXPECTED_SHA256 = "6390ff19dd8363567acb659315c0411f7e7c42e32bb8f89824bb1609d9d6368d"
+EXPECTED_VIEW_SHA256 = "42e71e7638ed4bfd92c2113b9afd38030f527d8578e7d5e9e9a409a033c5789c"
+EXPECTED_FOLDED = 17550
 ROW_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(SIDE), 2)]
 
 
@@ -77,59 +92,91 @@ def disjoint_union(*graphs):
     return make_bipartite(off_a, off_b, edges)
 
 
-def lu_with_rotations(bg, k=4):
-    """`lu_subgraph(bg, k)` and the extraction rotations it tried, in order,
-    as a spy on `_kept_edges` sees them: one pass per rotation."""
-    original = partition._kept_edges
+def with_rotations(call, *args):
+    """`call(*args)` and the extraction rotations it tried, in order, as a
+    spy on `_residual_certificates` sees them: one peel per rotation."""
+    original = partition._residual_certificates
     rotations = []
 
-    def spy(graph, t, rotation):
+    def spy(adj, n_b, t, rotation):
         rotations.append(rotation)
-        return original(graph, t, rotation)
+        return original(adj, n_b, t, rotation)
 
-    partition._kept_edges = spy
+    partition._residual_certificates = spy
     try:
-        return partition.lu_subgraph(bg, k), rotations
+        return call(*args), rotations
     finally:
-        partition._kept_edges = original
+        partition._residual_certificates = original
+
+
+def lu_with_rotations(bg, k=4):
+    """`lu_subgraph(bg, k)` and the extraction rotations it tried."""
+    return with_rotations(partition.lu_subgraph, bg, k)
 
 
 def lu_calls(bg, k=4):
-    """`lu_subgraph(bg, k)` and how many times `lu_subgraph` ran, the
-    per-component calls of its fallback included."""
-    original = partition.lu_subgraph
+    """`lu_subgraph(bg, k)` and how many kept-edge passes it ran: one for
+    the whole graph, and one more per component when it falls back to
+    solving them alone."""
+    original = partition._lu_kept
     calls = []
 
     def spy(graph, degree):
         calls.append(graph)
         return original(graph, degree)
 
-    partition.lu_subgraph = spy
+    partition._lu_kept = spy
     try:
-        return spy(bg, k), len(calls)
+        return partition.lu_subgraph(bg, k), len(calls)
     finally:
-        partition.lu_subgraph = original
+        partition._lu_kept = original
+
+
+def kept_at(bg, t, rotation):
+    """The sorted kept edges of the residual certificates that deleting t
+    matchings at `rotation` leaves, and how many triangles they hold."""
+    slots, certs = partition._residual_certificates(bg.adj_a, bg.n_b, t, rotation)
+    triangles = sum(cert.triangle is not None for cert in certs)
+    return tuple(sorted(partition._kept_edges(slots, certs))), triangles
+
+
+def rule_holds(bg, rotation, k=4):
+    """Whether `verify_lu` accepts the kept edges of `rotation` exactly when
+    its residual certificates hold at most one triangle."""
+    kept, triangles = kept_at(bg, k - 3, rotation)
+    return verify_lu(bg, kept).ok == (triangles <= 1)
 
 
 def main() -> int:
     settled = Counter()
+    view_settled = Counter()
     failed = []
     retried = []
-    graphs = 0
+    graphs = folded = rule_checks = 0
     digest = hashlib.sha256()
+    view_digest = hashlib.sha256()
     for masks in complement_masks():
         graphs += 1
         bg = graph_of(masks)
+        h = make_hypergraph(SIDE, bg.adj_a, k=4)
+        folded += max(h.multiplicities) > 1
         try:
             lu, rotations = lu_with_rotations(bg)
+            cert, view_rotations = with_rotations(solve_k_uniform, h, 4)
         except InternalError as exc:
-            # no rotation passed verify_lu
+            # no rotation fitted, or the final verifier refused
             failed.append((masks, exc))
             continue
         digest.update(format_lu(lu).encode("ascii"))
+        view_digest.update(format_partition(cert).encode("ascii"))
         settled[rotations[-1]] += 1
+        view_settled[view_rotations[-1]] += 1
         if rotations[-1] > 0:
             retried.append(masks)
+        for rotation in (0, 1):
+            rule_checks += 1
+            if not rule_holds(bg, rotation):
+                failed.append((masks, f"triangle rule disagrees at rotation {rotation}"))
     fallbacks = 0
     for masks in retried:
         bg = graph_of(masks)
@@ -141,17 +188,25 @@ def main() -> int:
         fallbacks += calls > 1
     print(f"graphs: {graphs}")
     for rotation in sorted(settled):
-        print(f"rotation {rotation}: {settled[rotation]}")
+        print(f"lu rotation {rotation}: {settled[rotation]}")
+    for rotation in sorted(view_settled):
+        print(f"solve --k view rotation {rotation}: {view_settled[rotation]}")
+    print(f"views folding a repeated hyperedge: {folded}")
+    print(f"triangle rule checked against verify_lu: {rule_checks}")
     print(f"self-unions of retried graphs solved per component: {fallbacks}")
     print(f"sha256 of the lu certificates: {digest.hexdigest()}")
+    print(f"sha256 of the solve --k view certificates: {view_digest.hexdigest()}")
     print(f"failed: {len(failed)}")
     for masks, exc in failed:
         print(f"  complement row masks {masks}: {exc}")
     pinned = (
         graphs == 67950
-        and settled == EXPECTED_ROTATIONS
+        and settled == view_settled == EXPECTED_ROTATIONS
+        and folded == EXPECTED_FOLDED
+        and rule_checks == 2 * graphs
         and fallbacks == EXPECTED_FALLBACKS
         and digest.hexdigest() == EXPECTED_SHA256
+        and view_digest.hexdigest() == EXPECTED_VIEW_SHA256
     )
     return 0 if pinned and not failed else 1
 

@@ -278,6 +278,44 @@ def test_lu_irregular_exit_2(tmp_path, capsys):
     assert "NotRegular" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p bip 2 2 3\ne 0 0\ne 0 1\ne 1 0\n",
+     "NotRegular: A-vertex 1 has degree 1, expected 2"),
+    ("p bip 3 2 5\ne 0 0\ne 0 1\ne 1 0\ne 1 1\ne 2 0\n",
+     "NotRegular: A-vertex 2 has degree 1, expected 2"),
+    ("p bip 2 3 4\ne 0 0\ne 0 1\ne 1 0\ne 1 1\n",
+     "NotRegular: B-vertex 2 has degree 0, expected 2"),
+    ("p bip 0 0 0\n", "NotRegular: empty side"),
+    ("p bip 2 0 0\n", "NotRegular: empty side"),
+    ("p bip 0 3 0\n", "NotRegular: empty side"),
+    ("p bip 2 2 4\ne 0 0\ne 0 1\ne 1 0\ne 1 1\n",
+     "PreconditionViolated: degree must be at least 3"),
+    (K33, None),
+])
+def test_lu_without_k_checks_regularity_once(monkeypatch, tmp_path, capsys, text, message):
+    """Without --k, `lu` takes the degree of A-vertex 0 (0 for an empty A
+    side) and leaves the one regularity check to `lu_subgraph`, which names
+    the first irregular vertex or the empty side, as the CLI did when it
+    checked first.  Exit codes are unchanged."""
+    import trimatch.matching as matching_module
+    import trimatch.partition as partition_module
+
+    checks = []
+    for module in (partition_module, matching_module):
+        def spy(bg, _real=module.require_regular_bipartite):
+            checks.append(bg.n_a)
+            return _real(bg)
+
+        monkeypatch.setattr(module, "require_regular_bipartite", spy)
+    code, out, err = run(capsys, "lu", write(tmp_path, "g.bip", text))
+    assert not hasattr(cli_module, "require_regular_bipartite")
+    assert len(checks) == 1
+    if message is None:
+        assert (code, out, err) == (0, "keep 0 0\nkeep 0 1\nkeep 0 2\n", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_oracle_agreement(tmp_path, capsys, fano):
     from trimatch.formats import format_hypergraph
 

@@ -45,6 +45,7 @@ from trimatch.formats import (
     format_lu,
     format_partition,
     parse_bipartite,
+    parse_certificate,
 )
 from trimatch.core import _component_blocks, _shadow_lists
 from trimatch.matching import (
@@ -55,10 +56,10 @@ from trimatch.matching import (
 )
 from trimatch.partition import (
     LuSubgraph,
+    TriMatchingPartition,
     _canon_pairs,
     _check_near_perfect,
     _incidence_graph,
-    _kept_edges,
     _prefix_matching,
     _require_ok,
 )
@@ -86,7 +87,7 @@ from prefix_census import (
     solve_path_fault,
     tail_cases,
 )
-from rotation_census import disjoint_union, graph_of, lu_with_rotations
+from rotation_census import disjoint_union, graph_of, kept_at, lu_with_rotations, with_rotations
 
 
 def c5_plus_ear_decomposition():
@@ -568,21 +569,27 @@ def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
     parts = [random_regular_bipartite(5 + i % 8, 4, i) for i in range(199)]
     bg = disjoint_union(*parts, rotation_0_split(ROTATION_0_SPLITS[0]))
     assert bg.n_b == 1694
-    verify = partition_module.verify_lu
-    checked = []
+    verify, peel = partition_module.verify_lu, partition_module._residual_certificates
+    checked, peeled_at = [], []
 
     def spy(graph, cert):
         checked.append(graph.n_b)
         return verify(graph, cert)
 
+    def peel_spy(adj, n_b, t, rotation):
+        peeled_at.append((n_b, rotation))
+        return peel(adj, n_b, t, rotation)
+
     monkeypatch.setattr(partition_module, "verify_lu", spy)
+    monkeypatch.setattr(partition_module, "_residual_certificates", peel_spy)
     lu = lu_subgraph(bg, 4)
     assert verify(bg, lu).ok
-    assert len(checked) == 203
-    whole = [i for i, n_b in enumerate(checked) if n_b == bg.n_b]
-    # whole-graph rotation 0, 199 + 2 per-component calls, 1 final call
-    assert whole == [0, 202]
-    assert checked[1:202] == [part.n_b for part in parts] + [6, 6]
+    # one final call on the whole graph, none per rotation or component
+    assert checked == [bg.n_b]
+    # whole-graph rotation 0, then each component from its own rotation 0
+    assert peeled_at == (
+        [(bg.n_b, 0)] + [(part.n_b, 0) for part in parts] + [(6, 0), (6, 1)]
+    )
 
 
 def union_with_ids(graphs, rng=None):
@@ -618,10 +625,10 @@ def test_rotation_0_of_a_union_is_rotation_0_of_each_component(k):
         for part, ids_a, ids_b in zip(parts, at_a, at_b):
             for j, m in enumerate(extract_disjoint_perfect_matchings(part, k - 3)):
                 alone[j].update((ids_a[a], ids_b[b]) for a, b in m.pairs)
-            kept.extend((ids_a[a], ids_b[b]) for a, b in _kept_edges(part, k - 3, 0))
+            kept.extend((ids_a[a], ids_b[b]) for a, b in kept_at(part, k - 3, 0)[0])
         whole = extract_disjoint_perfect_matchings(bg, k - 3)
         assert [set(m.pairs) for m in whole] == alone
-        assert _kept_edges(bg, k - 3, 0) == tuple(sorted(kept))
+        assert kept_at(bg, k - 3, 0)[0] == tuple(sorted(kept))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -656,14 +663,14 @@ def test_any_order_peels_a_union_as_it_peels_each_component(k):
 
 @pytest.mark.parametrize("k", range(3, 8))
 def test_peel_is_the_extraction_at_every_rotation_and_leaves_a_regular_residual(k):
-    """The construction check behind `_kept_edges`, which has no run-time
-    check of its residual: on seeded k-regular graphs, at every t <= k and
-    every rotation r < min(n, 24), `_peel` gives t perfect, pairwise
-    edge-disjoint matchings, equal to the old extractor's at rotation r,
-    and a residual of sorted A-lists with k - t entries each, the host's
-    lists without the matched edges, that is (k - t)-regular on B too.
-    Each t is peeled alone, and its matchings compared with the first t of
-    the old extractor at t = k."""
+    """The construction check behind `_residual_certificates`, which has no
+    run-time check of its residual: on seeded k-regular graphs, at every
+    t <= k and every rotation r < min(n, 24), `_peel` gives t perfect,
+    pairwise edge-disjoint matchings, equal to the old extractor's at
+    rotation r, and a residual of sorted A-lists with k - t entries each,
+    the host's lists without the matched edges, that is (k - t)-regular on
+    B too.  Each t is peeled alone, and its matchings compared with the
+    first t of the old extractor at t = k."""
     for n in list(range(k, 41)) + [97, 200]:
         for seed in (1, 2):
             bg = random_regular_bipartite(n, k, seed)
@@ -692,32 +699,32 @@ def test_peel_is_the_extraction_at_every_rotation_and_leaves_a_regular_residual(
 
 
 def test_lu_checks_regularity_once_per_call(monkeypatch):
-    """`lu_subgraph` checks its input's regularity once, whatever rotations
-    it tries: each pass's residual is regular by construction.  The
-    per-component fallback calls `lu_subgraph` again on each component, and
-    each of those calls checks its component once."""
+    """`lu_subgraph` checks its input's regularity once and runs `verify_lu`
+    once, on its final kept edges, whatever rotations it tries: each pass's
+    residual is regular by construction.  The per-component fallback runs
+    the kept-edge pass again on each component, with no check of its own."""
     import trimatch.matching as matching_module
     import trimatch.partition as partition_module
 
-    checks, runs, tried = [], [], []
+    checks, verified, runs = [], [], []
     for module in (partition_module, matching_module):
         def check(graph, _real=module.require_regular_bipartite):
             checks.append(graph.n_a)
             return _real(graph)
 
         monkeypatch.setattr(module, "require_regular_bipartite", check)
-    lu, kept = partition_module.lu_subgraph, partition_module._kept_edges
+    kept, verify = partition_module._lu_kept, partition_module.verify_lu
 
-    def lu_spy(graph, k):
+    def kept_spy(graph, k):
         runs.append(graph.n_a)
-        return lu(graph, k)
+        return kept(graph, k)
 
-    def kept_spy(graph, t, rotation):
-        tried.append(rotation)
-        return kept(graph, t, rotation)
+    def verify_spy(graph, cert):
+        verified.append(graph.n_a)
+        return verify(graph, cert)
 
-    monkeypatch.setattr(partition_module, "lu_subgraph", lu_spy)
-    monkeypatch.setattr(partition_module, "_kept_edges", kept_spy)
+    monkeypatch.setattr(partition_module, "_lu_kept", kept_spy)
+    monkeypatch.setattr(partition_module, "verify_lu", verify_spy)
     split = rotation_0_split(ROTATION_0_SPLITS[0])
     for bg, rotations, sizes in [
         (random_regular_bipartite(40, 5, 1), [0], [40]),
@@ -725,11 +732,13 @@ def test_lu_checks_regularity_once_per_call(monkeypatch):
         # rotation 0 of the union, then each component at rotations 0, 1
         (disjoint_union(split, split), [0, 0, 1, 0, 1], [12, 6, 6]),
     ]:
-        for seen in (checks, runs, tried):
+        for seen in (checks, verified, runs):
             seen.clear()
-        assert verify_lu(bg, lu_spy(bg, len(bg.adj_a[0]))).ok
+        lu, tried = with_rotations(lu_subgraph, bg, len(bg.adj_a[0]))
+        assert verify(bg, lu).ok
         assert tried == rotations
-        assert runs == sizes and checks == sizes
+        assert runs == sizes
+        assert checks == verified == [bg.n_a]
 
 
 # The complements of the edges of a 6-cycle: a 4-uniform 4-regular
@@ -747,19 +756,17 @@ C6_COMPLEMENTS = "p hyp 6 6 4\n" + "".join(
 def test_kept_blocks_of_a_wrong_shape_are_an_internal_error(
     monkeypatch, tmp_path, capsys, blocks
 ):
-    """Blocks that `verify_lu` would have refused, handed to the read-back
-    of `solve --k 4`: the certificate check stops them, and the CLI exits 3."""
+    """Residual certificate blocks that are neither the one triangle nor
+    pairs, handed to `solve --k 4` with no triangle to count: the blocks of
+    another shape are left out of its certificate, the certificate check
+    finds their vertices uncovered, and the CLI exits 3."""
     import trimatch.partition as partition_module
     from trimatch.cli import main
 
-    def fake_lu(bg, k):
-        kept = []
-        for block in blocks:
-            a = next(a for a in range(bg.n_a) if set(block) <= set(bg.adj_a[a]))
-            kept.extend((a, b) for b in block)
-        return LuSubgraph(kept=tuple(sorted(kept)), host=bg)
+    def fake(adj, n_b, t, rotation):
+        return None, [TriMatchingPartition(triangle=None, pairs=tuple(blocks), host=None)]
 
-    monkeypatch.setattr(partition_module, "lu_subgraph", fake_lu)
+    monkeypatch.setattr(partition_module, "_residual_certificates", fake)
     f = tmp_path / "c6.hyp"
     f.write_text(C6_COMPLEMENTS)
     assert main(["solve", "--k", "4", str(f)]) == 3
@@ -880,15 +887,17 @@ def old_incidence_graph(h):
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_incidence_graph_equals_make_bipartite_of_the_copy_vertex_pairs(k):
-    """Built straight from the hyperedges, one A-vertex per copy, it equals
-    `make_bipartite` of the old pair list, repeated hyperedges included."""
+    """Built straight from the hyperedges, one A-vertex per copy, its A-side
+    and B-side lists equal those of `make_bipartite` of the old pair list,
+    repeated hyperedges included."""
     cases = [make_hypergraph(k + 1, list(itertools.combinations(range(k + 1), k)), k=k),
              make_hypergraph(k, [tuple(range(k))] * k, k=k)]
     cases += [partition_union_hypergraph(k, q, 10 * q + seed, seed % 2)
               for q in range(1, 8) for seed in range(4)]
     assert any(max(h.multiplicities) > 1 for h in cases)
     for h in cases:
-        assert _incidence_graph(h) == old_incidence_graph(h)
+        old = old_incidence_graph(h)
+        assert _incidence_graph(h) == (old.adj_a, old.adj_b)
 
 
 @pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])
@@ -918,10 +927,11 @@ def test_k4_hand_built_malformed_hyperedges_are_refused(solver, hyperedges):
 def test_faked_residual_certificates_are_an_internal_error(
     monkeypatch, tmp_path, capsys, fault, command
 ):
-    """The residual certificates in `_kept_edges` are not checked on their
-    own: two pairs that overlap are stopped by `verify_lu`, and a pair
-    inside no residual hyperedge by the slot lookup.  Either way `lu` and
-    `solve --k 4` exit 3."""
+    """The residual certificates are not checked on their own.  In `lu` two
+    pairs that overlap are stopped by the final `verify_lu`, and a pair
+    inside no residual hyperedge by the slot lookup.  `solve --k 4` looks up
+    no slot, and its final `verify_partition` stops both.  Either way the
+    CLI exits 3."""
     import trimatch.partition as partition_module
     from dataclasses import replace
 
@@ -953,12 +963,116 @@ def test_faked_residual_certificates_are_an_internal_error(
         f.write_text(format_hypergraph(h))
         argv = ["solve", "--k", "4", str(f)]
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: InternalError: ")
-    if fault == "overlap":
-        assert "all fail verification" in err and "repeated" in err
-    else:
-        assert "no A-vertex carries block" in err
+    failed = "error: InternalError: constructed certificate failed verification: "
+    assert capsys.readouterr().err == {
+        ("lu", "overlap"): failed + (
+            "kept edge (3, 0) repeated; kept edge (3, 2) repeated;"
+            " B-vertex 0 has kept degree 2, expected 1;"
+            " B-vertex 1 has kept degree 0, expected 1;"
+            " B-vertex 2 has kept degree 2, expected 1;"
+            " B-vertex 4 has kept degree 0, expected 1; A-vertex 3 has kept degree 4\n"
+        ),
+        ("lu", "no slot"): "error: InternalError: no A-vertex carries block (0, 1)\n",
+        ("solve", "overlap"): failed + (
+            "blocks are not disjoint; blocks do not cover the vertex set (missing [1, 4])\n"
+        ),
+        ("solve", "no slot"): failed + (
+            "blocks are not disjoint; blocks do not cover the vertex set (missing [2]);"
+            " pair (0, 1) is not inside any hyperedge\n"
+        ),
+    }[command, fault]
+
+
+@pytest.mark.parametrize("components", [False, True])
+def test_solve_k_reads_its_blocks_off_the_residual(monkeypatch, tmp_path, capsys, components):
+    """`solve --k` and `solve --components --k` build their certificates
+    from the residual certificates: no `lu_subgraph`, no kept edges, no
+    `verify_lu` and no regularity check of an incidence graph, on the view
+    of a census graph that needs rotation 1 there too, a random view at
+    |B| = 300, and their union."""
+    import trimatch.matching as matching_module
+    import trimatch.partition as partition_module
+    from trimatch.cli import main
+
+    calls = []
+    for module, name in [
+        (partition_module, "lu_subgraph"),
+        (partition_module, "_lu_kept"),
+        (partition_module, "_kept_edges"),
+        (partition_module, "verify_lu"),
+        (partition_module, "require_regular_bipartite"),
+        (matching_module, "require_regular_bipartite"),
+    ]:
+        def spy(*args, _name=name, _real=getattr(module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    graphs = (rotation_0_split(ROTATION_0_SPLITS[0]), random_regular_bipartite(300, 4, 7))
+    views = [make_hypergraph(bg.n_b, bg.adj_a, k=4) for bg in graphs]
+    cases = views + [hypergraph_union(views)] if components else views
+    for i, h in enumerate(cases):
+        f = tmp_path / "v.hyp"
+        f.write_text(format_hypergraph(h))
+        code, tried = with_rotations(main, ["solve", "--k", "4", str(f)] + ["--components"] * components)
+        assert code == 0 and (i > 0 or tried == [0, 1])
+        triangles, pairs, _ = parse_certificate(capsys.readouterr().out)
+        assert verify_partition(h, (triangles, pairs)).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("m", [3, 13])
+def test_solve_k_gives_up_naming_the_rotations_with_the_hyperedges(monkeypatch, m):
+    """An extraction that always splits the residual of a connected view
+    into two odd components ends in InternalError after min(|A|, 24)
+    rotations, with the input's hyperedges, one per copy, as the witness."""
+    import trimatch.partition as partition_module
+
+    # the splitting circulant pair of `test_lu_gives_up_when_every_rotation_splits`
+    edges = [(a + o, (a + s) % m + o) for o in (0, m) for a in range(m) for s in range(3)]
+    crossing = {a: (a + m) % (2 * m) for a in range(2 * m)}
+    bg = make_bipartite(2 * m, 2 * m, edges + list(crossing.items()))
+    h = make_hypergraph(bg.n_b, bg.adj_a, k=4)
+    slot = {nbrs: a for a, nbrs in enumerate(bg.adj_a)}
+    calls = []
+
+    def fake_peel(adj, n_b, t, order):
+        calls.append(order[0])
+        # the view lists the A-vertices in another order
+        return peeled(adj, [[(i, crossing[slot[nbrs]]) for i, nbrs in enumerate(adj)]])
+
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
+    tried = min(2 * m, 24)
+    with pytest.raises(InternalError, match=f"rotations 0..{tried - 1} ") as err:
+        solve_k_uniform(h, 4)
+    assert calls == list(range(tried))
+    assert set(h.multiplicities) == {1} and err.value.witness == h.hyperedges
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_solve_k_blocks_are_the_lu_kept_edges_by_a_vertex(k):
+    """On the hypergraph view of a k-regular graph with pairwise distinct
+    A-lists, one hyperedge per A-vertex, the blocks of `solve_k_uniform` are
+    the kept edges of `lu_subgraph` on the view's incidence graph grouped by
+    A-vertex: the 3-block is the triangle, the 2-blocks the pairs."""
+    checked = 0
+    for n in [k + 2, 13, 40, 97, 500, 2000]:
+        for seed in (1, 2):
+            bg = random_regular_bipartite(n, k, seed)
+            if len(set(bg.adj_a)) < n:
+                continue
+            h = make_hypergraph(n, bg.adj_a, k=k)
+            view = make_bipartite(n, n, [(a, v) for a, e in enumerate(h.hyperedges) for v in e])
+            blocks = [
+                tuple(b for _, b in kept)
+                for _, kept in itertools.groupby(lu_subgraph(view, k).kept, key=lambda e: e[0])
+            ]
+            cert = solve_k_uniform(h, k)
+            assert [b for b in blocks if len(b) == 3] == ([cert.triangle] if cert.triangle else [])
+            assert sorted(b for b in blocks if len(b) == 2) == list(cert.pairs)
+            assert set(map(len, blocks)) <= {2, 3}
+            checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("solver", [solve_k_uniform, solve_components])

@@ -33,7 +33,7 @@ from trimatch.core import canonical_edge
 from trimatch.partition import VerificationReport
 
 from conftest import hypergraph_union, random_regular_bipartite, random_triple_system
-from rotation_census import lu_with_rotations
+from rotation_census import kept_at, lu_with_rotations
 
 
 # Copies of the verifiers as they were before the component search became
@@ -855,7 +855,7 @@ LU_WITNESS = bipartite_union(
 
 def test_lu_settles_each_component_alone_when_no_rotation_fits_the_union():
     union_fits = [
-        verify_lu(LU_WITNESS, partition_module._kept_edges(LU_WITNESS, 2, r)).ok
+        verify_lu(LU_WITNESS, kept_at(LU_WITNESS, 2, r)[0]).ok
         for r in range(24)
     ]
     assert union_fits == [False] * 24
