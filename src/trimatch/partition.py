@@ -17,6 +17,7 @@ into hyperedge 2-subsets plus at most one 3-subset.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, filterfalse, islice, repeat
 
@@ -49,7 +50,6 @@ from .matching import (
     BipartiteGraph,
     Matching,
     _peel,
-    make_bipartite,
     perfect_matching,
     require_regular_bipartite,
 )
@@ -326,15 +326,22 @@ def _gated_graph(h: Hypergraph, k: int):
 
 def _blocks(h: Hypergraph, k: int, g):
     """The components of h as sorted blocks in order of least vertex, from
-    the graph g that `_gated_graph(h, k)` gave.  The k > 3 blocks come from
-    the incidence graph, with vertex v as node v and A-vertex a as node
-    n + a, so no shadow graph is built."""
+    the graph g that `_gated_graph(h, k)` gave.  The k > 3 blocks are the
+    B-sides of the incidence graph's components, so no shadow graph is
+    built."""
     if k == 3:
         return components(g).blocks
     n = h.n
-    adj_a, adj_b = g
-    blocks = _component_blocks([[n + a for a in nbrs] for nbrs in adj_b] + list(adj_a))
-    return tuple(tuple(sorted(v for v in b if v < n)) for b in blocks)
+    return tuple(tuple(sorted(v for v in b if v < n)) for b in _incidence_blocks(*g))
+
+
+def _incidence_blocks(adj_a, adj_b):
+    """Unsorted node lists of the components of the bipartite graph with
+    A-side lists `adj_a` and B-side lists `adj_b`, with B-vertex b as node
+    b and A-vertex a as node |B| + a, in order of least B-vertex (no
+    A-vertex of a regular graph is isolated)."""
+    n_b = len(adj_b)
+    return _component_blocks([[n_b + a for a in nbrs] for nbrs in adj_b] + list(adj_a))
 
 
 def _require_connected(h: Hypergraph, k: int, g) -> None:
@@ -433,55 +440,67 @@ def _component_certificates(h: Hypergraph, k: int, g):
     return certs
 
 
-def _residual_certificates(adj, n_b, t, rotation):
-    """The slots of one extraction rotation and their unchecked component
+def _residual_certificates(adj, n_b, t, order):
+    """The slots of one extraction and their unchecked component
     certificates.  `_peel` deletes t disjoint perfect matchings (none when
-    t = 0) from the bipartite graph with A-side lists `adj`, scanning A from
-    `rotation` on, and hands back the residual, 3-regular by construction.
-    Read as a 3-uniform hypergraph on B, one hyperedge (slot) per A-vertex,
-    it is solved one component at a time: each component with odd |B| gets
-    one triangle, each even one none.
+    t = 0) from the bipartite graph with A-side lists `adj`, scanning A in
+    `order`, and hands back the residual, 3-regular by construction.  Read
+    as a 3-uniform hypergraph on B, one hyperedge (slot) per A-vertex, it is
+    solved one component at a time: each component with odd |B| gets one
+    triangle, each even one none.
     """
-    n_a = len(adj)
-    _, residual = _peel(adj, n_b, t, [(i + rotation) % n_a for i in range(n_a)])
+    _, residual = _peel(adj, n_b, t, order)
     slots = list(map(tuple, residual))
     h3 = make_hypergraph(n_b, slots, k=3)
     return slots, _component_certificates(h3, 3, _shadow_lists(h3))
 
 
-def _fitting_residual(adj, n_b, k, witness, component_of=None):
-    """Slots and certificates of the first extraction rotation, of 0, 1, ...
-    below min(|A|, 24) (only 0 at k = 3), whose certificates hold at most
-    one triangle per component of the input, k-regular with A-side lists
-    `adj`.  That is what `verify_lu` decides on the kept edges: a residual
-    component lies inside an input component and has a triangle exactly
-    when its |B| is odd, so two degree-3 A-vertices share an input
-    component exactly when two triangles do.
+def _fitting_residual(adj, n_b, k, witness, adj_b=None):
+    """Slots and certificates of the first extraction whose certificates
+    hold at most one triangle per component of the input, k-regular with
+    A-side lists `adj`.  That is what `verify_lu` decides on the kept
+    edges: a residual component lies inside an input component and has a
+    triangle exactly when its |B| is odd, so two degree-3 A-vertices share
+    an input component exactly when two triangles do.
 
-    `component_of` gives each B-vertex's input component, and is None for
-    an input known to be connected.  It runs once, when rotation 0 has two
-    or more triangles; if two share a component and there are several,
-    None is returned, for each component to be solved alone.  When no
-    rotation fits, an InternalError names them and carries `witness`.
+    Each input component has a rotation of its own, of 0, 1, ... below
+    min(|A_c|, 24) (only 0 at k = 3), and one peel of the whole graph scans
+    each component's ascending A-vertices from its rotation on: Hopcroft-
+    Karp peels each component of a union as it peels it alone, in the order
+    the union's order induces on it.  The first peel, in ascending order,
+    is rotation 0 of every component.  Only when it has two or more
+    triangles are the components searched, once, on the B-side lists
+    `adj_b` (None for an input known to be connected).  Then a component
+    with two or more triangles moves to its next rotation and every other
+    one keeps its own.  When a component fits none of its rotations, an
+    InternalError names them and carries `witness`.
     """
-    rotations = min(len(adj), 24) if k > 3 else 1
-    for rotation in range(rotations):
-        slots, certs = _residual_certificates(adj, n_b, k - 3, rotation)
+    order = range(len(adj))
+    rotation = None
+    while True:
+        slots, certs = _residual_certificates(adj, n_b, k - 3, order)
         apexes = [c.triangle[0] for c in certs if c.triangle is not None]
         if len(apexes) <= 1:
             return slots, certs
-        if component_of is not None:
-            comp = component_of()
-            if len({comp[v] for v in apexes}) == len(apexes):
-                return slots, certs
-            if max(comp.values()):
-                return None
-            component_of = None
-    raise InternalError(
-        f"extraction rotations 0..{rotations - 1} all leave two odd residual"
-        " components in one input component",
-        witness=witness,
-    )
+        if rotation is None:
+            blocks = _incidence_blocks(adj, adj_b) if adj_b else [range(n_b + len(adj))]
+            part_of = {v: i for i, block in enumerate(blocks) for v in block}
+            parts = [sorted(v - n_b for v in block if v >= n_b) for block in blocks]
+            rotation = [0] * len(parts)
+        triangles = Counter(part_of[b] for b in apexes)
+        if max(triangles.values()) == 1:
+            return slots, certs
+        for i, a_ids in enumerate(parts):
+            if triangles[i] > 1:
+                rotation[i] += 1
+                limit = min(len(a_ids), 24) if k > 3 else 1
+                if rotation[i] == limit:
+                    raise InternalError(
+                        f"extraction rotations 0..{limit - 1} all leave two odd"
+                        " residual components in one input component",
+                        witness=witness,
+                    )
+        order = [a for ids, r in zip(parts, rotation) for a in chain(ids[r:], ids[:r])]
 
 
 def _kept_edges(slots, certs):
@@ -512,50 +531,23 @@ def _kept_edges(slots, certs):
 
 
 def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
-    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3:
-    the slots of the fitting rotation that carry the residual's blocks.
+    """Kept edge set with B-degrees 1 and A-degrees 0/2 plus at most one 3
+    per input component: the slots of the fitting extraction, each input
+    component at its own rotation, that carry the residual's blocks.
 
     Regularity is checked once, naming the first irregular vertex or an
     empty side, and `verify_lu` checks the final kept edges once, whatever
-    rotations and per-component passes they took.
+    rotations they took.
     """
     deg_k = require_regular_bipartite(bg)
     if deg_k != k:
         raise NotRegular(f"graph is {deg_k}-regular, expected {k}-regular")
     if k < 3:
         raise PreconditionViolated("degree must be at least 3")
-    lu = LuSubgraph(kept=tuple(sorted(_lu_kept(bg, k))), host=bg)
+    fit = _fitting_residual(bg.adj_a, bg.n_b, k, bg.edges, bg.adj_b)
+    lu = LuSubgraph(kept=tuple(sorted(_kept_edges(*fit))), host=bg)
     _require_ok(verify_lu(bg, lu))
     return lu
-
-
-def _lu_kept(bg: BipartiteGraph, k: int):
-    """Unsorted, unchecked kept edges of bg, k-regular with k >= 3.  When
-    rotation 0 puts two triangles in one of several input components, each
-    component is solved alone, with rotations and a witness of its own.
-    """
-    n_a = bg.n_a
-    blocks = []
-
-    def component_of():
-        blocks.extend(_component_blocks(
-            [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(bg.adj_b)
-        ))
-        return {v - n_a: i for i, block in enumerate(blocks) for v in block if v >= n_a}
-
-    fit = _fitting_residual(bg.adj_a, bg.n_b, k, bg.edges, component_of)
-    if fit is not None:
-        return _kept_edges(*fit)
-    kept = []
-    for block in blocks:
-        a_ids = sorted(v for v in block if v < n_a)
-        b_ids = sorted(v - n_a for v in block if v >= n_a)
-        b_new = {b: j for j, b in enumerate(b_ids)}
-        edges = [(i, b_new[b]) for i, a in enumerate(a_ids) for b in bg.adj_a[a]]
-        sub = make_bipartite(len(a_ids), len(b_ids), edges)
-        # through the module-level name, so a wrapper sees each component
-        kept.extend((a_ids[a], b_ids[b]) for a, b in _lu_kept(sub, k))
-    return kept
 
 
 # ---------------------------------------------------------------------------

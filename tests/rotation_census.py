@@ -7,7 +7,8 @@ sums 2.  For each graph it
 
 - runs `lu_subgraph(bg, 4)` and counts the extraction rotation it settles
   at, read by a spy on `partition._residual_certificates`, which peels
-  once per rotation;
+  once per rotation in an A-order that, on a connected graph, starts at
+  the rotation;
 - runs `solve_k_uniform(h, 4)` on the hypergraph view of the graph, one
   hyperedge per A-vertex (17,550 of the views fold a repeated hyperedge),
   and counts its rotation the same way;
@@ -16,15 +17,16 @@ sums 2.  For each graph it
   most one triangle.
 
 Then it runs `lu` on each graph that needed a rotation past 0 joined with
-a copy of itself, and counts how many of those unions fit no rotation of
-the whole graph and are solved one component at a time.  Exits non-zero
-if `lu` or `solve --k` fails on any graph, if the triangle rule and
-`verify_lu` disagree anywhere, or if a count differs from the pinned one:
-67,869 graphs at rotation 0 and 81 at rotation 1 for both commands, and
-all 81 unions solved per component.  It also pins the SHA-256 of all
+a copy of itself, and counts the unions whose kept edges are the graph's
+own beside those of the copy shifted by 6: each copy is rotated on its
+own inside the union's peel.  Exits non-zero if `lu` or `solve --k` fails
+on any graph, if the triangle rule and `verify_lu` disagree anywhere, or
+if a count differs from the pinned one: 67,869 graphs at rotation 0 and
+81 at rotation 1 for both commands, and all 81 unions kept as their
+copies.  It also pins the SHA-256 of all
 67,950 `lu` certificates as `format_lu` writes them, and of all 67,950
 view certificates as `format_partition` writes them, in enumeration
-order.  It takes about 35 s on one core, so it runs as its own CI step
+order.  It takes about 25 s on one core, so it runs as its own CI step
 rather than in the pytest suite:
 
     PYTHONPATH=src python tests/rotation_census.py
@@ -44,7 +46,7 @@ from trimatch.formats import format_lu, format_partition
 
 SIDE = 6
 EXPECTED_ROTATIONS = {0: 67869, 1: 81}
-EXPECTED_FALLBACKS = 81
+EXPECTED_UNIONS = 81
 EXPECTED_SHA256 = "6390ff19dd8363567acb659315c0411f7e7c42e32bb8f89824bb1609d9d6368d"
 EXPECTED_VIEW_SHA256 = "42e71e7638ed4bfd92c2113b9afd38030f527d8578e7d5e9e9a409a033c5789c"
 EXPECTED_FOLDED = 17550
@@ -92,21 +94,28 @@ def disjoint_union(*graphs):
     return make_bipartite(off_a, off_b, edges)
 
 
-def with_rotations(call, *args):
-    """`call(*args)` and the extraction rotations it tried, in order, as a
-    spy on `_residual_certificates` sees them: one peel per rotation."""
+def with_orders(call, *args):
+    """`call(*args)` and the A-order of each peel it ran, as a spy on
+    `_residual_certificates` sees them."""
     original = partition._residual_certificates
-    rotations = []
+    orders = []
 
-    def spy(adj, n_b, t, rotation):
-        rotations.append(rotation)
-        return original(adj, n_b, t, rotation)
+    def spy(adj, n_b, t, order):
+        orders.append(list(order))
+        return original(adj, n_b, t, order)
 
     partition._residual_certificates = spy
     try:
-        return call(*args), rotations
+        return call(*args), orders
     finally:
         partition._residual_certificates = original
+
+
+def with_rotations(call, *args):
+    """`call(*args)` and the first A-vertex of each peel's order: on a
+    connected graph, one peel per rotation, whose order starts at it."""
+    result, orders = with_orders(call, *args)
+    return result, [order[0] for order in orders]
 
 
 def lu_with_rotations(bg, k=4):
@@ -114,28 +123,12 @@ def lu_with_rotations(bg, k=4):
     return with_rotations(partition.lu_subgraph, bg, k)
 
 
-def lu_calls(bg, k=4):
-    """`lu_subgraph(bg, k)` and how many kept-edge passes it ran: one for
-    the whole graph, and one more per component when it falls back to
-    solving them alone."""
-    original = partition._lu_kept
-    calls = []
-
-    def spy(graph, degree):
-        calls.append(graph)
-        return original(graph, degree)
-
-    partition._lu_kept = spy
-    try:
-        return partition.lu_subgraph(bg, k), len(calls)
-    finally:
-        partition._lu_kept = original
-
-
 def kept_at(bg, t, rotation):
     """The sorted kept edges of the residual certificates that deleting t
-    matchings at `rotation` leaves, and how many triangles they hold."""
-    slots, certs = partition._residual_certificates(bg.adj_a, bg.n_b, t, rotation)
+    matchings at `rotation` of the whole graph leaves, and how many
+    triangles they hold."""
+    order = [(i + rotation) % bg.n_a for i in range(bg.n_a)]
+    slots, certs = partition._residual_certificates(bg.adj_a, bg.n_b, t, order)
     triangles = sum(cert.triangle is not None for cert in certs)
     return tuple(sorted(partition._kept_edges(slots, certs))), triangles
 
@@ -177,15 +170,16 @@ def main() -> int:
             rule_checks += 1
             if not rule_holds(bg, rotation):
                 failed.append((masks, f"triangle rule disagrees at rotation {rotation}"))
-    fallbacks = 0
+    unions = 0
     for masks in retried:
         bg = graph_of(masks)
         try:
-            _, calls = lu_calls(disjoint_union(bg, bg))
+            union = partition.lu_subgraph(disjoint_union(bg, bg), 4)
         except InternalError as exc:
             failed.append(((masks, masks), exc))
             continue
-        fallbacks += calls > 1
+        kept = partition.lu_subgraph(bg, 4).kept
+        unions += union.kept == kept + tuple((a + SIDE, b + SIDE) for a, b in kept)
     print(f"graphs: {graphs}")
     for rotation in sorted(settled):
         print(f"lu rotation {rotation}: {settled[rotation]}")
@@ -193,7 +187,7 @@ def main() -> int:
         print(f"solve --k view rotation {rotation}: {view_settled[rotation]}")
     print(f"views folding a repeated hyperedge: {folded}")
     print(f"triangle rule checked against verify_lu: {rule_checks}")
-    print(f"self-unions of retried graphs solved per component: {fallbacks}")
+    print(f"self-unions of retried graphs kept as their copies: {unions}")
     print(f"sha256 of the lu certificates: {digest.hexdigest()}")
     print(f"sha256 of the solve --k view certificates: {view_digest.hexdigest()}")
     print(f"failed: {len(failed)}")
@@ -204,7 +198,7 @@ def main() -> int:
         and settled == view_settled == EXPECTED_ROTATIONS
         and folded == EXPECTED_FOLDED
         and rule_checks == 2 * graphs
-        and fallbacks == EXPECTED_FALLBACKS
+        and unions == EXPECTED_UNIONS
         and digest.hexdigest() == EXPECTED_SHA256
         and view_digest.hexdigest() == EXPECTED_VIEW_SHA256
     )

@@ -87,7 +87,14 @@ from prefix_census import (
     solve_path_fault,
     tail_cases,
 )
-from rotation_census import disjoint_union, graph_of, kept_at, lu_with_rotations, with_rotations
+from rotation_census import (
+    disjoint_union,
+    graph_of,
+    kept_at,
+    lu_with_rotations,
+    with_orders,
+    with_rotations,
+)
 
 
 def c5_plus_ear_decomposition():
@@ -461,42 +468,37 @@ def test_lu_gives_up_when_every_rotation_splits(monkeypatch, m):
 
 
 def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
-    """Disconnected input: after rotation 0 of the whole graph fails, each
-    component is extracted alone; one whose every own rotation splits ends
-    in InternalError with that component as the witness."""
+    """Disconnected input: after rotation 0 of the whole graph puts two
+    triangles in one component, that component moves through its own
+    rotations inside each peel of the whole graph, while the other keeps
+    rotation 0.  One whose every own rotation splits ends in InternalError
+    naming its rotations, with the input's edges as the witness."""
     import trimatch.partition as partition_module
 
     # the splitting 3 + 3 circulant pair of the test above, then K4,4
     m = 3
     edges = [(a + o, (a + s) % m + o) for o in (0, m) for a in range(m) for s in range(3)]
     crossing = [(a, (a + m) % (2 * m)) for a in range(2 * m)]
-    first = make_bipartite(2 * m, 2 * m, edges + crossing)
     k44 = [(2 * m + a, 2 * m + b) for a in range(4) for b in range(4)]
     bg = make_bipartite(2 * m + 4, 2 * m + 4, edges + crossing + k44)
-    original = partition_module._peel
-    calls = []
+    orders = []
 
     def fake_peel(adj, n_b, t, order):
-        calls.append((len(adj), order[0]))
-        if len(adj) == bg.n_a:
-            pairs = crossing + [(2 * m + i, 2 * m + i) for i in range(4)]
-        elif len(adj) == first.n_a:
-            pairs = crossing
-        else:
-            return original(adj, n_b, t, order)
-        return peeled(adj, [pairs])
+        orders.append(list(order))
+        return peeled(adj, [crossing + [(2 * m + i, 2 * m + i) for i in range(4)]])
 
     monkeypatch.setattr(partition_module, "_peel", fake_peel)
     with pytest.raises(InternalError, match=f"rotations 0..{2 * m - 1} ") as err:
         lu_subgraph(bg, 4)
-    assert calls == [(bg.n_a, 0)] + [(first.n_a, r) for r in range(first.n_a)]
-    assert err.value.witness == first.edges
+    first = list(range(2 * m))
+    assert orders == [first[r:] + first[:r] + [6, 7, 8, 9] for r in range(2 * m)]
+    assert err.value.witness == bg.edges
 
 
 def test_lu_searches_the_input_components_once(monkeypatch):
-    """The input's components are searched only when no rotation fits the
-    whole graph, to give the blocks solved one by one, and no residual is
-    searched: `verify_lu` alone accepts a rotation."""
+    """The input's components are searched only when rotation 0 of the
+    whole graph has two triangles, once, on its incidence lists, and no
+    residual is searched: `verify_lu` alone accepts the final kept edges."""
     import trimatch.partition as partition_module
 
     # the splitting 3 + 3 circulant pair of the tests above, then K4,4
@@ -507,12 +509,13 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     bg = make_bipartite(2 * m + 4, 2 * m + 4, edges + crossing + k44)
     peel = partition_module._peel
     search = partition_module._component_blocks
-    n_a = bg.n_a
-    full = [[n_a + b for b in nbrs] for nbrs in bg.adj_a] + list(map(list, bg.adj_b))
-    searches = []
+    n_b = bg.n_b
+    full = [[n_b + a for a in nbrs] for nbrs in bg.adj_b] + list(map(list, bg.adj_a))
+    searches, orders = [], []
 
     def fake_peel(adj, n_b, t, order):
-        if len(adj) == bg.n_a:
+        orders.append(list(order))
+        if orders[-1] == list(range(bg.n_a)):
             return peeled(adj, [crossing + [(2 * m + i, 2 * m + i) for i in range(4)]])
         return peel(adj, n_b, t, order)
 
@@ -525,11 +528,13 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     lu = lu_subgraph(bg, 4)
     assert verify_lu(bg, lu).ok
     assert searches == [True]
+    assert orders == [list(range(10)), [1, 2, 3, 4, 5, 0, 6, 7, 8, 9]]
 
 
 def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
-    """The per-component kept edges go back to the input's own ids, sorted,
-    when the components' ids interleave."""
+    """When the components' ids interleave, the one with two triangles at
+    rotation 0 is rotated over its own ids, and the kept edges are each
+    component's own at its rotation, in the input's ids, sorted."""
     import trimatch.partition as partition_module
 
     # the splitting 3 + 3 circulant pair of the tests above and K4,4, with
@@ -545,29 +550,37 @@ def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
     splitting = [(at_first[a], at_first[b]) for a, b in crossing]
     splitting += [(at_k44[i], at_k44[i]) for i in range(4)]
     peel = partition_module._peel
+    orders = []
 
     def fake_peel(adj, n_b, t, order):
-        if len(adj) == bg.n_a:
+        orders.append(list(order))
+        if orders[-1] == list(range(bg.n_a)):
             return peeled(adj, [splitting])
         return peel(adj, n_b, t, order)
 
-    monkeypatch.setattr(partition_module, "_peel", fake_peel)
+    # the pair alone at its rotation 1 fits, so no other rotation is tried
+    first_kept, triangles = kept_at(first, 1, 1)
+    assert triangles <= 1
     expected = sorted(
-        [(at_first[a], at_first[b]) for a, b in lu_subgraph(first, 4).kept]
+        [(at_first[a], at_first[b]) for a, b in first_kept]
         + [(at_k44[a], at_k44[b]) for a, b in lu_subgraph(k44, 4).kept]
     )
+    monkeypatch.setattr(partition_module, "_peel", fake_peel)
     assert lu_subgraph(bg, 4).kept == tuple(expected)
+    assert orders == [list(range(10)), at_first[1:] + at_first[:1] + at_k44]
 
 
 def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
     """199 random 4-regular components plus one census graph that needs
-    rotation 1: rotation 0 of the whole graph fails, so `lu` tries no other
-    whole-graph rotation, solves the 200 components one by one (the split
-    one at its own rotation 1) and checks the combined kept edges once."""
+    rotation 1: rotation 0 of the whole graph puts two triangles in that
+    one alone, so the second peel of the whole graph moves it to its
+    rotation 1 and keeps every other component at rotation 0.  The kept
+    edges are checked once and are each component's own."""
     import trimatch.partition as partition_module
 
+    split = rotation_0_split(ROTATION_0_SPLITS[0])
     parts = [random_regular_bipartite(5 + i % 8, 4, i) for i in range(199)]
-    bg = disjoint_union(*parts, rotation_0_split(ROTATION_0_SPLITS[0]))
+    bg = disjoint_union(*parts, split)
     assert bg.n_b == 1694
     verify, peel = partition_module.verify_lu, partition_module._residual_certificates
     checked, peeled_at = [], []
@@ -576,9 +589,9 @@ def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
         checked.append(graph.n_b)
         return verify(graph, cert)
 
-    def peel_spy(adj, n_b, t, rotation):
-        peeled_at.append((n_b, rotation))
-        return peel(adj, n_b, t, rotation)
+    def peel_spy(adj, n_b, t, order):
+        peeled_at.append((n_b, list(order)))
+        return peel(adj, n_b, t, order)
 
     monkeypatch.setattr(partition_module, "verify_lu", spy)
     monkeypatch.setattr(partition_module, "_residual_certificates", peel_spy)
@@ -586,10 +599,16 @@ def test_lu_many_components_with_one_rotation_0_split(monkeypatch):
     assert verify(bg, lu).ok
     # one final call on the whole graph, none per rotation or component
     assert checked == [bg.n_b]
-    # whole-graph rotation 0, then each component from its own rotation 0
-    assert peeled_at == (
-        [(bg.n_b, 0)] + [(part.n_b, 0) for part in parts] + [(6, 0), (6, 1)]
-    )
+    # two peels of the whole graph, the second with the split one rotated
+    rest = list(range(1688))
+    assert peeled_at == [(1694, rest + [1688, 1689, 1690, 1691, 1692, 1693]),
+                         (1694, rest + [1689, 1690, 1691, 1692, 1693, 1688])]
+    monkeypatch.undo()
+    kept, offset = [], 0
+    for part in parts + [split]:
+        kept.extend((a + offset, b + offset) for a, b in lu_subgraph(part, 4).kept)
+        offset += part.n_a
+    assert lu.kept == tuple(kept)
 
 
 def union_with_ids(graphs, rng=None):
@@ -612,23 +631,40 @@ def test_rotation_0_of_a_union_is_rotation_0_of_each_component(k):
     """Hopcroft-Karp matches each component of a union as it would match it
     alone, so the extracted matchings and the kept edges of rotation 0 are
     those of every component at its own rotation 0, with the components
-    side by side or dealt out among each other's ids."""
+    side by side or dealt out among each other's ids.  So `lu` of the union
+    keeps each component's own kept edges.  At k = 4 the parts include
+    census graphs that need rotation 1, which `lu` of the union reaches in
+    a second peel of the whole graph."""
     rng = random.Random(k)
+
+    def check(parts, ids_rng):
+        bg, at_a, at_b = union_with_ids(parts, ids_rng)
+        alone = [set() for _ in range(k - 3)]
+        kept, lu_kept = [], []
+        for part, ids_a, ids_b in zip(parts, at_a, at_b):
+            for j, m in enumerate(extract_disjoint_perfect_matchings(part, k - 3)):
+                alone[j].update((ids_a[a], ids_b[b]) for a, b in m.pairs)
+            kept.extend((ids_a[a], ids_b[b]) for a, b in kept_at(part, k - 3, 0)[0])
+            lu_kept.extend((ids_a[a], ids_b[b]) for a, b in lu_subgraph(part, k).kept)
+        whole = extract_disjoint_perfect_matchings(bg, k - 3)
+        assert [set(m.pairs) for m in whole] == alone
+        assert kept_at(bg, k - 3, 0)[0] == tuple(sorted(kept))
+        lu, orders = with_orders(lu_subgraph, bg, k)
+        assert lu.kept == tuple(sorted(lu_kept))
+        return len(orders)
+
     for seed in range(30):
         parts = [
             random_regular_bipartite(rng.randrange(k, 13), k, 40 * seed + i)
             for i in range(2 + seed % 4)
         ]
-        bg, at_a, at_b = union_with_ids(parts, rng if seed % 2 else None)
-        alone = [set() for _ in range(k - 3)]
-        kept = []
-        for part, ids_a, ids_b in zip(parts, at_a, at_b):
-            for j, m in enumerate(extract_disjoint_perfect_matchings(part, k - 3)):
-                alone[j].update((ids_a[a], ids_b[b]) for a, b in m.pairs)
-            kept.extend((ids_a[a], ids_b[b]) for a, b in kept_at(part, k - 3, 0)[0])
-        whole = extract_disjoint_perfect_matchings(bg, k - 3)
-        assert [set(m.pairs) for m in whole] == alone
-        assert kept_at(bg, k - 3, 0)[0] == tuple(sorted(kept))
+        check(parts, rng if seed % 2 else None)
+    if k == 4:
+        for seed in range(12):
+            splits = [rotation_0_split(ROTATION_0_SPLITS[(7 * seed + 3 * i) % 81]) for i in range(2)]
+            parts = [splits[0], random_regular_bipartite(rng.randrange(4, 13), 4, 900 + seed)]
+            parts += splits[1:] * (seed % 3 > 0)
+            assert check(parts, rng if seed % 2 else None) == 2
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -700,44 +736,39 @@ def test_peel_is_the_extraction_at_every_rotation_and_leaves_a_regular_residual(
 
 def test_lu_checks_regularity_once_per_call(monkeypatch):
     """`lu_subgraph` checks its input's regularity once and runs `verify_lu`
-    once, on its final kept edges, whatever rotations it tries: each pass's
-    residual is regular by construction.  The per-component fallback runs
-    the kept-edge pass again on each component, with no check of its own."""
+    once, on its final kept edges, whatever rotations it tries: each peel's
+    residual is regular by construction, and a retry peels the whole graph
+    again with no check of its own."""
     import trimatch.matching as matching_module
     import trimatch.partition as partition_module
 
-    checks, verified, runs = [], [], []
+    checks, verified = [], []
     for module in (partition_module, matching_module):
         def check(graph, _real=module.require_regular_bipartite):
             checks.append(graph.n_a)
             return _real(graph)
 
         monkeypatch.setattr(module, "require_regular_bipartite", check)
-    kept, verify = partition_module._lu_kept, partition_module.verify_lu
-
-    def kept_spy(graph, k):
-        runs.append(graph.n_a)
-        return kept(graph, k)
+    verify = partition_module.verify_lu
 
     def verify_spy(graph, cert):
         verified.append(graph.n_a)
         return verify(graph, cert)
 
-    monkeypatch.setattr(partition_module, "_lu_kept", kept_spy)
     monkeypatch.setattr(partition_module, "verify_lu", verify_spy)
     split = rotation_0_split(ROTATION_0_SPLITS[0])
-    for bg, rotations, sizes in [
-        (random_regular_bipartite(40, 5, 1), [0], [40]),
-        (split, [0, 1], [6]),
-        # rotation 0 of the union, then each component at rotations 0, 1
-        (disjoint_union(split, split), [0, 0, 1, 0, 1], [12, 6, 6]),
+    for bg, orders in [
+        (random_regular_bipartite(40, 5, 1), [list(range(40))]),
+        (split, [[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]),
+        # rotation 0 of the union, then both copies at their rotation 1
+        (disjoint_union(split, split),
+         [list(range(12)), [1, 2, 3, 4, 5, 0, 7, 8, 9, 10, 11, 6]]),
     ]:
-        for seen in (checks, verified, runs):
+        for seen in (checks, verified):
             seen.clear()
-        lu, tried = with_rotations(lu_subgraph, bg, len(bg.adj_a[0]))
+        lu, tried = with_orders(lu_subgraph, bg, len(bg.adj_a[0]))
         assert verify(bg, lu).ok
-        assert tried == rotations
-        assert runs == sizes
+        assert tried == orders
         assert checks == verified == [bg.n_a]
 
 
@@ -997,7 +1028,6 @@ def test_solve_k_reads_its_blocks_off_the_residual(monkeypatch, tmp_path, capsys
     calls = []
     for module, name in [
         (partition_module, "lu_subgraph"),
-        (partition_module, "_lu_kept"),
         (partition_module, "_kept_edges"),
         (partition_module, "verify_lu"),
         (partition_module, "require_regular_bipartite"),

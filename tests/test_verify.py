@@ -33,7 +33,7 @@ from trimatch.core import canonical_edge
 from trimatch.partition import VerificationReport
 
 from conftest import hypergraph_union, random_regular_bipartite, random_triple_system
-from rotation_census import kept_at, lu_with_rotations
+from rotation_census import kept_at, lu_with_rotations, with_orders
 
 
 # Copies of the verifiers as they were before the component search became
@@ -848,9 +848,8 @@ def mutate_kept(data, bg, kept):
 
 # 5-regular, four components with |B| = 5, 6, 12 and 6: each has a rotation
 # whose residual fits it, but no rotation of the whole graph fits them all
-LU_WITNESS = bipartite_union(
-    [random_regular_bipartite(n, 5, 18 + i) for i, n in enumerate((5, 6, 12, 6))]
-)
+LU_WITNESS_PARTS = [random_regular_bipartite(n, 5, 18 + i) for i, n in enumerate((5, 6, 12, 6))]
+LU_WITNESS = bipartite_union(LU_WITNESS_PARTS)
 
 
 def test_lu_settles_each_component_alone_when_no_rotation_fits_the_union():
@@ -859,14 +858,21 @@ def test_lu_settles_each_component_alone_when_no_rotation_fits_the_union():
         for r in range(24)
     ]
     assert union_fits == [False] * 24
-    lu, rotations = lu_with_rotations(LU_WITNESS, 5)
-    # rotation 0 of the union failed, so the components went alone at once,
-    # the first from its own rotation 0, and no other rotation of the union
-    # was tried
-    assert rotations[:2] == [0, 0] and len(rotations) > 4
+    lu, orders = with_orders(lu_subgraph, LU_WITNESS, 5)
+    # rotation 0 of the union put two triangles in the last component only,
+    # so the second peel of the union moved that one alone to its rotation 1
+    assert orders == [list(range(29)), list(range(23)) + [24, 25, 26, 27, 28, 23]]
     assert outcome(verify_lu, LU_WITNESS, lu) == outcome(old_verify_lu, LU_WITNESS, lu) == ()
     degrees = Counter(a for a, _ in lu.kept)
     assert sorted(degrees.values()).count(3) == 1
+    # each component settles at that rotation alone, with the same kept edges
+    kept, offset = [], 0
+    for part, rotations in zip(LU_WITNESS_PARTS, ([0], [0], [0], [0, 1])):
+        alone, tried = lu_with_rotations(part, 5)
+        assert tried == rotations
+        kept.extend((a + offset, b + offset) for a, b in alone.kept)
+        offset += part.n_a
+    assert lu.kept == tuple(kept)
 
 
 @settings(max_examples=300, deadline=None)
