@@ -272,40 +272,41 @@ def _incidence_graph(h: Hypergraph):
     return adj_a, tuple(map(tuple, adj_b))
 
 
-def _solve_connected(h: Hypergraph, k: int, g) -> TriMatchingPartition:
-    """Certificate for h, given its shadow graph's lists g when k = 3 and its
-    incidence lists g when k > 3, once callers have checked that h is
-    k-uniform and k-regular with k >= 3, and connected unless k = 3 and n
-    is odd: there a disconnected h raises InternalError, from the failed
-    construction.  The one dispatch on k.  Callers check the certificate
-    once it is in the ids of the hypergraph they return it for.  At k > 3
-    the blocks are the incidence graph's residual certificates as they are,
-    with no slot looked up: each lies in the slot, the rest of a hyperedge
-    copy, that `lu` would keep for it.  A block of any other shape is left
-    out, so that the verifier finds its vertices uncovered."""
-    if k > 3:
-        _, certs = _fitting_residual(g[0], h.n, k, witness=g[0])
-        blocks = [b for c in certs for b in (c.triangle, *c.pairs) if b]
-        cert = TriMatchingPartition(
-            triangle=next((b for b in blocks if len(b) == 3), None),
-            pairs=_canon_pairs(b for b in blocks if len(b) == 2),
-            host=h,
-        )
-    elif h.n % 2 == 0:
+def _solve_connected(h: Hypergraph, g: _ListGraph) -> TriMatchingPartition:
+    """Unchecked certificate for a 3-uniform 3-regular h, given its shadow
+    graph's lists g, connected unless n is odd: there a disconnected h
+    raises InternalError, from the failed construction."""
+    if h.n % 2 == 0:
         pm = perfect_matching(g)
         if pm is None:
             raise InternalError(
                 "even-order 3-uniform 3-regular shadow without a perfect matching"
             )
-        cert = TriMatchingPartition(triangle=None, pairs=pm.pairs, host=h)
-    else:
-        try:
-            cert = _odd_partition(h, g)
-        except NotFactorCritical as exc:
-            raise InternalError(
-                f"shadow graph not factor-critical despite regularity: {exc}"
-            ) from exc
-    return cert
+        return TriMatchingPartition(triangle=None, pairs=pm.pairs, host=h)
+    try:
+        return _odd_partition(h, g)
+    except NotFactorCritical as exc:
+        raise InternalError(
+            f"shadow graph not factor-critical despite regularity: {exc}"
+        ) from exc
+
+
+def _incidence_certificates(h: Hypergraph, k: int, g, block_of, count):
+    """The unchecked certificates of h's `count` components at k > 3, read
+    off one extraction of its whole incidence graph g.  A residual block
+    lies in a slot, the rest of one hyperedge copy, so in the component
+    that `block_of` gives its first vertex.  Of its blocks, the one 3-block
+    is the triangle, the 2-blocks, sorted, are the pairs, and any other
+    shape is left out, for the verifier to find uncovered."""
+    _, certs = _fitting_residual(g[0], h.n, k, g[0], g[1])
+    groups = [[] for _ in range(count)]
+    for b in filter(None, chain.from_iterable((c.triangle, *c.pairs) for c in certs)):
+        groups[block_of[b[0]]].append(b)
+    return [TriMatchingPartition(
+        triangle=next((b for b in blocks if len(b) == 3), None),
+        pairs=_canon_pairs(b for b in blocks if len(b) == 2),
+        host=h,
+    ) for blocks in groups]
 
 
 def _gated_graph(h: Hypergraph, k: int):
@@ -319,9 +320,7 @@ def _gated_graph(h: Hypergraph, k: int):
     validate(h, k).require()
     if k < 3:
         raise PreconditionViolated("uniformity must be at least 3")
-    if k == 3:
-        return _shadow_lists(h)
-    return _incidence_graph(h)
+    return _shadow_lists(h) if k == 3 else _incidence_graph(h)
 
 
 def _blocks(h: Hypergraph, k: int, g):
@@ -381,7 +380,8 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     if not odd:
         _require_connected(h, k, g)
     try:
-        cert = _solve_connected(h, k, g)
+        cert = (_solve_connected(h, g) if k == 3
+                else _incidence_certificates(h, k, g, [0] * h.n, 1)[0])
     except InternalError:
         if odd:
             _require_connected(h, k, g)
@@ -400,21 +400,24 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
 
 def _component_certificates(h: Hypergraph, k: int, g):
     """The unchecked certificate of each component of h, in h's ids, given
-    the graph g that `_gated_graph(h, k)` would give."""
+    the graph g that `_gated_graph(h, k)` gave: at k > 3 all from one
+    extraction, at k = 3 each component solved on its own."""
     blocks = _blocks(h, k, g)
-    if len(blocks) == 1:
+    if k == 3 and len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
-        return [_solve_connected(h, k, g)]
-    # a block's ids are its sorted members, so the map into them and the map
-    # back, block[v], are monotone: relabelled hyperedges, neighbour tuples,
-    # triangles and pairs stay sorted, folded and in range, and nothing is
-    # built or checked again.  Each block gets only its own hyperedges.
+        return [_solve_connected(h, g)]
     block_of = [0] * h.n
     new_id = [0] * h.n
     for i, block in enumerate(blocks):
         for j, v in enumerate(block):
             block_of[v] = i
             new_id[v] = j
+    if k > 3:
+        return _incidence_certificates(h, k, g, block_of, len(blocks))
+    # a block's ids are its sorted members, so the map into them and the map
+    # back, block[v], are monotone: relabelled hyperedges, neighbour tuples,
+    # triangles and pairs stay sorted, folded and in range, and nothing is
+    # built or checked again.  Each block gets only its own hyperedges.
     relabel = new_id.__getitem__
     parts = [([], []) for _ in blocks]
     for e, m in zip(h.hyperedges, h.multiplicities):
@@ -424,13 +427,10 @@ def _component_certificates(h: Hypergraph, k: int, g):
     certs = []
     for block, (edges, mults) in zip(blocks, parts):
         sub = Hypergraph(len(block), tuple(edges), tuple(mults), h.k)
-        if k == 3:
-            sub_g = _ListGraph(
-                len(block), tuple(tuple(map(relabel, g.adjacency[v])) for v in block)
-            )
-        else:
-            sub_g = _incidence_graph(sub)
-        sub_cert = _solve_connected(sub, k, sub_g)
+        sub_g = _ListGraph(
+            len(block), tuple(tuple(map(relabel, g.adjacency[v])) for v in block)
+        )
+        sub_cert = _solve_connected(sub, sub_g)
         tri = sub_cert.triangle
         certs.append(TriMatchingPartition(
             triangle=None if tri is None else tuple(map(block.__getitem__, tri)),
@@ -455,7 +455,7 @@ def _residual_certificates(adj, n_b, t, order):
     return slots, _component_certificates(h3, 3, _shadow_lists(h3))
 
 
-def _fitting_residual(adj, n_b, k, witness, adj_b=None):
+def _fitting_residual(adj, n_b, k, witness, adj_b):
     """Slots and certificates of the first extraction whose certificates
     hold at most one triangle per component of the input, k-regular with
     A-side lists `adj`.  That is what `verify_lu` decides on the kept
@@ -470,10 +470,10 @@ def _fitting_residual(adj, n_b, k, witness, adj_b=None):
     the union's order induces on it.  The first peel, in ascending order,
     is rotation 0 of every component.  Only when it has two or more
     triangles are the components searched, once, on the B-side lists
-    `adj_b` (None for an input known to be connected).  Then a component
-    with two or more triangles moves to its next rotation and every other
-    one keeps its own.  When a component fits none of its rotations, an
-    InternalError names them and carries `witness`.
+    `adj_b`.  Then a component with two or more triangles moves to its
+    next rotation and every other one keeps its own.  When a component
+    fits none of its rotations, an InternalError names them and carries
+    `witness`.
     """
     order = range(len(adj))
     rotation = None
@@ -483,7 +483,7 @@ def _fitting_residual(adj, n_b, k, witness, adj_b=None):
         if len(apexes) <= 1:
             return slots, certs
         if rotation is None:
-            blocks = _incidence_blocks(adj, adj_b) if adj_b else [range(n_b + len(adj))]
+            blocks = _incidence_blocks(adj, adj_b)
             part_of = {v: i for i, block in enumerate(blocks) for v in block}
             parts = [sorted(v - n_b for v in block if v >= n_b) for block in blocks]
             rotation = [0] * len(parts)

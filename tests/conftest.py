@@ -151,26 +151,38 @@ def partition_union_hypergraph(k, q, seed, repeat_first):
     return make_hypergraph(k * q, [e for part in rounds for e in part], k=k)
 
 
-def rotate_block_ids(monkeypatch, n):
-    """Make `solve_components` on an input with n vertices map each block's
-    certificate back to the input with wrong ids: the block's own, rotated
-    by one inside the block."""
+def rotate_block_ids(monkeypatch, n, k=3):
+    """Make `solve_components` on a k-uniform input with n vertices hand
+    back each block's certificate with wrong ids.  At k = 3 each block is
+    solved in its own ids, and these are rotated by one inside the block
+    before they are mapped back.  At k > 3 the blocks' certificates come
+    in the input's ids from one extraction, and each is rotated by one
+    inside its block."""
     solve_connected = partition_module._solve_connected
+    incidence_certificates = partition_module._incidence_certificates
 
-    def rotated(sub, k, g):
-        cert = solve_connected(sub, k, g)
-        if sub.n == n:
-            return cert
-
+    def turned(cert, block):
         def turn(ids):
-            return tuple((v + 1) % sub.n for v in ids)
+            return tuple(block[(block.index(v) + 1) % len(block)] for v in ids)
 
         triangle = None if cert.triangle is None else turn(cert.triangle)
         return dataclasses.replace(
             cert, triangle=triangle, pairs=tuple(map(turn, cert.pairs))
         )
 
-    monkeypatch.setattr(partition_module, "_solve_connected", rotated)
+    def rotated(sub, g):
+        cert = solve_connected(sub, g)
+        return cert if sub.n == n else turned(cert, range(sub.n))
+
+    def rotated_blocks(h, k, g, block_of, count):
+        certs = incidence_certificates(h, k, g, block_of, count)
+        blocks = [[v for v in range(h.n) if block_of[v] == i] for i in range(count)]
+        return [turned(c, b) for c, b in zip(certs, blocks)] if count > 1 else certs
+
+    if k == 3:
+        monkeypatch.setattr(partition_module, "_solve_connected", rotated)
+    else:
+        monkeypatch.setattr(partition_module, "_incidence_certificates", rotated_blocks)
 
 
 def cycle_graph(n):

@@ -109,12 +109,19 @@ def test_a_failed_odd_construction_on_a_connected_instance_exits_3(
 def test_solve_components_with_wrong_block_ids_is_an_internal_error(
     tmp_path, capsys, monkeypatch
 ):
-    h = hypergraph_union([random_triple_system(9, 1), random_triple_system(10, 2)])
-    f = write(tmp_path, "two.hyp", formats.format_hypergraph(h))
-    rotate_block_ids(monkeypatch, h.n)
-    code, out, err = run(capsys, "solve", f, "--components")
-    assert code == 3 and out == ""
-    assert err.startswith("error: InternalError: constructed certificate failed")
+    views = [make_hypergraph(bg.n_b, bg.adj_a, k=4)
+             for bg in (random_regular_bipartite(9, 4, 1), random_regular_bipartite(10, 4, 2))]
+    for k, parts in [
+        (3, [random_triple_system(9, 1), random_triple_system(10, 2)]),
+        (4, views),
+    ]:
+        h = hypergraph_union(parts)
+        f = write(tmp_path, "two.hyp", formats.format_hypergraph(h))
+        with monkeypatch.context() as patch:
+            rotate_block_ids(patch, h.n, k)
+            code, out, err = run(capsys, "solve", f, "--components", "--k", str(k))
+        assert code == 3 and out == ""
+        assert err.startswith("error: InternalError: constructed certificate failed")
 
 
 def test_solve_components_json(tmp_path, capsys):

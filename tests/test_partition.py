@@ -224,9 +224,9 @@ def test_solve_components_hands_each_block_only_its_hyperedges(monkeypatch):
     subs = []
     solve_connected = partition_module._solve_connected
 
-    def spy(sub, k, g):
+    def spy(sub, g):
         subs.append(sub)
-        return solve_connected(sub, k, g)
+        return solve_connected(sub, g)
 
     monkeypatch.setattr(partition_module, "_solve_connected", spy)
     certs = solve_components(h)
@@ -241,12 +241,21 @@ def test_solve_components_hands_each_block_only_its_hyperedges(monkeypatch):
 
 
 def test_solve_components_checks_its_certificates_in_the_input_ids(monkeypatch):
-    """Each block's certificate is right in the block's own ids; mapped back
-    with wrong ids, the list fails the check against the input."""
-    h = hypergraph_union([random_triple_system(9, 1), random_triple_system(10, 2)])
-    rotate_block_ids(monkeypatch, h.n)
-    with pytest.raises(InternalError, match="is not inside any hyperedge"):
-        solve_components(h)
+    """Each block's certificate is right in the block's own ids (k = 3) or
+    as the one extraction groups it (k = 4); handed back with wrong ids,
+    the list fails the check against the input."""
+    views = [make_hypergraph(bg.n_b, bg.adj_a, k=4)
+             for bg in (random_regular_bipartite(9, 4, 1), random_regular_bipartite(10, 4, 2))]
+    for k, parts in [
+        (3, [random_triple_system(9, 1), random_triple_system(10, 2)]),
+        (4, views),
+    ]:
+        h = hypergraph_union(parts)
+        assert verify_partition(h, solve_components(h, k)).ok
+        with monkeypatch.context() as patch:
+            rotate_block_ids(patch, h.n, k)
+            with pytest.raises(InternalError, match="is not inside any hyperedge"):
+                solve_components(h, k)
 
 
 def test_solve_components_connected_agrees(fano):
@@ -276,22 +285,40 @@ def old_induced_hypergraph(h, block):
     return sub, old_ids
 
 
+def interleaved_union(parts, rng):
+    """The union of the hypergraphs `parts` with their vertex ids dealt out
+    at random, and each part's ids in it.  A part's ids keep their order,
+    so its hyperedges and their order stay its own."""
+    owner = [i for i, h in enumerate(parts) for _ in range(h.n)]
+    rng.shuffle(owner)
+    ids = [[v for v, o in enumerate(owner) if o == i] for i in range(len(parts))]
+    edges, mults = [], []
+    for h, at in zip(parts, ids):
+        edges.extend(tuple(at[v] for v in e) for e in h.hyperedges)
+        mults.extend(h.multiplicities)
+    return make_hypergraph(len(owner), edges, k=parts[0].k, multiplicities=mults), ids
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_each_block_is_the_whole_graphs_structures_relabelled(monkeypatch, k):
-    """Each block's sub-hypergraph, and its shadow lists (k = 3) or
-    incidence graph (k > 3), equal a rebuild of the block through the old
-    `induced_hypergraph` and fresh `_shadow_lists` or `_incidence_graph`, on
-    unions whose components interleave their ids and repeat hyperedges."""
+    """At k = 3 each block's sub-hypergraph and shadow lists equal a
+    rebuild of the block through the old `induced_hypergraph` and fresh
+    `_shadow_lists`, on unions whose components interleave their ids and
+    repeat hyperedges.  At k > 3 no block is built: the certificates of
+    `solve_components` are each part's own `solve_k_uniform`, relabelled,
+    from one incidence graph of the union whose first peel is the whole
+    graph's, with census views that need rotation 1 among the k = 4 parts."""
+    if k > 3:
+        check_one_extraction_is_each_parts_own(monkeypatch, k)
+        return
     import trimatch.partition as partition_module
 
     seen = []
     solve_connected = partition_module._solve_connected
 
-    def spy(sub, sub_k, g):
-        # at k > 3 the residuals of `lu_subgraph` are solved at k = 3 too
-        if sub_k == k:
-            seen.append((sub, g))
-        return solve_connected(sub, sub_k, g)
+    def spy(sub, g):
+        seen.append((sub, g))
+        return solve_connected(sub, g)
 
     monkeypatch.setattr(partition_module, "_solve_connected", spy)
     rng = random.Random(40 + k)
@@ -302,12 +329,9 @@ def test_each_block_is_the_whole_graphs_structures_relabelled(monkeypatch, k):
                 parts.append(partition_union_hypergraph(
                     k, rng.randint(1, 6), rng.randrange(999), rng.random() < 0.5
                 ))
-            elif k == 3:
+            else:
                 n = rng.randint(3, 40)
                 parts.append(random_triple_system(n, n, require_connected=True))
-            else:
-                bg = random_regular_bipartite(rng.randint(k, k + 12), k, trial)
-                parts.append(make_hypergraph(bg.n_b, bg.adj_a, k=k))
         h = relabelled(hypergraph_union(parts), rng)
         seen.clear()
         assert verify_partition(h, solve_components(h, k)).ok
@@ -317,7 +341,65 @@ def test_each_block_is_the_whole_graphs_structures_relabelled(monkeypatch, k):
             ref, old_ids = old_induced_hypergraph(h, block)
             assert old_ids == list(block)
             assert sub == ref
-            assert g == (_shadow_lists(ref) if k == 3 else _incidence_graph(ref))
+            assert g == _shadow_lists(ref)
+
+
+def check_one_extraction_is_each_parts_own(monkeypatch, k):
+    """`solve_components(union, k)` at k > 3 against each connected part's
+    own `solve_k_uniform`, mapped back, on unions with interleaved ids and
+    repeated hyperedges.  One incidence graph is built per call, and every
+    peel is of the whole graph, the first in ascending order."""
+    import trimatch.partition as partition_module
+
+    built = []
+    incidence_graph = partition_module._incidence_graph
+
+    def spy(h):
+        built.append(h.n)
+        return incidence_graph(h)
+
+    monkeypatch.setattr(partition_module, "_incidence_graph", spy)
+
+    def connected_part():
+        while True:
+            if rng.random() < 0.5:
+                part = partition_union_hypergraph(
+                    k, rng.randint(1, 6), rng.randrange(999), rng.random() < 0.5
+                )
+            else:
+                bg = random_regular_bipartite(rng.randint(k, k + 12), k, rng.randrange(999))
+                part = make_hypergraph(bg.n_b, bg.adj_a, k=k)
+            if len(components(shadow_graph(part)).blocks) == 1:
+                return part
+
+    splits = [rotation_0_split(missing) for missing in ROTATION_0_SPLITS[:12]]
+    rng = random.Random(40 + k)
+    retried = 0
+    for trial in range(30):
+        parts = [connected_part() for _ in range(rng.randint(2, 5))]
+        if k == 4 and trial % 3 == 0:
+            split = splits[trial // 3 % len(splits)]
+            parts.insert(rng.randrange(len(parts) + 1), make_hypergraph(6, split.adj_a, k=4))
+        h, ids = interleaved_union(parts, rng)
+        expected = []
+        for part, at in sorted(zip(parts, ids), key=lambda p: p[1][0]):
+            cert = solve_k_uniform(part, k)
+            tri = cert.triangle
+            expected.append(TriMatchingPartition(
+                triangle=None if tri is None else tuple(at[v] for v in tri),
+                pairs=tuple((at[u], at[v]) for u, v in cert.pairs),
+                host=h,
+            ))
+        built.clear()
+        certs, orders = with_orders(solve_components, h, k)
+        assert certs == expected, trial
+        assert built == [h.n]
+        copies = h.total_multiplicity
+        assert orders[0] == list(range(copies))
+        assert all(sorted(order) == list(range(copies)) for order in orders)
+        retried += len(orders) > 1
+    # the census views, and at k = 5 one random part, need a second peel
+    assert retried == {4: 10, 5: 1}[k]
 
 
 def test_lu_k33():
@@ -531,7 +613,7 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     assert orders == [list(range(10)), [1, 2, 3, 4, 5, 0, 6, 7, 8, 9]]
 
 
-def test_lu_fallback_maps_interleaved_components_back(monkeypatch):
+def test_lu_rotates_an_interleaved_component_over_its_own_ids(monkeypatch):
     """When the components' ids interleave, the one with two triangles at
     rotation 0 is rotated over its own ids, and the kept edges are each
     component's own at its rotation, in the input's ids, sorted."""
@@ -954,15 +1036,16 @@ def test_k4_hand_built_malformed_hyperedges_are_refused(solver, hyperedges):
 
 
 @pytest.mark.parametrize("fault", ["overlap", "no slot"])
-@pytest.mark.parametrize("command", ["lu", "solve"])
+@pytest.mark.parametrize("command", ["lu", "solve", "solve-components"])
 def test_faked_residual_certificates_are_an_internal_error(
     monkeypatch, tmp_path, capsys, fault, command
 ):
     """The residual certificates are not checked on their own.  In `lu` two
     pairs that overlap are stopped by the final `verify_lu`, and a pair
     inside no residual hyperedge by the slot lookup.  `solve --k 4` looks up
-    no slot, and its final `verify_partition` stops both.  Either way the
-    CLI exits 3."""
+    no slot, and its final `verify_partition` stops both, with or without
+    `--components`, whose one block reads the same extraction.  Either way
+    the CLI exits 3."""
     import trimatch.partition as partition_module
     from dataclasses import replace
 
@@ -992,7 +1075,7 @@ def test_faked_residual_certificates_are_an_internal_error(
     else:
         f = tmp_path / "g.hyp"
         f.write_text(format_hypergraph(h))
-        argv = ["solve", "--k", "4", str(f)]
+        argv = ["solve", "--k", "4", str(f)] + ["--components"] * (command != "solve")
     assert main(argv) == 3
     failed = "error: InternalError: constructed certificate failed verification: "
     assert capsys.readouterr().err == {
@@ -1011,7 +1094,7 @@ def test_faked_residual_certificates_are_an_internal_error(
             "blocks are not disjoint; blocks do not cover the vertex set (missing [2]);"
             " pair (0, 1) is not inside any hyperedge\n"
         ),
-    }[command, fault]
+    }[command.split("-")[0], fault]
 
 
 @pytest.mark.parametrize("components", [False, True])

@@ -852,7 +852,7 @@ LU_WITNESS_PARTS = [random_regular_bipartite(n, 5, 18 + i) for i, n in enumerate
 LU_WITNESS = bipartite_union(LU_WITNESS_PARTS)
 
 
-def test_lu_settles_each_component_alone_when_no_rotation_fits_the_union():
+def test_lu_gives_each_component_its_own_rotation_when_none_fits_the_union():
     union_fits = [
         verify_lu(LU_WITNESS, kept_at(LU_WITNESS, 2, r)[0]).ok
         for r in range(24)
