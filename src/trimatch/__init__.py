@@ -8,6 +8,7 @@ kept-edge subgraph of regular bipartite graphs.
 """
 
 from .core import (
+    BipartiteGraph,
     ComponentPartition,
     Hypergraph,
     SimpleGraph,
@@ -34,7 +35,6 @@ from .ears import (
 )
 from .generate import SplitMix64, random_regular_bipartite, random_triple_system
 from .matching import (
-    BipartiteGraph,
     Matching,
     bipartite_perfect_matching,
     component_bound_check,
@@ -52,15 +52,17 @@ from .oracle import (
     factor_critical_by_enumeration,
 )
 from .partition import (
-    LuSubgraph,
-    TriMatchingPartition,
-    VerificationReport,
     lu_subgraph,
     matching_with_edge_avoiding,
     solve,
     solve_components,
     solve_k_uniform,
     triangle_partition,
+)
+from .verify import (
+    LuSubgraph,
+    TriMatchingPartition,
+    VerificationReport,
     verify_certificate,
     verify_lu,
     verify_partition,

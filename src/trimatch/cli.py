@@ -30,13 +30,8 @@ from .errors import (
 )
 from .generate import random_regular_bipartite, random_triple_system
 from .oracle import OracleBudget, all_tri_partitions
-from .partition import (
-    lu_subgraph,
-    solve_components,
-    solve_k_uniform,
-    verify_lu,
-    verify_partition,
-)
+from .partition import lu_subgraph, solve_components, solve_k_uniform
+from .verify import verify_lu, verify_partition
 
 
 def _read(path):

@@ -1,4 +1,4 @@
-"""Hypergraph and simple-graph data model.
+"""Hypergraph, simple-graph and bipartite-graph data model.
 
 A hypergraph is a set of vertices 0..n-1 plus hyperedges (sets of distinct
 vertices) carried with positive multiplicities.  The shadow graph of a
@@ -52,6 +52,21 @@ class SimpleGraph:
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+
+@dataclass(frozen=True)
+class BipartiteGraph:
+    """Simple bipartite graph with sides A (size n_a) and B (size n_b)."""
+
+    n_a: int
+    n_b: int
+    edges: tuple[tuple[VertexId, VertexId], ...]
+    adj_a: tuple[tuple[VertexId, ...], ...]
+    adj_b: tuple[tuple[VertexId, ...], ...]
 
     @property
     def m(self) -> int:

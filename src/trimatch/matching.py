@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .core import (
+    BipartiteGraph,
     Hypergraph,
     SimpleGraph,
     VertexId,
@@ -54,21 +55,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Simple bipartite graph with sides A (size n_a) and B (size n_b)."""
-
-    n_a: int
-    n_b: int
-    edges: tuple[tuple[VertexId, VertexId], ...]
-    adj_a: tuple[tuple[VertexId, ...], ...]
-    adj_b: tuple[tuple[VertexId, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
 
 def make_bipartite(n_a, n_b, edges) -> BipartiteGraph:

@@ -199,6 +199,21 @@ def test_verify_size_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, instance, certificate, message", [
+    (["--lu"], K33, "keep 0 0\nkeep 0 1\nkeep 0 2\npair 0 1\n",
+     "partition lines in a kept-edge certificate"),
+    ([], TRIPLE, "triangle 0 1 2\nkeep 0 0\n", "keep lines in a partition certificate"),
+])
+def test_verify_refuses_lines_of_the_other_kind(
+    tmp_path, capsys, flags, instance, certificate, message
+):
+    """A certificate that mixes partition and kept-edge lines is bad input,
+    refused before any check runs."""
+    instance = write(tmp_path, "i.txt", instance)
+    cert = write(tmp_path, "i.cert", certificate)
+    assert run(capsys, "verify", *flags, instance, cert) == (2, "", f"error: {message}\n")
+
+
 def test_huge_declared_vertex_count(tmp_path, capsys):
     """Nothing is allocated per declared vertex: `solve` refuses the
     instance and `verify` reports on the certificate, with the messages

@@ -5,10 +5,13 @@ it can fail, and `verify_partition` reads its pairs off a mate array in one
 pass over the hyperedges.  The copies below are the verifiers as they were
 before each change; on solver certificates, broken variants of them and
 hand-built hypergraphs the verifiers must return the same violations,
-message for message, or raise the same ValueError.
+message for message, or raise the same ValueError.  The copies read a
+hyperedge tuple in its order and `verify_partition` reads it as a vertex
+set, so on hand-built hypergraphs the copies run on the tuples sorted.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, combinations, filterfalse, islice, repeat
 from operator import lt
 
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import trimatch.partition as partition_module
+import trimatch.verify as verify_module
 from trimatch import (
     Hypergraph,
     LuSubgraph,
@@ -26,11 +29,12 @@ from trimatch import (
     make_hypergraph,
     solve,
     solve_components,
+    verify_certificate,
     verify_lu,
     verify_partition,
 )
 from trimatch.core import canonical_edge
-from trimatch.partition import VerificationReport
+from trimatch.verify import VerificationReport
 
 from conftest import hypergraph_union, random_regular_bipartite, random_triple_system
 from rotation_census import kept_at, lu_with_rotations, with_orders
@@ -228,7 +232,7 @@ def loop_verify_partition(h, cert) -> VerificationReport:
 
     # at most one triangle per shadow component
     if len(triangles) >= 2:
-        comp_of = partition_module._component_ids(n, h.hyperedges)
+        comp_of = verify_module._component_ids(n, h.hyperedges)
         per_comp: dict[int, int] = {}
         for tri in triangles:
             cids = {comp_of(v) for v in tri}
@@ -330,7 +334,7 @@ def set_verify_partition(h, cert) -> VerificationReport:
 
     # at most one triangle per shadow component
     if len(triangles) >= 2:
-        comp_of = partition_module._component_ids(n, h.hyperedges)
+        comp_of = verify_module._component_ids(n, h.hyperedges)
         per_comp: dict[int, int] = {}
         for tri in triangles:
             cids = {comp_of(v) for v in tri}
@@ -356,7 +360,7 @@ def test_component_ids_agree_with_the_list_form(case):
     """Ids computed from the grouped vertices alone, isolated vertices
     included, equal the old n-long union-find's."""
     n, groups = case
-    component_id = partition_module._component_ids(n, groups)
+    component_id = verify_module._component_ids(n, groups)
     assert [component_id(v) for v in range(n)] == old_component_ids(n, groups)
 
 
@@ -567,13 +571,18 @@ def hand_built(n, hyperedges, k):
     )
 
 
+def sorted_hyperedges(h):
+    """h with each hyperedge tuple sorted: the references read a tuple in
+    its order, and `verify_partition` reads each hyperedge as a vertex set."""
+    return replace(h, hyperedges=tuple(tuple(sorted(e)) for e in h.hyperedges))
+
+
 UNSORTED = hand_built(6, [(2, 0, 1), (5, 3, 4), (2, 5, 0)], 3)
 
 # (h, (triangles, pairs), what `_mate_pass` returns, the violations, the
-# reference verifiers that agree): `old_verify_partition` compares
-# triangles as sets, and its n-long union-find indexes every hyperedge
-# vertex, so it is left out where a triangle is an unsorted hyperedge or a
-# hyperedge vertex reaches n
+# reference verifiers that agree on h with its hyperedges sorted):
+# `old_verify_partition`'s n-long union-find indexes every hyperedge
+# vertex, so it is left out where a hyperedge vertex reaches n
 MATE_PASS_CASES = {
     # a pair found twice must not make up for a pair found never
     "pair in two hyperedges, another in none": (
@@ -593,30 +602,20 @@ MATE_PASS_CASES = {
     "unsorted hyperedges": (
         UNSORTED, ([], [(1, 0), (4, 3), (2, 5)]), (3, set()), (), REFERENCES,
     ),
-    # as a 2-subset drawn in tuple order, a pair lies inside a hyperedge
-    # only where its smaller vertex comes first: (1, 2) and (0, 5) do not
+    # at k = 3 the pass misses (1, 2) and (0, 5), whose larger vertex comes
+    # first in the tuple, and the 2-subsets of the sorted hyperedges find
+    # them; at k = 4 the pass reads membership and finds every pair
     "unsorted hyperedges, pairs out of tuple order": (
-        UNSORTED,
-        ([], [(1, 2), (0, 5), (3, 4)]),
-        (1, set()),
-        ("pair (1, 2) is not inside any hyperedge",
-         "pair (0, 5) is not inside any hyperedge"),
-        REFERENCES,
+        UNSORTED, ([], [(1, 2), (0, 5), (3, 4)]), (1, set()), (), REFERENCES,
     ),
     "unsorted hyperedges, pairs out of tuple order, k=4": (
         hand_built(6, [(3, 0, 1, 2), (5, 4, 1, 0)], 4),
-        ([], [(0, 1), (3, 2), (4, 5)]),
-        (1, set()),
-        ("pair (3, 2) is not inside any hyperedge",
-         "pair (4, 5) is not inside any hyperedge"),
-        REFERENCES,
+        ([], [(0, 1), (3, 2), (4, 5)]), (3, set()), (), REFERENCES,
     ),
+    # the pass misses it, and the sorted hyperedges hold it
     "a triangle as an unsorted hyperedge": (
         hand_built(5, [(2, 1, 0), (3, 4, 0)], 3),
-        ([(0, 1, 2)], [(3, 4)]),
-        (1, set()),
-        ("triangle (0, 1, 2) is not a hyperedge",),
-        REFERENCES[:2],
+        ([(0, 1, 2)], [(3, 4)]), (1, set()), (), REFERENCES,
     ),
     "a triangle as a sorted hyperedge": (
         hand_built(5, [(0, 1, 2), (3, 4, 0)], 3),
@@ -694,12 +693,13 @@ MATE_PASS_CASES = {
 def test_hand_built_certificates_reach_the_mate_pass(case):
     """Each certificate's blocks are disjoint and cover V, so the pass runs;
     where it counts short or cannot read a hyperedge, the 2-subsets name
-    the bad pairs.  Either way the violations are the references'."""
+    the bad pairs.  Either way the violations are the references' on the
+    sorted hyperedges."""
     h, raw, passed, violations, references = MATE_PASS_CASES[case]
-    assert partition_module._mate_pass(h, *raw) == passed
+    assert verify_module._mate_pass(h, *raw) == passed
     assert outcome(verify_partition, h, raw) == violations
     for check in references:
-        assert outcome(check, h, raw) == violations, check.__name__
+        assert outcome(check, sorted_hyperedges(h), raw) == violations, check.__name__
 
 
 @st.composite
@@ -735,11 +735,12 @@ def hand_built_partitions(draw):
 @given(hand_built_partitions())
 def test_the_mate_pass_agrees_on_hand_built_hypergraphs(case):
     """Unsorted tuples, repeated and out-of-range vertices and mixed widths:
-    the verdict is the references' wherever the pass runs."""
+    wherever the pass runs, the verdict is the references' on the same
+    hyperedges sorted, since each hyperedge is read as a vertex set."""
     h, raw = case
-    expected = outcome(set_verify_partition, h, raw)
+    expected = outcome(set_verify_partition, sorted_hyperedges(h), raw)
     assert outcome(verify_partition, h, raw) == expected
-    assert outcome(loop_verify_partition, h, raw) == expected
+    assert outcome(loop_verify_partition, sorted_hyperedges(h), raw) == expected
 
 
 def test_several_triangles_are_found_in_the_pass():
@@ -754,7 +755,7 @@ def test_several_triangles_are_found_in_the_pass():
     triangles = [c.triangle for c in certs if c.triangle is not None]
     pairs = [p for c in certs for p in c.pairs]
     assert len(triangles) == 4
-    assert partition_module._mate_pass(h, triangles, pairs) == (
+    assert verify_module._mate_pass(h, triangles, pairs) == (
         len(pairs), set(triangles)
     )
     assert outcome(verify_partition, h, certs) == ()
@@ -766,7 +767,7 @@ def test_several_triangles_are_found_in_the_pass():
         j = 7 * i % len(pairs)
         (u, v), w = pairs[j], tri[2]
         triangles[i], pairs[j] = (*tri[:2], u), (w, v)
-    assert partition_module._mate_pass(h, triangles, pairs)[1] == set()
+    assert verify_module._mate_pass(h, triangles, pairs)[1] == set()
     raw = (triangles, pairs)
     expected = outcome(set_verify_partition, h, raw)
     assert sum(s.endswith("is not a hyperedge") for s in expected) == 4
@@ -787,14 +788,14 @@ def test_a_solver_certificate_is_checked_in_one_pass(monkeypatch):
         )
     ]
     calls = []
-    real = partition_module._mate_pass
+    real = verify_module._mate_pass
 
     def spy(h, triangles, pairs):
         calls.append(h.k)
         return real(h, triangles, pairs)
 
-    monkeypatch.setattr(partition_module, "_mate_pass", spy)
-    monkeypatch.setattr(partition_module, "_pairs_outside", None)
+    monkeypatch.setattr(verify_module, "_mate_pass", spy)
+    monkeypatch.setattr(verify_module, "_pairs_outside", None)
     for h, certs in solved:
         assert verify_partition(h, certs).ok
     assert calls == [3, 3, 4, 4]
@@ -897,13 +898,13 @@ def test_component_search_runs_only_when_its_rule_can_fail(monkeypatch):
     odd_cert, even_cert, two_odd_certs = solve(odd), solve(even), solve_components(two_odd)
     lu, two_lu = lu_subgraph(bg, 4), lu_subgraph(two_bg, 4)
     calls = []
-    real = partition_module._component_ids
+    real = verify_module._component_ids
 
     def spy(n, groups):
         calls.append(n)
         return real(n, groups)
 
-    monkeypatch.setattr(partition_module, "_component_ids", spy)
+    monkeypatch.setattr(verify_module, "_component_ids", spy)
 
     # connected solver certificates: at most one triangle or degree-3 A-vertex
     assert verify_partition(odd, odd_cert).ok
@@ -921,3 +922,32 @@ def test_component_search_runs_only_when_its_rule_can_fail(monkeypatch):
     assert sorted(Counter(a for a, _ in two_lu.kept).values()).count(3) == 2
     assert verify_lu(two_bg, two_lu).ok
     assert calls == [two_odd.n, odd.n, two_bg.n_a + two_bg.n_b]
+
+
+def test_verify_certificate_reaches_the_checker_of_its_kind():
+    """Kept edges, as an LuSubgraph or as a raw list for a BipartiteGraph,
+    go to `verify_lu`; one partition, a list of them or a raw (triangles,
+    pairs) tuple go to `verify_partition`.  Every other certificate misses
+    a block, so the reports differ."""
+    bg = random_regular_bipartite(9, 4, 3)
+    lu = lu_subgraph(bg, 4)
+    h = random_triple_system(21, 3, require_connected=True)
+    cert = solve(h)
+    short = TriMatchingPartition(triangle=cert.triangle, pairs=cert.pairs[1:], host=h)
+    two = hypergraph_union([h, random_triple_system(9, 4, require_connected=True)])
+    certs = solve_components(two)
+    cases = [
+        (verify_lu, bg, lu),
+        (verify_lu, bg, LuSubgraph(kept=lu.kept[1:], host=bg)),
+        (verify_lu, bg, list(lu.kept)),
+        (verify_lu, bg, list(lu.kept[1:])),
+        (verify_partition, h, cert),
+        (verify_partition, h, short),
+        (verify_partition, two, certs),
+        (verify_partition, two, certs[1:]),
+        (verify_partition, h, ([cert.triangle], list(cert.pairs))),
+        (verify_partition, h, ([short.triangle], list(short.pairs))),
+    ]
+    reports = [verify_certificate(instance, c) for _, instance, c in cases]
+    assert reports == [check(instance, c) for check, instance, c in cases]
+    assert [r.ok for r in reports] == [True, False] * 5
