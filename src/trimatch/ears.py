@@ -240,14 +240,20 @@ def odd_ear_decomposition(g: SimpleGraph) -> EarDecomposition:
     back into the placed set, and closes with the lowest placed neighbor.
     Remaining edges become trivial ears.
     """
-    walks = _ear_walks(g)
-    errs, labels, positions, marks = _scan(g.adjacency, walks)
+    return _checked(g, _ear_walks(g), "constructed decomposition invalid")
+
+
+def _checked(host, walks, what):
+    """The decomposition of `host` whose nontrivial ears are `walks`, with
+    the edges they leave as its trivial ears, checked by one `_scan`;
+    InternalError, its message starting with `what`, names each fault."""
+    errs, labels, positions, marks = _scan(host.adjacency, walks)
     if errs:
-        raise InternalError("constructed decomposition invalid: " + "; ".join(errs))
-    walks += _unmarked_edges(g.adjacency, marks)
+        raise InternalError(f"{what}: " + "; ".join(errs))
+    trivial = _unmarked_edges(host.adjacency, marks)
     return EarDecomposition(
-        host=g,
-        ears=tuple(Ear(tuple(w)) for w in walks),
+        host=host,
+        ears=tuple(Ear(tuple(w)) for w in chain(walks, trivial)),
         labels=tuple(labels),
         positions=tuple(positions),
     )
@@ -334,17 +340,9 @@ def maximalize(d: EarDecomposition) -> EarDecomposition:
     errs = validate_decomposition(d)
     if errs:
         raise InvariantViolation("; ".join(errs))
-    adj = d.host.adjacency
-    walks, _, _ = _slice(adj, [list(ear.vertices) for ear in d.ears if not ear.trivial])
-    errs, labels, positions, marks = _scan(adj, walks)
-    if errs:
-        raise InternalError("sliced decomposition invalid: " + "; ".join(errs))
-    walks += _unmarked_edges(adj, marks)
-    return EarDecomposition(
-        host=d.host,
-        ears=tuple(Ear(tuple(w)) for w in walks),
-        labels=tuple(labels),
-        positions=tuple(positions),
+    walks = [list(ear.vertices) for ear in d.ears if not ear.trivial]
+    return _checked(
+        d.host, _slice(d.host.adjacency, walks)[0], "sliced decomposition invalid"
     )
 
 
@@ -356,12 +354,13 @@ def _slice(adj, walks):
 
     The walks sit on a stack with the circuit on top.  Each round pops a
     walk, which is the circuit exactly when no walk has finished yet, and
-    looks for its lowest off-ear odd edge.  With none the walk is finished;
-    otherwise the walk and the edge become two odd ears, pushed so that the
-    one in the walk's place (the new circuit, or the ear keeping the walk's
-    ends) is popped next.  Each slice splits a walk into two shorter ones,
-    so the loop ends; a piece that is not shorter raises InternalError.
-    A cut along an edge already on another walk leaves it on two.
+    finishes it: it lists the walk's off-ear odd edges once, and cuts along
+    them in increasing order, each into two odd ears, skipping an edge with
+    an end already cut off.  The walk keeps what is left, and the cut-off
+    pieces are pushed in the order they were made, so the last one is
+    popped next.  A cut along an edge already on another walk leaves it on
+    two.  A walk's label is the number of walks finished before its round;
+    a vertex cut off is labelled -1 until its piece is popped.
 
     Every chord of the circuit is odd, so the circuit's round looks from
     each of its vertices.  On a later walk of odd length L an edge between
@@ -369,50 +368,85 @@ def _slice(adj, walks):
     p odd and q even, and off the walk when q > p + 1, so q >= p + 3 and
     p <= L - 4: the round looks only from positions 1, 3, ..., L - 4, at
     neighbours at even positions from p + 3 on, and meets each such edge
-    once, from its odd end.  A walk of length 3 has none.  The positions
-    compared and cut at are the stored ones, so a faulty walk that repeats
-    a vertex is still cut into two shorter pieces.
+    once, from its odd end.  A walk of length 3 has none.
+
+    One list serves the whole round, because a cut keeps the parity of
+    every position it keeps.  On a later walk, a cut along the edge at
+    positions p < q drops the q - p - 1 vertices between them, an even
+    count, so the vertices left keep the parity and order of their
+    positions.  On the circuit, a cut drops the interior of an odd ear, also
+    an even count, and all on one side of any two vertices left, so the
+    parity of the forward distance between them stays.  Two vertices left
+    become consecutive only along the edge cut, so the off-ear odd edges of
+    what is left are the listed ones with both ends left, less those cut
+    along.  The cut itself follows next-kept-position pointers, cyclic on
+    the circuit, from one end of the piece to the other, and points the
+    first end past the piece.  On a later walk the piece runs from the
+    lower position to the higher.  On the circuit, with the ends ordered by
+    their forward distance from its start, the piece runs forward from the
+    second end to the first when the span between them is even, the
+    circuit keeping the arc between them, and from the first end to the
+    second when it is odd; the piece's last vertex becomes the start.
+    Either way the circuit left is odd and closed by the edge cut.
+
+    The loop ends: each round runs over a finite list, and each piece is
+    shorter than the walk it is cut from, since it leaves out the walk's
+    ends, or on the circuit at least the closing repeat.  A walk's slots
+    are scanned once in its round and each position is dropped at most
+    once, but a vertex is scanned again in the round of each piece it is
+    cut off into, so a vertex cut off again and again is scanned again and
+    again; no bound is claimed beyond that.
 
     The result is maximal.  A popped walk's ends lie on finished walks, so
     the vertices it labels (the circuit's, or the interior) are the ones new
     on it, at their positions on it; the finished walks are the ears in
-    order, and no later round relabels those vertices, so each round's
-    number, taken in the order the walks finish, gives the first-ear labels
-    and positions.  An odd edge has both ends first on one ear, at odd
-    distances from that ear's ends unless that ear is the circuit, so the
-    round that finished the ear looked at the edge, and a walk finishes only
-    when each edge it looks at joins consecutive vertices of the walk, that
-    is, lies on it.
+    order, and no later round relabels those vertices, so each walk's label
+    and the positions on it as finished are the first-ear labels and
+    positions.  An odd edge has both ends first on one ear, at odd distances
+    from that ear's ends unless that ear is the circuit.  Both ends were new
+    on the walk the ear's round popped and stayed on it, so by the parity
+    argument that round listed the edge unless it lay on the walk already,
+    and never skipped it, so the round cut along it and put it on the ear.
     """
     stack = walks[::-1]
-    # label[v]: the round that last placed v, 0 for none; rank[r]: the
-    # index of round r's walk among the finished ones, -1 while it is not
-    label = [0] * len(adj)
+    # label[v]: the label of the walk v is new on, the popped one's
+    # included; -1 for none yet, or cut off
+    label = [-1] * len(adj)
     pos = [-1] * len(adj)
-    rank = [-1]
     done: list = []
-    while stack:
-        walk = stack.pop()
-        wid = len(rank)
-        rank.append(-1)
-        circuit = not done
-        length = len(walk) - 1
-        intro = walk[:-1] if circuit else walk[1:-1]
-        for p, v in enumerate(intro, 0 if circuit else 1):
+
+    def place(walk, wid):
+        # the circuit is walk 0, and all its vertices are new
+        for p, v in enumerate(walk[1:-1] if wid else walk[:-1], 1 if wid else 0):
             label[v] = wid
             pos[v] = p
-        best = None
+
+    def cut(seq, nxt, x, y):
+        """seq[x], ..., seq[y] along nxt, the ones between them cut off."""
+        piece = [seq[x]]
+        i = nxt[x]
+        while i != y:
+            label[seq[i]] = -1
+            piece.append(seq[i])
+            i = nxt[i]
+        nxt[x] = y
+        piece.append(seq[y])
+        return piece
+
+    while stack:
+        walk = stack.pop()
+        wid = len(done)
+        circuit = not done
+        length = len(walk) - 1
+        place(walk, wid)
+        cuts = []
         if circuit:
-            for w in intro:
+            for w in walk[:-1]:
                 pw = pos[w]
                 for y in adj[w]:
-                    if y <= w or label[y] != wid:
-                        continue
-                    diff = (pos[y] - pw) % length
-                    if diff != 1 and diff != length - 1:
-                        e = (w, y)
-                        if best is None or e < best:
-                            best = e
+                    if y > w and label[y] == wid:
+                        if 1 < (pos[y] - pw) % length < length - 1:
+                            cuts.append((w, y))
         else:
             for w in walk[1 : length - 3 : 2]:
                 pw = pos[w]
@@ -420,30 +454,23 @@ def _slice(adj, walks):
                     if label[y] == wid:
                         py = pos[y]
                         if py % 2 == 0 and py > pw + 2:
-                            e = (w, y) if w < y else (y, w)
-                            if best is None or e < best:
-                                best = e
-        if best is None:
-            rank[wid] = len(done)
-            done.append(walk)
-            continue
-
-        a, b = best
-        pa, pb = sorted((pos[a], pos[b]))
-        if circuit:
-            cycle = walk[:-1]
-            if (pb - pa) % 2 == 0:
-                first = cycle[pa : pb + 1] + [cycle[pa]]
-                second = cycle[pb:] + cycle[: pa + 1]
-            else:
-                first = cycle[pb:] + cycle[: pa + 1] + [cycle[pb]]
-                second = cycle[pa : pb + 1]
-        else:
-            first = walk[: pa + 1] + walk[pb:]
-            second = walk[pa : pb + 1]
-        if len(first) >= len(walk) or len(second) >= len(walk):
-            raise InternalError(f"slicing along {best} does not shorten its walk")
-        # the first piece is popped next: it may still carry off-ear odd edges
-        stack += (second, first)
-    labels = list(map(rank.__getitem__, label))
-    return done, labels, pos
+                            cuts.append((w, y) if w < y else (y, w))
+        if cuts:
+            seq = walk[:-1] if circuit else walk
+            nxt = [*range(1, len(seq)), 0]
+            start = 0
+            for a, b in sorted(cuts):
+                if label[a] < 0 or label[b] < 0:
+                    continue
+                # the ends by their forward distance from the start
+                dx, dy = sorted(((pos[a] - start) % length, (pos[b] - start) % length))
+                x, y = (start + dx) % length, (start + dy) % length
+                if circuit and (dy - dx) % 2 == 0:
+                    x, y = y, x
+                start = y if circuit else 0
+                # the last piece pushed is popped next
+                stack.append(cut(seq, nxt, x, y))
+            walk = cut(seq, nxt, start, start if circuit else length)
+            place(walk, wid)
+        done.append(walk)
+    return done, label, pos

@@ -185,6 +185,22 @@ def rotate_block_ids(monkeypatch, n, k=3):
         monkeypatch.setattr(partition_module, "_incidence_certificates", rotated_blocks)
 
 
+def circulant_hypergraph(n, a, b):
+    """The 3-uniform 3-regular hypergraph on 0..n-1 whose hyperedge i is
+    {i, i + a, i + b} mod n: ids that follow the structure.  a = 1, b = 2
+    gives the ring."""
+    return make_hypergraph(n, ({i, (i + a) % n, (i + b) % n} for i in range(n)), k=3)
+
+
+def circulant_bipartite(n, k):
+    """The k-regular bipartite graph with n vertices a side whose A-vertex a
+    is adjacent to a, a + 1, ..., a + k - 1 mod n, each a's edges in
+    increasing order."""
+    return make_bipartite(
+        n, n, [(a, b) for a in range(n) for b in sorted((a + j) % n for j in range(k))]
+    )
+
+
 def cycle_graph(n):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -256,8 +272,8 @@ def hand_edited(text):
 def time_limit(seconds):
     """Raise TimeoutError in the block after `seconds`: a search whose
     stamps or lists are stale can walk a p[] cycle for ever, and a slicer
-    whose cuts do not shorten its walks can fill memory; this turns either
-    into a failure.  No limit where there is no interval timer.  Also
+    whose cut-off pieces are not shorter than their walks can fill memory;
+    this turns either into a failure.  No limit where there is no interval timer.  Also
     a decorator, which limits the whole test."""
     if not hasattr(signal, "setitimer"):
         yield

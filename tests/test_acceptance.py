@@ -5,6 +5,7 @@ criterion.  All checks are exact combinatorial assertions; the only
 tolerances are the wall-clock budgets.
 """
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from trimatch import (
 )
 from trimatch.formats import format_partition
 
-from conftest import FANO_LINES
+from conftest import FANO_LINES, circulant_bipartite, circulant_hypergraph
 
 
 def _report(num, name, elapsed, limit):
@@ -212,6 +213,30 @@ def test_criterion_8_scale():
     elapsed = time.perf_counter() - t0
     assert cert.triangle is not None
     _report(8, "n=2001 instance solved and verified", elapsed, 10)
+
+
+def test_criterion_10_id_ordered_ring():
+    """The ring {i, i + 1, i + 2} mod n with its ids in ring order: slicing
+    cuts one long walk about n / 2 times."""
+    h = circulant_hypergraph(16001, 1, 2)
+    t0 = time.perf_counter()
+    cert = solve(h)
+    elapsed = time.perf_counter() - t0
+    assert hashlib.sha256(format_partition(cert).encode()).hexdigest() == (
+        "a967d63bbdd60d92407faa00aa1af71a770420eedc8a98f02e5214a224df3640"
+    )
+    _report(10, "odd ring n=16001 solved", elapsed, 0.5)
+
+
+def test_criterion_11_id_ordered_lu():
+    """`lu` on the 4-regular circulant with odd |B| peels a ring as its
+    residual, which the odd construction slices."""
+    bg = circulant_bipartite(16001, 4)
+    t0 = time.perf_counter()
+    lu = lu_subgraph(bg, 4)
+    elapsed = time.perf_counter() - t0
+    assert verify_lu(bg, lu).ok
+    _report(11, "lu on the odd 4-regular circulant |B|=16001", elapsed, 0.5)
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -47,6 +47,7 @@ from trimatch.matching import AlternatingTree, near_perfect_matching
 
 from conftest import (
     assemble,
+    circulant_hypergraph,
     complete_graph,
     cycle_graph,
     random_triple_system,
@@ -990,6 +991,112 @@ def old_slice(adj, walks):
     return done
 
 
+# `_slice` as it was before it finished each walk in the round that popped
+# it: each cut pushed both pieces back, and the walk kept was scanned again
+# from its start in a round of its own.
+
+
+def rescan_slice(adj, walks):
+    """The slicing loop on the nontrivial `walks` (lists, in order) over the
+    graph with sorted neighbour tuples `adj`: the finished walks in order,
+    with each vertex's first-ear label and position on them (-1 for a
+    vertex on no finished walk).
+
+    The walks sit on a stack with the circuit on top.  Each round pops a
+    walk, which is the circuit exactly when no walk has finished yet, and
+    looks for its lowest off-ear odd edge.  With none the walk is finished;
+    otherwise the walk and the edge become two odd ears, pushed so that the
+    one in the walk's place (the new circuit, or the ear keeping the walk's
+    ends) is popped next.  Each slice splits a walk into two shorter ones,
+    so the loop ends; a piece that is not shorter raises InternalError.
+    A cut along an edge already on another walk leaves it on two.
+
+    Every chord of the circuit is odd, so the circuit's round looks from
+    each of its vertices.  On a later walk of odd length L an edge between
+    new vertices at positions p < q is odd when p and L - q are odd, that is
+    p odd and q even, and off the walk when q > p + 1, so q >= p + 3 and
+    p <= L - 4: the round looks only from positions 1, 3, ..., L - 4, at
+    neighbours at even positions from p + 3 on, and meets each such edge
+    once, from its odd end.  A walk of length 3 has none.  The positions
+    compared and cut at are the stored ones, so a faulty walk that repeats
+    a vertex is still cut into two shorter pieces.
+
+    The result is maximal.  A popped walk's ends lie on finished walks, so
+    the vertices it labels (the circuit's, or the interior) are the ones new
+    on it, at their positions on it; the finished walks are the ears in
+    order, and no later round relabels those vertices, so each round's
+    number, taken in the order the walks finish, gives the first-ear labels
+    and positions.  An odd edge has both ends first on one ear, at odd
+    distances from that ear's ends unless that ear is the circuit, so the
+    round that finished the ear looked at the edge, and a walk finishes only
+    when each edge it looks at joins consecutive vertices of the walk, that
+    is, lies on it.
+    """
+    stack = walks[::-1]
+    # label[v]: the round that last placed v, 0 for none; rank[r]: the
+    # index of round r's walk among the finished ones, -1 while it is not
+    label = [0] * len(adj)
+    pos = [-1] * len(adj)
+    rank = [-1]
+    done: list = []
+    while stack:
+        walk = stack.pop()
+        wid = len(rank)
+        rank.append(-1)
+        circuit = not done
+        length = len(walk) - 1
+        intro = walk[:-1] if circuit else walk[1:-1]
+        for p, v in enumerate(intro, 0 if circuit else 1):
+            label[v] = wid
+            pos[v] = p
+        best = None
+        if circuit:
+            for w in intro:
+                pw = pos[w]
+                for y in adj[w]:
+                    if y <= w or label[y] != wid:
+                        continue
+                    diff = (pos[y] - pw) % length
+                    if diff != 1 and diff != length - 1:
+                        e = (w, y)
+                        if best is None or e < best:
+                            best = e
+        else:
+            for w in walk[1 : length - 3 : 2]:
+                pw = pos[w]
+                for y in adj[w]:
+                    if label[y] == wid:
+                        py = pos[y]
+                        if py % 2 == 0 and py > pw + 2:
+                            e = (w, y) if w < y else (y, w)
+                            if best is None or e < best:
+                                best = e
+        if best is None:
+            rank[wid] = len(done)
+            done.append(walk)
+            continue
+
+        a, b = best
+        pa, pb = sorted((pos[a], pos[b]))
+        if circuit:
+            cycle = walk[:-1]
+            if (pb - pa) % 2 == 0:
+                first = cycle[pa : pb + 1] + [cycle[pa]]
+                second = cycle[pb:] + cycle[: pa + 1]
+            else:
+                first = cycle[pb:] + cycle[: pa + 1] + [cycle[pb]]
+                second = cycle[pa : pb + 1]
+        else:
+            first = walk[: pa + 1] + walk[pb:]
+            second = walk[pa : pb + 1]
+        if len(first) >= len(walk) or len(second) >= len(walk):
+            raise InternalError(f"slicing along {best} does not shorten its walk")
+        # the first piece is popped next: it may still carry off-ear odd edges
+        stack += (second, first)
+    labels = list(map(rank.__getitem__, label))
+    return done, labels, pos
+
+
 def slices_alike(n, edges, walks):
     """Both slicers on `walks` over the graph on 0..n-1 with `edges` (each
     pair once, either order); True when they slice at all."""
@@ -1001,6 +1108,7 @@ def slices_alike(n, edges, walks):
     new, labels, positions = _slice(adj, [list(w) for w in walks])
     assert new == old_slice(adj, [list(w) for w in walks]), walks
     assert (labels, positions) == tuple(_scan(adj, new)[1:3]), walks
+    assert (new, labels, positions) == rescan_slice(adj, [list(w) for w in walks]), walks
     return len(new) > len(walks)
 
 
@@ -1013,6 +1121,7 @@ def test_odd_position_slicer_slices_like_the_old_one_on_solver_walks():
         new, labels, positions = _slice(g.adjacency, [list(w) for w in walks])
         assert new == old_slice(g.adjacency, walks), h.n
         assert (labels, positions) == tuple(_scan(g.adjacency, new)[1:3]), h.n
+        assert (new, labels, positions) == rescan_slice(g.adjacency, walks), h.n
         sliced += len(new) > len(walks)
     assert sliced > 450
 
@@ -1077,6 +1186,47 @@ def test_odd_position_slicer_on_random_walks_with_planted_edges(data):
         [tuple(ids[v] for v in e) for e in edges],
         [[ids[v] for v in w] for w in walks],
     )
+
+
+# Ids that follow the structure: the ring {i, i + 1, i + 2} mod n cuts one
+# long walk again and again, which the rescanning slicer paid for on every
+# cut, and the circulants {i, i + a, i + b} cut in other patterns.
+STRUCTURED = [(n, 1, 2) for n in [*range(3, 42, 2), 101, 501, 1001, 2001]] + [
+    (n, a, b) for a, b in ((1, 3), (2, 5), (1, 5), (3, 7)) for n in (101, 2001)
+]
+
+
+@time_limit(120)
+@pytest.mark.parametrize("n, a, b", STRUCTURED)
+def test_the_slicer_slices_id_ordered_instances_like_the_rescanning_one(n, a, b):
+    h = circulant_hypergraph(n, a, b)
+    g = _shadow_lists(h)
+    walks = _ear_walks(g)
+    out = _slice(g.adjacency, [list(w) for w in walks])
+    assert out == rescan_slice(g.adjacency, walks)
+    assert verify_partition(h, solve(h)).ok
+
+
+@time_limit(120)
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_the_slicer_returns_on_arbitrary_walk_lists(data):
+    """Walks that are no ear decomposition (repeated vertices, non-edges,
+    any length, the circuit included): the loop still ends, each round
+    over a finite list with each position dropped at most once.  What it
+    returns is not compared: no caller gives it such walks."""
+    n = data.draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    walks = data.draw(st.lists(st.lists(vertex, max_size=14), max_size=6))
+    done, labels, positions = _slice(adj, walks)
+    assert len(labels) == len(positions) == n
 
 
 # An odd solve checks no decomposition and no matching: the verifier's check
@@ -1354,8 +1504,8 @@ def test_faulty_sliced_walks_are_an_internal_error(monkeypatch, tmp_path, capsys
 @time_limit(10)
 def test_the_slicer_labels_a_vertex_on_no_walk_minus_one(monkeypatch, tmp_path, capsys):
     """The circuit 0-1-2-3-4 has the chords (0, 2), (0, 3) and (1, 4), so
-    rounds end cut and their numbers go unused; 7 and 8 are on no walk, and
-    neither a wrapped nor a stale label reaches them."""
+    its round cuts vertices off, labelled -1 until their pieces are popped;
+    7 and 8 are on no walk, and keep -1."""
     h = nine()
     adj = _shadow_lists(h).adjacency
     traced = [[0, 1, 2, 3, 4, 0], [0, 6, 5, 1]]
