@@ -269,17 +269,20 @@ def _solve_connected(h: Hypergraph, g: _ListGraph) -> TriMatchingPartition:
         ) from exc
 
 
-def _incidence_certificates(h: Hypergraph, k: int, g, block_of, count):
-    """The unchecked certificates of h's `count` components at k > 3, read
-    off one extraction of its whole incidence graph g.  A residual block
-    lies in a slot, the rest of one hyperedge copy, so in the component
-    that `block_of` gives its first vertex.  Of its blocks, the one 3-block
-    is the triangle, the 2-blocks, sorted, are the pairs, and any other
-    shape is left out, for the verifier to find uncovered."""
-    _, certs = _fitting_residual(g[0], h.n, k, g[0], g[1])
+def _incidence_certificates(h: Hypergraph, k: int, g):
+    """The unchecked certificates of h's components at k > 3, in order of
+    least vertex, read off one extraction of its whole incidence graph g.
+    A residual block lies in a slot, the rest of one hyperedge copy, so in
+    the component that `_fitting_residual`'s map gives its first vertex;
+    with no map the residual, and so h, is connected (or empty).  Of its
+    blocks, the one 3-block is the triangle, the 2-blocks, sorted, are the
+    pairs, and any other shape is left out, for the verifier to find
+    uncovered."""
+    _, certs, part_of = _fitting_residual(g[0], h.n, k, g[0], g[1])
+    count = len(certs) if part_of is None else max(part_of.values()) + 1
     groups = [[] for _ in range(count)]
     for b in filter(None, chain.from_iterable((c.triangle, *c.pairs) for c in certs)):
-        groups[block_of[b[0]]].append(b)
+        groups[0 if part_of is None else part_of[b[0]]].append(b)
     return [TriMatchingPartition(
         triangle=next((b for b in blocks if len(b) == 3), None),
         pairs=_canon_pairs(b for b in blocks if len(b) == 2),
@@ -301,17 +304,6 @@ def _gated_graph(h: Hypergraph, k: int):
     return _shadow_lists(h) if k == 3 else _incidence_graph(h)
 
 
-def _blocks(h: Hypergraph, k: int, g):
-    """The components of h as sorted blocks in order of least vertex, from
-    the graph g that `_gated_graph(h, k)` gave.  The k > 3 blocks are the
-    B-sides of the incidence graph's components, so no shadow graph is
-    built."""
-    if k == 3:
-        return components(g).blocks
-    n = h.n
-    return tuple(tuple(sorted(v for v in b if v < n)) for b in _incidence_blocks(*g))
-
-
 def _incidence_blocks(adj_a, adj_b):
     """Unsorted node lists of the components of the bipartite graph with
     A-side lists `adj_a` and B-side lists `adj_b`, with B-vertex b as node
@@ -319,13 +311,6 @@ def _incidence_blocks(adj_a, adj_b):
     A-vertex of a regular graph is isolated)."""
     n_b = len(adj_b)
     return _component_blocks([[n_b + a for a in nbrs] for nbrs in adj_b] + list(adj_a))
-
-
-def _require_connected(h: Hypergraph, k: int, g) -> None:
-    if len(_blocks(h, k, g)) > 1:
-        raise Disconnected(
-            "the hypergraph is disconnected; solve each component separately"
-        )
 
 
 def solve(h: Hypergraph) -> TriMatchingPartition:
@@ -346,24 +331,30 @@ def solve_k_uniform(h: Hypergraph, k: int) -> TriMatchingPartition:
     k > 3 routed through the bipartite construction on the vertex/hyperedge
     incidence graph.
 
-    Connectivity is checked by a component search up front, except for
-    k = 3 and odd n.  There the alternating tree of `_ear_walks` decides it:
-    a disconnected shadow graph is not factor-critical, so the construction
+    Connectivity is decided where the construction leaves it open.  At
+    k = 3 and odd n the alternating tree of `_ear_walks` decides it: a
+    disconnected shadow graph is not factor-critical, so the construction
     fails, and only then are the components searched, to tell Disconnected
-    from an internal error.  A disconnected even instance may still have a
-    perfect matching, so the even case keeps the search.
+    from an internal error.  Otherwise h is solved as `solve_components`
+    solves it, and more than one certificate is Disconnected: a
+    disconnected even instance may still have a perfect matching, and at
+    k > 3 the extraction searches the input's components only when its
+    first residual, a spanning subgraph, splits.  An empty h, with no
+    component, gets the empty certificate.
     """
     g = _gated_graph(h, k)
     odd = k == 3 and h.n % 2 == 1
-    if not odd:
-        _require_connected(h, k, g)
     try:
-        cert = (_solve_connected(h, g) if k == 3
-                else _incidence_certificates(h, k, g, [0] * h.n, 1)[0])
+        certs = [_solve_connected(h, g)] if odd else _component_certificates(h, k, g)
     except InternalError:
-        if odd:
-            _require_connected(h, k, g)
-        raise
+        if not odd or len(components(g).blocks) == 1:
+            raise
+        certs = None
+    if certs is None or len(certs) > 1:
+        raise Disconnected(
+            "the hypergraph is disconnected; solve each component separately"
+        )
+    cert = certs[0] if certs else TriMatchingPartition(triangle=None, pairs=(), host=h)
     _require_ok(verify_partition(h, cert))
     return cert
 
@@ -377,11 +368,14 @@ def solve_components(h: Hypergraph, k: int = 3) -> list[TriMatchingPartition]:
 
 
 def _component_certificates(h: Hypergraph, k: int, g):
-    """The unchecked certificate of each component of h, in h's ids, given
-    the graph g that `_gated_graph(h, k)` gave: at k > 3 all from one
-    extraction, at k = 3 each component solved on its own."""
-    blocks = _blocks(h, k, g)
-    if k == 3 and len(blocks) == 1:
+    """The unchecked certificate of each component of h, in h's ids and in
+    order of least vertex, given the graph g that `_gated_graph(h, k)`
+    gave: at k > 3 all from one extraction, at k = 3 each component of one
+    search solved on its own."""
+    if k > 3:
+        return _incidence_certificates(h, k, g)
+    blocks = components(g).blocks
+    if len(blocks) == 1:
         # the one block is h itself: nothing to reindex or build again
         return [_solve_connected(h, g)]
     block_of = [0] * h.n
@@ -390,8 +384,6 @@ def _component_certificates(h: Hypergraph, k: int, g):
         for j, v in enumerate(block):
             block_of[v] = i
             new_id[v] = j
-    if k > 3:
-        return _incidence_certificates(h, k, g, block_of, len(blocks))
     # a block's ids are its sorted members, so the map into them and the map
     # back, block[v], are monotone: relabelled hyperedges, neighbour tuples,
     # triangles and pairs stay sorted, folded and in range, and nothing is
@@ -436,38 +428,42 @@ def _residual_certificates(adj, n_b, t, order):
 def _fitting_residual(adj, n_b, k, witness, adj_b):
     """Slots and certificates of the first extraction whose certificates
     hold at most one triangle per component of the input, k-regular with
-    A-side lists `adj`.  That is what `verify_lu` decides on the kept
-    edges: a residual component lies inside an input component and has a
-    triangle exactly when its |B| is odd, so two degree-3 A-vertices share
-    an input component exactly when two triangles do.
+    A-side lists `adj`, and the input component of each node (B-vertex b
+    as node b, A-vertex a as node n_b + a), or None when the first
+    residual is connected.  The triangle rule is what `verify_lu` decides
+    on the kept edges: a residual component lies inside an input component
+    and has a triangle exactly when its |B| is odd, so two degree-3
+    A-vertices share an input component exactly when two triangles do.
+
+    The residual spans the input, so a connected first residual proves the
+    input connected, and nothing is searched.  Only when the first peel's
+    residual has two or more components are the input's components
+    searched, once, on the B-side lists `adj_b`.
 
     Each input component has a rotation of its own, of 0, 1, ... below
     min(|A_c|, 24) (only 0 at k = 3), and one peel of the whole graph scans
     each component's ascending A-vertices from its rotation on: Hopcroft-
     Karp peels each component of a union as it peels it alone, in the order
     the union's order induces on it.  The first peel, in ascending order,
-    is rotation 0 of every component.  Only when it has two or more
-    triangles are the components searched, once, on the B-side lists
-    `adj_b`.  Then a component with two or more triangles moves to its
-    next rotation and every other one keeps its own.  When a component
-    fits none of its rotations, an InternalError names them and carries
-    `witness`.
+    is rotation 0 of every component.  A component with two or more
+    triangles moves to its next rotation and every other one keeps its
+    own.  When a component fits none of its rotations, an InternalError
+    names them and carries `witness`.
     """
     order = range(len(adj))
-    rotation = None
+    part_of = None
     while True:
         slots, certs = _residual_certificates(adj, n_b, k - 3, order)
-        apexes = [c.triangle[0] for c in certs if c.triangle is not None]
-        if len(apexes) <= 1:
-            return slots, certs
-        if rotation is None:
+        if len(certs) < 2:
+            return slots, certs, part_of
+        if part_of is None:
             blocks = _incidence_blocks(adj, adj_b)
             part_of = {v: i for i, block in enumerate(blocks) for v in block}
             parts = [sorted(v - n_b for v in block if v >= n_b) for block in blocks]
             rotation = [0] * len(parts)
-        triangles = Counter(part_of[b] for b in apexes)
-        if max(triangles.values()) == 1:
-            return slots, certs
+        triangles = Counter(part_of[c.triangle[0]] for c in certs if c.triangle is not None)
+        if max(triangles.values(), default=0) < 2:
+            return slots, certs, part_of
         for i, a_ids in enumerate(parts):
             if triangles[i] > 1:
                 rotation[i] += 1
@@ -522,7 +518,7 @@ def lu_subgraph(bg: BipartiteGraph, k: int) -> LuSubgraph:
         raise NotRegular(f"graph is {deg_k}-regular, expected {k}-regular")
     if k < 3:
         raise PreconditionViolated("degree must be at least 3")
-    fit = _fitting_residual(bg.adj_a, bg.n_b, k, bg.edges, bg.adj_b)
-    lu = LuSubgraph(kept=tuple(sorted(_kept_edges(*fit))), host=bg)
+    slots, certs, _ = _fitting_residual(bg.adj_a, bg.n_b, k, bg.edges, bg.adj_b)
+    lu = LuSubgraph(kept=tuple(sorted(_kept_edges(slots, certs))), host=bg)
     _require_ok(verify_lu(bg, lu))
     return lu

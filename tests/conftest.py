@@ -155,11 +155,12 @@ def rotate_block_ids(monkeypatch, n, k=3):
     """Make `solve_components` on a k-uniform input with n vertices hand
     back each block's certificate with wrong ids.  At k = 3 each block is
     solved in its own ids, and these are rotated by one inside the block
-    before they are mapped back.  At k > 3 the blocks' certificates come
-    in the input's ids from one extraction, and each is rotated by one
-    inside its block."""
+    before they are mapped back.  At k > 3 the blocks' certificates are
+    read in the input's ids off one extraction, and each residual
+    certificate is rotated by one inside the input component that the map
+    of `_fitting_residual` gives it, before they are grouped."""
     solve_connected = partition_module._solve_connected
-    incidence_certificates = partition_module._incidence_certificates
+    fitting_residual = partition_module._fitting_residual
 
     def turned(cert, block):
         def turn(ids):
@@ -174,15 +175,20 @@ def rotate_block_ids(monkeypatch, n, k=3):
         cert = solve_connected(sub, g)
         return cert if sub.n == n else turned(cert, range(sub.n))
 
-    def rotated_blocks(h, k, g, block_of, count):
-        certs = incidence_certificates(h, k, g, block_of, count)
-        blocks = [[v for v in range(h.n) if block_of[v] == i] for i in range(count)]
-        return [turned(c, b) for c, b in zip(certs, blocks)] if count > 1 else certs
+    def rotated_residual(adj, n_b, k, witness, adj_b):
+        slots, certs, part_of = fitting_residual(adj, n_b, k, witness, adj_b)
+        if part_of is None:
+            return slots, certs, part_of
+        blocks = {}
+        for b in range(n_b):
+            blocks.setdefault(part_of[b], []).append(b)
+        first = [(c.triangle or c.pairs[0])[0] for c in certs]
+        return slots, [turned(c, blocks[part_of[v]]) for c, v in zip(certs, first)], part_of
 
     if k == 3:
         monkeypatch.setattr(partition_module, "_solve_connected", rotated)
     else:
-        monkeypatch.setattr(partition_module, "_incidence_certificates", rotated_blocks)
+        monkeypatch.setattr(partition_module, "_fitting_residual", rotated_residual)
 
 
 def circulant_hypergraph(n, a, b):

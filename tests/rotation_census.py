@@ -16,17 +16,25 @@ sums 2.  For each graph it
   kept edges of a rotation exactly when its residual certificates hold at
   most one triangle.
 
+It also counts, per command, the graphs whose first peel leaves a residual
+of two or more components, and the searches of the input's components
+(`partition._incidence_blocks`): the residual spans the input, so only a
+split one leaves connectivity open, and each such run searches exactly
+once, and no other run searches.
+
 Then it runs `lu` on each graph that needed a rotation past 0 joined with
 a copy of itself, and counts the unions whose kept edges are the graph's
 own beside those of the copy shifted by 6: each copy is rotated on its
 own inside the union's peel.  Exits non-zero if `lu` or `solve --k` fails
-on any graph, if the triangle rule and `verify_lu` disagree anywhere, or
-if a count differs from the pinned one: 67,869 graphs at rotation 0 and
-81 at rotation 1 for both commands, and all 81 unions kept as their
-copies.  It also pins the SHA-256 of all
+on any graph, if the triangle rule and `verify_lu` disagree anywhere, if
+a graph retries without a split first residual or splits without a
+retry, or if a count differs from the pinned one: 67,869 graphs at
+rotation 0 and 81 at rotation 1 for both commands, 81 split first
+residuals and 81 searches for each command, one search per self-union,
+and all 81 unions kept as their copies.  It also pins the SHA-256 of all
 67,950 `lu` certificates as `format_lu` writes them, and of all 67,950
 view certificates as `format_partition` writes them, in enumeration
-order.  It takes about 25 s on one core, so it runs as its own CI step
+order.  It takes about 30 s on one core, so it runs as its own CI step
 rather than in the pytest suite:
 
     PYTHONPATH=src python tests/rotation_census.py
@@ -47,6 +55,8 @@ from trimatch.formats import format_lu, format_partition
 SIDE = 6
 EXPECTED_ROTATIONS = {0: 67869, 1: 81}
 EXPECTED_UNIONS = 81
+EXPECTED_SPLITS = {"lu": 81, "view": 81}
+EXPECTED_SEARCHES = {"lu": 81, "view": 81, "self-union": 81}
 EXPECTED_SHA256 = "6390ff19dd8363567acb659315c0411f7e7c42e32bb8f89824bb1609d9d6368d"
 EXPECTED_VIEW_SHA256 = "42e71e7638ed4bfd92c2113b9afd38030f527d8578e7d5e9e9a409a033c5789c"
 EXPECTED_FOLDED = 17550
@@ -111,6 +121,31 @@ def with_orders(call, *args):
         partition._residual_certificates = original
 
 
+def with_traffic(call, *args):
+    """`call(*args)`, whether the residual of its first peel has two or more
+    components, and how many times it searched the input's components, as
+    spies on `_residual_certificates` and `_incidence_blocks` see them."""
+    residual, search = partition._residual_certificates, partition._incidence_blocks
+    splits, searches = [], []
+
+    def residual_spy(*peel):
+        slots, certs = residual(*peel)
+        splits.append(len(certs) > 1)
+        return slots, certs
+
+    def search_spy(*graph):
+        searches.append(graph)
+        return search(*graph)
+
+    partition._residual_certificates = residual_spy
+    partition._incidence_blocks = search_spy
+    try:
+        return call(*args), splits[0], len(searches)
+    finally:
+        partition._residual_certificates = residual
+        partition._incidence_blocks = search
+
+
 def with_rotations(call, *args):
     """`call(*args)` and the first A-vertex of each peel's order: on a
     connected graph, one peel per rotation, whose order starts at it."""
@@ -143,6 +178,8 @@ def rule_holds(bg, rotation, k=4):
 def main() -> int:
     settled = Counter()
     view_settled = Counter()
+    splits = Counter()
+    searches = Counter()
     failed = []
     retried = []
     graphs = folded = rule_checks = 0
@@ -154,18 +191,26 @@ def main() -> int:
         h = make_hypergraph(SIDE, bg.adj_a, k=4)
         folded += max(h.multiplicities) > 1
         try:
-            lu, rotations = lu_with_rotations(bg)
-            cert, view_rotations = with_rotations(solve_k_uniform, h, 4)
+            (lu, rotations), lu_split, lu_searches = with_traffic(lu_with_rotations, bg)
+            (cert, view_rotations), view_split, view_searches = with_traffic(
+                with_rotations, solve_k_uniform, h, 4
+            )
         except InternalError as exc:
             # no rotation fitted, or the final verifier refused
             failed.append((masks, exc))
             continue
+        splits += Counter({"lu": lu_split, "view": view_split})
+        searches += Counter({"lu": lu_searches, "view": view_searches})
+        if lu_searches != lu_split or view_searches != view_split:
+            failed.append((masks, "searches other than one per split first residual"))
         digest.update(format_lu(lu).encode("ascii"))
         view_digest.update(format_partition(cert).encode("ascii"))
         settled[rotations[-1]] += 1
         view_settled[view_rotations[-1]] += 1
         if rotations[-1] > 0:
             retried.append(masks)
+        if (rotations[-1] > 0) != lu_split:
+            failed.append((masks, "retry and split first residual disagree"))
         for rotation in (0, 1):
             rule_checks += 1
             if not rule_holds(bg, rotation):
@@ -174,10 +219,13 @@ def main() -> int:
     for masks in retried:
         bg = graph_of(masks)
         try:
-            union = partition.lu_subgraph(disjoint_union(bg, bg), 4)
+            union, _, union_searches = with_traffic(
+                partition.lu_subgraph, disjoint_union(bg, bg), 4
+            )
         except InternalError as exc:
             failed.append(((masks, masks), exc))
             continue
+        searches["self-union"] += union_searches
         kept = partition.lu_subgraph(bg, 4).kept
         unions += union.kept == kept + tuple((a + SIDE, b + SIDE) for a, b in kept)
     print(f"graphs: {graphs}")
@@ -186,6 +234,11 @@ def main() -> int:
     for rotation in sorted(view_settled):
         print(f"solve --k view rotation {rotation}: {view_settled[rotation]}")
     print(f"views folding a repeated hyperedge: {folded}")
+    print(f"first peels whose residual splits: lu {splits['lu']}, view {splits['view']}")
+    print(
+        f"input component searches: lu {searches['lu']}, view {searches['view']},"
+        f" self-unions {searches['self-union']}"
+    )
     print(f"triangle rule checked against verify_lu: {rule_checks}")
     print(f"self-unions of retried graphs kept as their copies: {unions}")
     print(f"sha256 of the lu certificates: {digest.hexdigest()}")
@@ -199,6 +252,8 @@ def main() -> int:
         and folded == EXPECTED_FOLDED
         and rule_checks == 2 * graphs
         and unions == EXPECTED_UNIONS
+        and splits == EXPECTED_SPLITS
+        and searches == EXPECTED_SEARCHES
         and digest.hexdigest() == EXPECTED_SHA256
         and view_digest.hexdigest() == EXPECTED_VIEW_SHA256
     )

@@ -578,9 +578,10 @@ def test_lu_gives_up_when_a_component_fits_none_of_its_rotations(monkeypatch):
 
 
 def test_lu_searches_the_input_components_once(monkeypatch):
-    """The input's components are searched only when rotation 0 of the
-    whole graph has two triangles, once, on its incidence lists, and no
-    residual is searched: `verify_lu` alone accepts the final kept edges."""
+    """The input's components are searched only when the residual of
+    rotation 0 of the whole graph has two or more components, once, on its
+    incidence lists, and no residual is searched again: `verify_lu` alone
+    accepts the final kept edges."""
     import trimatch.partition as partition_module
 
     # the splitting 3 + 3 circulant pair of the tests above, then K4,4
@@ -611,6 +612,101 @@ def test_lu_searches_the_input_components_once(monkeypatch):
     assert verify_lu(bg, lu).ok
     assert searches == [True]
     assert orders == [list(range(10)), [1, 2, 3, 4, 5, 0, 6, 7, 8, 9]]
+
+
+def incidence_searches(monkeypatch):
+    """A list that gets one entry per `partition._incidence_blocks` call
+    from now on."""
+    import trimatch.partition as partition_module
+
+    calls = []
+    search = partition_module._incidence_blocks
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return search(*args)
+
+    monkeypatch.setattr(partition_module, "_incidence_blocks", spy)
+    return calls
+
+
+def solve_text(tmp_path, capsys, text, *flags):
+    """Exit code, stdout and stderr of `trimatch solve` on a hypergraph text."""
+    from trimatch.cli import main
+
+    f = tmp_path / "in.hyp"
+    f.write_text(text)
+    code = main(["solve", str(f), *flags])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_a_connected_solve_k_searches_no_components(monkeypatch, tmp_path, capsys, k):
+    """A connected `solve --k` input whose first residual is connected runs
+    no component search: the residual spans the input, so it proves the
+    input connected."""
+    searches = incidence_searches(monkeypatch)
+    for n, seed in [(k + 3, 1), (40, 2), (301, 3), (1000, 4)]:
+        bg = random_regular_bipartite(n, k, seed)
+        h = make_hypergraph(n, bg.adj_a, k=k)
+        code, out, _ = solve_text(tmp_path, capsys, format_hypergraph(h), "--k", str(k))
+        assert code == 0 and verify_partition(h, parse_certificate(out)[:2]).ok
+        assert len(components(shadow_graph(h)).blocks) == 1
+    assert searches == []
+
+
+def ci_two_view_union():
+    """The CI's `bu.hyp`: the views of `gen --bip --n 1001 --k 5` at seeds
+    1 and 2, the first on the even ids and the second on the odd ones."""
+    lines = ["p hyp 2002 2002 5"]
+    for seed, offset in ((1, 0), (2, 1)):
+        rows = [[] for _ in range(1001)]
+        for a, b in random_regular_bipartite(1001, 5, seed).edges:
+            rows[a].append(2 * b + offset)
+        lines += ["e" + "".join(f" {v}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_components_k_searches_a_disconnected_union_once(monkeypatch, tmp_path, capsys):
+    """`solve --k 5 --components` on the CI's two-view union searches the
+    input's components once, inside the extraction, and gives its pinned
+    certificate; `solve --k 5` searches once and refuses it."""
+    text = ci_two_view_union()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a2c2bf8cdd7ad27e2efd672fd1ae08abc74feb3cb95c2fb1f2c088a426c9eb04"
+    )
+    searches = incidence_searches(monkeypatch)
+    code, out, _ = solve_text(tmp_path, capsys, text, "--k", "5", "--components")
+    assert code == 0 and searches == [2002]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8a467438fd768c90d9c69cb94615933231dd9e877079be3305bc4e02b9342ede"
+    )
+    searches.clear()
+    code, out, err = solve_text(tmp_path, capsys, text, "--k", "5")
+    assert (code, out, err) == (2, "", f"error: Disconnected: {DISCONNECTED}\n")
+    assert searches == [2002]
+
+
+def test_a_connected_view_whose_first_residual_splits_is_solved(monkeypatch, tmp_path, capsys):
+    """The view of the census graph `ROTATION_0_SPLITS[0]` is connected, but
+    its first residual splits into two triangles.  The one search that
+    follows finds one input component, which moves to rotation 1: the view
+    is solved, with and without `--components`, and not refused."""
+    from trimatch.cli import main
+
+    bg = rotation_0_split(ROTATION_0_SPLITS[0])
+    h = make_hypergraph(bg.n_b, bg.adj_a, k=4)
+    assert len(components(shadow_graph(h)).blocks) == 1
+    f = tmp_path / "v.hyp"
+    f.write_text(format_hypergraph(h))
+    searches = incidence_searches(monkeypatch)
+    for flags in ([], ["--components"]):
+        searches.clear()
+        code, tried = with_rotations(main, ["solve", "--k", "4", str(f), *flags])
+        out = capsys.readouterr().out
+        assert (code, tried, searches) == (0, [0, 1], [6])
+        assert verify_partition(h, parse_certificate(out)[:2]).ok
 
 
 def test_lu_rotates_an_interleaved_component_over_its_own_ids(monkeypatch):
@@ -962,13 +1058,15 @@ def test_a_disconnected_odd_instance_is_refused_as_disconnected(shape):
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_k_above_3_blocks_are_the_shadow_components(k):
-    """For k > 3 the blocks come from the incidence graph, with no shadow
-    graph, and equal the shadow graph's components, in the same order, on
-    unions whose components interleave their vertex ids."""
+    """For k > 3 the components come from the incidence graph, with no
+    shadow graph: the map that `_fitting_residual` returns, read on the
+    B-side, equals the shadow graph's components, in the same order, on
+    unions whose components interleave their vertex ids.  No map means the
+    first residual is connected, and then so is the shadow graph."""
     import random
 
     from trimatch import components
-    from trimatch.partition import _blocks, _gated_graph
+    from trimatch.partition import _fitting_residual, _gated_graph
 
     rng = random.Random(k)
     for trial in range(20):
@@ -981,9 +1079,12 @@ def test_k_above_3_blocks_are_the_shadow_components(k):
             union.n_b, [[ids[b] for b in nbrs] for nbrs in union.adj_a], k=k
         )
         g = _gated_graph(h, k)
-        blocks = _blocks(h, k, g)
         assert g == _incidence_graph(h)
-        assert blocks == components(shadow_graph(h)).blocks, trial
+        _, _, part_of = _fitting_residual(g[0], h.n, k, g[0], g[1])
+        blocks = [[] for _ in range(1 if part_of is None else max(part_of.values()) + 1)]
+        for v in range(h.n):
+            blocks[0 if part_of is None else part_of[v]].append(v)
+        assert tuple(map(tuple, blocks)) == components(shadow_graph(h)).blocks, trial
 
 
 def old_incidence_graph(h):
